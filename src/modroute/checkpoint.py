@@ -4,11 +4,14 @@ Everything lives in one ``.npz``: a JSON manifest (format version, run config,
 config hash, step counters) plus every parameter and optimizer array. Loading
 a checkpoint written by a different format version is refused outright.
 The replay buffer is not persisted; a resumed run refills it before training.
+A save writes a temporary file next to the target and renames it over the
+target, so a crash mid-save leaves the previous checkpoint intact.
 """
 
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -42,7 +45,15 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
             arrays[f"{name}/{k}"] = v
     arrays["log_alpha"] = trainer.temps.log_alpha
     arrays["success_ema"] = trainer.success_ema
-    np.savez(path, **arrays)
+    tmp = f"{path}.tmp-{os.getpid()}"
+    try:
+        # a file handle, because np.savez appends ".npz" to a path string
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the save failed before the rename
+            os.remove(tmp)
 
 
 def read_manifest(path: str) -> dict:

@@ -19,10 +19,15 @@ the current network would pick. Sources whose current (unmasked) softmax
 score falls below 1/i are treated as unsuitable: their module transform is
 frozen with a stop-gradient while the residual shortcut keeps carrying
 gradient to earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks
-the shortcut as well; ``chi_mode="off"`` disables the gating.
+the shortcut as well; ``chi_mode="off"`` disables the gating. The gate
+changes gradients only, never forward values; it lives in the backward of
+the tape's ``mix`` op (see ``autodiff``).
 
-All forward code is backend-agnostic: pass plain numpy parameters for a fast
-inference pass, or tape ``Var`` parameters for a differentiable pass.
+``ModulePolicy.forward`` decides once per pass between plain numpy (for
+inference) and a tape (for training). On a tape the pass is a few fused
+nodes: one ``mlp`` for the encoder and for each module, one ``route_mlps``
+for all routing MLPs (split per module with ``cols``), one
+``masked_softmax`` and one ``mix`` per module i >= 2.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .routing import mask_softmax, topk_mask
+from .routing import topk_mask
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -114,38 +119,27 @@ def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.nda
     return params
 
 
+def _layer_keys(prefix: str, n_layers: int) -> list[str]:
+    return [f"{prefix}.{kind}{l}" for l in range(n_layers) for kind in "wb"]
+
+
 def _mlp(params, prefix: str, x, n_layers: int):
-    """Feed-forward pass with relu between layers, linear output."""
-    for l in range(n_layers):
-        x = ad.affine(x, params[f"{prefix}.w{l}"], params[f"{prefix}.b{l}"])
-        if l < n_layers - 1:
-            x = ad.relu(x)
-    return x
-
-
-def _route_logits(params, cfg: PolicyConfig, routing_input) -> list:
-    """Logit vectors z^i = G^i(routing_input) for modules 2..n."""
-    depth = len(cfg.routing_widths) + 1
-    return [
-        _mlp(params, f"route{i}", routing_input, depth)
-        for i in range(2, cfg.n_modules + 1)
-    ]
+    """Numpy feed-forward pass with relu between layers, linear output."""
+    return ad.affine_chain(x, [params[k] for k in _layer_keys(prefix, n_layers)])[0]
 
 
 def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> list:
-    """Routing logits from an encoded state and a task embedding.
+    """Routing logits z^i = G^i(state_repr * task_repr) for modules 2..n.
 
-    The routing input is their element-wise product; both must share the
-    module dimension.
+    Numpy only; both inputs must share the module dimension.
     """
-    sv, tv = ad.value_of(state_repr), ad.value_of(task_repr)
-    if sv.shape[-1] != tv.shape[-1]:
-        raise ValueError(f"dimension mismatch: {sv.shape[-1]} vs {tv.shape[-1]}")
-    return _route_logits(params, cfg, state_repr * task_repr)
-
-
-def _col(x, j: int):
-    return x.cols(j, j + 1) if ad.is_var(x) else x[:, j:j + 1]
+    if state_repr.shape[-1] != task_repr.shape[-1]:
+        raise ValueError(
+            f"dimension mismatch: {state_repr.shape[-1]} vs {task_repr.shape[-1]}"
+        )
+    depth = len(cfg.routing_widths) + 1
+    g = state_repr * task_repr
+    return [_mlp(params, f"route{i}", g, depth) for i in range(2, cfg.n_modules + 1)]
 
 
 def _row_softmax(z: np.ndarray) -> np.ndarray:
@@ -158,14 +152,13 @@ def masked_softmax_rows(z, d: np.ndarray):
 
     Masked entries are exactly zero (they are multiplied by 0 after
     exponentiation), so gradients never leak through unselected sources.
+    On a tape it is one ``masked_softmax`` node.
     """
-    zv = ad.value_of(z)
     if not np.all(d.sum(axis=1) >= 1.0):
         raise ValueError("masked_softmax_rows: some row selects no source")
-    zmax = np.max(np.where(d > 0.0, zv, -np.inf), axis=1, keepdims=True)
-    e = ad.exp(z - zmax)
-    num = e * d
-    return num / ad.vsum(num, axis=1, keepdims=True)
+    if ad.is_var(z):
+        return z.tape.record("masked_softmax", z, d=d)
+    return ad.masked_softmax(z, d)
 
 
 def effective_rows(masks: list[np.ndarray], n: int) -> np.ndarray:
@@ -208,6 +201,13 @@ class ModulePolicy:
     def __init__(self, cfg: PolicyConfig, params: dict[str, np.ndarray]):
         self.cfg = cfg
         self.params = params
+        self._enc_keys = _layer_keys("enc", len(cfg.encoder_widths) + 1)
+        self._mod_keys = {i: _layer_keys(f"mod{i}", 2)
+                          for i in range(1, cfg.n_modules + 1)}
+        self._route_keys = [
+            k for i in range(2, cfg.n_modules + 1)
+            for k in _layer_keys(f"route{i}", len(cfg.routing_widths) + 1)
+        ]
 
     @classmethod
     def init(cls, cfg: PolicyConfig, rng: np.random.Generator) -> "ModulePolicy":
@@ -235,6 +235,10 @@ class ModulePolicy:
         ``chi_mode`` gates unsuitable stored sources: "off" (no gating),
         "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
         transform only, shortcut gradient preserved).
+
+        The pass is recorded on a tape when ``params`` holds tape ``Var``s
+        or ``action`` is a ``Var``; numpy ``params`` then enter the tape as
+        constants (frozen weights, no gradient). Otherwise it is plain numpy.
         """
         cfg = self.cfg
         if (masks is None) == (mask_fn is None):
@@ -243,6 +247,13 @@ class ModulePolicy:
             raise ValueError(f"unknown chi_mode {chi_mode!r}")
         p = params if params is not None else self.params
         n = cfg.n_modules
+        if ad.is_var(p["temb"]):
+            tape = p["temb"].tape
+        elif ad.is_var(action):
+            tape = action.tape
+            p = {k: tape.constant(v) for k, v in p.items()}
+        else:
+            tape = None
 
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         task_ids = np.atleast_1d(np.asarray(task_ids))
@@ -250,7 +261,7 @@ class ModulePolicy:
             if action is None:
                 raise ValueError("critic forward requires an action")
             if ad.is_var(action):
-                x = ad.concat([action.tape.constant(obs), action], axis=1)
+                x = ad.concat([obs, action], axis=1)
             else:
                 act = np.atleast_2d(np.asarray(action, dtype=np.float64))
                 if act.shape[1] != cfg.act_dim:
@@ -265,13 +276,30 @@ class ModulePolicy:
                 f"input dim {ad.value_of(x).shape[1]} != expected {cfg.input_dim}"
             )
 
-        h = _mlp(p, "enc", x, len(cfg.encoder_widths) + 1)
-        emb = ad.gather_rows(p["temb"], task_ids)
-        g = h * emb if cfg.state_routing else emb
+        # encoder, routing input and the logits of modules 2..n
+        route_ws = [p[k] for k in self._route_keys]
+        if tape is None:
+            h = ad.affine_chain(x, [p[k] for k in self._enc_keys])[0]
+            emb = p["temb"][task_ids.astype(np.intp)]
+            g = h * emb if cfg.state_routing else emb
+            per = len(route_ws) // (n - 1)
+            zs = [ad.affine_chain(g, route_ws[s:s + per])[0]
+                  for s in range(0, len(route_ws), per)]
+        else:
+            if not ad.is_var(x):
+                x = tape.constant(x)
+            h = tape.record("mlp", x, *[p[k] for k in self._enc_keys], residual=False)
+            emb = tape.record("gather_rows", p["temb"], idx=task_ids)
+            g = h * emb if cfg.state_routing else emb
+            z_all = tape.record("route_mlps", g, *route_ws,
+                                depth=len(cfg.routing_widths) + 1)
+            offsets = [(i - 1) * (i - 2) // 2 for i in range(2, n + 2)]
+            zs = [z_all.cols(a, b) for a, b in zip(offsets, offsets[1:])]
 
-        # routing logits, masks, probabilities for modules 2..n
-        zs, ds, ps_, suits = [], [], [], []
-        for i, z in enumerate(_route_logits(p, cfg, g), start=2):
+        # routing masks and probabilities; on a tape, also which stored
+        # sources the current router finds unsuitable (score below 1/i)
+        zvs, ds, ps_, suits = [], [], [], []
+        for i, z in enumerate(zs, start=2):
             zv = ad.value_of(z)
             if masks is not None:
                 d = np.asarray(masks[i - 2], dtype=np.float64)
@@ -282,10 +310,10 @@ class ModulePolicy:
                     )
             else:
                 d = mask_fn(zv, i)
-            zs.append(zv)
+            zvs.append(zv)
             ds.append(d)
             ps_.append(masked_softmax_rows(z, d))
-            if chi_mode != "off":
+            if tape is not None and chi_mode != "off":
                 suits.append(_row_softmax(zv) >= 1.0 / i)
 
         eff = effective_rows(ds, n)
@@ -299,44 +327,42 @@ class ModulePolicy:
             if needed[i - 1]:
                 needed[:i - 1] |= (ds[i - 2] > 0.0).any(axis=0)
 
-        # module outputs; m[i] is the full output, shortcut[i] the gated one
+        # m[i] is module i's output, u[i] its mixed input (the residual
+        # shortcut that ResRouting's "rsg" gate sends gradient to)
         m: dict[int, object] = {}
-        gated: dict[int, object] = {}
+        u: dict[int, object] = {}
 
-        def contrib(j: int, i: int):
-            if chi_mode == "off":
-                return m[j]
-            suit_col = suits[i - 2][:, j - 1:j]
-            return ad.where_const(suit_col, m[j], gated[j])
+        def module(i: int, inp):
+            ws = [p[k] for k in self._mod_keys[i]]
+            residual = 1 < i < n
+            if tape is None:
+                t = ad.affine_chain(inp, ws)[0]
+                return inp + t if residual else t
+            return tape.record("mlp", inp, *ws, residual=residual)
 
         if not skip_unused or needed[0]:
-            m1 = _mlp(p, "mod1", h, 2)
-            m[1] = m1
-            if chi_mode != "off":
-                gated[1] = ad.sg(m1)
+            m[1] = module(1, h)
         for i in range(2, n + 1):
             if skip_unused and not needed[i - 1]:
                 continue
-            pi = ps_[i - 2]
-            u = None
-            for j in range(1, i):
-                if skip_unused and ds[i - 2][:, j - 1].max() == 0.0:
-                    continue
-                term = _col(pi, j - 1) * contrib(j, i)
-                u = term if u is None else u + term
-            t = _mlp(p, f"mod{i}", u, 2)
-            if i == n:
-                m[i] = t  # head module: no residual
+            d = ds[i - 2]
+            srcs = [j for j in range(1, i)
+                    if not (skip_unused and d[:, j - 1].max() == 0.0)]
+            cols = [j - 1 for j in srcs]
+            if tape is None:
+                u[i] = ad.mix(ps_[i - 2], [m[j] for j in srcs], cols)
             else:
-                m[i] = u + t
-                if chi_mode != "off":
-                    if chi_mode == "rsg":
-                        gated[i] = u + ad.sg(t)
-                    else:
-                        gated[i] = ad.sg(m[i])
+                short = [j for j in srcs if chi_mode == "rsg" and j > 1]
+                at = {j: 1 + len(srcs) + s for s, j in enumerate(short)}
+                u[i] = tape.record(
+                    "mix", ps_[i - 2], *[m[j] for j in srcs], *[u[j] for j in short],
+                    cols=cols, suit=suits[i - 2] if suits else None,
+                    shortcut=[at.get(j) for j in srcs],
+                )
+            m[i] = module(i, u[i])
 
         return ForwardResult(
-            out=m[n], masks=ds, probs=ps_, logits=zs, effective=eff,
+            out=m[n], masks=ds, probs=ps_, logits=zvs, effective=eff,
             module_outputs=m,
         )
 

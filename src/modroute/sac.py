@@ -34,7 +34,13 @@ log = logging.getLogger(__name__)
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of named parameter arrays."""
+    """Adaptive-moment optimizer over a dict of named parameter arrays.
+
+    The moments of all parameters live in one flat vector each, updated in
+    place; ``m`` and ``v`` map each key to its view of them (the form
+    ``state_dict`` saves). Parameters are looked up by key on every step,
+    so callers may replace entries of the params dict between steps.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
@@ -43,23 +49,58 @@ class Adam:
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._keys: tuple = ()
+
+    def _layout(self, params: dict[str, np.ndarray], keys: tuple):
+        """Flat buffers for ``keys``, keeping the moments of known keys."""
+        shapes = [np.shape(params[k]) for k in keys]
+        bounds = np.cumsum([0] + [int(np.prod(sh)) for sh in shapes])
+        flat = {name: np.zeros(bounds[-1]) for name in ("m", "v", "g", "tmp", "step")}
+
+        def views(buf):
+            return [buf[a:b].reshape(sh) for a, b, sh in zip(bounds, bounds[1:], shapes)]
+
+        for name in ("m", "v"):
+            old = getattr(self, name)
+            new = dict(zip(keys, views(flat[name])))
+            for k in keys:
+                if k in old:
+                    new[k][...] = old[k]
+            setattr(self, name, new)
+        self._m, self._v, self._g, self._tmp, self._step = (
+            flat[name] for name in ("m", "v", "g", "tmp", "step"))
+        self._step_views = views(self._step)
+        self._keys = keys
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         if self.lr == 0.0:
             return
+        keys = tuple(grads)
+        if keys != self._keys:
+            self._layout(params, keys)
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for k, g in grads.items():
-            if k not in self.m:
-                self.m[k] = np.zeros_like(params[k])
-                self.v[k] = np.zeros_like(params[k])
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / corr1
-            vhat = self.v[k] / corr2
-            params[k] -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
+        np.concatenate([np.ravel(grads[k]) for k in keys], out=g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= b1
+        np.multiply(g, 1 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, 1 - b2, out=tmp)
+        tmp *= g
+        v += tmp
+        # step = lr (m / corr1) / (sqrt(v / corr2) + eps)
+        np.divide(v, corr2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, corr1, out=step)
+        step *= self.lr
+        step /= tmp
+        for k, d in zip(keys, self._step_views):
+            params[k] -= d
 
     def state_dict(self) -> dict:
         out = {"t": np.array(self.t)}
@@ -72,6 +113,7 @@ class Adam:
         self.t = int(d["t"])
         self.m = {k[2:]: v for k, v in d.items() if k.startswith("m/")}
         self.v = {k[2:]: v for k, v in d.items() if k.startswith("v/")}
+        self._keys = ()  # the next step lays the loaded moments out flat
 
 
 def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
@@ -82,12 +124,16 @@ def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
 
 
 def loss_maskout(per_task_losses: np.ndarray, threshold: float) -> np.ndarray:
-    """Boolean include-flags; a task is dropped only if its loss strictly
-    exceeds the threshold."""
+    """Boolean include-flags; a task is dropped if its loss strictly
+    exceeds the threshold or is not finite (NaN or infinite)."""
     if threshold <= 0.0:
         raise ValueError("maskout threshold must be positive")
     losses = np.asarray(per_task_losses, dtype=np.float64)
-    included = ~(losses > threshold)
+    finite = np.isfinite(losses)
+    if not finite.all():
+        log.warning("non-finite loss for tasks %s; masked out",
+                    np.flatnonzero(~finite).tolist())
+    included = finite & (losses <= threshold)
     if not included.any():
         warnings.warn("all tasks masked out; training step skipped")
     return included
@@ -413,11 +459,12 @@ class Trainer:
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         a, logp = squashed_gaussian(res.out, self.cfg.act_dim, noise)
 
+        # the critics are frozen here: their arrays enter the tape as
+        # constants, so backward computes no critic weight gradients
         q_res = []
         for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")):
-            pvars = net.param_vars(tape, scope=f"{key}/")
             masks = self._training_masks(batch, key)
-            kwargs = dict(params=pvars, action=a,
+            kwargs = dict(params=net.params, action=a,
                           chi_mode=_CHI_BY_MODE[self.s.resrouting])
             if masks is None:
                 kwargs["mask_fn"] = make_mask_fn("topk", self._k_eff())
@@ -468,17 +515,14 @@ class Trainer:
         if not included.any():
             return metrics
 
-        for (tape, per_sample), opt, net in zip(
-            critic_parts, (self.opt_q1, self.opt_q2), (self.q1, self.q2)
-        ):
-            loss = (per_sample * coeff).sum()
-            opt.step(net.params, tape.backward(loss))
-
-        actor_loss_var = (actor_per_sample * coeff).sum()
-        grads = actor_tape.backward(actor_loss_var)
-        self.opt_actor.step(
-            self.actor.params, {k: g for k, g in grads.items() if k in self.actor.params}
-        )
+        # every backward runs before any optimizer step: the tapes hold the
+        # live parameter arrays, which the steps update in place
+        critic_grads = [tape.backward((per_sample * coeff).sum())
+                        for tape, per_sample in critic_parts]
+        actor_grads = actor_tape.backward((actor_per_sample * coeff).sum())
+        self.opt_q1.step(self.q1.params, critic_grads[0])
+        self.opt_q2.step(self.q2.params, critic_grads[1])
+        self.opt_actor.step(self.actor.params, actor_grads)
 
         _, alpha_grad = alpha_loss(logp, ids, self.temps)
         # mirror the task weighting scheme: only included tasks update
@@ -488,8 +532,9 @@ class Trainer:
 
         rho = self.s.polyak
         for target, online in ((self.q1_target, self.q1), (self.q2_target, self.q2)):
-            for k in target.params:
-                target.params[k] = rho * target.params[k] + (1 - rho) * online.params[k]
+            for k, t in target.params.items():
+                t *= rho
+                t += (1 - rho) * online.params[k]
 
         self.train_steps += 1
         self._last_metrics = metrics

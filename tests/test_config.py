@@ -132,6 +132,34 @@ class TestCheckpoint:
             assert np.array_equal(tr.opt_actor.m[k], tr2.opt_actor.m[k])
             assert np.array_equal(tr.opt_actor.v[k], tr2.opt_actor.v[k])
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        tr = make_trainer(cfg)
+        path = str(tmp_path / "ckpt.npz")
+        save_checkpoint(path, tr, cfg)
+        before = {k: v.copy() for k, v in tr.actor.params.items()}
+        tr.actor.params["enc.w0"] = tr.actor.params["enc.w0"] + 1.0
+
+        def crash(fh, **arrays):
+            fh.write(b"PK partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", crash)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, tr, cfg)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["ckpt.npz"]
+        tr2, _ = load_checkpoint(path)
+        for k, v in before.items():
+            assert np.array_equal(tr2.actor.params[k], v), k
+
+    def test_save_keeps_the_given_file_name(self, tmp_path):
+        cfg = small_config(tmp_path)
+        path = str(tmp_path / "ckpt.bin")
+        save_checkpoint(path, make_trainer(cfg), cfg)
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["ckpt.bin"]
+        assert read_manifest(path)["format_version"] == FORMAT_VERSION
+
     def test_manifest_records_config_hash(self, tmp_path):
         cfg = small_config(tmp_path)
         path = str(tmp_path / "ckpt.npz")

@@ -1,7 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 
+from modroute import autodiff
 from modroute.autodiff import Tape, gradient_check
+from modroute.config import RunConfig
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
 from modroute.network import PolicyConfig, pack_masks, topk_mask_rows, unpack_masks
 from modroute.replay import MASK_FIELDS, ReplayBuffer, Transition
@@ -68,6 +72,10 @@ class TestLossMaskout:
         with pytest.warns(UserWarning):
             inc = loss_maskout([5000.0, 6000.0], 3000.0)
         assert not inc.any()
+
+    def test_non_finite_losses_masked_out(self):
+        inc = loss_maskout([1.0, np.nan, np.inf, -np.inf, 2.0], 3000.0)
+        np.testing.assert_array_equal(inc, [True, False, False, False, True])
 
 
 class TestAlphaLoss:
@@ -156,6 +164,52 @@ class TestAdam:
         for _ in range(500):
             opt.step(params, {"x": 2 * params["x"]})
         assert abs(params["x"][0]) < 1e-2
+
+    def test_flat_update_matches_per_key_formula(self):
+        rng = np.random.default_rng(6)
+        params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        ref = {k: v.copy() for k, v in params.items()}
+        m = {k: np.zeros_like(v) for k, v in ref.items()}
+        v2 = {k: np.zeros_like(v) for k, v in ref.items()}
+        opt = Adam(0.01)
+        for t in range(1, 4):
+            grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+            opt.step(params, grads)
+            for k, g in grads.items():
+                # the per-key update the flat one replaced, term by term
+                m[k] = 0.9 * m[k] + (1 - 0.9) * g
+                v2[k] = 0.999 * v2[k] + (1 - 0.999) * g * g
+                mhat, vhat = m[k] / (1 - 0.9 ** t), v2[k] / (1 - 0.999 ** t)
+                ref[k] -= 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
+        for k in params:
+            np.testing.assert_array_equal(params[k], ref[k])
+            np.testing.assert_array_equal(opt.state_dict()[f"m/{k}"], m[k])
+
+    def test_replaced_param_entries_are_updated(self):
+        params = {"x": np.array([1.0, 2.0])}
+        opt = Adam(0.1)
+        opt.step(params, {"x": np.ones(2)})
+        params["x"] = np.array([5.0, 5.0])  # e.g. a checkpoint load
+        opt.step(params, {"x": np.ones(2)})
+        assert np.all(params["x"] < 5.0)
+
+    def test_state_dict_round_trip_continues_identically(self):
+        rng = np.random.default_rng(7)
+        grads = [{"a": rng.normal(size=3), "b": rng.normal(size=(2, 2))}
+                 for _ in range(4)]
+        p1 = {"a": np.zeros(3), "b": np.zeros((2, 2))}
+        o1 = Adam(0.05)
+        for g in grads[:2]:
+            o1.step(p1, g)
+        p2 = {k: v.copy() for k, v in p1.items()}
+        o2 = Adam(0.05)
+        o2.load_state_dict({k: np.array(v, copy=True)
+                            for k, v in o1.state_dict().items()})
+        for g in grads[2:]:
+            o1.step(p1, g)
+            o2.step(p2, g)
+        for k in p1:
+            np.testing.assert_array_equal(p1[k], p2[k])
 
 
 class TestLosses:
@@ -303,3 +357,63 @@ class TestTrainer:
         tr.envs[2].step = boom
         taken = tr.collect_rollouts(5)
         assert taken == 5 * 3  # other tasks keep going
+
+
+def accept_trainer(seed=0):
+    """The acceptance config (8 modules, k=2, width 32, 4 tasks x 16 rows),
+    with a filled buffer."""
+    cfg = RunConfig(seed=seed, n_modules=8, k=2, module_dim=32, module_hidden=32,
+                    batch_per_task=16, start_steps=16)
+    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed)
+    while not tr.buffer.can_sample(cfg.batch_per_task):
+        tr.collect_rollouts(1)
+    return tr
+
+
+class TestTrainStepGraph:
+    def _counts(self, tr, monkeypatch):
+        counts = {"record": 0, "parameter": 0}
+        for name in counts:
+            orig = getattr(autodiff.Tape, name)
+
+            def counted(self, *args, _orig=orig, _name=name, **kw):
+                counts[_name] += 1
+                return _orig(self, *args, **kw)
+
+            monkeypatch.setattr(autodiff.Tape, name, counted)
+        assert tr.train_step() is not None
+        monkeypatch.undo()
+        return counts
+
+    def test_node_and_parameter_counts(self, monkeypatch):
+        tr = accept_trainer()
+        first = self._counts(tr, monkeypatch)
+        tr.collect_rollouts(1)
+        second = self._counts(tr, monkeypatch)
+        assert first["record"] <= 250
+        # actor plus the two critics once each; frozen critics are constants
+        assert first["parameter"] <= 243
+        assert first == second
+
+    def test_actor_gradient_uses_pre_step_critics(self):
+        # the actor's gradient through min(Q1, Q2) must be taken at the
+        # critics its forward pass ran on, not at the critics' stepped weights
+        tr = make_trainer(seed=17)
+        tr.collect_rollouts(20)
+        tr.flush_pending()
+        ref = copy.deepcopy(tr)
+        ref.opt_q1.step = ref.opt_q2.step = lambda params, grads: None
+        fed = {}
+        for trainer, key in ((tr, "step"), (ref, "ref")):
+            orig = trainer.opt_actor.step
+
+            def spy(params, grads, _orig=orig, _key=key):
+                fed[_key] = {k: g.copy() for k, g in grads.items()}
+                return _orig(params, grads)
+
+            trainer.opt_actor.step = spy
+        tr.train_step()
+        ref.train_step()
+        assert set(fed["step"]) == set(tr.actor.params)
+        for k, g in fed["ref"].items():
+            np.testing.assert_allclose(fed["step"][k], g, rtol=1e-12, atol=0, err_msg=k)
