@@ -4,13 +4,7 @@ from .autodiff import Tape, Var, gradient_check
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .network import ModulePolicy, PolicyConfig
-from .routing import (
-    effective_modules,
-    mask_softmax,
-    route_balance_temperatures,
-    sample_k_mask,
-    topk_mask,
-)
+from .routing import route_balance_temperatures
 
 from .sac import Trainer, TrainSettings
 
@@ -26,9 +20,5 @@ __all__ = [
     "gradient_check",
     "ModulePolicy",
     "PolicyConfig",
-    "effective_modules",
-    "mask_softmax",
     "route_balance_temperatures",
-    "sample_k_mask",
-    "topk_mask",
 ]

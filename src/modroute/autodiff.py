@@ -10,13 +10,17 @@ the routed networks, each one tape node with a hand-written backward:
 
 * ``mlp``: an affine-relu chain (linear last layer), optionally with the
   residual ``x + f(x)``; the encoder and every module.
-* ``route_mlps``: all routing MLPs of a network on their shared input, the
-  logits side by side in one ``(B, sum of widths)`` value.
-* ``masked_softmax``: row softmax restricted to a constant binary mask.
-* ``mix``: a module's input ``u = sum_j p[:, j] * m_j``. It implements
-  ResRouting's gate in its backward: where a source is marked unsuitable
-  its adjoint skips the source's module transform and goes to that
-  module's own input (the residual shortcut), or nowhere.
+* ``route_mlps``: all routing MLPs of a network on their shared input.
+  Their logits share one padded ``(B, count, widest)`` value: MLP ``r``'s
+  outputs fill row ``r`` from the left and the rest of the row is
+  ``-inf``, so a softmax over the last axis ignores it.
+* ``masked_softmax``: softmax over the last axis restricted to a constant
+  binary mask; one node for all rows of a padded logit array.
+* ``mix``: a module's input ``u = sum_j p[:, row, j] * m_j``, reading its
+  row of the padded probabilities. It implements ResRouting's gate in its
+  backward: where a source is marked unsuitable its adjoint skips the
+  source's module transform and goes to that module's own input (the
+  residual shortcut), or nowhere.
 
 Every node records whether a parameter reaches it. Backward hands adjoints
 only to such nodes, and the fused ops skip the products of inputs that need
@@ -25,8 +29,8 @@ none, so frozen weights recorded as constants cost no weight gradients.
 The dispatch helpers at the bottom (``tanh``, ``exp``, ``concat``, ...)
 accept either plain numpy arrays or :class:`Var` handles, so the same code
 can run as a cheap inference pass or as a differentiable tape pass. The
-numpy kernels behind the fused ops (``affine_chain``, ``mix``,
-``masked_softmax``) serve the inference pass directly.
+numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
+``mix``, ``masked_softmax``) serve the inference pass directly.
 """
 
 from __future__ import annotations
@@ -226,6 +230,22 @@ def affine_chain(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     return x @ layers[-2] + layers[-1], acts
 
 
+def route_mlps(x: np.ndarray, layers, depth: int):
+    """The MLPs in ``layers`` (``2 * depth`` arrays each, see
+    ``affine_chain``) on their shared input ``x``. Returns their outputs
+    padded into one ``(B, count, widest)`` array, MLP ``r``'s left-aligned
+    in row ``r`` and ``-inf`` after them, and each MLP's layer inputs."""
+    per = 2 * depth
+    starts = range(0, len(layers), per)
+    widths = [layers[s + per - 1].shape[0] for s in starts]
+    z = np.full((x.shape[0], len(widths), max(widths)), -np.inf)
+    acts = []
+    for r, s in enumerate(starts):
+        z[:, r, :widths[r]], a = affine_chain(x, layers[s:s + per])
+        acts.append(a)
+    return z, acts
+
+
 def mix(p: np.ndarray, sources, cols) -> np.ndarray:
     """``sum_s p[:, cols[s]] * sources[s]``, summed in list order."""
     u = None
@@ -236,11 +256,12 @@ def mix(p: np.ndarray, sources, cols) -> np.ndarray:
 
 
 def masked_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Row softmax of ``z`` over the support of the binary mask ``d``;
-    masked entries are exactly zero, however large their logits."""
+    """Softmax of ``z`` over its last axis, restricted to the support of the
+    binary mask ``d``; masked entries are exactly zero, however large (or
+    ``-inf``) their logits."""
     zm = np.where(d > 0.0, z, -np.inf)
-    num = np.exp(zm - np.max(zm, axis=1, keepdims=True)) * d
-    return num / num.sum(axis=1, keepdims=True)
+    num = np.exp(zm - np.max(zm, axis=-1, keepdims=True)) * d
+    return num / num.sum(axis=-1, keepdims=True)
 
 
 def _chain_backward(g, acts, layers, need, need_x):
@@ -359,26 +380,19 @@ def _bwd_mlp(g, out, vals, aux, need):
 
 def _fwd_route_mlps(vals, aux):
     """vals = [g, then each routing MLP's w0, b0, ...]; aux: depth (layers
-    per MLP). Output: the MLPs' outputs side by side, in input order."""
-    x, per = vals[0], 2 * aux["depth"]
-    outs, acts = [], []
-    for s in range(1, len(vals), per):
-        o, a = affine_chain(x, vals[s:s + per])
-        outs.append(o)
-        acts.append(a)
-    aux["acts"] = acts
-    return np.concatenate(outs, axis=1)
+    per MLP). Output: the padded logits of ``route_mlps``."""
+    out, aux["acts"] = route_mlps(vals[0], vals[1:], aux["depth"])
+    return out
 
 
 def _bwd_route_mlps(g, out, vals, aux, need):
     per = 2 * aux["depth"]
     grads = [None] * len(vals)
-    gx, col = None, 0
-    for s, acts in zip(range(1, len(vals), per), aux["acts"]):
+    gx = None
+    for r, (s, acts) in enumerate(zip(range(1, len(vals), per), aux["acts"])):
         width = vals[s + per - 1].shape[0]
         grads[s:s + per], gxr = _chain_backward(
-            g[:, col:col + width], acts, vals[s:s + per], need[s:s + per], need[0])
-        col += width
+            g[:, r, :width], acts, vals[s:s + per], need[s:s + per], need[0])
         if gxr is not None:
             gx = gxr if gx is None else gx + gxr
     grads[0] = gx
@@ -390,25 +404,27 @@ def _fwd_masked_softmax(vals, aux):
 
 
 def _bwd_masked_softmax(g, p, vals, aux, need):
-    return (p * (g - (g * p).sum(axis=1, keepdims=True)),)
+    return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
 
 def _fwd_mix(vals, aux):
     """vals = [p, one source per entry of aux cols, then the shortcut
-    inputs]; aux: cols (p's column of each source), suit ((B, width) bool,
-    or None: every source suitable), shortcut (per source, the index in
-    vals of its shortcut input, or None)."""
+    inputs]; p is (B, rows, width). aux: row (p's row holding the weights),
+    cols (that row's column of each source), suit ((B, width) bool, or
+    None: every source suitable), shortcut (per source, the index in vals
+    of its shortcut input, or None)."""
     cols = aux["cols"]
-    return mix(vals[0], vals[1:1 + len(cols)], cols)
+    return mix(vals[0][:, aux["row"]], vals[1:1 + len(cols)], cols)
 
 
 def _bwd_mix(g, out, vals, aux, need):
-    p, cols, suit, shortcut = vals[0], aux["cols"], aux["suit"], aux["shortcut"]
+    row, cols, suit, shortcut = aux["row"], aux["cols"], aux["suit"], aux["shortcut"]
+    p = vals[0][:, row]
     grads = [None] * len(vals)
     if need[0]:
-        gp = np.zeros_like(p)
+        gp = np.zeros_like(vals[0])
         for s, c in enumerate(cols):
-            gp[:, c] = (g * vals[1 + s]).sum(axis=1)
+            gp[:, row, c] = (g * vals[1 + s]).sum(axis=1)
         grads[0] = gp
     for s, c in enumerate(cols):
         gm = g * p[:, c:c + 1]

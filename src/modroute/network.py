@@ -14,31 +14,40 @@ Routing probabilities come from a masked softmax over logits z^i = G^i(F(s)
 * H(task)), restricted to a binary top-k (or sampled) source mask. Modules
 not backward-reachable from module n can be skipped entirely.
 
+All routing of a forward pass lives in padded ``(B, n-1, n-1)`` arrays of
+logits, masks and probabilities: row ``r`` is module ``r + 2`` and only its
+first ``r + 1`` columns (the sources 1..r+1) are valid. Padded logits are
+``-inf``, padded mask and probability entries 0. So mask selection, the
+masked softmax and reachability each run once per pass over all modules.
+The row-major lower triangle of a padded array is the packed
+``(B, n(n-1)/2)`` layout replay stores (``pack_masks``/``unpack_masks``).
+
 During off-policy training the stored behavior masks may disagree with what
 the current network would pick. Sources whose current (unmasked) softmax
 score falls below 1/i are treated as unsuitable: their module transform is
 frozen with a stop-gradient while the residual shortcut keeps carrying
 gradient to earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks
-the shortcut as well; ``chi_mode="off"`` disables the gating. The gate
-changes gradients only, never forward values; it lives in the backward of
-the tape's ``mix`` op (see ``autodiff``).
+the shortcut as well; ``chi_mode="off"`` disables the gating. The
+suitability test is one row softmax of the padded logits; the gate changes
+gradients only, never forward values, and lives in the backward of the
+tape's ``mix`` op (see ``autodiff``).
 
 ``ModulePolicy.forward`` decides once per pass between plain numpy (for
 inference) and a tape (for training). On a tape the pass is a few fused
 nodes: one ``mlp`` for the encoder and for each module, one ``route_mlps``
-for all routing MLPs (split per module with ``cols``), one
-``masked_softmax`` and one ``mix`` per module i >= 2.
+for all routing logits, one ``masked_softmax`` for all probabilities, and
+one ``mix`` per module i >= 2 reading its row of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .routing import topk_mask
 
 LOG_STD_MIN = -20.0
 LOG_STD_MAX = 2.0
@@ -128,8 +137,14 @@ def _mlp(params, prefix: str, x, n_layers: int):
     return ad.affine_chain(x, [params[k] for k in _layer_keys(prefix, n_layers)])[0]
 
 
-def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> list:
-    """Routing logits z^i = G^i(state_repr * task_repr) for modules 2..n.
+def _route_keys(cfg: PolicyConfig) -> list[str]:
+    return [k for i in range(2, cfg.n_modules + 1)
+            for k in _layer_keys(f"route{i}", len(cfg.routing_widths) + 1)]
+
+
+def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> np.ndarray:
+    """Padded routing logits z^i = G^i(state_repr * task_repr) of modules
+    2..n, (B, n-1, n-1) with -inf padding.
 
     Numpy only; both inputs must share the module dimension.
     """
@@ -137,62 +152,115 @@ def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> list:
         raise ValueError(
             f"dimension mismatch: {state_repr.shape[-1]} vs {task_repr.shape[-1]}"
         )
-    depth = len(cfg.routing_widths) + 1
-    g = state_repr * task_repr
-    return [_mlp(params, f"route{i}", g, depth) for i in range(2, cfg.n_modules + 1)]
+    ws = [params[k] for k in _route_keys(cfg)]
+    return ad.route_mlps(state_repr * task_repr, ws, len(cfg.routing_widths) + 1)[0]
 
 
 def _row_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def masked_softmax_rows(z, d: np.ndarray):
-    """Batched masked softmax; ``d`` is a constant (B, m) binary array.
+    """Masked softmax over the last axis of the padded logits ``z``; ``d``
+    is a constant binary array of the same shape.
 
     Masked entries are exactly zero (they are multiplied by 0 after
     exponentiation), so gradients never leak through unselected sources.
     On a tape it is one ``masked_softmax`` node.
     """
-    if not np.all(d.sum(axis=1) >= 1.0):
+    if not np.all(d.sum(axis=-1) >= 1.0):
         raise ValueError("masked_softmax_rows: some row selects no source")
     if ad.is_var(z):
         return z.tape.record("masked_softmax", z, d=d)
     return ad.masked_softmax(z, d)
 
 
-def effective_rows(masks: list[np.ndarray], n: int) -> np.ndarray:
-    """Per-sample backward reachability from module n; (B, n) bool array."""
-    B = masks[0].shape[0]
-    need = np.zeros((B, n), dtype=bool)
-    need[:, n - 1] = True
-    for i in range(n, 1, -1):
-        rows = need[:, i - 1:i]
-        d = masks[i - 2] > 0.0
-        need[:, :i - 1] |= d & rows
-    return need
+def effective_rows(masks: np.ndarray):
+    """Backward reachability from module n over padded (B, n-1, n-1) masks.
+
+    Returns ``(need, sources)``. ``need`` is (B, n) bool: the modules each
+    row reaches. ``sources`` is the batch-level closure: it maps module n,
+    and every module some row of a module in it selects, to the list of
+    sources any row of that module selects. That is coarser than per-row
+    reachability (a selected source of an evaluated module must exist even
+    if only some rows need that module), and it is what a forward pass that
+    skips modules must evaluate.
+    """
+    sel = masks > 0.0
+    B, w = sel.shape[:2]
+    need = np.zeros((B, w + 1), dtype=bool)
+    need[:, w] = True
+    used = sel.any(axis=0).tolist()
+    sources = {w + 1: None}
+    for r in range(w - 1, -1, -1):  # module r + 2, last first
+        if r + 2 not in sources:
+            continue  # no row reaches it either
+        need[:, :w] |= sel[:, r] & need[:, r + 1:r + 2]
+        srcs = [j + 1 for j in range(r + 1) if used[r][j]]
+        sources[r + 2] = srcs
+        for j in srcs:
+            sources.setdefault(j, None)
+    if 1 in sources:
+        sources[1] = []
+    return need, sources
 
 
-def pack_masks(masks: list[np.ndarray], cfg: PolicyConfig) -> np.ndarray:
-    return np.concatenate(masks, axis=1).astype(np.uint8)
+@lru_cache(maxsize=None)
+def _tril(n: int):
+    """Row-major lower-triangle index of a padded (n-1, n-1) routing array:
+    the packed order of the per-module masks. Read-only, shared."""
+    rows, cols = np.tril_indices(n - 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
-def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> list[np.ndarray]:
-    out, j = [], 0
-    for i in range(2, cfg.n_modules + 1):
-        out.append(flat[:, j:j + i - 1].astype(np.float64))
-        j += i - 1
+def pack_masks(masks: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
+    """Padded (B, n-1, n-1) masks as packed (B, n(n-1)/2) uint8 rows."""
+    rows, cols = _tril(cfg.n_modules)
+    return masks[:, rows, cols].astype(np.uint8)
+
+
+def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
+    """Packed (B, n(n-1)/2) mask rows as padded (B, n-1, n-1) float masks."""
+    w = cfg.n_modules - 1
+    rows, cols = _tril(cfg.n_modules)
+    out = np.zeros((flat.shape[0], w, w))
+    out[:, rows, cols] = flat
     return out
+
+
+def _rows(a: np.ndarray) -> list[np.ndarray]:
+    """Per-module (B, i-1) views of a padded routing array."""
+    return [a[:, r, :r + 1] for r in range(a.shape[1])]
 
 
 @dataclass
 class ForwardResult:
+    """A pass's head output and its routing.
+
+    The routing arrays are padded (B, n-1, n-1) values (see the module
+    docstring); ``masks``, ``probs`` and ``logits`` give their per-module
+    (B, i-1) views, for modules 2..n.
+    """
     out: object                   # head output, (B, head_dim) array or Var
-    masks: list[np.ndarray]       # per-module binary source masks (B, i-1)
-    probs: list                   # per-module routing probabilities
-    logits: list[np.ndarray]      # per-module logit values (B, i-1)
+    padded_masks: np.ndarray      # binary source masks
+    padded_probs: np.ndarray      # routing probabilities (values)
+    padded_logits: np.ndarray     # routing logits (values)
     effective: np.ndarray         # (B, n) bool, modules actually contributing
     module_outputs: dict = field(default_factory=dict)  # i -> m^i (evaluated only)
+
+    @property
+    def masks(self) -> list[np.ndarray]:
+        return _rows(self.padded_masks)
+
+    @property
+    def probs(self) -> list[np.ndarray]:
+        return _rows(self.padded_probs)
+
+    @property
+    def logits(self) -> list[np.ndarray]:
+        return _rows(self.padded_logits)
 
 
 class ModulePolicy:
@@ -204,10 +272,9 @@ class ModulePolicy:
         self._enc_keys = _layer_keys("enc", len(cfg.encoder_widths) + 1)
         self._mod_keys = {i: _layer_keys(f"mod{i}", 2)
                           for i in range(1, cfg.n_modules + 1)}
-        self._route_keys = [
-            k for i in range(2, cfg.n_modules + 1)
-            for k in _layer_keys(f"route{i}", len(cfg.routing_widths) + 1)
-        ]
+        self._route_keys = _route_keys(cfg)
+        # per padded routing row: the suitability threshold 1/i of module i
+        self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
 
     @classmethod
     def init(cls, cfg: PolicyConfig, rng: np.random.Generator) -> "ModulePolicy":
@@ -223,15 +290,16 @@ class ModulePolicy:
         *,
         params=None,
         action=None,
-        masks: list[np.ndarray] | None = None,
+        masks: np.ndarray | None = None,
         mask_fn=None,
         chi_mode: str = "off",
         skip_unused: bool = False,
     ) -> ForwardResult:
         """Run the routed network.
 
-        Exactly one of ``masks`` (stored behavior masks) or ``mask_fn``
-        (callable (z_values, i) -> binary mask rows) selects the routing.
+        Exactly one of ``masks`` (stored behavior masks, padded
+        (B, n-1, n-1)) or ``mask_fn`` (callable padded logits -> padded
+        binary masks) selects the routing.
         ``chi_mode`` gates unsuitable stored sources: "off" (no gating),
         "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
         transform only, shortcut gradient preserved).
@@ -276,56 +344,38 @@ class ModulePolicy:
                 f"input dim {ad.value_of(x).shape[1]} != expected {cfg.input_dim}"
             )
 
-        # encoder, routing input and the logits of modules 2..n
+        # encoder, routing input and the padded logits of modules 2..n
         route_ws = [p[k] for k in self._route_keys]
+        depth = len(cfg.routing_widths) + 1
         if tape is None:
             h = ad.affine_chain(x, [p[k] for k in self._enc_keys])[0]
             emb = p["temb"][task_ids.astype(np.intp)]
             g = h * emb if cfg.state_routing else emb
-            per = len(route_ws) // (n - 1)
-            zs = [ad.affine_chain(g, route_ws[s:s + per])[0]
-                  for s in range(0, len(route_ws), per)]
+            z = ad.route_mlps(g, route_ws, depth)[0]
         else:
             if not ad.is_var(x):
                 x = tape.constant(x)
             h = tape.record("mlp", x, *[p[k] for k in self._enc_keys], residual=False)
             emb = tape.record("gather_rows", p["temb"], idx=task_ids)
             g = h * emb if cfg.state_routing else emb
-            z_all = tape.record("route_mlps", g, *route_ws,
-                                depth=len(cfg.routing_widths) + 1)
-            offsets = [(i - 1) * (i - 2) // 2 for i in range(2, n + 2)]
-            zs = [z_all.cols(a, b) for a, b in zip(offsets, offsets[1:])]
+            z = tape.record("route_mlps", g, *route_ws, depth=depth)
 
         # routing masks and probabilities; on a tape, also which stored
         # sources the current router finds unsuitable (score below 1/i)
-        zvs, ds, ps_, suits = [], [], [], []
-        for i, z in enumerate(zs, start=2):
-            zv = ad.value_of(z)
-            if masks is not None:
-                d = np.asarray(masks[i - 2], dtype=np.float64)
-                if d.shape != zv.shape:
-                    raise ValueError(
-                        f"stored mask for module {i} has shape {d.shape}, "
-                        f"expected {zv.shape}"
-                    )
-            else:
-                d = mask_fn(zv, i)
-            zvs.append(zv)
-            ds.append(d)
-            ps_.append(masked_softmax_rows(z, d))
-            if tape is not None and chi_mode != "off":
-                suits.append(_row_softmax(zv) >= 1.0 / i)
-
-        eff = effective_rows(ds, n)
-        # batch-level closure: a module is evaluated if any evaluated later
-        # module has any row selecting it. Coarser than per-row reachability
-        # (a selected source of an evaluated module must exist even if only
-        # some rows need that module), still sound for skipping.
-        needed = np.zeros(n, dtype=bool)
-        needed[n - 1] = True
-        for i in range(n, 1, -1):
-            if needed[i - 1]:
-                needed[:i - 1] |= (ds[i - 2] > 0.0).any(axis=0)
+        zv = ad.value_of(z)
+        if masks is not None:
+            d = np.asarray(masks, dtype=np.float64)
+            if d.shape != zv.shape:
+                raise ValueError(
+                    f"stored masks have shape {d.shape}, expected {zv.shape}"
+                )
+        else:
+            d = mask_fn(zv)
+        probs = masked_softmax_rows(z, d)
+        suit = None
+        if tape is not None and chi_mode != "off":
+            suit = _row_softmax(zv) >= self._inv_i
+        eff, sources = effective_rows(d)
 
         # m[i] is module i's output, u[i] its mixed input (the residual
         # shortcut that ResRouting's "rsg" gate sends gradient to)
@@ -340,79 +390,98 @@ class ModulePolicy:
                 return inp + t if residual else t
             return tape.record("mlp", inp, *ws, residual=residual)
 
-        if not skip_unused or needed[0]:
+        if not skip_unused or 1 in sources:
             m[1] = module(1, h)
         for i in range(2, n + 1):
-            if skip_unused and not needed[i - 1]:
+            if skip_unused and i not in sources:
                 continue
-            d = ds[i - 2]
-            srcs = [j for j in range(1, i)
-                    if not (skip_unused and d[:, j - 1].max() == 0.0)]
+            srcs = sources[i] if skip_unused else range(1, i)
             cols = [j - 1 for j in srcs]
             if tape is None:
-                u[i] = ad.mix(ps_[i - 2], [m[j] for j in srcs], cols)
+                u[i] = ad.mix(probs[:, i - 2], [m[j] for j in srcs], cols)
             else:
                 short = [j for j in srcs if chi_mode == "rsg" and j > 1]
                 at = {j: 1 + len(srcs) + s for s, j in enumerate(short)}
                 u[i] = tape.record(
-                    "mix", ps_[i - 2], *[m[j] for j in srcs], *[u[j] for j in short],
-                    cols=cols, suit=suits[i - 2] if suits else None,
+                    "mix", probs, *[m[j] for j in srcs], *[u[j] for j in short],
+                    row=i - 2, cols=cols,
+                    suit=None if suit is None else suit[:, i - 2],
                     shortcut=[at.get(j) for j in srcs],
                 )
             m[i] = module(i, u[i])
 
         return ForwardResult(
-            out=m[n], masks=ds, probs=ps_, logits=zvs, effective=eff,
-            module_outputs=m,
+            out=m[n], padded_masks=d, padded_probs=ad.value_of(probs),
+            padded_logits=zv, effective=eff, module_outputs=m,
         )
 
 
 # ---------------------------------------------------------------------------
-# batched mask selectors
+# mask selectors over padded logits (-inf entries are padding, never picked)
+
+def _top_k(keys: np.ndarray, k: int, valid: np.ndarray) -> np.ndarray:
+    """Mask of the k largest ``keys`` along the last axis, ties toward the
+    lowest index, among the ``valid`` entries (NaN keys rank last but
+    ahead of the padding, which sits right of the valid entries)."""
+    order = np.argsort(np.where(valid, -keys, np.nan), axis=-1, kind="stable")
+    width = keys.shape[-1]
+    # flat positions of the picks: each row's offset plus its first k
+    top = order[..., :k] + np.arange(0, keys.size, width).reshape(keys.shape[:-1] + (1,))
+    mask = np.zeros(keys.shape)
+    mask.ravel()[top] = 1.0
+    mask *= valid
+    return mask
+
 
 def topk_mask_rows(z: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise top-k mask, ties toward the lowest index."""
-    return np.stack([topk_mask(row, k) for row in z])
+    """Top-k mask over the last axis, ties toward the lowest index."""
+    return _top_k(z, k, ~np.isneginf(z))
 
 
 def sample_k_mask_rows(
     z: np.ndarray, k: int, taus: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Row-wise without-replacement sampling from softmax(z / tau).
+    """Without-replacement sampling of k sources from softmax(z / tau) in
+    every row of padded (B, rows, width) logits, all batch rows padded
+    alike; ``taus`` has one entry per batch row.
 
     Uses the Gumbel-top-k equivalence of sequential renormalized categorical
-    draws so a whole batch is one vectorized op.
+    draws. A row with at most k valid entries selects them all and draws
+    nothing. The others share one Gumbel draw, taken row by row (module by
+    module) and within a row as a (B, valid width) block in C order.
     """
-    taus = np.asarray(taus, dtype=np.float64).reshape(-1, 1)
+    taus = np.asarray(taus, dtype=np.float64).reshape(-1, 1, 1)
     if np.any(taus <= 0.0):
         raise ValueError("sample_k_mask_rows: tau must be positive")
-    kk = min(k, z.shape[1])
-    if kk == z.shape[1]:
-        return np.ones_like(z)
-    gumbel = rng.gumbel(size=z.shape)
-    keys = z / taus + gumbel
-    order = np.argsort(-keys, axis=1, kind="stable")
-    mask = np.zeros_like(z)
-    np.put_along_axis(mask, order[:, :kk], 1.0, axis=1)
-    return mask
+    valid = ~np.isneginf(z)
+    drawn = valid[0] & (valid[0].sum(axis=-1, keepdims=True) > k)
+    keys = z / taus
+    count = int(drawn.sum()) * z.shape[0]
+    if count:
+        # (row, batch row, entry) in C order is the order of the draws
+        gumbel = np.zeros((z.shape[1], z.shape[0], z.shape[2]))
+        gumbel[np.broadcast_to(drawn[:, None], gumbel.shape)] = rng.gumbel(size=count)
+        keys += gumbel.transpose(1, 0, 2)
+    return _top_k(keys, k, valid)
 
 
 def make_mask_fn(mode: str, k: int, taus=None, rng=None):
-    """Mask selector for fresh (non-stored) routing.
+    """Mask selector for fresh (non-stored) routing: padded logits ->
+    padded binary masks.
 
     mode: "topk" (deterministic), "samplek" (needs taus per row and rng),
     "hard" (top-1), "soft" (all sources).
     """
     if mode == "topk":
-        return lambda z, i: topk_mask_rows(z, k)
+        return lambda z: topk_mask_rows(z, k)
     if mode == "hard":
-        return lambda z, i: topk_mask_rows(z, 1)
+        return lambda z: topk_mask_rows(z, 1)
     if mode == "soft":
-        return lambda z, i: np.ones_like(z)
+        return lambda z: (~np.isneginf(z)).astype(np.float64)
     if mode == "samplek":
         if taus is None or rng is None:
             raise ValueError("samplek mask_fn needs taus and rng")
-        return lambda z, i: sample_k_mask_rows(z, k, taus, rng)
+        return lambda z: sample_k_mask_rows(z, k, taus, rng)
     raise ValueError(f"unknown routing mode {mode!r}")
 
 

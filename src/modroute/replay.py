@@ -1,22 +1,21 @@
 """Per-task ring-buffer replay with stored routing masks.
 
 Each transition keeps the behavior policy's routing masks for all three
-networks (actor and both critics) at both the state and the next state, so
-off-policy training can reuse the exact paths that produced the data.
-Masks are stored packed (one flat uint8 row per network, see
-``network.pack_masks``).
+networks (actor and both critics) at the state, so off-policy training can
+reuse the exact paths that produced the data. Next states are routed afresh
+by the Bellman targets, so no masks are kept for them. Masks are stored
+packed: one flat uint8 row of n(n-1)/2 entries per network, the row-major
+lower triangle of the forward pass's padded (n-1, n-1) mask array, module
+2's source first (see ``network.pack_masks``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-MASK_FIELDS = (
-    "masks_actor", "masks_q1", "masks_q2",
-    "next_masks_actor", "next_masks_q1", "next_masks_q2",
-)
+MASK_FIELDS = ("masks_actor", "masks_q1", "masks_q2")
 
 
 @dataclass
@@ -30,9 +29,6 @@ class Transition:
     masks_actor: np.ndarray
     masks_q1: np.ndarray
     masks_q2: np.ndarray
-    next_masks_actor: np.ndarray
-    next_masks_q1: np.ndarray
-    next_masks_q2: np.ndarray
 
 
 class ReplayBuffer:

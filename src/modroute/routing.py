@@ -1,106 +1,17 @@
-"""Routing kernels: top-k masks, sampled masks, masked softmax, reachability.
+"""Route balancing: per-task routing temperatures.
 
-A routed network with ``n`` modules keeps, for each module ``i`` in 2..n, a
-logit vector of length ``i - 1`` scoring every preceding module as a routing
-source. These kernels turn logits into binary source masks and normalized
-mixing probabilities, and decide which modules are actually reachable from
-the output (the rest can be skipped).
+The batched routing kernels (top-k and sampled source masks, the masked
+softmax, reachability) work on the padded routing arrays of a forward
+pass and live in ``network``. This module holds the one routing rule that
+works on per-task training state: the temperature each task samples its
+routing masks with.
 
-All functions are pure; stochastic ones take an explicit ``numpy`` Generator.
+Pure functions only.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def topk_mask(z: np.ndarray, k: int) -> np.ndarray:
-    """Binary mask over the min(k, len(z)) largest entries of ``z``.
-
-    Ties break toward the lowest index.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("topk_mask: empty logit vector")
-    if k < 1:
-        raise ValueError(f"topk_mask: k must be >= 1, got {k}")
-    kk = min(k, z.size)
-    # stable sort on (-z, index) so equal logits prefer the earlier module
-    order = np.argsort(-z, kind="stable")
-    mask = np.zeros(z.size, dtype=np.float64)
-    mask[order[:kk]] = 1.0
-    return mask
-
-
-def sample_k_mask(
-    z: np.ndarray, k: int, tau: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample min(k, len(z)) distinct sources without replacement.
-
-    Sequential categorical draws from softmax(z / tau), renormalized over
-    the not-yet-drawn indices after each draw.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("sample_k_mask: empty logit vector")
-    if k < 1:
-        raise ValueError(f"sample_k_mask: k must be >= 1, got {k}")
-    if tau <= 0.0:
-        raise ValueError(f"sample_k_mask: tau must be positive, got {tau}")
-    kk = min(k, z.size)
-    mask = np.zeros(z.size, dtype=np.float64)
-    if kk == z.size:
-        mask[:] = 1.0
-        return mask
-    scaled = z / tau
-    remaining = np.ones(z.size, dtype=bool)
-    for _ in range(kk):
-        # stabilize against the max of the still-available logits so tiny
-        # temperatures cannot underflow the whole remaining pool
-        logits = np.where(remaining, scaled, -np.inf)
-        weights = np.exp(logits - logits.max())
-        probs = weights / weights.sum()
-        j = int(rng.choice(z.size, p=probs))
-        mask[j] = 1.0
-        remaining[j] = False
-    return mask
-
-
-def mask_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Softmax of ``z`` restricted to the support of binary mask ``d``.
-
-    Masked entries come out exactly 0; selected entries sum to 1. Stabilized
-    by subtracting the max over selected entries.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
-    if z.shape != d.shape:
-        raise ValueError(f"mask_softmax: shape mismatch {z.shape} vs {d.shape}")
-    if not np.any(d > 0.0):
-        raise ValueError("mask_softmax: mask selects no entries")
-    zmax = np.max(np.where(d > 0.0, z, -np.inf))
-    num = np.exp(z - zmax) * d
-    return num / num.sum()
-
-
-def effective_modules(masks: list[np.ndarray], n: int) -> set[int]:
-    """Modules (1-based ids) reachable backward from module ``n``.
-
-    ``masks[i - 2]`` is the binary source mask of module ``i``; entry ``j``
-    set means an edge from module ``j + 1`` into module ``i``. Module ``n``
-    is always included.
-    """
-    if len(masks) != n - 1:
-        raise ValueError(f"effective_modules: expected {n - 1} masks, got {len(masks)}")
-    needed = {n}
-    for i in range(n, 1, -1):
-        if i not in needed:
-            continue
-        d = masks[i - 2]
-        for j in range(i - 1):
-            if d[j] > 0.0:
-                needed.add(j + 1)
-    return needed
 
 
 def route_balance_temperatures(alphas: np.ndarray) -> np.ndarray:

@@ -40,6 +40,9 @@ class Adam:
     place; ``m`` and ``v`` map each key to its view of them (the form
     ``state_dict`` saves). Parameters are looked up by key on every step,
     so callers may replace entries of the params dict between steps.
+
+    ``step`` is ``load`` (the gradients into one flat vector, which a
+    caller may check first) followed by ``apply``.
     """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -51,9 +54,9 @@ class Adam:
         self.t = 0
         self._keys: tuple = ()
 
-    def _layout(self, params: dict[str, np.ndarray], keys: tuple):
+    def _layout(self, grads: dict[str, np.ndarray], keys: tuple):
         """Flat buffers for ``keys``, keeping the moments of known keys."""
-        shapes = [np.shape(params[k]) for k in keys]
+        shapes = [np.shape(grads[k]) for k in keys]
         bounds = np.cumsum([0] + [int(np.prod(sh)) for sh in shapes])
         flat = {name: np.zeros(bounds[-1]) for name in ("m", "v", "g", "tmp", "step")}
 
@@ -72,18 +75,24 @@ class Adam:
         self._step_views = views(self._step)
         self._keys = keys
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        if self.lr == 0.0:
-            return
+    def load(self, grads: dict[str, np.ndarray]) -> np.ndarray:
+        """Lay ``grads`` out in the flat gradient vector the next ``apply``
+        uses; returns that vector (a buffer the next ``load`` overwrites)."""
         keys = tuple(grads)
         if keys != self._keys:
-            self._layout(params, keys)
+            self._layout(grads, keys)
+        np.concatenate([np.ravel(grads[k]) for k in keys], out=self._g)
+        return self._g
+
+    def apply(self, params: dict[str, np.ndarray]) -> None:
+        """One update of ``params`` from the loaded gradients."""
+        if self.lr == 0.0:
+            return
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
-        np.concatenate([np.ravel(grads[k]) for k in keys], out=g)
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= b1
         np.multiply(g, 1 - b1, out=tmp)
@@ -99,8 +108,12 @@ class Adam:
         np.divide(m, corr1, out=step)
         step *= self.lr
         step /= tmp
-        for k, d in zip(keys, self._step_views):
+        for k, d in zip(self._keys, self._step_views):
             params[k] -= d
+
+    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        self.load(grads)
+        self.apply(params)
 
     def state_dict(self) -> dict:
         out = {"t": np.array(self.t)}
@@ -266,7 +279,6 @@ class Trainer:
         self.rng_explore = stream(seed, "explore")
 
         self._cur_obs = np.stack([env.reset() for env in self.envs])
-        self._pending: list[Transition | None] = [None] * self.num_tasks
         self._alive = np.ones(self.num_tasks, dtype=bool)
         self.env_steps = 0
         self.train_steps = 0
@@ -313,10 +325,9 @@ class Trainer:
                               skip_unused=True)
         return (
             actions,
-            pack_masks(res.masks, self.cfg),
-            pack_masks(rq1.masks, self.cfg),
-            pack_masks(rq2.masks, self.cfg),
-            res.effective,
+            pack_masks(res.padded_masks, self.cfg),
+            pack_masks(rq1.padded_masks, self.cfg),
+            pack_masks(rq2.padded_masks, self.cfg),
         )
 
     def _taus(self) -> np.ndarray:
@@ -324,20 +335,10 @@ class Trainer:
             return self.temps.taus()
         return np.ones(self.num_tasks)
 
-    def _finish_pending(self, i: int, next_masks) -> None:
-        tr = self._pending[i]
-        if tr is None:
-            return
-        tr.next_masks_actor = next_masks[0]
-        tr.next_masks_q1 = next_masks[1]
-        tr.next_masks_q2 = next_masks[2]
-        self.buffer.add(tr)
-        self._pending[i] = None
-
     def collect_rollouts(self, vector_steps: int) -> int:
         """Advance every task environment ``vector_steps`` times.
 
-        Transitions carry the sampled routing masks for s and s'. A faulted
+        Transitions carry the routing masks sampled at s. A faulted
         environment is dropped for the rest of the call; the others proceed.
         Returns the number of env transitions taken.
         """
@@ -346,27 +347,25 @@ class Trainer:
             ids = np.arange(self.num_tasks)
             if self.env_steps < self.s.start_steps * self.num_tasks:
                 warmup = self.rng_explore.uniform(-1, 1, (self.num_tasks, ACT_DIM))
-                actions, ma, mq1, mq2, _ = self._routing_snapshot(
+                actions, ma, mq1, mq2 = self._routing_snapshot(
                     self._cur_obs, ids, explore=True, actions=warmup
                 )
             else:
-                actions, ma, mq1, mq2, _ = self._routing_snapshot(
+                actions, ma, mq1, mq2 = self._routing_snapshot(
                     self._cur_obs, ids, explore=True
                 )
             for i in range(self.num_tasks):
                 if not self._alive[i]:
                     continue
-                self._finish_pending(i, (ma[i], mq1[i], mq2[i]))
                 try:
                     obs2, reward, done, success = self.envs[i].step(actions[i])
                 except Exception:
                     log.exception("task %d env fault; aborting its rollout", i)
                     self._alive[i] = False
-                    self._pending[i] = None
                     continue
                 taken += 1
                 self.env_steps += 1
-                self._pending[i] = Transition(
+                self.buffer.add(Transition(
                     state=self._cur_obs[i].copy(),
                     action=np.asarray(actions[i]).copy(),
                     reward=float(reward),
@@ -374,29 +373,13 @@ class Trainer:
                     done=bool(done),
                     task_id=i,
                     masks_actor=ma[i], masks_q1=mq1[i], masks_q2=mq2[i],
-                    next_masks_actor=np.zeros_like(ma[i]),
-                    next_masks_q1=np.zeros_like(ma[i]),
-                    next_masks_q2=np.zeros_like(ma[i]),
-                )
+                ))
                 if done:
                     self.success_ema[i] = 0.95 * self.success_ema[i] + 0.05 * float(success)
-                    _, tma, tmq1, tmq2, _ = self._routing_snapshot(
-                        obs2[None], np.array([i]), explore=True
-                    )
-                    self._finish_pending(i, (tma[0], tmq1[0], tmq2[0]))
                     obs2 = self.envs[i].reset()
                 self._cur_obs[i] = obs2
         self._alive[:] = True
         return taken
-
-    def flush_pending(self) -> None:
-        """Complete any transitions still waiting for next-state masks."""
-        for i in range(self.num_tasks):
-            if self._pending[i] is not None:
-                _, tma, tmq1, tmq2, _ = self._routing_snapshot(
-                    self._pending[i].next_state[None], np.array([i]), explore=True
-                )
-                self._finish_pending(i, (tma[0], tmq1[0], tmq2[0]))
 
     # ------------------------------------------------------------------
     # training side
@@ -479,6 +462,11 @@ class Trainer:
     def train_step(self) -> dict | None:
         """One gradient step on critics, actor, temperatures, plus Polyak.
 
+        A masked-out task's rows get loss weight 0, but 0 times a non-finite
+        activation is still NaN in the backward pass; so when any network's
+        gradient is not finite the whole update (every optimizer, Polyak) is
+        skipped, with a warning and ``skipped_updates`` 1 in the metrics.
+
         Returns per-task metrics, or None when the buffer is too small."""
         if not self.buffer.can_sample(self.s.batch_per_task):
             log.info("buffer too small for a training step")
@@ -511,6 +499,7 @@ class Trainer:
             "w": weights,
             "included": included,
             "success_ema": self.success_ema.copy(),
+            "skipped_updates": 0,
         }
         if not included.any():
             return metrics
@@ -520,9 +509,17 @@ class Trainer:
         critic_grads = [tape.backward((per_sample * coeff).sum())
                         for tape, per_sample in critic_parts]
         actor_grads = actor_tape.backward((actor_per_sample * coeff).sum())
-        self.opt_q1.step(self.q1.params, critic_grads[0])
-        self.opt_q2.step(self.q2.params, critic_grads[1])
-        self.opt_actor.step(self.actor.params, actor_grads)
+        updates = ((self.opt_q1, self.q1.params, critic_grads[0]),
+                   (self.opt_q2, self.q2.params, critic_grads[1]),
+                   (self.opt_actor, self.actor.params, actor_grads))
+        finite = [bool(np.isfinite(opt.load(grads)).all()) for opt, _, grads in updates]
+        if not all(finite):
+            metrics["skipped_updates"] = 1
+            log.warning("non-finite gradients (q1, q2, actor finite: %s); "
+                        "update skipped", finite)
+            return metrics
+        for opt, params, _ in updates:
+            opt.apply(params)
 
         _, alpha_grad = alpha_loss(logp, ids, self.temps)
         # mirror the task weighting scheme: only included tasks update

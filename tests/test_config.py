@@ -111,7 +111,6 @@ class TestCheckpoint:
         tr = make_trainer(cfg)
         # populate optimizer state and counters with a little real training
         tr.collect_rollouts(10)
-        tr.flush_pending()
         for _ in range(3):
             tr.train_step()
         path = str(tmp_path / "ckpt.npz")

