@@ -10,10 +10,12 @@ the routed networks, each one tape node with a hand-written backward:
 
 * ``mlp``: an affine-relu chain (linear last layer), optionally with the
   residual ``x + f(x)``; the encoder and every module.
-* ``route_mlps``: all routing MLPs of a network on their shared input.
-  Their logits share one padded ``(B, count, widest)`` value: MLP ``r``'s
-  outputs fill row ``r`` from the left and the rest of the row is
-  ``-inf``, so a softmax over the last axis ignores it.
+* ``route_mlps``: the ``R`` routing MLPs of a network, stacked, on their
+  shared input: one 2-D matmul for the first layer and one batched matmul
+  for each later one. Their logits are one padded ``(B, R, R)`` value:
+  MLP ``r``'s outputs fill row ``r`` up to column ``r`` and the rest of
+  the row is ``-inf``, so a softmax over the last axis ignores it. The
+  output weights and biases behind the padding get a zero adjoint.
 * ``masked_softmax``: softmax over the last axis restricted to a constant
   binary mask; one node for all rows of a padded logit array.
 * ``mix``: a module's input ``u = sum_j p[:, row, j] * m_j``, reading its
@@ -35,6 +37,7 @@ numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -230,20 +233,40 @@ def affine_chain(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     return x @ layers[-2] + layers[-1], acts
 
 
-def route_mlps(x: np.ndarray, layers, depth: int):
-    """The MLPs in ``layers`` (``2 * depth`` arrays each, see
-    ``affine_chain``) on their shared input ``x``. Returns their outputs
-    padded into one ``(B, count, widest)`` array, MLP ``r``'s left-aligned
-    in row ``r`` and ``-inf`` after them, and each MLP's layer inputs."""
-    per = 2 * depth
-    starts = range(0, len(layers), per)
-    widths = [layers[s + per - 1].shape[0] for s in starts]
-    z = np.full((x.shape[0], len(widths), max(widths)), -np.inf)
-    acts = []
-    for r, s in enumerate(starts):
-        z[:, r, :widths[r]], a = affine_chain(x, layers[s:s + per])
-        acts.append(a)
-    return z, acts
+@lru_cache(maxsize=None)
+def _route_valid(count: int) -> np.ndarray:
+    """The valid entries of padded (count, count) routing logits: row ``r``
+    holds columns 0..r. Read-only, shared."""
+    valid = np.tri(count, dtype=bool)
+    valid.flags.writeable = False
+    return valid
+
+
+def route_mlps(x: np.ndarray, layers):
+    """``R`` stacked MLPs on their shared input ``x`` (B, d), relu between
+    layers and a linear last layer, whose width is ``R``.
+
+    ``layers = [w0, b0, w1, b1, ...]``: ``w0`` is (d, R, h0) and runs as one
+    (d, R*h0) matmul; each later ``w`` is (R, h_in, h_out) and runs as one
+    batched matmul; each ``b`` is (R, h_out). Returns the logits, (B, R, R)
+    with MLP ``r``'s outputs in columns 0..r of row ``r`` and ``-inf``
+    after them, and each layer's input: ``x``, then (R, B, h) arrays.
+    """
+    w0, b0 = layers[0], layers[1]
+    d, count, h0 = w0.shape
+    a = x @ w0.reshape(d, count * h0)
+    a += b0.reshape(count * h0)
+    acts = [x]
+    if len(layers) > 2:
+        a = np.maximum(a, 0.0, out=a).reshape(-1, count, h0).transpose(1, 0, 2)
+        for l in range(2, len(layers), 2):
+            acts.append(a)
+            a = np.matmul(a, layers[l])
+            a += layers[l + 1][:, None, :]
+            if l + 2 < len(layers):
+                np.maximum(a, 0.0, out=a)
+        a = a.transpose(1, 0, 2)
+    return np.where(_route_valid(count), a.reshape(-1, count, count), -np.inf), acts
 
 
 def mix(p: np.ndarray, sources, cols) -> np.ndarray:
@@ -379,23 +402,36 @@ def _bwd_mlp(g, out, vals, aux, need):
 
 
 def _fwd_route_mlps(vals, aux):
-    """vals = [g, then each routing MLP's w0, b0, ...]; aux: depth (layers
-    per MLP). Output: the padded logits of ``route_mlps``."""
-    out, aux["acts"] = route_mlps(vals[0], vals[1:], aux["depth"])
+    """vals = [g, then the stacked routing layers w0, b0, ...]. Output: the
+    padded logits of ``route_mlps``."""
+    out, aux["acts"] = route_mlps(vals[0], vals[1:])
     return out
 
 
 def _bwd_route_mlps(g, out, vals, aux, need):
-    per = 2 * aux["depth"]
+    layers, acts = vals[1:], aux["acts"]
     grads = [None] * len(vals)
-    gx = None
-    for r, (s, acts) in enumerate(zip(range(1, len(vals), per), aux["acts"])):
-        width = vals[s + per - 1].shape[0]
-        grads[s:s + per], gxr = _chain_backward(
-            g[:, r, :width], acts, vals[s:s + per], need[s:s + per], need[0])
-        if gxr is not None:
-            gx = gxr if gx is None else gx + gxr
-    grads[0] = gx
+    # the padding is constant: its adjoint reaches no weight
+    g = np.where(_route_valid(out.shape[1]), g, 0.0)
+    if len(layers) > 2:
+        g = g.transpose(1, 0, 2)  # (R, B, R), as the layer inputs
+        for l in range(len(layers) - 2, 0, -2):
+            a = acts[l // 2]
+            if need[1 + l]:
+                grads[1 + l] = np.matmul(a.transpose(0, 2, 1), g)
+            if need[2 + l]:
+                grads[2 + l] = g.sum(axis=1)
+            g = np.matmul(g, layers[l].transpose(0, 2, 1))
+            g *= a > 0.0  # a layer input > 0 iff its relu was active
+        g = g.transpose(1, 0, 2)
+    w0 = layers[0]
+    g = g.reshape(g.shape[0], -1)
+    if need[1]:
+        grads[1] = (acts[0].T @ g).reshape(w0.shape)
+    if need[2]:
+        grads[2] = g.sum(axis=0).reshape(layers[1].shape)
+    if need[0]:
+        grads[0] = g @ w0.reshape(w0.shape[0], -1).T
     return grads
 
 

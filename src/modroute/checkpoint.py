@@ -68,24 +68,42 @@ def read_manifest(path: str) -> dict:
 
 
 def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
-    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly."""
+    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
+    in place into each network's and optimizer's flat vectors.
+
+    Raises CheckpointError naming the array when a stored array is missing
+    or its shape does not match the run config's. Optimizer moments are
+    read once a step has been taken (``t`` > 0); before, they are zero."""
     manifest = read_manifest(path)
     run_cfg = RunConfig.from_dict(manifest["config"])
     trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
                       run_cfg.train_settings(), seed=run_cfg.seed)
     with np.load(path, allow_pickle=False) as data:
+        stored = set(data.files)
         for name in _NETS:
-            net = getattr(trainer, name)
-            for k in net.params:
-                net.params[k] = data[f"{name}/{k}"].copy()
+            _restore(data, stored, name, getattr(trainer, name).params)
         for name in _OPTS:
-            prefix = f"{name}/"
-            state = {key[len(prefix):]: data[key].copy()
-                     for key in data.files if key.startswith(prefix)}
-            if state:
-                getattr(trainer, name).load_state_dict(state)
+            opt = getattr(trainer, name)
+            opt.t = int(data[f"{name}/t"])
+            if opt.t:
+                m, v = opt.moments()
+                _restore(data, stored, f"{name}/m", m)
+                _restore(data, stored, f"{name}/v", v)
         trainer.temps.log_alpha = data["log_alpha"].copy()
         trainer.success_ema = data["success_ema"].copy()
     trainer.env_steps = int(manifest["env_steps"])
     trainer.train_steps = int(manifest["train_steps"])
     return trainer, run_cfg
+
+
+def _restore(data, stored: set, prefix: str, params) -> None:
+    """Copy the arrays ``prefix/key`` of ``data`` into ``params``."""
+    for k, view in params.items():
+        key = f"{prefix}/{k}"
+        if key not in stored:
+            raise CheckpointError(f"checkpoint lacks array {key}")
+        value = data[key]
+        if value.shape != view.shape:
+            raise CheckpointError(f"checkpoint array {key} has shape {value.shape}, "
+                                  f"expected {view.shape}")
+        params[k] = value

@@ -32,6 +32,25 @@ suitability test is one row softmax of the padded logits; the gate changes
 gradients only, never forward values, and lives in the backward of the
 tape's ``mix`` op (see ``autodiff``).
 
+Parameter layout. A network's parameters are one flat float64 vector
+(``Params.flat``); the forward reads a few tensors that are views of it
+(``Params.tensors``, laid out by ``policy_layout``):
+
+* ``enc.w{l}``/``enc.b{l}``, ``mod{i}.w{l}``/``mod{i}.b{l}`` and ``temb``,
+  one tensor per layer array;
+* the n-1 routing MLPs stacked, one tensor per layer array: ``route.w0``
+  (d, n-1, h0), a later ``route.w{l}`` (n-1, h_in, h_out), every
+  ``route.b{l}`` (n-1, h_out). The output layer is n-1 wide: module i's
+  MLP (row i-2) uses its first i-1 columns. The columns after them are
+  zero padding, and stay zero: the logits there are ``-inf`` whatever the
+  weights, so their gradient is zero, and Adam and Polyak keep zeros.
+
+``ModulePolicy.params`` maps the per-MLP keys (``enc.w0``,
+``route{i}.w{l}``, ``temb``, ...: one array per layer of each MLP) to views
+of the same vector; a routing key's view is its MLP's slice, cut to its
+i-1 sources, so no key shows the padding. Assigning to a key copies into
+its view. Optimizers and Polyak averaging work on the flat vectors.
+
 ``ModulePolicy.forward`` decides once per pass between plain numpy (for
 inference) and a tape (for training). On a tape the pass is a few fused
 nodes: one ``mlp`` for the encoder and for each module, one ``route_mlps``
@@ -41,6 +60,7 @@ one ``mix`` per module i >= 2 reading its row of them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
@@ -111,10 +131,11 @@ def _layer_sizes(cfg: PolicyConfig):
     return nets
 
 
-def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """He-scaled random weights; routing output layers start at zero so the
-    initial routing distribution is uniform. The head layer starts small."""
-    params: dict[str, np.ndarray] = {}
+def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> Params:
+    """He-scaled random weights and zero biases; routing output layers start
+    at zero so the initial routing distribution is uniform. The head layer
+    starts small."""
+    params = Params(policy_layout(cfg))
     for prefix, in_dim, outs, final_scale in _layer_sizes(cfg):
         d = in_dim
         for l, out in enumerate(outs):
@@ -122,7 +143,6 @@ def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> dict[str, np.nda
             if l == len(outs) - 1:
                 w *= final_scale
             params[f"{prefix}.w{l}"] = w
-            params[f"{prefix}.b{l}"] = np.zeros(out)
             d = out
     params["temb"] = rng.normal(0.0, 1.0, size=(cfg.num_tasks, cfg.module_dim))
     return params
@@ -137,9 +157,99 @@ def _mlp(params, prefix: str, x, n_layers: int):
     return ad.affine_chain(x, [params[k] for k in _layer_keys(prefix, n_layers)])[0]
 
 
-def _route_keys(cfg: PolicyConfig) -> list[str]:
-    return [k for i in range(2, cfg.n_modules + 1)
-            for k in _layer_keys(f"route{i}", len(cfg.routing_widths) + 1)]
+class Layout:
+    """Where each named array lives in one flat float64 vector.
+
+    ``tensors`` are ``(name, shape)`` pairs stored back to back in that
+    order. ``keys`` maps each key to ``(tensor name, index)``: its array is
+    the view ``tensor[index]``; by default every tensor is its own key.
+    """
+
+    def __init__(self, tensors, keys: dict | None = None):
+        self.shapes = dict(tensors)
+        sizes = [int(np.prod(shape)) for shape in self.shapes.values()]
+        self.bounds = np.cumsum([0] + sizes).tolist()
+        self.size = self.bounds[-1]
+        self.keys = keys if keys is not None else {t: (t, ()) for t in self.shapes}
+
+    def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """The tensors as views of ``flat``."""
+        return {t: flat[a:b].reshape(shape) for (t, shape), a, b
+                in zip(self.shapes.items(), self.bounds, self.bounds[1:])}
+
+    def flatten(self, tensors: dict, out: np.ndarray | None = None) -> np.ndarray:
+        """Arrays keyed by tensor name (gradients, say) as one flat vector,
+        written to ``out`` if given."""
+        return np.concatenate([np.ravel(tensors[t]) for t in self.shapes], out=out)
+
+
+class Params(Mapping):
+    """One flat float64 vector and the keyed views of a ``Layout`` into it.
+
+    ``params[key]`` is the key's view; ``params[key] = array`` copies the
+    array into it (the shapes must match); ``tensors`` maps each tensor
+    name to its view. A fresh vector is all zeros.
+    """
+
+    def __init__(self, layout: Layout, flat: np.ndarray | None = None):
+        self.layout = layout
+        self.flat = np.zeros(layout.size) if flat is None else flat
+        self.tensors = layout.split(self.flat)
+        self._views = {k: self.tensors[t][index] for k, (t, index) in layout.keys.items()}
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._views[key]
+
+    def __setitem__(self, key: str, value) -> None:
+        view = self._views[key]
+        value = np.asarray(value)
+        if value.shape != view.shape:
+            raise ValueError(f"{key}: shape {value.shape} does not match {view.shape}")
+        view[...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def copy(self) -> "Params":
+        return Params(self.layout, self.flat.copy())
+
+
+def _route_names(cfg: PolicyConfig) -> list[str]:
+    return _layer_keys("route", len(cfg.routing_widths) + 1)
+
+
+def policy_layout(cfg: PolicyConfig) -> Layout:
+    """The parameter layout of a routed network (see the module docstring).
+
+    Encoder, module layers and ``temb`` are tensors under their own keys;
+    the n-1 routing MLPs are stacked, and each ``route{i}.*`` key is a view
+    of its MLP's slice, the output layer cut to its i-1 sources.
+    """
+    tensors = []
+    for prefix, in_dim, outs, _ in _layer_sizes(cfg):
+        if prefix.startswith("route"):
+            continue
+        for l, (a, b) in enumerate(zip([in_dim] + outs, outs)):
+            tensors += [(f"{prefix}.w{l}", (a, b)), (f"{prefix}.b{l}", (b,))]
+    keys = {t: (t, ()) for t, _ in tensors}
+    count = cfg.n_modules - 1
+    widths = list(cfg.routing_widths) + [count]
+    last = len(widths) - 1
+    for l, (a, b) in enumerate(zip([cfg.module_dim] + widths, widths)):
+        tensors += [(f"route.w{l}", (a, count, b) if l == 0 else (count, a, b)),
+                    (f"route.b{l}", (count, b))]
+    for r in range(count):
+        for l in range(last + 1):
+            cols = slice(0, r + 1) if l == last else slice(None)
+            w = (slice(None), r, cols) if l == 0 else (r, slice(None), cols)
+            keys[f"route{r + 2}.w{l}"] = (f"route.w{l}", w)
+            keys[f"route{r + 2}.b{l}"] = (f"route.b{l}", (r, cols))
+    tensors.append(("temb", (cfg.num_tasks, cfg.module_dim)))
+    keys["temb"] = ("temb", ())
+    return Layout(tensors, keys)
 
 
 def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> np.ndarray:
@@ -152,8 +262,8 @@ def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> np.ndarray
         raise ValueError(
             f"dimension mismatch: {state_repr.shape[-1]} vs {task_repr.shape[-1]}"
         )
-    ws = [params[k] for k in _route_keys(cfg)]
-    return ad.route_mlps(state_repr * task_repr, ws, len(cfg.routing_widths) + 1)[0]
+    ws = [params.tensors[t] for t in _route_names(cfg)]
+    return ad.route_mlps(state_repr * task_repr, ws)[0]
 
 
 def _row_softmax(z: np.ndarray) -> np.ndarray:
@@ -264,15 +374,15 @@ class ForwardResult:
 
 
 class ModulePolicy:
-    """Parameter container plus forward passes for one routed network."""
+    """Parameters plus forward passes for one routed network."""
 
-    def __init__(self, cfg: PolicyConfig, params: dict[str, np.ndarray]):
+    def __init__(self, cfg: PolicyConfig, params: Params):
         self.cfg = cfg
         self.params = params
         self._enc_keys = _layer_keys("enc", len(cfg.encoder_widths) + 1)
         self._mod_keys = {i: _layer_keys(f"mod{i}", 2)
                           for i in range(1, cfg.n_modules + 1)}
-        self._route_keys = _route_keys(cfg)
+        self._route_names = _route_names(cfg)
         # per padded routing row: the suitability threshold 1/i of module i
         self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
 
@@ -281,7 +391,8 @@ class ModulePolicy:
         return cls(cfg, init_params(cfg, rng))
 
     def param_vars(self, tape: Tape, scope: str = "") -> dict[str, Var]:
-        return {k: tape.parameter(scope + k, v) for k, v in self.params.items()}
+        """One tape parameter per tensor, named ``scope`` + tensor name."""
+        return {t: tape.parameter(scope + t, v) for t, v in self.params.tensors.items()}
 
     def forward(
         self,
@@ -304,9 +415,11 @@ class ModulePolicy:
         "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
         transform only, shortcut gradient preserved).
 
-        The pass is recorded on a tape when ``params`` holds tape ``Var``s
-        or ``action`` is a ``Var``; numpy ``params`` then enter the tape as
-        constants (frozen weights, no gradient). Otherwise it is plain numpy.
+        ``params`` is a ``Params``, or a dict keyed by tensor name (as
+        ``param_vars`` returns); by default the network's own. The pass is
+        recorded on a tape when ``params`` holds tape ``Var``s or ``action``
+        is a ``Var``; numpy ``params`` then enter the tape as constants
+        (frozen weights, no gradient). Otherwise it is plain numpy.
         """
         cfg = self.cfg
         if (masks is None) == (mask_fn is None):
@@ -314,6 +427,8 @@ class ModulePolicy:
         if chi_mode not in ("off", "sg", "rsg"):
             raise ValueError(f"unknown chi_mode {chi_mode!r}")
         p = params if params is not None else self.params
+        if isinstance(p, Params):
+            p = p.tensors
         n = cfg.n_modules
         if ad.is_var(p["temb"]):
             tape = p["temb"].tape
@@ -345,20 +460,19 @@ class ModulePolicy:
             )
 
         # encoder, routing input and the padded logits of modules 2..n
-        route_ws = [p[k] for k in self._route_keys]
-        depth = len(cfg.routing_widths) + 1
+        route_ws = [p[t] for t in self._route_names]
         if tape is None:
             h = ad.affine_chain(x, [p[k] for k in self._enc_keys])[0]
             emb = p["temb"][task_ids.astype(np.intp)]
             g = h * emb if cfg.state_routing else emb
-            z = ad.route_mlps(g, route_ws, depth)[0]
+            z = ad.route_mlps(g, route_ws)[0]
         else:
             if not ad.is_var(x):
                 x = tape.constant(x)
             h = tape.record("mlp", x, *[p[k] for k in self._enc_keys], residual=False)
             emb = tape.record("gather_rows", p["temb"], idx=task_ids)
             g = h * emb if cfg.state_routing else emb
-            z = tape.record("route_mlps", g, *route_ws, depth=depth)
+            z = tape.record("route_mlps", g, *route_ws)
 
         # routing masks and probabilities; on a tape, also which stored
         # sources the current router finds unsuitable (score below 1/i)

@@ -18,7 +18,9 @@ import numpy as np
 from .autodiff import Tape, minimum
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, ToyEnv
 from .network import (
+    Layout,
     ModulePolicy,
+    Params,
     PolicyConfig,
     deterministic_action,
     make_mask_fn,
@@ -34,72 +36,47 @@ log = logging.getLogger(__name__)
 
 
 class Adam:
-    """Adaptive-moment optimizer over a dict of named parameter arrays.
+    """Adaptive-moment optimizer over one flat parameter vector.
 
-    The moments of all parameters live in one flat vector each, updated in
-    place; ``m`` and ``v`` map each key to its view of them (the form
-    ``state_dict`` saves). Parameters are looked up by key on every step,
-    so callers may replace entries of the params dict between steps.
-
-    ``step`` is ``load`` (the gradients into one flat vector, which a
-    caller may check first) followed by ``apply``.
+    ``step(params, grad)`` updates the flat vector ``params`` in place from
+    the flat gradient ``grad``, both laid out by ``layout``. The moments
+    are flat vectors of the same layout; ``m`` and ``v`` are ``Params``
+    over them, whose keyed views ``state_dict`` saves. They are allocated
+    by the first step (or ``moments``): a network that is only evaluated
+    needs none, and until then they are zero.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float, layout: Layout, beta1: float = 0.9,
+                 beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout = layout
+        self.m = self.v = None
         self.t = 0
-        self._keys: tuple = ()
 
-    def _layout(self, grads: dict[str, np.ndarray], keys: tuple):
-        """Flat buffers for ``keys``, keeping the moments of known keys."""
-        shapes = [np.shape(grads[k]) for k in keys]
-        bounds = np.cumsum([0] + [int(np.prod(sh)) for sh in shapes])
-        flat = {name: np.zeros(bounds[-1]) for name in ("m", "v", "g", "tmp", "step")}
+    def moments(self) -> tuple[Params, Params]:
+        """``m`` and ``v``, allocated (as zeros) at the first call."""
+        if self.m is None:
+            self.m, self.v = Params(self.layout), Params(self.layout)
+            self._tmp, self._step = np.empty(self.layout.size), np.empty(self.layout.size)
+        return self.m, self.v
 
-        def views(buf):
-            return [buf[a:b].reshape(sh) for a, b, sh in zip(bounds, bounds[1:], shapes)]
-
-        for name in ("m", "v"):
-            old = getattr(self, name)
-            new = dict(zip(keys, views(flat[name])))
-            for k in keys:
-                if k in old:
-                    new[k][...] = old[k]
-            setattr(self, name, new)
-        self._m, self._v, self._g, self._tmp, self._step = (
-            flat[name] for name in ("m", "v", "g", "tmp", "step"))
-        self._step_views = views(self._step)
-        self._keys = keys
-
-    def load(self, grads: dict[str, np.ndarray]) -> np.ndarray:
-        """Lay ``grads`` out in the flat gradient vector the next ``apply``
-        uses; returns that vector (a buffer the next ``load`` overwrites)."""
-        keys = tuple(grads)
-        if keys != self._keys:
-            self._layout(grads, keys)
-        np.concatenate([np.ravel(grads[k]) for k in keys], out=self._g)
-        return self._g
-
-    def apply(self, params: dict[str, np.ndarray]) -> None:
-        """One update of ``params`` from the loaded gradients."""
+    def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.lr == 0.0:
             return
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        m, v, g, tmp, step = self._m, self._v, self._g, self._tmp, self._step
+        m, v = (moment.flat for moment in self.moments())
+        tmp, step = self._tmp, self._step
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= b1
-        np.multiply(g, 1 - b1, out=tmp)
+        np.multiply(grad, 1 - b1, out=tmp)
         m += tmp
         v *= b2
-        np.multiply(g, 1 - b2, out=tmp)
-        tmp *= g
+        np.multiply(grad, 1 - b2, out=tmp)
+        tmp *= grad
         v += tmp
         # step = lr (m / corr1) / (sqrt(v / corr2) + eps)
         np.divide(v, corr2, out=tmp)
@@ -108,25 +85,28 @@ class Adam:
         np.divide(m, corr1, out=step)
         step *= self.lr
         step /= tmp
-        for k, d in zip(self._keys, self._step_views):
-            params[k] -= d
-
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        self.load(grads)
-        self.apply(params)
+        params -= step
 
     def state_dict(self) -> dict:
         out = {"t": np.array(self.t)}
-        for k in self.m:
-            out[f"m/{k}"] = self.m[k]
-            out[f"v/{k}"] = self.v[k]
+        if self.t:
+            for k in self.m:
+                out[f"m/{k}"] = self.m[k]
+                out[f"v/{k}"] = self.v[k]
         return out
 
     def load_state_dict(self, d: dict):
+        """Restore ``t`` and the moments in place; absent moments are zero.
+        Raises KeyError for an unknown key, ValueError for a wrong shape."""
         self.t = int(d["t"])
-        self.m = {k[2:]: v for k, v in d.items() if k.startswith("m/")}
-        self.v = {k[2:]: v for k, v in d.items() if k.startswith("v/")}
-        self._keys = ()  # the next step lays the loaded moments out flat
+        m, v = self.moments()
+        m.flat[:] = 0.0
+        v.flat[:] = 0.0
+        moments = {"m": m, "v": v}
+        for key, value in d.items():
+            if key != "t":
+                kind, _, k = key.partition("/")
+                moments[kind][k] = value
 
 
 def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
@@ -254,17 +234,22 @@ class Trainer:
         self.actor = ModulePolicy.init(policy_cfg, stream(seed, "init/actor"))
         self.q1 = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"))
         self.q2 = ModulePolicy.init(critic_cfg, stream(seed, "init/q2"))
-        self.q1_target = ModulePolicy(critic_cfg, {k: v.copy() for k, v in self.q1.params.items()})
-        self.q2_target = ModulePolicy(critic_cfg, {k: v.copy() for k, v in self.q2.params.items()})
+        self.q1_target = ModulePolicy(critic_cfg, self.q1.params.copy())
+        self.q2_target = ModulePolicy(critic_cfg, self.q2.params.copy())
 
         self.temps = TaskTemperatures(
             self.num_tasks, target_entropy=-float(policy_cfg.act_dim),
             alpha_init=settings.alpha_init,
         )
-        self.opt_actor = Adam(settings.lr)
-        self.opt_q1 = Adam(settings.lr)
-        self.opt_q2 = Adam(settings.lr)
-        self.opt_alpha = Adam(settings.lr)
+        self.opt_actor = Adam(settings.lr, self.actor.params.layout)
+        self.opt_q1 = Adam(settings.lr, self.q1.params.layout)
+        self.opt_q2 = Adam(settings.lr, self.q2.params.layout)
+        self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
+        # per network (q1, q2, actor): its flat gradient in a train step, then
+        # the scratch of the critics' Polyak update. Reused, because large
+        # fresh arrays cost page faults on every step
+        self._flat_bufs = [np.empty(net.params.layout.size)
+                           for net in (self.q1, self.q2, self.actor)]
 
         self.buffer = ReplayBuffer(
             settings.buffer_capacity, self.num_tasks, OBS_DIM, ACT_DIM,
@@ -434,12 +419,12 @@ class Trainer:
             out.append((tape, err * err))
         return out
 
-    def actor_losses(self, batch: dict):
-        """Actor tape with per-sample alpha log pi - min Q (unreduced)."""
+    def actor_losses(self, batch: dict, noise: np.ndarray):
+        """Actor tape with per-sample alpha log pi - min Q (unreduced);
+        ``noise`` is the reparameterization noise, one row per sample."""
         tape = Tape()
         ids = batch["task_id"]
         res = self._forward_train(self.actor, tape, batch, "masks_actor")
-        noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         a, logp = squashed_gaussian(res.out, self.cfg.act_dim, noise)
 
         # the critics are frozen here: their arrays enter the tape as
@@ -462,9 +447,11 @@ class Trainer:
     def train_step(self) -> dict | None:
         """One gradient step on critics, actor, temperatures, plus Polyak.
 
-        A masked-out task's rows get loss weight 0, but 0 times a non-finite
-        activation is still NaN in the backward pass; so when any network's
-        gradient is not finite the whole update (every optimizer, Polyak) is
+        When ``loss_maskout`` drops a task, the critic and actor graphs are
+        built again on the included rows only (same targets and noise rows,
+        no new random draws) before the backward pass, so a task with
+        non-finite rows does not stall the others. If a network's gradient
+        is still not finite, the whole update (every optimizer, Polyak) is
         skipped, with a warning and ``skipped_updates`` 1 in the metrics.
 
         Returns per-task metrics, or None when the buffer is too small."""
@@ -476,7 +463,8 @@ class Trainer:
 
         targets = self.bellman_targets(batch)
         critic_parts = self.critic_losses(batch, targets)
-        actor_tape, actor_per_sample, logp = self.actor_losses(batch)
+        noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
+        actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise)
 
         per_task_critic = sum(
             _per_task_mean(part.value.ravel(), ids, self.num_tasks)
@@ -489,7 +477,6 @@ class Trainer:
                                 self.s.maskout_threshold)
         weights = self.temps.weights() if self.s.loss_rescaling \
             else np.full(self.num_tasks, 1.0 / self.num_tasks)
-        coeff = _coefficients(ids, weights, included)
 
         metrics = {
             "critic_loss": per_task_critic,
@@ -503,35 +490,40 @@ class Trainer:
         }
         if not included.any():
             return metrics
+        if not included.all():
+            rows = np.flatnonzero(included[ids])
+            batch = {k: v[rows] for k, v in batch.items()}
+            ids = batch["task_id"]
+            critic_parts = self.critic_losses(batch, targets[rows])
+            actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise[rows])
+        coeff = _coefficients(ids, weights, included)
 
         # every backward runs before any optimizer step: the tapes hold the
         # live parameter arrays, which the steps update in place
-        critic_grads = [tape.backward((per_sample * coeff).sum())
+        nets = (self.q1, self.q2, self.actor)
+        tensor_grads = [tape.backward((per_sample * coeff).sum())
                         for tape, per_sample in critic_parts]
-        actor_grads = actor_tape.backward((actor_per_sample * coeff).sum())
-        updates = ((self.opt_q1, self.q1.params, critic_grads[0]),
-                   (self.opt_q2, self.q2.params, critic_grads[1]),
-                   (self.opt_actor, self.actor.params, actor_grads))
-        finite = [bool(np.isfinite(opt.load(grads)).all()) for opt, _, grads in updates]
+        tensor_grads.append(actor_tape.backward((actor_per_sample * coeff).sum()))
+        grads = [net.params.layout.flatten(g, out=buf)
+                 for net, g, buf in zip(nets, tensor_grads, self._flat_bufs)]
+        finite = [bool(np.isfinite(g).all()) for g in grads]
         if not all(finite):
             metrics["skipped_updates"] = 1
             log.warning("non-finite gradients (q1, q2, actor finite: %s); "
                         "update skipped", finite)
             return metrics
-        for opt, params, _ in updates:
-            opt.apply(params)
+        for opt, net, grad in zip((self.opt_q1, self.opt_q2, self.opt_actor), nets, grads):
+            opt.step(net.params.flat, grad)
 
         _, alpha_grad = alpha_loss(logp, ids, self.temps)
         # mirror the task weighting scheme: only included tasks update
-        alpha_grad = alpha_grad * included
-        self.opt_alpha.step({"log_alpha": self.temps.log_alpha},
-                            {"log_alpha": alpha_grad})
+        self.opt_alpha.step(self.temps.log_alpha, alpha_grad * included)
 
         rho = self.s.polyak
-        for target, online in ((self.q1_target, self.q1), (self.q2_target, self.q2)):
-            for k, t in target.params.items():
-                t *= rho
-                t += (1 - rho) * online.params[k]
+        for target, online, buf in zip((self.q1_target, self.q2_target),
+                                       (self.q1, self.q2), self._flat_bufs):
+            target.params.flat *= rho
+            target.params.flat += np.multiply(online.params.flat, 1 - rho, out=buf)
 
         self.train_steps += 1
         self._last_metrics = metrics

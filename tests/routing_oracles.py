@@ -7,9 +7,24 @@ a softmax restricted to a mask, and breadth-first reachability. The
 batched kernels in ``modroute.network`` work on padded (B, n-1, n-1)
 arrays instead (row r: module r+2, first r+1 columns valid); ``padded``
 and ``per_module`` convert between that layout and per-module lists.
+``route_logits_per_mlp`` runs each routing MLP on its own, from its
+per-MLP keys, where the network runs them stacked.
 """
 
 import numpy as np
+
+from modroute.autodiff import affine_chain
+
+
+def route_logits_per_mlp(params, n: int, depth: int, g: np.ndarray) -> np.ndarray:
+    """Padded (B, n-1, n-1) logits of modules 2..n with each routing MLP
+    ``route{i}`` (``depth`` layers, keys ``route{i}.w{l}``/``.b{l}``) run
+    as its own affine chain on ``g``; ``-inf`` beyond its i-1 outputs."""
+    z = np.full((len(g), n - 1, n - 1), -np.inf)
+    for i in range(2, n + 1):
+        layers = [params[f"route{i}.{kind}{l}"] for l in range(depth) for kind in "wb"]
+        z[:, i - 2, :i - 1] = affine_chain(g, layers)[0]
+    return z
 
 
 def padded(masks: list[np.ndarray]) -> np.ndarray:

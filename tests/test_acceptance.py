@@ -93,7 +93,7 @@ def test_criterion_1_gradient_correctness():
             err = res.out - targets
             return (err * err * coeff).sum()
 
-        worst = max(worst, gradient_check(critic_build, qnet.params,
+        worst = max(worst, gradient_check(critic_build, qnet.params.tensors,
                                           epsilon=1e-5))
 
         # actor loss alpha log pi - min(Q1, Q2) through frozen critics
@@ -113,7 +113,7 @@ def test_criterion_1_gradient_correctness():
                             action=a, masks=amasks).out
             return ((alphas * logp - minimum(v1, v2)) * coeff).sum()
 
-        worst = max(worst, gradient_check(actor_build, actor.params,
+        worst = max(worst, gradient_check(actor_build, actor.params.tensors,
                                           epsilon=1e-5))
 
         # temperature loss: analytic gradient vs central differences

@@ -71,30 +71,38 @@ def test_mlp_frozen_weights_get_no_gradient_work():
 
 
 def test_route_mlps_gradient_check_and_layout():
-    # n = 4 routed modules: three routing MLPs with 1, 2 and 3 outputs,
-    # padded into rows of a (B, 3, 3) value
+    # n = 4 routed modules: three stacked routing MLPs with 1, 2 and 3
+    # outputs, padded into rows of a (B, 3, 3) value; the output weights
+    # past each MLP's outputs are zero, as in a network's layout
     rng = np.random.default_rng(3)
-    params = {"g": rng.normal(size=(3, 4))}
-    for r, width in enumerate((1, 2, 3)):
-        params.update(_layers(rng, (4, 5, width), prefix=f"r{r}."))
-    weights = [k for k in params if k != "g"]
+    tri = np.tri(3, dtype=bool)
+    params = {"g": rng.normal(size=(3, 4)), "w0": rng.normal(size=(4, 3, 5)) * 0.6,
+              "b0": rng.normal(size=(3, 5)) * 0.3,
+              "w1": rng.normal(size=(3, 5, 3)) * 0.6 * tri[:, None, :],
+              "b1": rng.normal(size=(3, 3)) * 0.3 * tri}
+    params["b0"] += np.sign(params["b0"]) * 1e-2
+    weights = ["w0", "b0", "w1", "b1"]
     c = rng.normal(size=(3, 3, 3))
-    d = np.tri(3)  # the valid entries; the padding is -inf
 
     def build(tape, p):
-        z = tape.record("route_mlps", p["g"], *[p[k] for k in weights], depth=2)
-        return (tape.record("masked_softmax", z, d=np.broadcast_to(d, (3, 3, 3))) * c).sum()
+        z = tape.record("route_mlps", p["g"], *[p[k] for k in weights])
+        return (tape.record("masked_softmax", z, d=np.broadcast_to(tri, (3, 3, 3))) * c).sum()
 
     assert gradient_check(build, params) < 1e-6
-
     tape = Tape()
+    pv = {k: tape.parameter(k, v) for k, v in params.items()}
+    grads = tape.backward(build(tape, pv))
+    assert np.all(grads["w1"].transpose(0, 2, 1)[~tri] == 0.0)
+    assert np.all(grads["b1"][~tri] == 0.0)
+
     z = tape.record("route_mlps", tape.constant(params["g"]),
-                    *[tape.constant(params[k]) for k in weights], depth=2).value
+                    *[tape.constant(params[k]) for k in weights]).value
     assert z.shape == (3, 3, 3)
     for r, width in enumerate((1, 2, 3)):
-        alone = affine_chain(params["g"], [params[f"r{r}.{k}"]
-                                           for k in ("w0", "b0", "w1", "b1")])[0]
-        assert np.array_equal(z[:, r, :width], alone)
+        alone = affine_chain(params["g"], [params["w0"][:, r], params["b0"][r],
+                                           params["w1"][r, :, :width],
+                                           params["b1"][r, :width]])[0]
+        np.testing.assert_allclose(z[:, r, :width], alone, rtol=1e-13, atol=1e-13)
         assert np.all(z[:, r, width:] == -np.inf)
 
 
@@ -240,7 +248,7 @@ def test_two_module_network_gradient_check():
         res = pol.forward(obs, [0, 1], params=pvars, masks=masks, chi_mode="rsg")
         return (res.out * res.out).sum()
 
-    assert gradient_check(build, pol.params) < 1e-4
+    assert gradient_check(build, pol.params.tensors) < 1e-4
 
 
 def test_skip_unused_gradient_check_with_partly_skipped_sources():
@@ -259,7 +267,7 @@ def test_skip_unused_gradient_check_with_partly_skipped_sources():
         build.evaluated = set(res.module_outputs)
         return (res.out * res.out).sum()
 
-    assert gradient_check(build, pol.params) < 1e-4
+    assert gradient_check(build, pol.params.tensors) < 1e-4
     assert build.evaluated == {1, 2, 4, 5}
     full = pol.forward(obs, [0, 1], masks=masks).out
     assert np.array_equal(pol.forward(obs, [0, 1], masks=masks, skip_unused=True).out,

@@ -270,7 +270,7 @@ def test_actor_forward_gradient_check():
         a, logp = squashed_gaussian(res.out, cfg.act_dim, noise)
         return logp.sum() + (a * a).sum()
 
-    assert gradient_check(build, pol.params, epsilon=1e-5) < 1e-4
+    assert gradient_check(build, pol.params.tensors, epsilon=1e-5) < 1e-4
 
 
 def test_critic_forward_and_gradient_check():
@@ -294,7 +294,7 @@ def test_critic_forward_and_gradient_check():
         res = pol.forward(obs, [0, 1], params=pvars, action=act, masks=masks)
         return (res.out * res.out).sum()
 
-    assert gradient_check(build, pol.params, epsilon=1e-5) < 1e-4
+    assert gradient_check(build, pol.params.tensors, epsilon=1e-5) < 1e-4
 
 
 def test_critic_requires_action_and_checks_dims():

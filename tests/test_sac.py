@@ -7,7 +7,14 @@ from modroute import autodiff
 from modroute.autodiff import Tape, gradient_check
 from modroute.config import RunConfig
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
-from modroute.network import PolicyConfig, pack_masks, topk_mask_rows, unpack_masks
+from modroute.network import (
+    Layout,
+    Params,
+    PolicyConfig,
+    pack_masks,
+    topk_mask_rows,
+    unpack_masks,
+)
 from modroute.replay import MASK_FIELDS, ReplayBuffer, Transition
 from modroute.sac import (
     Adam,
@@ -150,31 +157,38 @@ class TestReplay:
         np.testing.assert_array_equal(np.bincount(batch["task_id"]), [4, 4, 4])
 
 
+def _adam(lr, **shapes):
+    """An Adam and a zero parameter vector over arrays of the given shapes."""
+    layout = Layout(list(shapes.items()))
+    return Adam(lr, layout), Params(layout)
+
+
 class TestAdam:
     def test_zero_lr_leaves_params_unchanged(self):
         rng = np.random.default_rng(5)
-        params = {"w": rng.normal(size=(3, 3))}
-        before = params["w"].copy()
-        Adam(0.0).step(params, {"w": rng.normal(size=(3, 3))})
-        np.testing.assert_array_equal(params["w"], before)
+        opt, params = _adam(0.0, w=(3, 3))
+        params["w"] = rng.normal(size=(3, 3))
+        before = params.flat.copy()
+        opt.step(params.flat, rng.normal(size=9))
+        np.testing.assert_array_equal(params.flat, before)
 
     def test_descends_quadratic(self):
-        params = {"x": np.array([5.0])}
-        opt = Adam(0.1)
+        opt, params = _adam(0.1, x=(1,))
+        params["x"] = [5.0]
         for _ in range(500):
-            opt.step(params, {"x": 2 * params["x"]})
+            opt.step(params.flat, 2 * params.flat)
         assert abs(params["x"][0]) < 1e-2
 
     def test_flat_update_matches_per_key_formula(self):
         rng = np.random.default_rng(6)
-        params = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=2)}
+        opt, params = _adam(0.01, w=(3, 2), b=(2,))
+        params["w"], params["b"] = rng.normal(size=(3, 2)), rng.normal(size=2)
         ref = {k: v.copy() for k, v in params.items()}
         m = {k: np.zeros_like(v) for k, v in ref.items()}
         v2 = {k: np.zeros_like(v) for k, v in ref.items()}
-        opt = Adam(0.01)
         for t in range(1, 4):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-            opt.step(params, grads)
+            opt.step(params.flat, params.layout.flatten(grads))
             for k, g in grads.items():
                 # the per-key update the flat one replaced, term by term
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
@@ -186,30 +200,33 @@ class TestAdam:
             np.testing.assert_array_equal(opt.state_dict()[f"m/{k}"], m[k])
 
     def test_replaced_param_entries_are_updated(self):
-        params = {"x": np.array([1.0, 2.0])}
-        opt = Adam(0.1)
-        opt.step(params, {"x": np.ones(2)})
+        opt, params = _adam(0.1, x=(2,))
+        params["x"] = [1.0, 2.0]
+        opt.step(params.flat, np.ones(2))
         params["x"] = np.array([5.0, 5.0])  # e.g. a checkpoint load
-        opt.step(params, {"x": np.ones(2)})
+        opt.step(params.flat, np.ones(2))
         assert np.all(params["x"] < 5.0)
 
     def test_state_dict_round_trip_continues_identically(self):
         rng = np.random.default_rng(7)
-        grads = [{"a": rng.normal(size=3), "b": rng.normal(size=(2, 2))}
-                 for _ in range(4)]
-        p1 = {"a": np.zeros(3), "b": np.zeros((2, 2))}
-        o1 = Adam(0.05)
+        grads = [rng.normal(size=7) for _ in range(4)]
+        o1, p1 = _adam(0.05, a=(3,), b=(2, 2))
+        assert set(o1.state_dict()) == {"t"}  # no moments before a step
         for g in grads[:2]:
-            o1.step(p1, g)
-        p2 = {k: v.copy() for k, v in p1.items()}
-        o2 = Adam(0.05)
+            o1.step(p1.flat, g)
+        p2 = p1.copy()
+        o2, _ = _adam(0.05, a=(3,), b=(2, 2))
         o2.load_state_dict({k: np.array(v, copy=True)
                             for k, v in o1.state_dict().items()})
         for g in grads[2:]:
-            o1.step(p1, g)
-            o2.step(p2, g)
-        for k in p1:
-            np.testing.assert_array_equal(p1[k], p2[k])
+            o1.step(p1.flat, g)
+            o2.step(p2.flat, g)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
+
+    def test_load_state_dict_checks_shapes(self):
+        opt, _ = _adam(0.05, a=(3,))
+        with pytest.raises(ValueError, match=r"^a: shape \(4,\)"):
+            opt.load_state_dict({"t": np.array(1), "m/a": np.zeros(4)})
 
 
 class TestLosses:
@@ -221,13 +238,14 @@ class TestLosses:
         tr = make_trainer(seed=7)
         tr.collect_rollouts(30)
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(0))
-        tape, per_sample, logp = tr.actor_losses(batch)
+        noise = tr.rng_noise.normal(size=(16, tr.cfg.act_dim))
+        tape, per_sample, logp = tr.actor_losses(batch, noise)
         assert per_sample.value.shape == (16, 1)
         assert logp.shape == (16, 1)
         # with alpha -> 0 the entropy term vanishes: loss = -min Q
         tr.temps.log_alpha[:] = np.log(1e-300)
-        tr.rng_noise = __import__("modroute.seeding", fromlist=["stream"]).stream(7, "noise-replay")
-        _, ps0, _ = tr.actor_losses(batch)
+        rng = __import__("modroute.seeding", fromlist=["stream"]).stream(7, "noise-replay")
+        _, ps0, _ = tr.actor_losses(batch, rng.normal(size=(16, tr.cfg.act_dim)))
         assert np.all(np.isfinite(ps0.value))
 
     def test_bellman_target_terminal_and_gamma_zero(self):
@@ -312,7 +330,7 @@ class TestTrainer:
         logp = np.full((4, 1), 3.0)
         before = tr.temps.log_alpha.copy()
         _, grad = alpha_loss(logp, np.array([0, 0, 1, 1]), tr.temps)
-        tr.opt_alpha.step({"log_alpha": tr.temps.log_alpha}, {"log_alpha": grad})
+        tr.opt_alpha.step(tr.temps.log_alpha, grad)
         assert np.all(tr.temps.log_alpha[2:] == before[2:])
         assert np.all(tr.temps.log_alpha[:2] != before[:2])
 
@@ -336,26 +354,68 @@ class TestTrainer:
             assert len(m[key]) == 4
         assert m["skipped_updates"] == 0
 
-    def test_nan_state_leaves_every_parameter_unchanged(self, caplog):
-        # task 1's loss is NaN and masked out, but its rows' activations are
-        # NaN too, and 0 x NaN would reach every gradient
+    def test_non_finite_gradient_leaves_every_parameter_unchanged(self, caplog,
+                                                                  monkeypatch):
+        # one non-finite entry in one network's gradient skips the whole
+        # update: every network, the targets and the temperatures
         tr = make_trainer(seed=18)
         tr.collect_rollouts(20)
-        tr.buffer.states[1] = np.nan
+        backward = autodiff.Tape.backward
+        calls = []
+
+        def poisoned(self, root):
+            grads = backward(self, root)
+            calls.append(None)
+            if len(calls) == 2:  # q2's
+                grads["mod1.w0"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(autodiff.Tape, "backward", poisoned)
         nets = {name: getattr(tr, name)
                 for name in ("actor", "q1", "q2", "q1_target", "q2_target")}
-        before = {(name, k): v.copy()
-                  for name, pol in nets.items() for k, v in pol.params.items()}
+        before = {name: pol.params.flat.copy() for name, pol in nets.items()}
         alpha = tr.temps.log_alpha.copy()
         with caplog.at_level("WARNING", logger="modroute.sac"):
             m = tr.train_step()
-        assert not m["included"][1] and m["included"][[0, 2, 3]].all()
+        assert m["included"].all()
         assert m["skipped_updates"] == 1
         assert "non-finite gradients" in caplog.text
-        for (name, k), v in before.items():
-            np.testing.assert_array_equal(nets[name].params[k], v, err_msg=f"{name} {k}")
+        for name, flat in before.items():
+            np.testing.assert_array_equal(nets[name].params.flat, flat, err_msg=name)
         np.testing.assert_array_equal(tr.temps.log_alpha, alpha)
-        assert tr.train_steps == 0
+        assert tr.train_steps == 0 and tr.opt_actor.t == 0
+
+    def test_nan_state_task_is_dropped_and_the_others_train(self):
+        # task 1's stored states are NaN: its loss is masked out and its rows
+        # leave the graphs, so the other tasks keep training
+        tr = make_trainer(seed=18)
+        tr.collect_rollouts(20)
+        tr.buffer.states[1] = np.nan
+        for _ in range(5):
+            tr.collect_rollouts(1)
+            tr.buffer.states[1] = np.nan
+            m = tr.train_step()
+            assert not m["included"][1] and m["included"][[0, 2, 3]].all()
+            assert m["skipped_updates"] == 0
+        assert tr.train_steps == 5
+        for name in ("actor", "q1", "q2", "q1_target", "q2_target"):
+            assert np.all(np.isfinite(getattr(tr, name).params.flat)), name
+        assert np.all(np.isfinite(tr.temps.log_alpha))
+
+    def test_dropping_a_task_draws_no_extra_random_numbers(self):
+        # the rebuilt graphs reuse the batch's noise rows: the generators
+        # end where they end when every task is included
+        seen = []
+        for poison in (False, True):
+            tr = make_trainer(seed=19)
+            tr.collect_rollouts(20)
+            if poison:
+                tr.buffer.states[2] = np.nan
+            m = tr.train_step()
+            assert m["included"][2] != poison
+            seen.append([getattr(tr, f"rng_{k}").bit_generator.state
+                         for k in ("noise", "routing", "batch")])
+        assert seen[0] == seen[1]
 
     def test_env_fault_aborts_single_task(self):
         tr = make_trainer(seed=16)
@@ -400,8 +460,9 @@ class TestTrainStepGraph:
         tr.collect_rollouts(1)
         second = self._counts(tr, monkeypatch)
         assert first["record"] <= 140
-        # actor plus the two critics once each; frozen critics are constants
-        assert first["parameter"] <= 243
+        # actor plus the two critics once each, one parameter per tensor
+        # (45 per network); frozen critics are constants
+        assert first["parameter"] <= 135
         assert first == second
 
     def test_actor_gradient_uses_pre_step_critics(self):
@@ -410,18 +471,17 @@ class TestTrainStepGraph:
         tr = make_trainer(seed=17)
         tr.collect_rollouts(20)
         ref = copy.deepcopy(tr)
-        ref.opt_q1.apply = ref.opt_q2.apply = lambda params: None
+        ref.opt_q1.step = ref.opt_q2.step = lambda params, grad: None
         fed = {}
         for trainer, key in ((tr, "step"), (ref, "ref")):
-            orig = trainer.opt_actor.load
+            orig = trainer.opt_actor.step
 
-            def spy(grads, _orig=orig, _key=key):
-                fed[_key] = {k: g.copy() for k, g in grads.items()}
-                return _orig(grads)
+            def spy(params, grad, _orig=orig, _key=key):
+                fed[_key] = grad.copy()
+                return _orig(params, grad)
 
-            trainer.opt_actor.load = spy
+            trainer.opt_actor.step = spy
         tr.train_step()
         ref.train_step()
-        assert set(fed["step"]) == set(tr.actor.params)
-        for k, g in fed["ref"].items():
-            np.testing.assert_allclose(fed["step"][k], g, rtol=1e-12, atol=0, err_msg=k)
+        assert fed["step"].shape == tr.actor.params.flat.shape
+        np.testing.assert_allclose(fed["step"], fed["ref"], rtol=1e-12, atol=0)
