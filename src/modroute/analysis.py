@@ -1,7 +1,8 @@
 """Routing analysis: module usage, source-count sparsity, and DOT export.
 
-All analysis rolls the trained actor out deterministically (top-k routing,
-mean action) and inspects the routing masks and probabilities it produces.
+All analysis rolls the trained actor out deterministically (the Trainer's
+greedy routing, ``Trainer.routing_mask_fn()``, and the mean action) and
+inspects the routing masks and probabilities it produces.
 """
 
 from __future__ import annotations
@@ -11,16 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import ToyEnv
-from .network import deterministic_action, make_mask_fn
+from .network import deterministic_action
 from .sac import Trainer
 from .seeding import stream
 
 PROB_FLOOR = 0.01  # a source "counts" if its routing probability exceeds this
-
-
-def _deterministic_mask_fn(trainer: Trainer):
-    mode = "soft" if trainer.s.routing_fn == "soft" else "topk"
-    return make_mask_fn(mode, trainer._k_eff())
 
 
 @dataclass
@@ -44,7 +40,7 @@ def collect_routing(trainer: Trainer, samples_per_task: int,
     Collects at least ``samples_per_task`` timestep samples per task
     (episodes are rolled whole and reset as needed).
     """
-    mask_fn = _deterministic_mask_fn(trainer)
+    mask_fn = trainer.routing_mask_fn()
     out = {}
     for i, spec in enumerate(trainer.suite):
         env = ToyEnv(spec, stream(trainer.seed, f"{seed_tag}/{i}"))
@@ -121,8 +117,7 @@ def export_dot(trainer: Trainer, task_id: int, obs: np.ndarray | None = None) ->
     if obs is None:
         env = ToyEnv(trainer.suite[task_id], stream(trainer.seed, f"dot/{task_id}"))
         obs = env.reset()
-    res = trainer.actor.forward(obs[None], [task_id],
-                                mask_fn=_deterministic_mask_fn(trainer))
+    res = trainer.actor.forward(obs[None], [task_id], mask_fn=trainer.routing_mask_fn())
     masks = [m[0] for m in res.masks]
     probs = [np.asarray(p[0]) for p in res.probs]
     return routing_to_dot(masks, probs, res.effective[0],

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .envs import ACT_DIM, KINDS, OBS_DIM, TaskSpec, make_suite
+from .envs import ACT_DIM, GOAL_RULES, KINDS, OBS_DIM, TaskSpec, make_suite
 from .network import PolicyConfig
-from .sac import TrainSettings
+from .sac import ROUTING_FNS, TrainSettings
 
 
 class ConfigError(ValueError):
@@ -77,7 +77,7 @@ class RunConfig:
     def validate(self):
         if self.resrouting not in ("rsg", "sg-only", "target-routing", "off"):
             raise ConfigError(f"resrouting: unknown mode {self.resrouting!r}")
-        if self.routing_fn not in ("samplek", "topk", "hard", "soft"):
+        if self.routing_fn not in ROUTING_FNS:
             raise ConfigError(f"routing_fn: unknown mode {self.routing_fn!r}")
         if not self.tasks:
             raise ConfigError("tasks: at least one task is required")
@@ -92,8 +92,20 @@ class RunConfig:
             for key in entry:
                 if key not in ("kind", "goal_rule", "difficulty", "horizon"):
                     raise ConfigError(f"tasks[{i}].{key}: unknown key")
-        if self.n_modules < 1:
-            raise ConfigError("n_modules: must be >= 1")
+            rule = entry.get("goal_rule", "fixed")
+            if rule not in GOAL_RULES:
+                raise ConfigError(
+                    f"tasks[{i}].goal_rule: {rule!r} is not one of {list(GOAL_RULES)}"
+                )
+            for key in ("difficulty", "horizon"):
+                if key in entry and not _is_int(entry[key]):
+                    raise ConfigError(
+                        f"tasks[{i}].{key}: expected an integer, got {entry[key]!r}"
+                    )
+            if entry.get("horizon", 1) < 1:
+                raise ConfigError(f"tasks[{i}].horizon: must be >= 1")
+        if self.n_modules < 2:
+            raise ConfigError("n_modules: must be >= 2")
         if not 1 <= self.k:
             raise ConfigError("k: must be >= 1")
 
@@ -189,6 +201,10 @@ _INT_KEYS = {"n_modules", "module_dim", "module_hidden", "k", "batch_per_task",
              "eval_interval", "eval_episodes", "checkpoint_interval"}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _coerce(key: str, value, _annotation):
     """Light type checking with key-path error messages."""
     if key == "stop_at_success":
@@ -210,7 +226,7 @@ def _coerce(key: str, value, _annotation):
             raise ConfigError(f"{key}: expected a list, got {value!r}")
         return value
     if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError(f"{key}: expected an integer, got {value!r}")
         return value
     if key in _FLOAT_KEYS:

@@ -30,6 +30,7 @@ SUCCESS_RADIUS = 0.05
 SUCCESS_BONUS = 1.0
 
 KINDS = ("reach", "push", "two-stage-fetch", "toggle")
+GOAL_RULES = ("fixed", "random")
 
 OBS_DIM = 9  # agent pos (2) + agent vel (2) + object (2) + latch (1) + goal (2)
 ACT_DIM = 2
@@ -46,7 +47,7 @@ class TaskSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.goal_rule not in ("fixed", "random"):
+        if self.goal_rule not in GOAL_RULES:
             raise ValueError(f"unknown goal rule {self.goal_rule!r}")
 
 

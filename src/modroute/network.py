@@ -252,20 +252,6 @@ def policy_layout(cfg: PolicyConfig) -> Layout:
     return Layout(tensors, keys)
 
 
-def route_logits(params, cfg: PolicyConfig, state_repr, task_repr) -> np.ndarray:
-    """Padded routing logits z^i = G^i(state_repr * task_repr) of modules
-    2..n, (B, n-1, n-1) with -inf padding.
-
-    Numpy only; both inputs must share the module dimension.
-    """
-    if state_repr.shape[-1] != task_repr.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: {state_repr.shape[-1]} vs {task_repr.shape[-1]}"
-        )
-    ws = [params.tensors[t] for t in _route_names(cfg)]
-    return ad.route_mlps(state_repr * task_repr, ws)[0]
-
-
 def _row_softmax(z: np.ndarray) -> np.ndarray:
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -584,12 +570,10 @@ def make_mask_fn(mode: str, k: int, taus=None, rng=None):
     padded binary masks.
 
     mode: "topk" (deterministic), "samplek" (needs taus per row and rng),
-    "hard" (top-1), "soft" (all sources).
+    "soft" (all sources).
     """
     if mode == "topk":
         return lambda z: topk_mask_rows(z, k)
-    if mode == "hard":
-        return lambda z: topk_mask_rows(z, 1)
     if mode == "soft":
         return lambda z: (~np.isneginf(z)).astype(np.float64)
     if mode == "samplek":

@@ -95,19 +95,6 @@ class Adam:
                 out[f"v/{k}"] = self.v[k]
         return out
 
-    def load_state_dict(self, d: dict):
-        """Restore ``t`` and the moments in place; absent moments are zero.
-        Raises KeyError for an unknown key, ValueError for a wrong shape."""
-        self.t = int(d["t"])
-        m, v = self.moments()
-        m.flat[:] = 0.0
-        v.flat[:] = 0.0
-        moments = {"m": m, "v": v}
-        for key, value in d.items():
-            if key != "t":
-                kind, _, k = key.partition("/")
-                moments[kind][k] = value
-
 
 def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
     """Loss-rescaling weights w_T = softmax(-alpha_T); sum to 1."""
@@ -213,6 +200,7 @@ class TrainSettings:
 
 
 _CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
+ROUTING_FNS = ("samplek", "topk", "hard", "soft")
 
 
 class Trainer:
@@ -224,6 +212,8 @@ class Trainer:
             raise ValueError("policy_cfg must describe the actor head")
         if settings.resrouting not in _CHI_BY_MODE:
             raise ValueError(f"unknown resrouting mode {settings.resrouting!r}")
+        if settings.routing_fn not in ROUTING_FNS:
+            raise ValueError(f"unknown routing_fn {settings.routing_fn!r}")
         self.suite = suite
         self.cfg = policy_cfg
         self.s = settings
@@ -270,43 +260,55 @@ class Trainer:
         self.success_ema = np.zeros(self.num_tasks)
 
     # ------------------------------------------------------------------
+    # routing rule and per-task coefficients
+
+    def routing_mask_fn(self, taus: np.ndarray | None = None):
+        """The mask selector ``routing_fn`` prescribes for fresh routing.
+
+        With per-row ``taus`` it is behavior routing (rollouts, Bellman
+        targets): k_eff sources sampled at temperature tau under samplek
+        and hard, the top k under topk. Without, it is greedy top-k_eff
+        routing (evaluation, analysis, target-routing). Under soft it
+        selects every source either way. k_eff is 1 under hard, else k.
+        """
+        fn = self.s.routing_fn
+        if fn == "soft":
+            mode = "soft"
+        elif taus is not None and fn != "topk":
+            mode = "samplek"
+        else:
+            mode = "topk"
+        k = 1 if fn == "hard" else self.cfg.k
+        return make_mask_fn(mode, k, taus=taus, rng=self.rng_routing)
+
+    def _taus(self) -> np.ndarray:
+        if self.s.route_balancing:
+            return self.temps.taus()
+        return np.ones(self.num_tasks)
+
+    def _loss_weights(self) -> np.ndarray:
+        if self.s.loss_rescaling:
+            return self.temps.weights()
+        return np.full(self.num_tasks, 1.0 / self.num_tasks)
+
+    # ------------------------------------------------------------------
     # rollout side
 
-    def _k_eff(self) -> int:
-        return 1 if self.s.routing_fn == "hard" else self.cfg.k
-
-    def _rollout_mask_fn(self, taus_rows):
-        fn = self.s.routing_fn
-        if fn in ("samplek", "hard"):
-            return make_mask_fn("samplek", self._k_eff(), taus=taus_rows,
-                                rng=self.rng_routing)
-        if fn == "topk":
-            return make_mask_fn("topk", self.cfg.k)
-        if fn == "soft":
-            return make_mask_fn("soft", self.cfg.k)
-        raise ValueError(f"unknown routing_fn {fn!r}")
-
     def _routing_snapshot(self, obs: np.ndarray, task_ids: np.ndarray,
-                          explore: bool, actions: np.ndarray | None = None):
+                          actions: np.ndarray | None = None):
         """Actions plus packed routing masks of all three networks at obs.
 
         When ``actions`` is given (e.g. warmup exploration) the critics route
         against those executed actions instead of the actor's own sample.
         """
-        taus = self._taus()[task_ids]
-        mask_fn = self._rollout_mask_fn(taus)
+        mask_fn = self.routing_mask_fn(self._taus()[task_ids])
         res = self.actor.forward(obs, task_ids, mask_fn=mask_fn, skip_unused=True)
         if actions is None:
-            if explore:
-                noise = self.rng_noise.normal(size=(len(obs), self.cfg.act_dim))
-                actions, _ = squashed_gaussian(res.out, self.cfg.act_dim, noise)
-            else:
-                actions = deterministic_action(res.out, self.cfg.act_dim)
-        mask_fn_q = self._rollout_mask_fn(taus)
-        rq1 = self.q1.forward(obs, task_ids, action=actions, mask_fn=mask_fn_q,
+            noise = self.rng_noise.normal(size=(len(obs), self.cfg.act_dim))
+            actions, _ = squashed_gaussian(res.out, self.cfg.act_dim, noise)
+        rq1 = self.q1.forward(obs, task_ids, action=actions, mask_fn=mask_fn,
                               skip_unused=True)
-        mask_fn_q2 = self._rollout_mask_fn(taus)
-        rq2 = self.q2.forward(obs, task_ids, action=actions, mask_fn=mask_fn_q2,
+        rq2 = self.q2.forward(obs, task_ids, action=actions, mask_fn=mask_fn,
                               skip_unused=True)
         return (
             actions,
@@ -314,11 +316,6 @@ class Trainer:
             pack_masks(rq1.padded_masks, self.cfg),
             pack_masks(rq2.padded_masks, self.cfg),
         )
-
-    def _taus(self) -> np.ndarray:
-        if self.s.route_balancing:
-            return self.temps.taus()
-        return np.ones(self.num_tasks)
 
     def collect_rollouts(self, vector_steps: int) -> int:
         """Advance every task environment ``vector_steps`` times.
@@ -329,16 +326,12 @@ class Trainer:
         """
         taken = 0
         for _ in range(vector_steps):
-            ids = np.arange(self.num_tasks)
+            warmup = None
             if self.env_steps < self.s.start_steps * self.num_tasks:
                 warmup = self.rng_explore.uniform(-1, 1, (self.num_tasks, ACT_DIM))
-                actions, ma, mq1, mq2 = self._routing_snapshot(
-                    self._cur_obs, ids, explore=True, actions=warmup
-                )
-            else:
-                actions, ma, mq1, mq2 = self._routing_snapshot(
-                    self._cur_obs, ids, explore=True
-                )
+            actions, ma, mq1, mq2 = self._routing_snapshot(
+                self._cur_obs, np.arange(self.num_tasks), warmup
+            )
             for i in range(self.num_tasks):
                 if not self._alive[i]:
                     continue
@@ -369,40 +362,32 @@ class Trainer:
     # ------------------------------------------------------------------
     # training side
 
-    def _training_masks(self, batch: dict, key: str):
-        """Stored behavior masks, or fresh deterministic ones when the
-        training policy routes for itself (target-routing ablation)."""
+    def _forward_train(self, policy: ModulePolicy, batch: dict, mask_key: str,
+                       params, action=None):
+        """A training pass at the batch states on ``params`` (tape ``Var``s,
+        or numpy arrays for a frozen network fed a ``Var`` action). It
+        replays the stored behavior masks under ``mask_key``, or, in the
+        target-routing ablation, routes greedily for itself."""
         if self.s.resrouting == "target-routing":
-            return None  # caller will route fresh
-        return unpack_masks(batch[key], self.cfg)
-
-    def _forward_train(self, policy: ModulePolicy, tape: Tape, batch: dict,
-                       mask_key: str, action=None):
-        pvars = policy.param_vars(tape)
-        masks = self._training_masks(batch, mask_key)
-        kwargs = dict(params=pvars, chi_mode=_CHI_BY_MODE[self.s.resrouting])
-        if masks is None:
-            kwargs["mask_fn"] = make_mask_fn("topk", self._k_eff()) \
-                if self.s.routing_fn != "soft" else make_mask_fn("soft", self.cfg.k)
+            routing = dict(mask_fn=self.routing_mask_fn())
         else:
-            kwargs["masks"] = masks
-        if policy.cfg.head == "critic":
-            kwargs["action"] = action
-        return policy.forward(batch["state"], batch["task_id"], **kwargs)
+            routing = dict(masks=unpack_masks(batch[mask_key], self.cfg))
+        return policy.forward(batch["state"], batch["task_id"], params=params,
+                              action=action, chi_mode=_CHI_BY_MODE[self.s.resrouting],
+                              **routing)
 
     def bellman_targets(self, batch: dict) -> np.ndarray:
         """Soft targets r + gamma (1-done)(min Q'[s',a'] - alpha log pi(a'|s')),
         with a' drawn from the current actor via freshly sampled routing."""
         ids = batch["task_id"]
-        taus = self._taus()[ids]
-        res = self.actor.forward(batch["next_state"], ids,
-                                 mask_fn=self._rollout_mask_fn(taus))
+        mask_fn = self.routing_mask_fn(self._taus()[ids])
+        res = self.actor.forward(batch["next_state"], ids, mask_fn=mask_fn)
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         a2, logp2 = squashed_gaussian(res.out, self.cfg.act_dim, noise)
         q1 = self.q1_target.forward(batch["next_state"], ids, action=a2,
-                                    mask_fn=self._rollout_mask_fn(taus)).out
+                                    mask_fn=mask_fn).out
         q2 = self.q2_target.forward(batch["next_state"], ids, action=a2,
-                                    mask_fn=self._rollout_mask_fn(taus)).out
+                                    mask_fn=mask_fn).out
         alphas = self.temps.alphas[ids].reshape(-1, 1)
         soft_q = np.minimum(q1, q2) - alphas * logp2
         r = self.s.reward_scale * batch["reward"].reshape(-1, 1)
@@ -414,7 +399,8 @@ class Trainer:
         out = []
         for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")):
             tape = Tape()
-            res = self._forward_train(net, tape, batch, key, action=batch["action"])
+            res = self._forward_train(net, batch, key, net.param_vars(tape),
+                                      action=batch["action"])
             err = res.out - targets
             out.append((tape, err * err))
         return out
@@ -423,24 +409,16 @@ class Trainer:
         """Actor tape with per-sample alpha log pi - min Q (unreduced);
         ``noise`` is the reparameterization noise, one row per sample."""
         tape = Tape()
-        ids = batch["task_id"]
-        res = self._forward_train(self.actor, tape, batch, "masks_actor")
+        res = self._forward_train(self.actor, batch, "masks_actor",
+                                  self.actor.param_vars(tape))
         a, logp = squashed_gaussian(res.out, self.cfg.act_dim, noise)
 
         # the critics are frozen here: their arrays enter the tape as
         # constants, so backward computes no critic weight gradients
-        q_res = []
-        for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")):
-            masks = self._training_masks(batch, key)
-            kwargs = dict(params=net.params, action=a,
-                          chi_mode=_CHI_BY_MODE[self.s.resrouting])
-            if masks is None:
-                kwargs["mask_fn"] = make_mask_fn("topk", self._k_eff())
-            else:
-                kwargs["masks"] = masks
-            q_res.append(net.forward(batch["state"], ids, **kwargs).out)
-        qmin = minimum(q_res[0], q_res[1])
-        alphas = self.temps.alphas[ids].reshape(-1, 1)
+        q1, q2 = (self._forward_train(net, batch, key, net.params, action=a).out
+                  for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")))
+        qmin = minimum(q1, q2)
+        alphas = self.temps.alphas[batch["task_id"]].reshape(-1, 1)
         per_sample = alphas * logp - qmin
         return tape, per_sample, logp.value
 
@@ -475,8 +453,7 @@ class Trainer:
         )
         included = loss_maskout(per_task_critic + per_task_actor,
                                 self.s.maskout_threshold)
-        weights = self.temps.weights() if self.s.loss_rescaling \
-            else np.full(self.num_tasks, 1.0 / self.num_tasks)
+        weights = self._loss_weights()
 
         metrics = {
             "critic_loss": per_task_critic,
@@ -533,10 +510,9 @@ class Trainer:
     # evaluation
 
     def evaluate(self, episodes_per_task: int, seed_tag: str = "eval"):
-        """Deterministic top-k rollouts; per-task success and module usage."""
-        k_fn = make_mask_fn(
-            "soft" if self.s.routing_fn == "soft" else "topk", self._k_eff()
-        )
+        """Deterministic rollouts (greedy routing, mean action); per-task
+        success and module usage."""
+        k_fn = self.routing_mask_fn()
         success = np.zeros(self.num_tasks)
         usage_mean = np.zeros(self.num_tasks)
         usage_sq = np.zeros(self.num_tasks)
@@ -594,8 +570,7 @@ class Trainer:
 
     def _eval_rows(self, eval_episodes: int, on_eval) -> list[dict]:
         success, usage_mean, _ = self.evaluate(eval_episodes)
-        weights = self.temps.weights() if self.s.loss_rescaling \
-            else np.full(self.num_tasks, 1.0 / self.num_tasks)
+        weights, taus = self._loss_weights(), self._taus()
         last = getattr(self, "_last_metrics", None)
         rows = []
         for t in range(self.num_tasks):
@@ -606,7 +581,7 @@ class Trainer:
                 "actor_loss": float(last["actor_loss"][t]) if last else 0.0,
                 "critic_loss": float(last["critic_loss"][t]) if last else 0.0,
                 "alpha": float(self.temps.alphas[t]),
-                "tau": float(self._taus()[t]),
+                "tau": float(taus[t]),
                 "w": float(weights[t]),
                 "mean_effective_modules": float(usage_mean[t]),
             })

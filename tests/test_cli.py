@@ -8,6 +8,7 @@ import pytest
 
 from modroute.analysis import (
     collect_routing,
+    export_dot,
     routing_to_dot,
     sparsity_distribution,
     usage_table,
@@ -107,6 +108,19 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path)]) == 1
         assert "n_modules" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, path", [
+        ("n_modules: 1\n", "n_modules"),
+        ("tasks: [{kind: reach, goal_rule: moving}]\n", "tasks[0].goal_rule"),
+        ("tasks: [{kind: reach, horizon: 0}]\n", "tasks[0].horizon"),
+    ])
+    def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
+                                                         text, path):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert path in err and "internal error" not in err
+
 
 class TestEvalCommand:
     def test_zero_episodes_empty_table(self, tmp_path, capsys):
@@ -158,9 +172,20 @@ class TestAnalysis:
                 sparsity_distribution(tr, samples=12)}
         assert rows.get(1, 0.0) == pytest.approx(100.0, abs=0.1)
 
-    def test_routing_traces_consistent(self, tmp_path):
-        _, cfg = write_config(tmp_path, n_modules=5)
+    @pytest.mark.parametrize("routing_fn", ["samplek", "hard", "soft", "topk"])
+    def test_routing_traces_consistent(self, tmp_path, routing_fn):
+        # analysis routes as the Trainer evaluates: greedy top-k_eff (one
+        # source under hard, min(k, i - 1) otherwise), every source under soft
+        _, cfg = write_config(tmp_path, n_modules=5, k=2, routing_fn=routing_fn)
+
+        def sources(i):
+            return {"hard": 1, "soft": i - 1}.get(routing_fn, min(cfg.k, i - 1))
+
         tr = make_trainer(cfg)
+        rng = np.random.default_rng(0)
+        for key, v in tr.actor.params.items():  # routing logits not all tied
+            if key.startswith("route"):
+                tr.actor.params[key] = rng.normal(size=v.shape)
         traces = collect_routing(tr, samples_per_task=7)
         assert set(traces) == {0, 1}
         for trace in traces.values():
@@ -170,8 +195,11 @@ class TestAnalysis:
             assert len(trace.masks) == len(trace.probs) == 4
             for i, (d, p) in enumerate(zip(trace.masks, trace.probs), start=2):
                 assert d.shape == p.shape == (S, i - 1)
+                assert np.all(d.sum(axis=1) == sources(i))
                 assert np.all(p[d == 0.0] == 0.0)  # probs live on the mask
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+        edges = EDGE_RE.findall(export_dot(tr, 1))
+        assert len(edges) == sum(sources(i) for i in range(2, 6))
 
     def test_cli_analyze_outputs(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path)

@@ -86,6 +86,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="routing_fn"):
             RunConfig.from_dict({"routing_fn": "dense"})
 
+    def test_too_few_modules_rejected(self):
+        with pytest.raises(ConfigError, match="n_modules: must be >= 2"):
+            RunConfig.from_dict({"n_modules": 1})
+
+    @pytest.mark.parametrize("entry, path", [
+        ({"goal_rule": "moving"}, r"tasks\[1\].goal_rule"),
+        ({"horizon": 0}, r"tasks\[1\].horizon: must be >= 1"),
+        ({"horizon": -5}, r"tasks\[1\].horizon: must be >= 1"),
+        ({"horizon": 2.5}, r"tasks\[1\].horizon: expected an integer"),
+        ({"horizon": "long"}, r"tasks\[1\].horizon: expected an integer"),
+        ({"difficulty": 1.5}, r"tasks\[1\].difficulty: expected an integer"),
+        ({"difficulty": True}, r"tasks\[1\].difficulty: expected an integer"),
+    ])
+    def test_bad_task_fields_name_path(self, entry, path):
+        tasks = [{"kind": "reach"}, {"kind": "push", **entry}]
+        with pytest.raises(ConfigError, match=path):
+            RunConfig.from_dict({"tasks": tasks})
+
+    def test_valid_task_fields_accepted(self):
+        cfg = RunConfig.from_dict({"tasks": [
+            {"kind": "reach", "goal_rule": "random", "difficulty": 0, "horizon": 1}]})
+        assert cfg.suite()[0].horizon == 1
+
     def test_settings_mapping(self, tmp_path):
         cfg = small_config(tmp_path, routing_fn="hard", route_balancing=False,
                            lr=1e-3)

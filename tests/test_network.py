@@ -8,7 +8,6 @@ from modroute.network import (
     _mlp,
     make_mask_fn,
     pack_masks,
-    route_logits,
     sample_k_mask_rows,
     squashed_gaussian,
     topk_mask_rows,
@@ -51,14 +50,6 @@ def test_logit_lengths():
     pol = ModulePolicy.init(cfg, rng)
     res = pol.forward(rng.normal(size=(1, 5)), [0], mask_fn=make_mask_fn("topk", 2))
     assert [z.shape[1] for z in res.logits] == [1, 2]
-
-
-def test_route_logits_dimension_mismatch():
-    rng = np.random.default_rng(2)
-    cfg = small_cfg()
-    pol = ModulePolicy.init(cfg, rng)
-    with pytest.raises(ValueError, match="dimension"):
-        route_logits(pol.params, cfg, np.ones((1, 6)), np.ones((1, 4)))
 
 
 def test_forward_deterministic():

@@ -29,7 +29,7 @@ from routing_oracles import (
     topk_mask,
 )
 
-MODES = [("topk", 1), ("topk", 2), ("topk", 3), ("topk", 8), ("hard", 1),
+MODES = [("topk", 1), ("topk", 2), ("topk", 3), ("topk", 8),
          ("soft", 2), ("samplek", 1), ("samplek", 2), ("samplek", 4)]
 
 
@@ -170,8 +170,9 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
         kwargs["masks"] = padded([np.stack([topk_mask(row, 2) for row in
                                             rng.normal(size=(4, i - 1))])
                                   for i in range(2, 9)])
-    else:
-        kwargs["mask_fn"] = make_mask_fn(mode, 2, taus=np.ones(4), rng=rng)
+    else:  # hard routing is greedy top-1
+        fn, k = ("topk", 1) if mode == "hard" else (mode, 2)
+        kwargs["mask_fn"] = make_mask_fn(fn, k, taus=np.ones(4), rng=rng)
     if mode == "taped":
         kwargs.update(params=pol.param_vars(Tape()), chi_mode="rsg", skip_unused=False)
     pol.forward(obs, tasks, **kwargs)

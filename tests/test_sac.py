@@ -9,6 +9,7 @@ from modroute.config import RunConfig
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
 from modroute.network import (
     Layout,
+    ModulePolicy,
     Params,
     PolicyConfig,
     pack_masks,
@@ -207,27 +208,6 @@ class TestAdam:
         opt.step(params.flat, np.ones(2))
         assert np.all(params["x"] < 5.0)
 
-    def test_state_dict_round_trip_continues_identically(self):
-        rng = np.random.default_rng(7)
-        grads = [rng.normal(size=7) for _ in range(4)]
-        o1, p1 = _adam(0.05, a=(3,), b=(2, 2))
-        assert set(o1.state_dict()) == {"t"}  # no moments before a step
-        for g in grads[:2]:
-            o1.step(p1.flat, g)
-        p2 = p1.copy()
-        o2, _ = _adam(0.05, a=(3,), b=(2, 2))
-        o2.load_state_dict({k: np.array(v, copy=True)
-                            for k, v in o1.state_dict().items()})
-        for g in grads[2:]:
-            o1.step(p1.flat, g)
-            o2.step(p2.flat, g)
-        np.testing.assert_array_equal(p1.flat, p2.flat)
-
-    def test_load_state_dict_checks_shapes(self):
-        opt, _ = _adam(0.05, a=(3,))
-        with pytest.raises(ValueError, match=r"^a: shape \(4,\)"):
-            opt.load_state_dict({"t": np.array(1), "m/a": np.zeros(4)})
-
 
 class TestLosses:
     def test_actor_loss_direct_substitution(self):
@@ -338,11 +318,37 @@ class TestTrainer:
         tr = make_trainer(seed=14)
         tr.collect_rollouts(20)
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(3))
-        tape = Tape()
-        res = tr._forward_train(tr.actor, tape, batch, "masks_actor")
+        res = tr._forward_train(tr.actor, batch, "masks_actor",
+                                tr.actor.param_vars(Tape()))
         stored = unpack_masks(batch["masks_actor"], tr.cfg)
         assert np.all(res.padded_probs[stored == 0.0] == 0.0)
         assert np.all(res.padded_probs[stored == 1.0] > 0.0)
+
+    @pytest.mark.parametrize("routing_fn", ["soft", "topk", "hard"])
+    def test_target_routing_critics_route_alike_in_both_losses(self, monkeypatch,
+                                                                routing_fn):
+        # under target-routing the training critics route greedily for
+        # themselves: every source under soft, the top k_eff otherwise, in
+        # critic_losses and in actor_losses alike (n = 4, k = 2)
+        sources = {"soft": [1, 2, 3], "topk": [1, 2, 2], "hard": [1, 1, 1]}[routing_fn]
+        tr = make_trainer(seed=23, routing_fn=routing_fn, resrouting="target-routing")
+        tr.collect_rollouts(20)
+        batch = tr.buffer.sample_stratified(4, np.random.default_rng(4))
+        counts = []
+        forward = ModulePolicy.forward
+
+        def spy(self, *args, **kw):
+            res = forward(self, *args, **kw)
+            if self.cfg.head == "critic":
+                counts.append(res.padded_masks.sum(axis=-1))
+            return res
+
+        monkeypatch.setattr(ModulePolicy, "forward", spy)
+        tr.critic_losses(batch, np.zeros((16, 1)))
+        tr.actor_losses(batch, np.zeros((16, tr.cfg.act_dim)))
+        assert len(counts) == 4
+        for c in counts:
+            np.testing.assert_array_equal(c, np.tile(sources, (16, 1)))
 
     def test_metrics_fields(self):
         tr = make_trainer(seed=15)
