@@ -24,6 +24,12 @@ the routed networks, each one tape node with a hand-written backward:
   source's module transform and goes to that module's own input (the
   residual shortcut), or nowhere.
 
+The same ops run a stacked ensemble (the twin critics): every weight, value
+and mask then carries a leading member axis, and batched matmuls run all
+members in one call. An input the members share (the critics' state and
+action) has no member axis; its adjoint is summed over the members. The
+``member_min`` op takes the minimum over that axis, ties to member 0.
+
 Every node records whether a parameter reaches it. Backward hands adjoints
 only to such nodes, and the fused ops skip the products of inputs that need
 none, so frozen weights recorded as constants cost no weight gradients.
@@ -37,6 +43,7 @@ numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Callable
 
@@ -225,12 +232,16 @@ class Tape:
 
 def affine_chain(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     """``x`` through ``layers = [w0, b0, w1, b1, ...]``, relu between layers
-    and a linear last layer. Returns the output and each layer's input."""
+    and a linear last layer. Returns the output and each layer's input.
+
+    A stacked network's layers carry a leading member axis (``w`` (M, m,
+    k), ``b`` (M, k)); ``x`` is then (M, B, m), or (B, m) shared by every
+    member, and the output (M, B, k)."""
     acts = [x]
     for l in range(0, len(layers) - 2, 2):
-        x = np.maximum(x @ layers[l] + layers[l + 1], 0.0)
+        x = np.maximum(x @ layers[l] + layers[l + 1][..., None, :], 0.0)
         acts.append(x)
-    return x @ layers[-2] + layers[-1], acts
+    return x @ layers[-2] + layers[-1][..., None, :], acts
 
 
 @lru_cache(maxsize=None)
@@ -251,29 +262,34 @@ def route_mlps(x: np.ndarray, layers):
     batched matmul; each ``b`` is (R, h_out). Returns the logits, (B, R, R)
     with MLP ``r``'s outputs in columns 0..r of row ``r`` and ``-inf``
     after them, and each layer's input: ``x``, then (R, B, h) arrays.
+    A stacked network adds a leading member axis to every array, as in
+    ``affine_chain``.
     """
     w0, b0 = layers[0], layers[1]
-    d, count, h0 = w0.shape
-    a = x @ w0.reshape(d, count * h0)
-    a += b0.reshape(count * h0)
+    d, count, h0 = w0.shape[-3:]
+    lead = w0.shape[:-3]
+    a = x @ w0.reshape(lead + (d, count * h0))
+    a += b0.reshape(lead + (1, count * h0))
     acts = [x]
     if len(layers) > 2:
-        a = np.maximum(a, 0.0, out=a).reshape(-1, count, h0).transpose(1, 0, 2)
+        a = np.maximum(a, 0.0, out=a).reshape(a.shape[:-1] + (count, h0)).swapaxes(-3, -2)
         for l in range(2, len(layers), 2):
             acts.append(a)
             a = np.matmul(a, layers[l])
-            a += layers[l + 1][:, None, :]
+            a += layers[l + 1][..., None, :]
             if l + 2 < len(layers):
                 np.maximum(a, 0.0, out=a)
-        a = a.transpose(1, 0, 2)
-    return np.where(_route_valid(count), a.reshape(-1, count, count), -np.inf), acts
+        a = a.swapaxes(-3, -2)
+    else:
+        a = a.reshape(a.shape[:-1] + (count, count))
+    return np.where(_route_valid(count), a, -np.inf), acts
 
 
 def mix(p: np.ndarray, sources, cols) -> np.ndarray:
-    """``sum_s p[:, cols[s]] * sources[s]``, summed in list order."""
+    """``sum_s p[..., cols[s]] * sources[s]``, summed in list order."""
     u = None
     for c, m in zip(cols, sources):
-        term = p[:, c:c + 1] * m
+        term = p[..., c:c + 1] * m
         u = term if u is None else u + term
     return u
 
@@ -289,17 +305,18 @@ def masked_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 def _chain_backward(g, acts, layers, need, need_x):
     """Adjoints of an ``affine_chain``'s layers (None where ``need`` is
-    False) and of its input (None unless ``need_x``)."""
+    False) and of its input (None unless ``need_x``; with the member axis
+    of a stacked chain, summed away below if the input was shared)."""
     grads = [None] * len(layers)
     for l in range(len(acts) - 1, -1, -1):
         a = acts[l]
         if need[2 * l]:
-            grads[2 * l] = a.T @ g
+            grads[2 * l] = np.matmul(a.swapaxes(-1, -2), g)
         if need[2 * l + 1]:
-            grads[2 * l + 1] = g.sum(axis=0)
+            grads[2 * l + 1] = g.sum(axis=-2)
         if l == 0 and not need_x:
             return grads, None
-        g = g @ layers[2 * l].T
+        g = g @ layers[2 * l].swapaxes(-1, -2)
         if l > 0:
             g = g * (a > 0.0)  # a layer input > 0 iff its relu was active
     return grads, g
@@ -329,6 +346,25 @@ def _bwd_sum(g, out, vals, aux, need):
     return (np.broadcast_to(g, x.shape).copy(),)
 
 
+def _fwd_member_min(vals, aux):
+    return np.min(vals[0], axis=0)
+
+
+def _bwd_member_min(g, out, vals, aux, need):
+    x = vals[0]
+    # the member each entry takes its minimum from: the first on ties,
+    # the later one where a NaN makes the comparison false
+    pick = np.zeros(out.shape, dtype=np.intp)
+    best = x[0]
+    for i in range(1, len(x)):
+        later = ~(best <= x[i])
+        pick[later] = i
+        best = np.where(later, x[i], best)
+    gx = np.zeros_like(x)
+    np.put_along_axis(gx, pick[None], np.asarray(g)[None], axis=0)
+    return (gx,)
+
+
 def _fwd_cols(vals, aux):
     x = vals[0]
     if x.ndim != 2:
@@ -343,12 +379,15 @@ def _bwd_cols(g, out, vals, aux, need):
 
 
 def _fwd_gather(vals, aux):
-    return vals[0][np.asarray(aux["idx"], dtype=np.intp)]
+    """Rows ``aux["idx"]`` of a table, along its second-last axis (a
+    stacked table's member axis leads)."""
+    return vals[0][..., np.asarray(aux["idx"], dtype=np.intp), :]
 
 
 def _bwd_gather(g, out, vals, aux, need):
     gx = np.zeros_like(vals[0])
-    np.add.at(gx, np.asarray(aux["idx"], dtype=np.intp), g)
+    np.add.at(gx.swapaxes(0, -2), np.asarray(aux["idx"], dtype=np.intp),
+              g.swapaxes(0, -2))
     return (gx,)
 
 
@@ -362,19 +401,6 @@ def _bwd_where(g, out, vals, aux, need):
     return (
         _unbroadcast(np.where(c, g, 0.0), vals[0].shape),
         _unbroadcast(np.where(c, 0.0, g), vals[1].shape),
-    )
-
-
-def _fwd_minimum(vals, aux):
-    return np.minimum(vals[0], vals[1])
-
-
-def _bwd_minimum(g, out, vals, aux, need):
-    a, b = vals
-    take_a = a <= b  # ties go to the first argument
-    return (
-        _unbroadcast(np.where(take_a, g, 0.0), a.shape),
-        _unbroadcast(np.where(take_a, 0.0, g), b.shape),
     )
 
 
@@ -396,8 +422,8 @@ def _fwd_mlp(vals, aux):
 
 def _bwd_mlp(g, out, vals, aux, need):
     grads, gx = _chain_backward(g, aux["acts"], vals[1:], need[1:], need[0])
-    if gx is not None and aux["residual"]:
-        gx = gx + g
+    if gx is not None:
+        gx = _unbroadcast(gx + g if aux["residual"] else gx, vals[0].shape)
     return (gx, *grads)
 
 
@@ -408,30 +434,58 @@ def _fwd_route_mlps(vals, aux):
     return out
 
 
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """A work array for a backward's intermediate adjoints, never a returned
+    one: a view of a buffer per thread, slot and dtype that every backward
+    reuses and that grows to the largest size asked of it. Fresh large
+    temporaries would cost page faults on every train step."""
+    size = int(np.prod(shape))
+    if not hasattr(_SCRATCH, "bufs"):
+        _SCRATCH.bufs = {}
+    bufs = _SCRATCH.bufs
+    buf = bufs.get((slot, dtype))
+    if buf is None or buf.size < size:
+        buf = bufs[(slot, dtype)] = np.empty(size, dtype)
+    return buf[:size].reshape(shape)
+
+
 def _bwd_route_mlps(g, out, vals, aux, need):
     layers, acts = vals[1:], aux["acts"]
     grads = [None] * len(vals)
     # the padding is constant: its adjoint reaches no weight
-    g = np.where(_route_valid(out.shape[1]), g, 0.0)
+    g = np.where(_route_valid(out.shape[-1]), g, 0.0)
     if len(layers) > 2:
-        g = g.transpose(1, 0, 2)  # (R, B, R), as the layer inputs
+        g = g.swapaxes(-3, -2)  # (R, B, R), as the layer inputs
         for l in range(len(layers) - 2, 0, -2):
             a = acts[l // 2]
             if need[1 + l]:
-                grads[1 + l] = np.matmul(a.transpose(0, 2, 1), g)
+                grads[1 + l] = np.matmul(a.swapaxes(-1, -2), g)
             if need[2 + l]:
-                grads[2 + l] = g.sum(axis=1)
-            g = np.matmul(g, layers[l].transpose(0, 2, 1))
-            g *= a > 0.0  # a layer input > 0 iff its relu was active
-        g = g.transpose(1, 0, 2)
+                grads[2 + l] = g.sum(axis=-2)
+            # layers alternate between two slots: g is in the other one
+            g = np.matmul(g, layers[l].swapaxes(-1, -2),
+                          out=_scratch(l // 2 % 2, a.shape))
+            # a layer input > 0 iff its relu was active
+            g *= np.greater(a, 0.0, out=_scratch(0, a.shape, bool))
+        # back to (B, R, h0), contiguous, so the first layer reads it as
+        # (B, R*h0); the last layer (l = 2) left g in slot 1
+        g = g.swapaxes(-3, -2)
+        buf = _scratch(0, g.shape)
+        np.copyto(buf, g)
+        g = buf
     w0 = layers[0]
-    g = g.reshape(g.shape[0], -1)
+    lead = w0.shape[:-3]
+    g = g.reshape(g.shape[:-2] + (-1,))
     if need[1]:
-        grads[1] = (acts[0].T @ g).reshape(w0.shape)
+        grads[1] = np.matmul(acts[0].swapaxes(-1, -2), g).reshape(w0.shape)
     if need[2]:
-        grads[2] = g.sum(axis=0).reshape(layers[1].shape)
+        grads[2] = g.sum(axis=-2).reshape(layers[1].shape)
     if need[0]:
-        grads[0] = g @ w0.reshape(w0.shape[0], -1).T
+        gx = g @ w0.reshape(lead + (w0.shape[-3], -1)).swapaxes(-1, -2)
+        grads[0] = _unbroadcast(gx, vals[0].shape)
     return grads
 
 
@@ -445,29 +499,29 @@ def _bwd_masked_softmax(g, p, vals, aux, need):
 
 def _fwd_mix(vals, aux):
     """vals = [p, one source per entry of aux cols, then the shortcut
-    inputs]; p is (B, rows, width). aux: row (p's row holding the weights),
-    cols (that row's column of each source), suit ((B, width) bool, or
-    None: every source suitable), shortcut (per source, the index in vals
-    of its shortcut input, or None)."""
+    inputs]; p is (..., B, rows, width). aux: row (p's row holding the
+    weights), cols (that row's column of each source), suit ((..., B,
+    width) bool, or None: every source suitable), shortcut (per source, the
+    index in vals of its shortcut input, or None)."""
     cols = aux["cols"]
-    return mix(vals[0][:, aux["row"]], vals[1:1 + len(cols)], cols)
+    return mix(vals[0][..., aux["row"], :], vals[1:1 + len(cols)], cols)
 
 
 def _bwd_mix(g, out, vals, aux, need):
     row, cols, suit, shortcut = aux["row"], aux["cols"], aux["suit"], aux["shortcut"]
-    p = vals[0][:, row]
+    p = vals[0][..., row, :]
     grads = [None] * len(vals)
     if need[0]:
         gp = np.zeros_like(vals[0])
         for s, c in enumerate(cols):
-            gp[:, row, c] = (g * vals[1 + s]).sum(axis=1)
+            gp[..., row, c] = (g * vals[1 + s]).sum(axis=-1)
         grads[0] = gp
     for s, c in enumerate(cols):
-        gm = g * p[:, c:c + 1]
+        gm = g * p[..., c:c + 1]
         if suit is None:
             grads[1 + s] = gm
             continue
-        ok = suit[:, c:c + 1]
+        ok = suit[..., c:c + 1]
         grads[1 + s] = np.where(ok, gm, 0.0)
         k = shortcut[s]
         if k is not None:
@@ -492,7 +546,7 @@ _FORWARD: dict[str, Callable] = {
     "cols": _fwd_cols,
     "gather_rows": _fwd_gather,
     "where_const": _fwd_where,
-    "minimum": _fwd_minimum,
+    "member_min": _fwd_member_min,
     "concat": _fwd_concat,
     "mlp": _fwd_mlp,
     "route_mlps": _fwd_route_mlps,
@@ -530,7 +584,7 @@ _BACKWARD: dict[str, Callable] = {
     "cols": _bwd_cols,
     "gather_rows": _bwd_gather,
     "where_const": _bwd_where,
-    "minimum": _bwd_minimum,
+    "member_min": _bwd_member_min,
     "concat": _bwd_concat,
     "mlp": _bwd_mlp,
     "route_mlps": _bwd_route_mlps,
@@ -563,10 +617,12 @@ def value_of(x) -> np.ndarray:
     return x.value if is_var(x) else x
 
 
-def minimum(a, b):
-    if is_var(a):
-        return a.tape.record("minimum", a, a._coerce(b))
-    return np.minimum(a, b)
+def member_min(x):
+    """Minimum over the leading (member) axis; on a tape its adjoint goes to
+    the member each entry came from, the first one on ties."""
+    if is_var(x):
+        return x.tape.record("member_min", x)
+    return np.min(x, axis=0)
 
 
 def concat(parts, axis=1):

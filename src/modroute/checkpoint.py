@@ -4,6 +4,9 @@ Everything lives in one ``.npz``: a JSON manifest (format version, run config,
 config hash, step counters) plus every parameter and optimizer array. Loading
 a checkpoint written by a different format version is refused outright.
 The replay buffer is not persisted; a resumed run refills it before training.
+The stacked twin critics are saved member by member, under the keys of two
+separate networks (``q1/...``, ``q2/...``, ``opt_q1/...``, ...), so the file
+layout does not depend on how the trainer holds them.
 A save writes a temporary file next to the target and renames it over the
 target, so a crash mid-save leaves the previous checkpoint intact.
 """
@@ -20,8 +23,11 @@ from .sac import Trainer
 
 FORMAT_VERSION = 1
 
-_NETS = ("actor", "q1", "q2", "q1_target", "q2_target")
-_OPTS = ("opt_actor", "opt_q1", "opt_q2", "opt_alpha")
+# trainer attribute -> the checkpoint prefix of each of its members
+_NETS = {"actor": ("actor",), "critics": ("q1", "q2"),
+         "critics_target": ("q1_target", "q2_target")}
+_OPTS = {"opt_actor": ("opt_actor",), "opt_critics": ("opt_q1", "opt_q2"),
+         "opt_alpha": ("opt_alpha",)}
 
 
 class CheckpointError(RuntimeError):
@@ -37,12 +43,14 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
         "train_steps": trainer.train_steps,
     }
     arrays = {"manifest": np.array(json.dumps(manifest))}
-    for name in _NETS:
-        for k, v in getattr(trainer, name).params.items():
-            arrays[f"{name}/{k}"] = v
-    for name in _OPTS:
-        for k, v in getattr(trainer, name).state_dict().items():
-            arrays[f"{name}/{k}"] = v
+    for attr, names in _NETS.items():
+        for name, member in zip(names, getattr(trainer, attr).params.members):
+            for k, v in member.items():
+                arrays[f"{name}/{k}"] = v
+    for attr, names in _OPTS.items():
+        for i, name in enumerate(names):
+            for k, v in getattr(trainer, attr).state_dict(i).items():
+                arrays[f"{name}/{k}"] = v
     arrays["log_alpha"] = trainer.temps.log_alpha
     arrays["success_ema"] = trainer.success_ema
     tmp = f"{path}.tmp-{os.getpid()}"
@@ -72,23 +80,31 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
     in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError naming the array when a stored array is missing
-    or its shape does not match the run config's. Optimizer moments are
-    read once a step has been taken (``t`` > 0); before, they are zero."""
+    or its shape does not match the run config's, and when the step counts
+    ``t`` of the two critics' optimizers differ. Optimizer moments are read
+    once a step has been taken (``t`` > 0); before, they are zero."""
     manifest = read_manifest(path)
     run_cfg = RunConfig.from_dict(manifest["config"])
     trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
                       run_cfg.train_settings(), seed=run_cfg.seed)
     with np.load(path, allow_pickle=False) as data:
         stored = set(data.files)
-        for name in _NETS:
-            _restore(data, stored, name, getattr(trainer, name).params)
-        for name in _OPTS:
-            opt = getattr(trainer, name)
-            opt.t = int(data[f"{name}/t"])
+        for attr, names in _NETS.items():
+            for name, member in zip(names, getattr(trainer, attr).params.members):
+                _restore(data, stored, name, member)
+        for attr, names in _OPTS.items():
+            opt = getattr(trainer, attr)
+            steps = [int(data[f"{name}/t"]) for name in names]
+            if len(set(steps)) > 1:
+                raise CheckpointError(
+                    "optimizer step counts differ: " + ", ".join(
+                        f"{name}/t = {t}" for name, t in zip(names, steps)))
+            opt.t = steps[0]
             if opt.t:
                 m, v = opt.moments()
-                _restore(data, stored, f"{name}/m", m)
-                _restore(data, stored, f"{name}/v", v)
+                for name, m_i, v_i in zip(names, m.members, v.members):
+                    _restore(data, stored, f"{name}/m", m_i)
+                    _restore(data, stored, f"{name}/v", v_i)
         trainer.temps.log_alpha = data["log_alpha"].copy()
         trainer.success_ema = data["success_ema"].copy()
     trainer.env_steps = int(manifest["env_steps"])

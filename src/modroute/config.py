@@ -108,6 +108,22 @@ class RunConfig:
             raise ConfigError("n_modules: must be >= 2")
         if not 1 <= self.k:
             raise ConfigError("k: must be >= 1")
+        for key in ("module_dim", "module_hidden", "batch_per_task"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key}: must be >= 1")
+        for key in ("encoder_widths", "routing_widths"):
+            for i, width in enumerate(getattr(self, key)):
+                if not _is_int(width) or width < 1:
+                    raise ConfigError(
+                        f"{key}[{i}]: expected a positive integer, got {width!r}"
+                    )
+        if self.buffer_capacity < len(self.tasks):
+            raise ConfigError(
+                f"buffer_capacity: must hold at least one transition per task "
+                f"({len(self.tasks)})"
+            )
+        if self.train_ratio < 0:
+            raise ConfigError("train_ratio: must be >= 0")
 
     # ------------------------------------------------------------------
 

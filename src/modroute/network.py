@@ -20,7 +20,8 @@ first ``r + 1`` columns (the sources 1..r+1) are valid. Padded logits are
 ``-inf``, padded mask and probability entries 0. So mask selection, the
 masked softmax and reachability each run once per pass over all modules.
 The row-major lower triangle of a padded array is the packed
-``(B, n(n-1)/2)`` layout replay stores (``pack_masks``/``unpack_masks``).
+``(B, n(n-1)/2)`` layout replay stores (``pack_masks``/``unpack_masks``,
+which keep any leading axes).
 
 During off-policy training the stored behavior masks may disagree with what
 the current network would pick. Sources whose current (unmasked) softmax
@@ -51,11 +52,23 @@ of the same vector; a routing key's view is its MLP's slice, cut to its
 i-1 sources, so no key shows the padding. Assigning to a key copies into
 its view. Optimizers and Polyak averaging work on the flat vectors.
 
+Stacked ensembles. The twin critics are one ``ModulePolicy`` of M = 2
+members: one flat vector holding member 0's parameters, then member 1's,
+each laid out as a single network's (``Params.members`` are their keyed
+views). The tensors, and each key's view, carry a leading member axis, and
+so do the pass's values: logits, masks and probabilities are
+(M, B, n-1, n-1), module outputs (M, B, width). Both members read the same
+states and actions; their masks may differ. One pass, and on a tape one
+node per fused op, serves every member: the kernels in ``autodiff`` run
+over leading axes with batched matmuls, each member's arithmetic the same
+as it is alone.
+
 ``ModulePolicy.forward`` decides once per pass between plain numpy (for
 inference) and a tape (for training). On a tape the pass is a few fused
 nodes: one ``mlp`` for the encoder and for each module, one ``route_mlps``
 for all routing logits, one ``masked_softmax`` for all probabilities, and
-one ``mix`` per module i >= 2 reading its row of them.
+one ``mix`` per module i >= 2 reading its row of them. Its routing half,
+``ModulePolicy.route``, runs alone where only the masks are needed.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -131,20 +145,22 @@ def _layer_sizes(cfg: PolicyConfig):
     return nets
 
 
-def init_params(cfg: PolicyConfig, rng: np.random.Generator) -> Params:
+def init_params(cfg: PolicyConfig, *rngs: np.random.Generator) -> Params:
     """He-scaled random weights and zero biases; routing output layers start
     at zero so the initial routing distribution is uniform. The head layer
-    starts small."""
-    params = Params(policy_layout(cfg))
-    for prefix, in_dim, outs, final_scale in _layer_sizes(cfg):
-        d = in_dim
-        for l, out in enumerate(outs):
-            w = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, out))
-            if l == len(outs) - 1:
-                w *= final_scale
-            params[f"{prefix}.w{l}"] = w
-            d = out
-    params["temb"] = rng.normal(0.0, 1.0, size=(cfg.num_tasks, cfg.module_dim))
+    starts small. One member per generator, each drawn from its own: more
+    than one make a stacked ensemble."""
+    params = Params(policy_layout(cfg, len(rngs)))
+    for member, rng in zip(params.members, rngs):
+        for prefix, in_dim, outs, final_scale in _layer_sizes(cfg):
+            d = in_dim
+            for l, out in enumerate(outs):
+                w = rng.normal(0.0, np.sqrt(2.0 / d), size=(d, out))
+                if l == len(outs) - 1:
+                    w *= final_scale
+                member[f"{prefix}.w{l}"] = w
+                d = out
+        member["temb"] = rng.normal(0.0, 1.0, size=(cfg.num_tasks, cfg.module_dim))
     return params
 
 
@@ -163,39 +179,57 @@ class Layout:
     ``tensors`` are ``(name, shape)`` pairs stored back to back in that
     order. ``keys`` maps each key to ``(tensor name, index)``: its array is
     the view ``tensor[index]``; by default every tensor is its own key.
+
+    With ``members`` > 1 the vector holds that many copies of the layout,
+    member after member (a stacked ensemble): each tensor is then a view
+    with a leading member axis, and each member's own slice is laid out as
+    a single network's.
     """
 
-    def __init__(self, tensors, keys: dict | None = None):
+    def __init__(self, tensors, keys: dict | None = None, members: int = 1):
         self.shapes = dict(tensors)
         sizes = [int(np.prod(shape)) for shape in self.shapes.values()]
         self.bounds = np.cumsum([0] + sizes).tolist()
-        self.size = self.bounds[-1]
+        self.members = members
+        self.lead = (members,) if members > 1 else ()
+        self.size = members * self.bounds[-1]
         self.keys = keys if keys is not None else {t: (t, ()) for t in self.shapes}
+
+    def member(self) -> "Layout":
+        """The layout of one member's slice."""
+        return Layout(self.shapes.items(), self.keys)
 
     def split(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """The tensors as views of ``flat``."""
-        return {t: flat[a:b].reshape(shape) for (t, shape), a, b
+        rows = flat.reshape(self.members, -1)
+        return {t: rows[:, a:b].reshape(self.lead + shape) for (t, shape), a, b
                 in zip(self.shapes.items(), self.bounds, self.bounds[1:])}
 
     def flatten(self, tensors: dict, out: np.ndarray | None = None) -> np.ndarray:
         """Arrays keyed by tensor name (gradients, say) as one flat vector,
         written to ``out`` if given."""
-        return np.concatenate([np.ravel(tensors[t]) for t in self.shapes], out=out)
+        flat = np.empty(self.size) if out is None else out
+        np.concatenate([np.reshape(tensors[t], (self.members, -1)) for t in self.shapes],
+                       axis=1, out=flat.reshape(self.members, -1))
+        return flat
 
 
 class Params(Mapping):
     """One flat float64 vector and the keyed views of a ``Layout`` into it.
 
-    ``params[key]`` is the key's view; ``params[key] = array`` copies the
-    array into it (the shapes must match); ``tensors`` maps each tensor
-    name to its view. A fresh vector is all zeros.
+    ``params[key]`` is the key's view (with the leading member axis of a
+    stacked layout); ``params[key] = array`` copies the array into it (the
+    shapes must match); ``tensors`` maps each tensor name to its view. A
+    fresh vector is all zeros.
     """
 
     def __init__(self, layout: Layout, flat: np.ndarray | None = None):
         self.layout = layout
         self.flat = np.zeros(layout.size) if flat is None else flat
         self.tensors = layout.split(self.flat)
-        self._views = {k: self.tensors[t][index] for k, (t, index) in layout.keys.items()}
+        every = (slice(None),) * len(layout.lead)
+        self._views = {k: self.tensors[t][every + index]
+                       for k, (t, index) in layout.keys.items()}
 
     def __getitem__(self, key: str) -> np.ndarray:
         return self._views[key]
@@ -216,13 +250,23 @@ class Params(Mapping):
     def copy(self) -> "Params":
         return Params(self.layout, self.flat.copy())
 
+    @property
+    def members(self) -> list["Params"]:
+        """Each member's parameters, views of its slice of ``flat``; an
+        unstacked network is its own one member."""
+        if not self.layout.lead:
+            return [self]
+        one = self.layout.member()
+        return [Params(one, part) for part in self.flat.reshape(self.layout.members, -1)]
+
 
 def _route_names(cfg: PolicyConfig) -> list[str]:
     return _layer_keys("route", len(cfg.routing_widths) + 1)
 
 
-def policy_layout(cfg: PolicyConfig) -> Layout:
-    """The parameter layout of a routed network (see the module docstring).
+def policy_layout(cfg: PolicyConfig, members: int = 1) -> Layout:
+    """The parameter layout of a routed network, or of ``members`` stacked
+    ones (see the module docstring).
 
     Encoder, module layers and ``temb`` are tensors under their own keys;
     the n-1 routing MLPs are stacked, and each ``route{i}.*`` key is a view
@@ -249,7 +293,7 @@ def policy_layout(cfg: PolicyConfig) -> Layout:
             keys[f"route{r + 2}.b{l}"] = (f"route.b{l}", (r, cols))
     tensors.append(("temb", (cfg.num_tasks, cfg.module_dim)))
     keys["temb"] = ("temb", ())
-    return Layout(tensors, keys)
+    return Layout(tensors, keys, members)
 
 
 def _row_softmax(z: np.ndarray) -> np.ndarray:
@@ -312,23 +356,23 @@ def _tril(n: int):
 
 
 def pack_masks(masks: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Padded (B, n-1, n-1) masks as packed (B, n(n-1)/2) uint8 rows."""
+    """Padded (..., n-1, n-1) masks as packed (..., n(n-1)/2) uint8 rows."""
     rows, cols = _tril(cfg.n_modules)
-    return masks[:, rows, cols].astype(np.uint8)
+    return masks[..., rows, cols].astype(np.uint8)
 
 
 def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Packed (B, n(n-1)/2) mask rows as padded (B, n-1, n-1) float masks."""
+    """Packed (..., n(n-1)/2) mask rows as padded (..., n-1, n-1) float masks."""
     w = cfg.n_modules - 1
     rows, cols = _tril(cfg.n_modules)
-    out = np.zeros((flat.shape[0], w, w))
-    out[:, rows, cols] = flat
+    out = np.zeros(flat.shape[:-1] + (w, w))
+    out[..., rows, cols] = flat
     return out
 
 
 def _rows(a: np.ndarray) -> list[np.ndarray]:
-    """Per-module (B, i-1) views of a padded routing array."""
-    return [a[:, r, :r + 1] for r in range(a.shape[1])]
+    """Per-module (..., B, i-1) views of a padded routing array."""
+    return [a[..., r, :r + 1] for r in range(a.shape[-2])]
 
 
 @dataclass
@@ -336,14 +380,16 @@ class ForwardResult:
     """A pass's head output and its routing.
 
     The routing arrays are padded (B, n-1, n-1) values (see the module
-    docstring); ``masks``, ``probs`` and ``logits`` give their per-module
-    (B, i-1) views, for modules 2..n.
+    docstring), (M, B, n-1, n-1) for a stacked ensemble of M members;
+    ``masks``, ``probs`` and ``logits`` give their per-module (..., B, i-1)
+    views, for modules 2..n. ``effective`` has one row per batch row and
+    member, members one after another.
     """
-    out: object                   # head output, (B, head_dim) array or Var
+    out: object                   # head output, (..., B, head_dim) array or Var
     padded_masks: np.ndarray      # binary source masks
     padded_probs: np.ndarray      # routing probabilities (values)
     padded_logits: np.ndarray     # routing logits (values)
-    effective: np.ndarray         # (B, n) bool, modules actually contributing
+    effective: np.ndarray         # (M*B, n) bool, modules actually contributing
     module_outputs: dict = field(default_factory=dict)  # i -> m^i (evaluated only)
 
     @property
@@ -359,8 +405,18 @@ class ForwardResult:
         return _rows(self.padded_logits)
 
 
+class Routing(NamedTuple):
+    """The routing half of a pass (``ModulePolicy.route``)."""
+    masks: np.ndarray    # padded binary source masks
+    logits: object       # padded logits, array or Var
+    encoded: object      # the encoder output F(s), array or Var
+    params: dict         # the tensors the pass reads (tape Vars on a tape)
+    tape: Tape | None    # the tape the pass records on, if any
+
+
 class ModulePolicy:
-    """Parameters plus forward passes for one routed network."""
+    """Parameters plus forward passes for one routed network, or for a
+    stacked ensemble of them (``params`` over a stacked layout)."""
 
     def __init__(self, cfg: PolicyConfig, params: Params):
         self.cfg = cfg
@@ -373,14 +429,15 @@ class ModulePolicy:
         self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
 
     @classmethod
-    def init(cls, cfg: PolicyConfig, rng: np.random.Generator) -> "ModulePolicy":
-        return cls(cfg, init_params(cfg, rng))
+    def init(cls, cfg: PolicyConfig, *rngs: np.random.Generator) -> "ModulePolicy":
+        """A network drawn by ``init_params``: one member per generator."""
+        return cls(cfg, init_params(cfg, *rngs))
 
     def param_vars(self, tape: Tape, scope: str = "") -> dict[str, Var]:
         """One tape parameter per tensor, named ``scope`` + tensor name."""
         return {t: tape.parameter(scope + t, v) for t, v in self.params.tensors.items()}
 
-    def forward(
+    def route(
         self,
         obs: np.ndarray,
         task_ids: np.ndarray,
@@ -389,33 +446,20 @@ class ModulePolicy:
         action=None,
         masks: np.ndarray | None = None,
         mask_fn=None,
-        chi_mode: str = "off",
-        skip_unused: bool = False,
-    ) -> ForwardResult:
-        """Run the routed network.
+    ) -> Routing:
+        """The routing half of ``forward`` (same arguments): the encoder,
+        the routing MLPs and the masks, no module. Alone, it gives the masks
+        a pass would route with at a fraction of the pass's cost.
 
-        Exactly one of ``masks`` (stored behavior masks, padded
-        (B, n-1, n-1)) or ``mask_fn`` (callable padded logits -> padded
-        binary masks) selects the routing.
-        ``chi_mode`` gates unsuitable stored sources: "off" (no gating),
-        "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
-        transform only, shortcut gradient preserved).
-
-        ``params`` is a ``Params``, or a dict keyed by tensor name (as
-        ``param_vars`` returns); by default the network's own. The pass is
-        recorded on a tape when ``params`` holds tape ``Var``s or ``action``
-        is a ``Var``; numpy ``params`` then enter the tape as constants
-        (frozen weights, no gradient). Otherwise it is plain numpy.
+        On a stacked ensemble ``mask_fn`` runs once per member, member 0
+        first, so a sampling selector draws what separate networks would.
         """
         cfg = self.cfg
         if (masks is None) == (mask_fn is None):
             raise ValueError("provide exactly one of masks / mask_fn")
-        if chi_mode not in ("off", "sg", "rsg"):
-            raise ValueError(f"unknown chi_mode {chi_mode!r}")
         p = params if params is not None else self.params
         if isinstance(p, Params):
             p = p.tensors
-        n = cfg.n_modules
         if ad.is_var(p["temb"]):
             tape = p["temb"].tape
         elif ad.is_var(action):
@@ -449,7 +493,7 @@ class ModulePolicy:
         route_ws = [p[t] for t in self._route_names]
         if tape is None:
             h = ad.affine_chain(x, [p[k] for k in self._enc_keys])[0]
-            emb = p["temb"][task_ids.astype(np.intp)]
+            emb = p["temb"][..., task_ids.astype(np.intp), :]
             g = h * emb if cfg.state_routing else emb
             z = ad.route_mlps(g, route_ws)[0]
         else:
@@ -460,8 +504,6 @@ class ModulePolicy:
             g = h * emb if cfg.state_routing else emb
             z = tape.record("route_mlps", g, *route_ws)
 
-        # routing masks and probabilities; on a tape, also which stored
-        # sources the current router finds unsuitable (score below 1/i)
         zv = ad.value_of(z)
         if masks is not None:
             d = np.asarray(masks, dtype=np.float64)
@@ -469,13 +511,58 @@ class ModulePolicy:
                 raise ValueError(
                     f"stored masks have shape {d.shape}, expected {zv.shape}"
                 )
-        else:
+        elif zv.ndim == 3:
             d = mask_fn(zv)
+        else:
+            d = np.stack([mask_fn(member) for member in zv])
+        return Routing(masks=d, logits=z, encoded=h, params=p, tape=tape)
+
+    def forward(
+        self,
+        obs: np.ndarray,
+        task_ids: np.ndarray,
+        *,
+        params=None,
+        action=None,
+        masks: np.ndarray | None = None,
+        mask_fn=None,
+        chi_mode: str = "off",
+        skip_unused: bool = False,
+    ) -> ForwardResult:
+        """Run the routed network.
+
+        Exactly one of ``masks`` (stored behavior masks, padded
+        (B, n-1, n-1), or (M, B, n-1, n-1) on a stacked ensemble) or
+        ``mask_fn`` (callable padded (B, n-1, n-1) logits -> padded binary
+        masks) selects the routing.
+        ``chi_mode`` gates unsuitable stored sources: "off" (no gating),
+        "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
+        transform only, shortcut gradient preserved).
+
+        ``params`` is a ``Params``, or a dict keyed by tensor name (as
+        ``param_vars`` returns); by default the network's own. The pass is
+        recorded on a tape when ``params`` holds tape ``Var``s or ``action``
+        is a ``Var``; numpy ``params`` then enter the tape as constants
+        (frozen weights, no gradient). Otherwise it is plain numpy.
+
+        A stacked ensemble runs every member in the one pass on the same
+        states and actions; its output and routing carry the member axis.
+        """
+        if chi_mode not in ("off", "sg", "rsg"):
+            raise ValueError(f"unknown chi_mode {chi_mode!r}")
+        r = self.route(obs, task_ids, params=params, action=action,
+                       masks=masks, mask_fn=mask_fn)
+        p, tape, z, d = r.params, r.tape, r.logits, r.masks
+        n = self.cfg.n_modules
+
+        # routing probabilities; on a tape, also which stored sources the
+        # current router finds unsuitable (score below 1/i)
+        zv = ad.value_of(z)
         probs = masked_softmax_rows(z, d)
         suit = None
         if tape is not None and chi_mode != "off":
             suit = _row_softmax(zv) >= self._inv_i
-        eff, sources = effective_rows(d)
+        eff, sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))
 
         # m[i] is module i's output, u[i] its mixed input (the residual
         # shortcut that ResRouting's "rsg" gate sends gradient to)
@@ -491,21 +578,21 @@ class ModulePolicy:
             return tape.record("mlp", inp, *ws, residual=residual)
 
         if not skip_unused or 1 in sources:
-            m[1] = module(1, h)
+            m[1] = module(1, r.encoded)
         for i in range(2, n + 1):
             if skip_unused and i not in sources:
                 continue
             srcs = sources[i] if skip_unused else range(1, i)
             cols = [j - 1 for j in srcs]
             if tape is None:
-                u[i] = ad.mix(probs[:, i - 2], [m[j] for j in srcs], cols)
+                u[i] = ad.mix(probs[..., i - 2, :], [m[j] for j in srcs], cols)
             else:
                 short = [j for j in srcs if chi_mode == "rsg" and j > 1]
                 at = {j: 1 + len(srcs) + s for s, j in enumerate(short)}
                 u[i] = tape.record(
                     "mix", probs, *[m[j] for j in srcs], *[u[j] for j in short],
                     row=i - 2, cols=cols,
-                    suit=None if suit is None else suit[:, i - 2],
+                    suit=None if suit is None else suit[..., i - 2, :],
                     shortcut=[at.get(j) for j in srcs],
                 )
             m[i] = module(i, u[i])

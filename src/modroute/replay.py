@@ -6,7 +6,9 @@ reuse the exact paths that produced the data. Next states are routed afresh
 by the Bellman targets, so no masks are kept for them. Masks are stored
 packed: one flat uint8 row of n(n-1)/2 entries per network, the row-major
 lower triangle of the forward pass's padded (n-1, n-1) mask array, module
-2's source first (see ``network.pack_masks``).
+2's source first (see ``network.pack_masks``). The twin critics' rows are
+one (2, n(n-1)/2) field, member 0 first, as the stacked critic pass reads
+them.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MASK_FIELDS = ("masks_actor", "masks_q1", "masks_q2")
+# per mask field, the leading shape of one transition's packed rows: one
+# row for the actor, one per member of the stacked critics
+MASK_FIELDS = {"masks_actor": (), "masks_critics": (2,)}
 
 
 @dataclass
@@ -27,8 +31,7 @@ class Transition:
     done: bool
     task_id: int
     masks_actor: np.ndarray
-    masks_q1: np.ndarray
-    masks_q2: np.ndarray
+    masks_critics: np.ndarray
 
 
 class ReplayBuffer:
@@ -46,7 +49,13 @@ class ReplayBuffer:
         self.rewards = np.zeros((n, c))
         self.next_states = np.zeros((n, c, obs_dim))
         self.dones = np.zeros((n, c), dtype=bool)
-        self.masks = {f: np.zeros((n, c, mask_len), dtype=np.uint8) for f in MASK_FIELDS}
+        # mask rows live in one array per task: one array of all tasks'
+        # critic rows would pass numpy's 4 MB huge-page threshold at the
+        # default capacity, and its first writes would fault in a 2 MB page
+        # per task
+        self.masks = {f: [np.zeros((c, *lead, mask_len), dtype=np.uint8)
+                          for _ in range(n)]
+                      for f, lead in MASK_FIELDS.items()}
         self.sizes = np.zeros(n, dtype=np.int64)
         self.heads = np.zeros(n, dtype=np.int64)
 
@@ -62,7 +71,7 @@ class ReplayBuffer:
         self.next_states[t, i] = tr.next_state
         self.dones[t, i] = tr.done
         for f in MASK_FIELDS:
-            self.masks[f][t, i] = getattr(tr, f)
+            self.masks[f][t][i] = getattr(tr, f)
         self.heads[t] = (i + 1) % self.per_task_capacity
         self.sizes[t] = min(self.sizes[t] + 1, self.per_task_capacity)
 
@@ -86,7 +95,7 @@ class ReplayBuffer:
             rows["done"].append(self.dones[t, idx])
             rows["task_id"].append(np.full(per_task, t, dtype=np.int64))
             for f in MASK_FIELDS:
-                rows[f].append(self.masks[f][t, idx])
+                rows[f].append(self.masks[f][t][idx])
         return {k: np.concatenate(v) for k, v in rows.items()}
 
     def get(self, task_id: int, index: int) -> Transition:
@@ -100,5 +109,5 @@ class ReplayBuffer:
             next_state=self.next_states[task_id, index].copy(),
             done=bool(self.dones[task_id, index]),
             task_id=task_id,
-            **{f: self.masks[f][task_id, index].copy() for f in MASK_FIELDS},
+            **{f: self.masks[f][task_id][index].copy() for f in MASK_FIELDS},
         )

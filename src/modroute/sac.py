@@ -5,6 +5,14 @@ temperatures derived from them, per-task loss rescaling, and extreme-loss
 maskout. Training forwards replay the behavior policy's stored routing masks
 (optionally gated with the residual stop-gradient), rollout forwards sample
 fresh masks with per-task temperature.
+
+The twin critics are one stacked network of two members (``Trainer.critics``,
+its Polyak average ``Trainer.critics_target``; see ``network``): each use of
+the critics, the taped loss, the frozen critics under the actor loss, the
+Bellman targets and the rollout masks, is one pass over both members, and
+their update is one backward, one ``Adam`` step and one Polyak update. Each
+member's numbers are those of a critic trained alone; the min over the
+members goes to member 0 (q1) on ties.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, minimum
+from .autodiff import Tape, member_min
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, ToyEnv
 from .network import (
     Layout,
@@ -87,12 +95,15 @@ class Adam:
         step /= tmp
         params -= step
 
-    def state_dict(self) -> dict:
+    def state_dict(self, member: int = 0) -> dict:
+        """``t`` and, once a step has been taken, the moments of one member
+        of the layout (the only one, unless it is stacked) by key."""
         out = {"t": np.array(self.t)}
         if self.t:
-            for k in self.m:
-                out[f"m/{k}"] = self.m[k]
-                out[f"v/{k}"] = self.v[k]
+            m, v = self.m.members[member], self.v.members[member]
+            for k in m:
+                out[f"m/{k}"] = m[k]
+                out[f"v/{k}"] = v[k]
         return out
 
 
@@ -222,24 +233,23 @@ class Trainer:
 
         critic_cfg = PolicyConfig(**{**policy_cfg.to_dict(), "head": "critic"})
         self.actor = ModulePolicy.init(policy_cfg, stream(seed, "init/actor"))
-        self.q1 = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"))
-        self.q2 = ModulePolicy.init(critic_cfg, stream(seed, "init/q2"))
-        self.q1_target = ModulePolicy(critic_cfg, self.q1.params.copy())
-        self.q2_target = ModulePolicy(critic_cfg, self.q2.params.copy())
+        # the twin critics q1 and q2, stacked: members 0 and 1
+        self.critics = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"),
+                                         stream(seed, "init/q2"))
+        self.critics_target = ModulePolicy(critic_cfg, self.critics.params.copy())
 
         self.temps = TaskTemperatures(
             self.num_tasks, target_entropy=-float(policy_cfg.act_dim),
             alpha_init=settings.alpha_init,
         )
         self.opt_actor = Adam(settings.lr, self.actor.params.layout)
-        self.opt_q1 = Adam(settings.lr, self.q1.params.layout)
-        self.opt_q2 = Adam(settings.lr, self.q2.params.layout)
+        self.opt_critics = Adam(settings.lr, self.critics.params.layout)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
-        # per network (q1, q2, actor): its flat gradient in a train step, then
-        # the scratch of the critics' Polyak update. Reused, because large
-        # fresh arrays cost page faults on every step
+        # per network (critics, actor): its flat gradient in a train step,
+        # then the scratch of the critics' Polyak update. Reused, because
+        # large fresh arrays cost page faults on every step
         self._flat_bufs = [np.empty(net.params.layout.size)
-                           for net in (self.q1, self.q2, self.actor)]
+                           for net in (self.critics, self.actor)]
 
         self.buffer = ReplayBuffer(
             settings.buffer_capacity, self.num_tasks, OBS_DIM, ACT_DIM,
@@ -296,25 +306,23 @@ class Trainer:
 
     def _routing_snapshot(self, obs: np.ndarray, task_ids: np.ndarray,
                           actions: np.ndarray | None = None):
-        """Actions plus packed routing masks of all three networks at obs.
+        """Actions plus packed routing masks of the actor, (B, L), and of
+        the critics, (B, 2, L), at obs.
 
         When ``actions`` is given (e.g. warmup exploration) the critics route
         against those executed actions instead of the actor's own sample.
+        Only their masks are kept, so the critics run their routing alone.
         """
         mask_fn = self.routing_mask_fn(self._taus()[task_ids])
         res = self.actor.forward(obs, task_ids, mask_fn=mask_fn, skip_unused=True)
         if actions is None:
             noise = self.rng_noise.normal(size=(len(obs), self.cfg.act_dim))
             actions, _ = squashed_gaussian(res.out, self.cfg.act_dim, noise)
-        rq1 = self.q1.forward(obs, task_ids, action=actions, mask_fn=mask_fn,
-                              skip_unused=True)
-        rq2 = self.q2.forward(obs, task_ids, action=actions, mask_fn=mask_fn,
-                              skip_unused=True)
+        critics = self.critics.route(obs, task_ids, action=actions, mask_fn=mask_fn)
         return (
             actions,
             pack_masks(res.padded_masks, self.cfg),
-            pack_masks(rq1.padded_masks, self.cfg),
-            pack_masks(rq2.padded_masks, self.cfg),
+            pack_masks(critics.masks, self.cfg).swapaxes(0, 1),
         )
 
     def collect_rollouts(self, vector_steps: int) -> int:
@@ -329,7 +337,7 @@ class Trainer:
             warmup = None
             if self.env_steps < self.s.start_steps * self.num_tasks:
                 warmup = self.rng_explore.uniform(-1, 1, (self.num_tasks, ACT_DIM))
-            actions, ma, mq1, mq2 = self._routing_snapshot(
+            actions, ma, mc = self._routing_snapshot(
                 self._cur_obs, np.arange(self.num_tasks), warmup
             )
             for i in range(self.num_tasks):
@@ -350,7 +358,7 @@ class Trainer:
                     next_state=obs2.copy(),
                     done=bool(done),
                     task_id=i,
-                    masks_actor=ma[i], masks_q1=mq1[i], masks_q2=mq2[i],
+                    masks_actor=ma[i], masks_critics=mc[i],
                 ))
                 if done:
                     self.success_ema[i] = 0.95 * self.success_ema[i] + 0.05 * float(success)
@@ -366,12 +374,15 @@ class Trainer:
                        params, action=None):
         """A training pass at the batch states on ``params`` (tape ``Var``s,
         or numpy arrays for a frozen network fed a ``Var`` action). It
-        replays the stored behavior masks under ``mask_key``, or, in the
-        target-routing ablation, routes greedily for itself."""
+        replays the stored behavior masks under ``mask_key`` (the batch's
+        (B, L) or, for the critics, (B, 2, L) rows, member axis moved to
+        the front), or, in the target-routing ablation, routes greedily for
+        itself."""
         if self.s.resrouting == "target-routing":
             routing = dict(mask_fn=self.routing_mask_fn())
         else:
-            routing = dict(masks=unpack_masks(batch[mask_key], self.cfg))
+            masks = unpack_masks(batch[mask_key], self.cfg)
+            routing = dict(masks=np.moveaxis(masks, 0, -3))
         return policy.forward(batch["state"], batch["task_id"], params=params,
                               action=action, chi_mode=_CHI_BY_MODE[self.s.resrouting],
                               **routing)
@@ -384,26 +395,22 @@ class Trainer:
         res = self.actor.forward(batch["next_state"], ids, mask_fn=mask_fn)
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         a2, logp2 = squashed_gaussian(res.out, self.cfg.act_dim, noise)
-        q1 = self.q1_target.forward(batch["next_state"], ids, action=a2,
-                                    mask_fn=mask_fn).out
-        q2 = self.q2_target.forward(batch["next_state"], ids, action=a2,
-                                    mask_fn=mask_fn).out
+        q = self.critics_target.forward(batch["next_state"], ids, action=a2,
+                                        mask_fn=mask_fn).out
         alphas = self.temps.alphas[ids].reshape(-1, 1)
-        soft_q = np.minimum(q1, q2) - alphas * logp2
+        soft_q = member_min(q) - alphas * logp2
         r = self.s.reward_scale * batch["reward"].reshape(-1, 1)
         not_done = 1.0 - batch["done"].reshape(-1, 1).astype(np.float64)
         return r + self.s.gamma * not_done * soft_q
 
     def critic_losses(self, batch: dict, targets: np.ndarray):
-        """Per-critic tapes with per-sample squared errors (unreduced)."""
-        out = []
-        for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")):
-            tape = Tape()
-            res = self._forward_train(net, batch, key, net.param_vars(tape),
-                                      action=batch["action"])
-            err = res.out - targets
-            out.append((tape, err * err))
-        return out
+        """The critics' tape and their per-sample squared errors, (2, B, 1)
+        (unreduced)."""
+        tape = Tape()
+        res = self._forward_train(self.critics, batch, "masks_critics",
+                                  self.critics.param_vars(tape), action=batch["action"])
+        err = res.out - targets
+        return tape, err * err
 
     def actor_losses(self, batch: dict, noise: np.ndarray):
         """Actor tape with per-sample alpha log pi - min Q (unreduced);
@@ -415,11 +422,10 @@ class Trainer:
 
         # the critics are frozen here: their arrays enter the tape as
         # constants, so backward computes no critic weight gradients
-        q1, q2 = (self._forward_train(net, batch, key, net.params, action=a).out
-                  for net, key in ((self.q1, "masks_q1"), (self.q2, "masks_q2")))
-        qmin = minimum(q1, q2)
+        q = self._forward_train(self.critics, batch, "masks_critics",
+                                self.critics.params, action=a).out
         alphas = self.temps.alphas[batch["task_id"]].reshape(-1, 1)
-        per_sample = alphas * logp - qmin
+        per_sample = alphas * logp - member_min(q)
         return tape, per_sample, logp.value
 
     def train_step(self) -> dict | None:
@@ -440,13 +446,14 @@ class Trainer:
         ids = batch["task_id"]
 
         targets = self.bellman_targets(batch)
-        critic_parts = self.critic_losses(batch, targets)
+        critic_tape, critic_per_sample = self.critic_losses(batch, targets)
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise)
 
+        # summed over the two critics
         per_task_critic = sum(
-            _per_task_mean(part.value.ravel(), ids, self.num_tasks)
-            for _, part in critic_parts
+            _per_task_mean(member.ravel(), ids, self.num_tasks)
+            for member in critic_per_sample.value
         )
         per_task_actor = _per_task_mean(
             actor_per_sample.value.ravel(), ids, self.num_tasks
@@ -471,25 +478,25 @@ class Trainer:
             rows = np.flatnonzero(included[ids])
             batch = {k: v[rows] for k, v in batch.items()}
             ids = batch["task_id"]
-            critic_parts = self.critic_losses(batch, targets[rows])
+            critic_tape, critic_per_sample = self.critic_losses(batch, targets[rows])
             actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise[rows])
         coeff = _coefficients(ids, weights, included)
 
         # every backward runs before any optimizer step: the tapes hold the
         # live parameter arrays, which the steps update in place
-        nets = (self.q1, self.q2, self.actor)
+        nets = (self.critics, self.actor)
         tensor_grads = [tape.backward((per_sample * coeff).sum())
-                        for tape, per_sample in critic_parts]
-        tensor_grads.append(actor_tape.backward((actor_per_sample * coeff).sum()))
+                        for tape, per_sample in ((critic_tape, critic_per_sample),
+                                                 (actor_tape, actor_per_sample))]
         grads = [net.params.layout.flatten(g, out=buf)
                  for net, g, buf in zip(nets, tensor_grads, self._flat_bufs)]
         finite = [bool(np.isfinite(g).all()) for g in grads]
         if not all(finite):
             metrics["skipped_updates"] = 1
-            log.warning("non-finite gradients (q1, q2, actor finite: %s); "
+            log.warning("non-finite gradients (critics, actor finite: %s); "
                         "update skipped", finite)
             return metrics
-        for opt, net, grad in zip((self.opt_q1, self.opt_q2, self.opt_actor), nets, grads):
+        for opt, net, grad in zip((self.opt_critics, self.opt_actor), nets, grads):
             opt.step(net.params.flat, grad)
 
         _, alpha_grad = alpha_loss(logp, ids, self.temps)
@@ -497,10 +504,9 @@ class Trainer:
         self.opt_alpha.step(self.temps.log_alpha, alpha_grad * included)
 
         rho = self.s.polyak
-        for target, online, buf in zip((self.q1_target, self.q2_target),
-                                       (self.q1, self.q2), self._flat_bufs):
-            target.params.flat *= rho
-            target.params.flat += np.multiply(online.params.flat, 1 - rho, out=buf)
+        target = self.critics_target.params.flat
+        target *= rho
+        target += np.multiply(self.critics.params.flat, 1 - rho, out=self._flat_bufs[0])
 
         self.train_steps += 1
         self._last_metrics = metrics

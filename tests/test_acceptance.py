@@ -16,12 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape, gradient_check, minimum
+from modroute.autodiff import Tape, gradient_check, member_min
 from modroute.config import RunConfig
 from modroute.network import (
     ModulePolicy,
+    Params,
     PolicyConfig,
     _mlp,
+    policy_layout,
     squashed_gaussian,
     topk_mask_rows,
     unpack_masks,
@@ -64,6 +66,17 @@ def small_cfg(head="actor", n=4, seed=0, **kw):
     return cfg, pol, rng
 
 
+def small_critics(n, seed):
+    """Twin critics as one stacked network, each member drawn as small_cfg
+    draws a critic."""
+    cfg, q1, _ = small_cfg(head="critic", n=n, seed=seed)
+    _, q2, _ = small_cfg(head="critic", n=n, seed=seed + 10)
+    critics = ModulePolicy(cfg, Params(policy_layout(cfg, 2)))
+    for member, q in zip(critics.params.members, (q1, q2)):
+        member.flat[...] = q.params.flat
+    return cfg, critics
+
+
 def random_masks(cfg, rng, B=1):
     return padded([topk_mask_rows(rng.normal(size=(B, i - 1)), cfg.k)
                    for i in range(2, cfg.n_modules + 1)])
@@ -78,12 +91,14 @@ def test_criterion_1_gradient_correctness():
     t0 = time.time()
     worst = 0.0
     for n in (3, 4, 5):
-        # critic regression loss
-        cfg, qnet, rng = small_cfg(head="critic", n=n, seed=n)
+        # the twin critics' regression loss, both members in one stacked
+        # pass, each with its own masks
+        cfg, qnet = small_critics(n, seed=n)
+        rng = np.random.default_rng(n)
         B = 3
         obs = rng.normal(size=(B, 5))
         act = rng.normal(size=(B, 2))
-        masks = random_masks(cfg, rng, B)
+        masks = np.stack([random_masks(cfg, rng, B) for _ in range(2)])
         targets = rng.normal(size=(B, 1))
         coeff = rng.uniform(0.1, 1.0, size=(B, 1))
 
@@ -98,20 +113,18 @@ def test_criterion_1_gradient_correctness():
 
         # actor loss alpha log pi - min(Q1, Q2) through frozen critics
         acfg, actor, arng = small_cfg(head="actor", n=n, seed=10 + n)
-        ccfg, q1, _ = small_cfg(head="critic", n=n, seed=20 + n)
-        _, q2, _ = small_cfg(head="critic", n=n, seed=30 + n)
+        _, critics = small_critics(n, seed=20 + n)
         amasks = random_masks(acfg, arng, B)
+        cmasks = np.stack([amasks, random_masks(acfg, arng, B)])
         noise = arng.normal(size=(B, 2))
         alphas = arng.uniform(0.05, 0.3, size=(B, 1))
 
         def actor_build(tape, pvars):
             res = actor.forward(obs, [0, 1, 0], params=pvars, masks=amasks)
             a, logp = squashed_gaussian(res.out, 2, noise)
-            v1 = q1.forward(obs, [0, 1, 0], params=q1.param_vars(tape, "q1/"),
-                            action=a, masks=amasks).out
-            v2 = q2.forward(obs, [0, 1, 0], params=q2.param_vars(tape, "q2/"),
-                            action=a, masks=amasks).out
-            return ((alphas * logp - minimum(v1, v2)) * coeff).sum()
+            q = critics.forward(obs, [0, 1, 0], params=critics.params,
+                                action=a, masks=cmasks).out
+            return ((alphas * logp - member_min(q)) * coeff).sum()
 
         worst = max(worst, gradient_check(actor_build, actor.params.tensors,
                                           epsilon=1e-5))
@@ -493,8 +506,7 @@ def test_criterion_9_serialization_determinism(tmp_path):
             reward=float(rng.normal()), next_state=rng.normal(size=9),
             done=bool(i % 2), task_id=i % 2,
             masks_actor=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            masks_q1=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            masks_q2=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
+            masks_critics=topk_mask_rows(rng.normal(size=(2, mask_len)), 3),
         )
         originals.append(tr)
         buf.add(tr)
@@ -519,7 +531,7 @@ def test_criterion_9_serialization_determinism(tmp_path):
     tr2, _ = load_checkpoint(path)
     ckpt_ok = all(
         np.array_equal(getattr(tr1, net).params[k], getattr(tr2, net).params[k])
-        for net in ("actor", "q1", "q2", "q1_target", "q2_target")
+        for net in ("actor", "critics", "critics_target")
         for k in getattr(tr1, net).params
     )
 

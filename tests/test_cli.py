@@ -112,6 +112,9 @@ class TestTrainCommand:
         ("n_modules: 1\n", "n_modules"),
         ("tasks: [{kind: reach, goal_rule: moving}]\n", "tasks[0].goal_rule"),
         ("tasks: [{kind: reach, horizon: 0}]\n", "tasks[0].horizon"),
+        ("routing_widths: [0]\n", "routing_widths[0]"),
+        ("buffer_capacity: 3\n", "buffer_capacity"),
+        ("train_ratio: -1\n", "train_ratio"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):

@@ -104,6 +104,33 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=path):
             RunConfig.from_dict({"tasks": tasks})
 
+    @pytest.mark.parametrize("values, path", [
+        ({"batch_per_task": 0}, "batch_per_task: must be >= 1"),
+        ({"module_dim": 0}, "module_dim: must be >= 1"),
+        ({"module_hidden": 0}, "module_hidden: must be >= 1"),
+        ({"encoder_widths": ["a"]}, r"encoder_widths\[0\]: expected a positive integer"),
+        ({"encoder_widths": [16, 2.5]}, r"encoder_widths\[1\]: expected a positive"),
+        ({"encoder_widths": [True]}, r"encoder_widths\[0\]: expected a positive"),
+        ({"routing_widths": [0]}, r"routing_widths\[0\]: expected a positive integer"),
+        ({"routing_widths": [8, -4]}, r"routing_widths\[1\]: expected a positive"),
+        ({"buffer_capacity": 3}, "buffer_capacity: must hold at least one"),
+        ({"train_ratio": -1}, "train_ratio: must be >= 0"),
+    ])
+    def test_values_the_trainer_rejects_name_path(self, values, path):
+        with pytest.raises(ConfigError, match=path):
+            RunConfig.from_dict(values)
+
+    def test_smallest_sizes_accepted(self):
+        # one slot per task, width-1 layers, no hidden routing layer, no training
+        cfg = RunConfig.from_dict({
+            "buffer_capacity": 4, "batch_per_task": 1, "module_dim": 1,
+            "module_hidden": 1, "encoder_widths": [1], "routing_widths": [],
+            "train_ratio": 0})
+        tr = make_trainer(cfg)
+        assert tr.buffer.per_task_capacity == 1
+        tr.collect_rollouts(1)
+        assert tr.train_step() is not None
+
     def test_valid_task_fields_accepted(self):
         cfg = RunConfig.from_dict({"tasks": [
             {"kind": "reach", "goal_rule": "random", "difficulty": 0, "horizon": 1}]})
@@ -143,7 +170,7 @@ class TestCheckpoint:
         assert cfg2.to_dict() == cfg.to_dict()
         assert tr2.env_steps == tr.env_steps
         assert tr2.train_steps == tr.train_steps
-        for name in ("actor", "q1", "q2", "q1_target", "q2_target"):
+        for name in ("actor", "critics", "critics_target"):
             a, b = getattr(tr, name).params, getattr(tr2, name).params
             assert set(a) == set(b)
             for k in a:

@@ -1,0 +1,271 @@
+"""The twin critics as one stacked ensemble of two members.
+
+Each member of a stacked pass must compute what a single network computes on
+that member's tensors alone: the same values and gradients, bit for bit,
+because the batched matmuls run the same products per member. The minimum
+over the members, the action gradient through the frozen critics, the
+per-member mask draws and the checkpoint keys are checked against the
+two-network formulation they replace.
+"""
+
+import numpy as np
+import pytest
+
+from modroute.autodiff import Tape, member_min
+from modroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from modroute.config import RunConfig
+from modroute.network import (
+    ModulePolicy,
+    PolicyConfig,
+    make_mask_fn,
+    policy_layout,
+    topk_mask_rows,
+)
+from modroute.sac import Adam, Trainer
+from routing_oracles import padded
+
+
+def _critics(n=5, seed=0, routing_widths=(8, 6)):
+    """Stacked critics with random weights, and each member as its own
+    network over a copy of its parameters."""
+    cfg = PolicyConfig(obs_dim=5, act_dim=2, num_tasks=3, head="critic", n_modules=n,
+                       module_dim=6, module_hidden=7, encoder_widths=(8,),
+                       routing_widths=routing_widths, k=2)
+    rng = np.random.default_rng(seed)
+    critics = ModulePolicy.init(cfg, rng, rng)
+    critics.params.flat[:] = rng.normal(size=critics.params.flat.shape) * 0.7
+    members = [ModulePolicy(cfg, p.copy()) for p in critics.params.members]
+    return cfg, critics, members, rng
+
+
+def _masks(cfg, rng, B):
+    return padded([topk_mask_rows(rng.normal(size=(B, i - 1)), cfg.k)
+                   for i in range(2, cfg.n_modules + 1)])
+
+
+def test_members_are_views_of_one_flat_vector():
+    cfg, critics, _, _ = _critics()
+    single = policy_layout(cfg)
+    assert critics.params.layout.size == 2 * single.size
+    for i, member in enumerate(critics.params.members):
+        assert member.layout.size == single.size
+        assert np.shares_memory(member.flat, critics.params.flat)
+        for t, view in critics.params.tensors.items():
+            np.testing.assert_array_equal(view[i], member.tensors[t])
+        for k in member:
+            np.testing.assert_array_equal(critics.params[k][i], member[k])
+    # a write through a member reaches the stacked tensors the forward reads
+    critics.params.members[1]["mod2.w0"] = np.full((6, 7), 3.0)
+    assert np.all(critics.params.tensors["mod2.w0"][1] == 3.0)
+    assert not np.any(critics.params.tensors["mod2.w0"][0] == 3.0)
+
+
+def test_stacked_initialisation_draws_each_member_from_its_own_stream():
+    cfg, _, _, _ = _critics()
+    stacked = ModulePolicy.init(cfg, np.random.default_rng(1), np.random.default_rng(2))
+    for member, seed in zip(stacked.params.members, (1, 2)):
+        alone = ModulePolicy.init(cfg, np.random.default_rng(seed))
+        np.testing.assert_array_equal(member.flat, alone.params.flat)
+
+
+@pytest.mark.parametrize("B", [1, 4, 64])
+@pytest.mark.parametrize("chi_mode", ["rsg", "sg", "off"])
+def test_each_member_matches_a_single_network_bitwise(chi_mode, B):
+    cfg, critics, members, rng = _critics(seed=B)
+    obs, act = rng.normal(size=(B, 5)), rng.normal(size=(B, 2))
+    tasks = rng.integers(0, 3, size=B)
+    masks = np.stack([_masks(cfg, rng, B), _masks(cfg, rng, B)])
+    assert not np.array_equal(masks[0], masks[1])
+    coeff = rng.uniform(0.1, 1.0, size=(B, 1))
+
+    tape = Tape()
+    res = critics.forward(obs, tasks, params=critics.param_vars(tape), action=act,
+                          masks=masks, chi_mode=chi_mode)
+    assert res.out.shape == (2, B, 1)
+    grads = tape.backward((res.out * res.out * coeff).sum())
+    plain = critics.forward(obs, tasks, action=act, masks=masks)
+    for i, net in enumerate(members):
+        t = Tape()
+        alone = net.forward(obs, tasks, params=net.param_vars(t), action=act,
+                            masks=masks[i], chi_mode=chi_mode)
+        g = t.backward((alone.out * alone.out * coeff).sum())
+        np.testing.assert_array_equal(res.out.value[i], alone.out.value)
+        np.testing.assert_array_equal(res.padded_probs[i], alone.padded_probs)
+        for name, grad in g.items():
+            np.testing.assert_array_equal(grads[name][i], grad, err_msg=name)
+        # the numpy pass, too
+        np.testing.assert_array_equal(
+            plain.out[i], net.forward(obs, tasks, action=act, masks=masks[i]).out)
+    # one row of reachability per batch row and member, member 0 first
+    assert plain.effective.shape == (2 * B, cfg.n_modules)
+
+
+def test_the_rsg_gate_is_live_in_the_bitwise_check():
+    # the gate changes gradients only where a stored source is unsuitable:
+    # make sure the random weights above produce such sources
+    cfg, critics, _, rng = _critics(seed=4)
+    obs, act, tasks = rng.normal(size=(4, 5)), rng.normal(size=(4, 2)), [0, 1, 2, 0]
+    masks = np.stack([_masks(cfg, rng, 4), _masks(cfg, rng, 4)])
+    grads = {}
+    for mode in ("rsg", "off"):
+        tape = Tape()
+        res = critics.forward(obs, tasks, params=critics.param_vars(tape), action=act,
+                              masks=masks, chi_mode=mode)
+        grads[mode] = tape.backward(res.out.sum())
+    assert any(not np.array_equal(grads["rsg"][k], grads["off"][k]) for k in grads["off"])
+
+
+def test_a_sampling_selector_runs_once_per_member_in_order():
+    cfg, critics, members, rng = _critics(seed=6)
+    obs, act, tasks = rng.normal(size=(5, 5)), rng.normal(size=(5, 2)), [0, 1, 2, 0, 1]
+    taus = np.full(5, 0.7)
+    stacked = critics.route(obs, tasks, action=act, mask_fn=make_mask_fn(
+        "samplek", 2, taus=taus, rng=np.random.default_rng(9)))
+    rng_alone = np.random.default_rng(9)
+    for i, net in enumerate(members):
+        alone = net.forward(obs, tasks, action=act,
+                            mask_fn=make_mask_fn("samplek", 2, taus=taus, rng=rng_alone))
+        np.testing.assert_array_equal(stacked.masks[i], alone.padded_masks)
+        np.testing.assert_array_equal(stacked.logits[i], alone.padded_logits)
+
+
+def test_route_gives_the_masks_of_the_full_pass_without_modules():
+    cfg, critics, _, rng = _critics(seed=7)
+    obs, act, tasks = rng.normal(size=(3, 5)), rng.normal(size=(3, 2)), [2, 0, 1]
+    fn = make_mask_fn("topk", 2)
+    routed = critics.route(obs, tasks, action=act, mask_fn=fn)
+    full = critics.forward(obs, tasks, action=act, mask_fn=fn)
+    np.testing.assert_array_equal(routed.masks, full.padded_masks)
+    np.testing.assert_array_equal(routed.logits, full.padded_logits)
+
+
+def test_member_min_breaks_ties_toward_member_0():
+    x = np.array([[[1.0], [2.0], [3.0], [np.nan]],
+                  [[1.0], [1.5], [3.5], [0.0]]])
+    np.testing.assert_array_equal(member_min(x), np.minimum(x[0], x[1]))
+    tape = Tape()
+    v = tape.parameter("x", x)
+    g = tape.backward((member_min(v) * np.array([[1.0], [2.0], [3.0], [4.0]])).sum())["x"]
+    # rows: tie -> member 0; member 1 smaller; member 0 smaller; NaN in
+    # member 0 -> member 1, as np.minimum's comparison a <= b decides
+    np.testing.assert_array_equal(g[0].ravel(), [1.0, 0.0, 3.0, 0.0])
+    np.testing.assert_array_equal(g[1].ravel(), [0.0, 2.0, 0.0, 4.0])
+
+
+def test_frozen_critics_send_the_action_the_sum_over_both_critics():
+    # the actor's loss reads min(Q1, Q2) through frozen critics: the action's
+    # adjoint is each critic's gradient where that critic is the minimum,
+    # summed over the critics, as two separate frozen passes give it
+    cfg, critics, members, rng = _critics(seed=10)  # 4 of 6 rows pick member 0
+    B = 6
+    obs, tasks = rng.normal(size=(B, 5)), rng.integers(0, 3, size=B)
+    act = rng.normal(size=(B, 2))
+    masks = np.stack([_masks(cfg, rng, B), _masks(cfg, rng, B)])
+    coeff = rng.uniform(0.1, 1.0, size=(B, 1))
+
+    tape = Tape()
+    a = tape.parameter("a", act)
+    q = critics.forward(obs, tasks, params=critics.params, action=a, masks=masks,
+                        chi_mode="rsg").out
+    got = tape.backward((member_min(q) * coeff).sum())["a"]
+
+    values = [net.forward(obs, tasks, action=act, masks=masks[i]).out
+              for i, net in enumerate(members)]
+    first = values[0] <= values[1]
+    assert first.any() and (~first).any()
+    parts = []
+    for i, net in enumerate(members):
+        t = Tape()
+        ai = t.parameter("a", act)
+        qi = net.forward(obs, tasks, params=net.params, action=ai, masks=masks[i],
+                         chi_mode="rsg").out
+        weight = np.where(first if i == 0 else ~first, coeff, 0.0)
+        parts.append(t.backward((qi * weight).sum())["a"])
+    np.testing.assert_array_equal(got, parts[0] + parts[1])
+
+
+def _trained(tmp_path, seed=3):
+    cfg = RunConfig(seed=seed, n_modules=4, module_dim=8, module_hidden=8,
+                    encoder_widths=[8], routing_widths=[8], batch_per_task=4,
+                    buffer_capacity=400, start_steps=4, out_dir=str(tmp_path))
+    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed)
+    tr.collect_rollouts(6)
+    for _ in range(3):
+        tr.collect_rollouts(1)
+        tr.train_step()
+    return cfg, tr
+
+
+def _two_network_arrays(tr, rng):
+    """A checkpoint's critic arrays as two separate critic networks, their
+    targets and their two optimizers write them: one single-network layout
+    per key prefix."""
+    single = policy_layout(tr.critics.cfg)
+    arrays = {}
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        net = ModulePolicy.init(tr.critics.cfg, rng)
+        arrays.update({f"{name}/{k}": v.copy() for k, v in net.params.items()})
+    for name in ("opt_q1", "opt_q2"):
+        opt = Adam(1e-3, single)
+        opt.step(ModulePolicy.init(tr.critics.cfg, rng).params.flat,
+                 rng.normal(size=single.size))
+        opt.t = tr.opt_critics.t
+        arrays.update({f"{name}/{k}": v.copy() for k, v in opt.state_dict().items()})
+    return arrays
+
+
+def test_checkpoint_keeps_the_two_network_key_set(tmp_path):
+    cfg, tr = _trained(tmp_path)
+    path = str(tmp_path / "c.npz")
+    save_checkpoint(path, tr, cfg)
+    single = policy_layout(tr.critics.cfg)
+    with np.load(path) as data:
+        saved = {k: data[k].shape for k in data.files}
+    for name in ("q1", "q2", "q1_target", "q2_target"):
+        for k, (t, index) in single.keys.items():
+            assert saved[f"{name}/{k}"] == np.zeros(single.shapes[t])[index].shape
+    for name in ("opt_q1", "opt_q2"):
+        assert saved[f"{name}/t"] == ()
+        for k in single.keys:
+            assert saved[f"{name}/m/{k}"] == saved[f"q1/{k}"]
+            assert saved[f"{name}/v/{k}"] == saved[f"q1/{k}"]
+    critic_keys = {k for k in saved if k.split("/")[0] in
+                   ("q1", "q2", "q1_target", "q2_target", "opt_q1", "opt_q2")}
+    assert len(critic_keys) == 4 * len(single.keys) + 2 * (1 + 2 * len(single.keys))
+
+
+def test_two_network_checkpoint_loads_into_the_members_bitwise(tmp_path):
+    cfg, tr = _trained(tmp_path)
+    path = str(tmp_path / "c.npz")
+    save_checkpoint(path, tr, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    replaced = _two_network_arrays(tr, np.random.default_rng(11))
+    arrays.update(replaced)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    tr2, _ = load_checkpoint(path)
+    members = {"q1": tr2.critics.params.members[0], "q2": tr2.critics.params.members[1],
+               "q1_target": tr2.critics_target.params.members[0],
+               "q2_target": tr2.critics_target.params.members[1]}
+    for i, name in enumerate(("opt_q1", "opt_q2")):
+        members[f"{name}/m"] = tr2.opt_critics.m.members[i]
+        members[f"{name}/v"] = tr2.opt_critics.v.members[i]
+    for prefix, params in members.items():
+        for k in params:
+            np.testing.assert_array_equal(params[k], replaced[f"{prefix}/{k}"],
+                                          err_msg=f"{prefix}/{k}")
+    assert tr2.opt_critics.t == tr.opt_critics.t
+
+
+def test_differing_critic_step_counts_are_refused(tmp_path):
+    cfg, tr = _trained(tmp_path)
+    path = str(tmp_path / "c.npz")
+    save_checkpoint(path, tr, cfg)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["opt_q2/t"] = np.array(int(arrays["opt_q1/t"]) + 1)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    with pytest.raises(CheckpointError, match="opt_q1/t = 3, opt_q2/t = 4"):
+        load_checkpoint(path)

@@ -149,8 +149,9 @@ KERNELS = ("topk_mask_rows", "sample_k_mask_rows", "masked_softmax_rows",
 @pytest.fixture
 def kernel_counts(monkeypatch):
     counts = Counter()
-    for name in KERNELS + ("ModulePolicy.forward",):
-        owner, attr = (network.ModulePolicy, "forward") if "." in name else (network, name)
+    for name in KERNELS + ("ModulePolicy.forward", "ModulePolicy.route"):
+        owner, attr = ((network.ModulePolicy, name.split(".")[1]) if "." in name
+                       else (network, name))
         orig = getattr(owner, attr)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
@@ -178,8 +179,9 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
     pol.forward(obs, tasks, **kwargs)
     selector = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
                 "samplek": "sample_k_mask_rows"}.get(mode)
-    assert kernel_counts == Counter({"ModulePolicy.forward": 1, "masked_softmax_rows": 1,
-                                     "effective_rows": 1, **({selector: 1} if selector else {})})
+    assert kernel_counts == Counter({"ModulePolicy.forward": 1, "ModulePolicy.route": 1,
+                                     "masked_softmax_rows": 1, "effective_rows": 1,
+                                     **({selector: 1} if selector else {})})
 
 
 def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts):
@@ -187,14 +189,21 @@ def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts)
                     encoder_widths=[8], routing_widths=[8], batch_per_task=4,
                     start_steps=4)
     tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), 0)
+    rollouts = 0
     while not tr.buffer.can_sample(cfg.batch_per_task):
         tr.collect_rollouts(1)
+        rollouts += 1
     tr.train_step()
     tr.evaluate(1)
     forwards = kernel_counts["ModulePolicy.forward"]
+    routes = kernel_counts["ModulePolicy.route"]
     assert forwards > 0
+    # every forward routes once; each rollout snapshot routes the critics alone
+    assert routes == forwards + rollouts
     assert kernel_counts["masked_softmax_rows"] == forwards
     assert kernel_counts["effective_rows"] == forwards
-    # the five training forwards replay stored masks; every other one selects
+    # the three training passes (critics, actor, frozen critics) replay
+    # stored masks; every other route selects once per member: the stacked
+    # critics' routes (each snapshot, the Bellman targets) twice
     assert kernel_counts["topk_mask_rows"] + kernel_counts["sample_k_mask_rows"] == \
-        forwards - 5
+        routes - 3 + rollouts + 1

@@ -26,7 +26,7 @@ from modroute.sac import Trainer
 from routing_oracles import route_logits_per_mlp
 
 WIDTHS = [(), (8,), (8, 5), (64, 64)]
-NETS = ("actor", "q1", "q2", "q1_target", "q2_target")
+NETS = ("actor", "critics", "critics_target")
 
 
 def _policy(n, widths, seed, head="actor"):
@@ -121,13 +121,15 @@ def test_padding_stays_zero_through_training():
     assert tr.train_steps == 20
     w_pad, b_pad = _padding(tr.cfg)
     for name in NETS:
-        t = getattr(tr, name).params.tensors
-        assert np.all(t["route.w2"][w_pad] == 0.0), name
-        assert np.all(t["route.b2"][b_pad] == 0.0), name
-        assert np.any(t["route.w2"][~w_pad] != 0.0), name  # training moved the rest
-    for opt in (tr.opt_actor, tr.opt_q1, tr.opt_q2):
+        for member in getattr(tr, name).params.members:  # each critic alone
+            t = member.tensors
+            assert np.all(t["route.w2"][w_pad] == 0.0), name
+            assert np.all(t["route.b2"][b_pad] == 0.0), name
+            assert np.any(t["route.w2"][~w_pad] != 0.0), name  # training moved the rest
+    for opt in (tr.opt_actor, tr.opt_critics):
         for moments in (opt.m, opt.v):
-            assert np.all(moments.tensors["route.w2"][w_pad] == 0.0)
+            for member in moments.members:
+                assert np.all(member.tensors["route.w2"][w_pad] == 0.0)
 
     # the keys cover every entry of the flat vector once, except the padding
     layout = tr.actor.params.layout
@@ -221,7 +223,7 @@ def test_checkpoint_restores_every_flat_vector(tmp_path):
     for name in NETS:
         np.testing.assert_array_equal(getattr(tr2, name).params.flat,
                                       getattr(tr, name).params.flat, err_msg=name)
-    for name in ("opt_actor", "opt_q1", "opt_q2", "opt_alpha"):
+    for name in ("opt_actor", "opt_critics", "opt_alpha"):
         a, b = getattr(tr, name), getattr(tr2, name)
         assert a.t == b.t == 3
         np.testing.assert_array_equal(a.m.flat, b.m.flat, err_msg=name)

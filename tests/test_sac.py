@@ -12,6 +12,7 @@ from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
+    make_mask_fn,
     pack_masks,
     topk_mask_rows,
     unpack_masks,
@@ -113,8 +114,8 @@ class TestReplay:
             state=rng.normal(size=OBS_DIM), action=rng.normal(size=ACT_DIM),
             reward=float(rng.normal()), next_state=rng.normal(size=OBS_DIM),
             done=bool(rng.integers(2)), task_id=task,
-            **{f: rng.integers(0, 2, size=mask_len).astype(np.uint8)
-               for f in MASK_FIELDS},
+            **{f: rng.integers(0, 2, size=(*lead, mask_len)).astype(np.uint8)
+               for f, lead in MASK_FIELDS.items()},
         )
 
     def test_round_trip_field_identical(self):
@@ -252,10 +253,11 @@ class TestTrainer:
         assert taken == 25 * 4
         assert len(tr.buffer) == 100
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(2))
-        for key in ("masks_actor", "masks_q1", "masks_q2"):
+        assert batch["masks_critics"].shape == (16, 2, tr.cfg.mask_len)
+        for key in ("masks_actor", "masks_critics"):
             masks = unpack_masks(batch[key], tr.cfg)
-            for r, d in enumerate(masks.transpose(1, 0, 2)):  # module r + 2
-                assert np.all(d.sum(axis=1) == min(tr.cfg.k, r + 1))
+            for r in range(masks.shape[-2]):  # module r + 2, of every network
+                assert np.all(masks[..., r, :].sum(axis=-1) == min(tr.cfg.k, r + 1))
 
     def test_tiny_tau_rollout_masks_match_topk(self):
         # a task whose relative temperature is driven near zero should route
@@ -297,12 +299,12 @@ class TestTrainer:
     def test_polyak_update_exact(self):
         tr = make_trainer(seed=12)
         tr.collect_rollouts(20)
-        old_target = {k: v.copy() for k, v in tr.q1_target.params.items()}
+        old_target = {k: v.copy() for k, v in tr.critics_target.params.items()}
         tr.train_step()
         rho = tr.s.polyak
-        for k in old_target:
-            expected = rho * old_target[k] + (1 - rho) * tr.q1.params[k]
-            np.testing.assert_allclose(tr.q1_target.params[k], expected, atol=1e-12)
+        for k in old_target:  # both members at once
+            expected = rho * old_target[k] + (1 - rho) * tr.critics.params[k]
+            np.testing.assert_allclose(tr.critics_target.params[k], expected, atol=1e-12)
 
     def test_alpha_updates_only_sampled_tasks(self):
         tr = make_trainer(seed=13)
@@ -313,6 +315,27 @@ class TestTrainer:
         tr.opt_alpha.step(tr.temps.log_alpha, grad)
         assert np.all(tr.temps.log_alpha[2:] == before[2:])
         assert np.all(tr.temps.log_alpha[:2] != before[:2])
+
+    def test_each_critic_routes_and_replays_its_own_masks(self):
+        # under topk routing a stored mask is the critic's own greedy choice:
+        # member i's rows hold critic i's, and its training pass replays them
+        tr = make_trainer(seed=24, routing_fn="topk")
+        rng = np.random.default_rng(25)
+        for k, v in tr.critics.params.items():
+            if k.startswith("route"):
+                tr.critics.params[k] = rng.normal(size=v.shape)
+        tr.collect_rollouts(10)
+        batch = tr.buffer.sample_stratified(4, np.random.default_rng(5))
+        stored = unpack_masks(batch["masks_critics"], tr.cfg)  # (B, 2, n-1, n-1)
+        assert not np.array_equal(stored[:, 0], stored[:, 1])
+        for i, member in enumerate(tr.critics.params.members):
+            alone = ModulePolicy(tr.critics.cfg, member).forward(
+                batch["state"], batch["task_id"], action=batch["action"],
+                mask_fn=make_mask_fn("topk", tr.cfg.k))
+            np.testing.assert_array_equal(alone.padded_masks, stored[:, i])
+        res = tr._forward_train(tr.critics, batch, "masks_critics",
+                                tr.critics.param_vars(Tape()), action=batch["action"])
+        np.testing.assert_array_equal(res.padded_masks, stored.swapaxes(0, 1))
 
     def test_training_probs_support_equals_stored_masks(self):
         tr = make_trainer(seed=14)
@@ -346,9 +369,9 @@ class TestTrainer:
         monkeypatch.setattr(ModulePolicy, "forward", spy)
         tr.critic_losses(batch, np.zeros((16, 1)))
         tr.actor_losses(batch, np.zeros((16, tr.cfg.act_dim)))
-        assert len(counts) == 4
+        assert len(counts) == 2  # one stacked pass per loss, both critics
         for c in counts:
-            np.testing.assert_array_equal(c, np.tile(sources, (16, 1)))
+            np.testing.assert_array_equal(c, np.tile(sources, (2, 16, 1)))
 
     def test_metrics_fields(self):
         tr = make_trainer(seed=15)
@@ -372,13 +395,13 @@ class TestTrainer:
         def poisoned(self, root):
             grads = backward(self, root)
             calls.append(None)
-            if len(calls) == 2:  # q2's
-                grads["mod1.w0"][0, 0] = np.nan
+            if len(calls) == 1:  # the critics', in q2's weights
+                grads["mod1.w0"][1, 0, 0] = np.nan
             return grads
 
         monkeypatch.setattr(autodiff.Tape, "backward", poisoned)
         nets = {name: getattr(tr, name)
-                for name in ("actor", "q1", "q2", "q1_target", "q2_target")}
+                for name in ("actor", "critics", "critics_target")}
         before = {name: pol.params.flat.copy() for name, pol in nets.items()}
         alpha = tr.temps.log_alpha.copy()
         with caplog.at_level("WARNING", logger="modroute.sac"):
@@ -404,7 +427,7 @@ class TestTrainer:
             assert not m["included"][1] and m["included"][[0, 2, 3]].all()
             assert m["skipped_updates"] == 0
         assert tr.train_steps == 5
-        for name in ("actor", "q1", "q2", "q1_target", "q2_target"):
+        for name in ("actor", "critics", "critics_target"):
             assert np.all(np.isfinite(getattr(tr, name).params.flat)), name
         assert np.all(np.isfinite(tr.temps.log_alpha))
 
@@ -465,10 +488,12 @@ class TestTrainStepGraph:
         first = self._counts(tr, monkeypatch)
         tr.collect_rollouts(1)
         second = self._counts(tr, monkeypatch)
-        assert first["record"] <= 140
-        # actor plus the two critics once each, one parameter per tensor
-        # (45 per network); frozen critics are constants
-        assert first["parameter"] <= 135
+        # three routed passes (the stacked critics, the actor, the frozen
+        # stacked critics) of ~20 nodes each, plus the heads and losses
+        assert first["record"] <= 88
+        # the actor and the stacked critics once each, one parameter per
+        # tensor (45 per network); frozen critics are constants
+        assert first["parameter"] <= 90
         assert first == second
 
     def test_actor_gradient_uses_pre_step_critics(self):
@@ -477,7 +502,7 @@ class TestTrainStepGraph:
         tr = make_trainer(seed=17)
         tr.collect_rollouts(20)
         ref = copy.deepcopy(tr)
-        ref.opt_q1.step = ref.opt_q2.step = lambda params, grad: None
+        ref.opt_critics.step = lambda params, grad: None
         fed = {}
         for trainer, key in ((tr, "step"), (ref, "ref")):
             orig = trainer.opt_actor.step
