@@ -49,12 +49,12 @@ class ReplayBuffer:
         self.rewards = np.zeros((n, c))
         self.next_states = np.zeros((n, c, obs_dim))
         self.dones = np.zeros((n, c), dtype=bool)
-        # mask rows live in one array per task: one array of all tasks'
-        # critic rows would pass numpy's 4 MB huge-page threshold at the
-        # default capacity, and its first writes would fault in a 2 MB page
-        # per task
-        self.masks = {f: [np.zeros((c, *lead, mask_len), dtype=np.uint8)
-                          for _ in range(n)]
+        # one (tasks, capacity, L) array per network a field holds rows of:
+        # one array of both critics' rows would pass numpy's 4 MB huge-page
+        # threshold at the default capacity, and its first writes would
+        # fault in a 2 MB page per task
+        self.masks = {f: [np.zeros((n, c, mask_len), dtype=np.uint8)
+                          for _ in range(int(np.prod(lead)))]
                       for f, lead in MASK_FIELDS.items()}
         self.sizes = np.zeros(n, dtype=np.int64)
         self.heads = np.zeros(n, dtype=np.int64)
@@ -70,8 +70,9 @@ class ReplayBuffer:
         self.rewards[t, i] = tr.reward
         self.next_states[t, i] = tr.next_state
         self.dones[t, i] = tr.done
-        for f in MASK_FIELDS:
-            self.masks[f][t][i] = getattr(tr, f)
+        for f, arrays in self.masks.items():
+            for a, row in zip(arrays, np.reshape(getattr(tr, f), (len(arrays), -1))):
+                a[t, i] = row
         self.heads[t] = (i + 1) % self.per_task_capacity
         self.sizes[t] = min(self.sizes[t] + 1, self.per_task_capacity)
 
@@ -95,7 +96,7 @@ class ReplayBuffer:
             rows["done"].append(self.dones[t, idx])
             rows["task_id"].append(np.full(per_task, t, dtype=np.int64))
             for f in MASK_FIELDS:
-                rows[f].append(self.masks[f][t][idx])
+                rows[f].append(self._mask_rows(f, (t, idx)))
         return {k: np.concatenate(v) for k, v in rows.items()}
 
     def get(self, task_id: int, index: int) -> Transition:
@@ -109,5 +110,11 @@ class ReplayBuffer:
             next_state=self.next_states[task_id, index].copy(),
             done=bool(self.dones[task_id, index]),
             task_id=task_id,
-            **{f: self.masks[f][task_id][index].copy() for f in MASK_FIELDS},
+            **{f: self._mask_rows(f, (task_id, index)) for f in MASK_FIELDS},
         )
+
+    def _mask_rows(self, field: str, index) -> np.ndarray:
+        """A mask field's rows at ``index`` of its per-network arrays, with
+        the field's leading shape after the row axes (a fresh array)."""
+        rows = np.stack([a[index] for a in self.masks[field]], axis=-2)
+        return rows.reshape(rows.shape[:-2] + MASK_FIELDS[field] + rows.shape[-1:])
