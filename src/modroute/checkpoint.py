@@ -1,12 +1,14 @@
 """Versioned training checkpoints.
 
 Everything lives in one ``.npz``: a JSON manifest (format version, run config,
-config hash, step counters) plus every parameter and optimizer array. Loading
-a checkpoint written by a different format version is refused outright.
+config hash, step counters, the layout of every flat vector) plus one array
+per flat vector: each network's parameters (``actor``, ``critics``,
+``critics_target``), each optimizer's step count ``t`` and, once it has
+stepped, its moments (``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...),
+``log_alpha`` and ``success_ema``. A load refuses a file of another format
+version, and a vector whose recorded layout (tensor names and shapes, member
+count) or length differs from the run config's.
 The replay buffer is not persisted; a resumed run refills it before training.
-The stacked twin critics are saved member by member, under the keys of two
-separate networks (``q1/...``, ``q2/...``, ``opt_q1/...``, ...), so the file
-layout does not depend on how the trainer holds them.
 A save writes a temporary file next to the target and renames it over the
 target, so a crash mid-save leaves the previous checkpoint intact.
 """
@@ -19,38 +21,44 @@ import os
 import numpy as np
 
 from .config import RunConfig
+from .network import Layout
 from .sac import Trainer
 
-FORMAT_VERSION = 1
-
-# trainer attribute -> the checkpoint prefix of each of its members
-_NETS = {"actor": ("actor",), "critics": ("q1", "q2"),
-         "critics_target": ("q1_target", "q2_target")}
-_OPTS = {"opt_actor": ("opt_actor",), "opt_critics": ("opt_q1", "opt_q2"),
-         "opt_alpha": ("opt_alpha",)}
+FORMAT_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
     pass
 
 
+_NETWORKS = ("actor", "critics", "critics_target")
+_OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
+
+
+def _layout_record(layout: Layout) -> dict:
+    """A layout as the manifest stores it (JSON types)."""
+    return {"members": layout.members,
+            "tensors": [[t, list(shape)] for t, shape in layout.shapes.items()]}
+
+
 def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
+    nets = {name: getattr(trainer, name).params for name in _NETWORKS}
+    opts = {name: getattr(trainer, name) for name in _OPTIMIZERS}
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": run_cfg.to_dict(),
         "config_hash": run_cfg.hash(),
         "env_steps": trainer.env_steps,
         "train_steps": trainer.train_steps,
+        "layouts": {name: _layout_record(owner.layout)
+                    for name, owner in {**nets, **opts}.items()},
     }
     arrays = {"manifest": np.array(json.dumps(manifest))}
-    for attr, names in _NETS.items():
-        for name, member in zip(names, getattr(trainer, attr).params.members):
-            for k, v in member.items():
-                arrays[f"{name}/{k}"] = v
-    for attr, names in _OPTS.items():
-        for i, name in enumerate(names):
-            for k, v in getattr(trainer, attr).state_dict(i).items():
-                arrays[f"{name}/{k}"] = v
+    arrays.update({name: p.flat for name, p in nets.items()})
+    for name, opt in opts.items():
+        arrays[f"{name}/t"] = np.array(opt.t)
+        if opt.t:
+            arrays[f"{name}/m"], arrays[f"{name}/v"] = (p.flat for p in opt.moments())
     arrays["log_alpha"] = trainer.temps.log_alpha
     arrays["success_ema"] = trainer.success_ema
     tmp = f"{path}.tmp-{os.getpid()}"
@@ -64,9 +72,8 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
             os.remove(tmp)
 
 
-def read_manifest(path: str) -> dict:
-    with np.load(path, allow_pickle=False) as data:
-        manifest = json.loads(str(data["manifest"]))
+def _manifest(data) -> dict:
+    manifest = json.loads(str(data["manifest"]))
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
@@ -75,51 +82,55 @@ def read_manifest(path: str) -> dict:
     return manifest
 
 
+def read_manifest(path: str) -> dict:
+    with np.load(path, allow_pickle=False) as data:
+        return _manifest(data)
+
+
 def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
     """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
     in place into each network's and optimizer's flat vectors.
 
-    Raises CheckpointError naming the array when a stored array is missing
-    or its shape does not match the run config's, and when the step counts
-    ``t`` of the two critics' optimizers differ. Optimizer moments are read
-    once a step has been taken (``t`` > 0); before, they are zero."""
-    manifest = read_manifest(path)
-    run_cfg = RunConfig.from_dict(manifest["config"])
-    trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
-                      run_cfg.train_settings(), seed=run_cfg.seed)
+    Raises CheckpointError naming the array when a stored array is missing,
+    its shape does not match the run config's, or the manifest records a
+    layout for it other than the run config's."""
     with np.load(path, allow_pickle=False) as data:
-        stored = set(data.files)
-        for attr, names in _NETS.items():
-            for name, member in zip(names, getattr(trainer, attr).params.members):
-                _restore(data, stored, name, member)
-        for attr, names in _OPTS.items():
-            opt = getattr(trainer, attr)
-            steps = [int(data[f"{name}/t"]) for name in names]
-            if len(set(steps)) > 1:
-                raise CheckpointError(
-                    "optimizer step counts differ: " + ", ".join(
-                        f"{name}/t = {t}" for name, t in zip(names, steps)))
-            opt.t = steps[0]
+        manifest = _manifest(data)
+        run_cfg = RunConfig.from_dict(manifest["config"])
+        trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
+                          run_cfg.train_settings(), seed=run_cfg.seed)
+        layouts = manifest.get("layouts", {})
+        for name in _NETWORKS:
+            params = getattr(trainer, name).params
+            _restore(data, layouts, name, params.layout, params.flat)
+        for name in _OPTIMIZERS:
+            opt = getattr(trainer, name)
+            opt.t = int(_read(data, f"{name}/t", ()))
             if opt.t:
-                m, v = opt.moments()
-                for name, m_i, v_i in zip(names, m.members, v.members):
-                    _restore(data, stored, f"{name}/m", m_i)
-                    _restore(data, stored, f"{name}/v", v_i)
-        trainer.temps.log_alpha = data["log_alpha"].copy()
-        trainer.success_ema = data["success_ema"].copy()
+                for part, moment in zip("mv", opt.moments()):
+                    _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
+        trainer.temps.log_alpha = _read(data, "log_alpha", (trainer.num_tasks,)).copy()
+        trainer.success_ema = _read(data, "success_ema", (trainer.num_tasks,)).copy()
     trainer.env_steps = int(manifest["env_steps"])
     trainer.train_steps = int(manifest["train_steps"])
     return trainer, run_cfg
 
 
-def _restore(data, stored: set, prefix: str, params) -> None:
-    """Copy the arrays ``prefix/key`` of ``data`` into ``params``."""
-    for k, view in params.items():
-        key = f"{prefix}/{k}"
-        if key not in stored:
-            raise CheckpointError(f"checkpoint lacks array {key}")
-        value = data[key]
-        if value.shape != view.shape:
-            raise CheckpointError(f"checkpoint array {key} has shape {value.shape}, "
-                                  f"expected {view.shape}")
-        params[k] = value
+def _read(data, name: str, shape: tuple) -> np.ndarray:
+    """The stored array ``name``, which must have ``shape``."""
+    if name not in data.files:
+        raise CheckpointError(f"checkpoint lacks array {name}")
+    value = data[name]
+    if value.shape != shape:
+        raise CheckpointError(f"checkpoint array {name} has shape {value.shape}, "
+                              f"expected {shape}")
+    return value
+
+
+def _restore(data, layouts: dict, name: str, layout: Layout, flat: np.ndarray) -> None:
+    """Copy the stored vector ``name`` into ``flat`` if the layout recorded
+    for it (for an optimizer's moments, the optimizer's) is ``layout``."""
+    if layouts.get(name.partition("/")[0]) != _layout_record(layout):
+        raise CheckpointError(f"checkpoint array {name} was saved with another "
+                              f"layout than the run config's")
+    flat[...] = _read(data, name, flat.shape)

@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
 
-import yaml
-
 from .envs import ACT_DIM, GOAL_RULES, KINDS, OBS_DIM, TaskSpec, make_suite
 from .network import PolicyConfig
 from .sac import ROUTING_FNS, TrainSettings
@@ -191,12 +189,15 @@ class RunConfig:
         blob = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 
+    # yaml is imported on use: most start-ups (eval, bench) skip its ~20 ms
     def save(self, path: str):
+        import yaml
         with open(path, "w") as fh:
             yaml.safe_dump(self.to_dict(), fh, sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
+        import yaml
         try:
             with open(path) as fh:
                 raw = yaml.safe_load(fh)

@@ -18,7 +18,7 @@ All routing of a forward pass lives in padded ``(B, n-1, n-1)`` arrays of
 logits, masks and probabilities: row ``r`` is module ``r + 2`` and only its
 first ``r + 1`` columns (the sources 1..r+1) are valid. Padded logits are
 ``-inf``, padded mask and probability entries 0. So mask selection, the
-masked softmax and reachability each run once per pass over all modules.
+masked softmax and reachability (where needed) run once per pass.
 The row-major lower triangle of a padded array is the packed
 ``(B, n(n-1)/2)`` layout replay stores (``pack_masks``/``unpack_masks``,
 which keep any leading axes).
@@ -389,8 +389,17 @@ class ForwardResult:
     padded_masks: np.ndarray      # binary source masks
     padded_probs: np.ndarray      # routing probabilities (values)
     padded_logits: np.ndarray     # routing logits (values)
-    effective: np.ndarray         # (M*B, n) bool, modules actually contributing
     module_outputs: dict = field(default_factory=dict)  # i -> m^i (evaluated only)
+    _effective: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def effective(self) -> np.ndarray:
+        """(M*B, n) bool, the modules each row reaches: ``effective_rows`` of
+        the masks, run at the first read unless a skipping pass already did."""
+        if self._effective is None:
+            d = self.padded_masks
+            self._effective = effective_rows(d.reshape((-1,) + d.shape[-2:]))[0]
+        return self._effective
 
     @property
     def masks(self) -> list[np.ndarray]:
@@ -562,7 +571,8 @@ class ModulePolicy:
         suit = None
         if tape is not None and chi_mode != "off":
             suit = _row_softmax(zv) >= self._inv_i
-        eff, sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))
+        eff, sources = (effective_rows(d.reshape((-1,) + d.shape[-2:])) if skip_unused
+                        else (None, None))
 
         # m[i] is module i's output, u[i] its mixed input (the residual
         # shortcut that ResRouting's "rsg" gate sends gradient to)
@@ -599,7 +609,7 @@ class ModulePolicy:
 
         return ForwardResult(
             out=m[n], padded_masks=d, padded_probs=ad.value_of(probs),
-            padded_logits=zv, effective=eff, module_outputs=m,
+            padded_logits=zv, module_outputs=m, _effective=eff,
         )
 
 

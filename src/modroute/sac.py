@@ -48,10 +48,9 @@ class Adam:
 
     ``step(params, grad)`` updates the flat vector ``params`` in place from
     the flat gradient ``grad``, both laid out by ``layout``. The moments
-    are flat vectors of the same layout; ``m`` and ``v`` are ``Params``
-    over them, whose keyed views ``state_dict`` saves. They are allocated
-    by the first step (or ``moments``): a network that is only evaluated
-    needs none, and until then they are zero.
+    are flat vectors of the same layout (``m`` and ``v``, ``Params`` over
+    them). They are allocated by the first step (or ``moments``): a network
+    that is only evaluated needs none, and until then they are zero.
     """
 
     def __init__(self, lr: float, layout: Layout, beta1: float = 0.9,
@@ -94,17 +93,6 @@ class Adam:
         step *= self.lr
         step /= tmp
         params -= step
-
-    def state_dict(self, member: int = 0) -> dict:
-        """``t`` and, once a step has been taken, the moments of one member
-        of the layout (the only one, unless it is stacked) by key."""
-        out = {"t": np.array(self.t)}
-        if self.t:
-            m, v = self.m.members[member], self.v.members[member]
-            for k in m:
-                out[f"m/{k}"] = m[k]
-                out[f"v/{k}"] = v[k]
-        return out
 
 
 def task_loss_weights(alphas: np.ndarray) -> np.ndarray:

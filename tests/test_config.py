@@ -1,10 +1,14 @@
 """Run-config serialization, validation, and checkpoint round trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import modroute
 from modroute.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
@@ -153,6 +157,21 @@ class TestRunConfig:
         path.write_text("")
         cfg = RunConfig.load(str(path))
         assert cfg.n_modules == RunConfig().n_modules
+
+    def test_unparseable_file_is_a_config_error(self, tmp_path):
+        path = tmp_path / "broken.yaml"
+        path.write_text("n_modules: [8\n")
+        with pytest.raises(ConfigError, match="could not parse"):
+            RunConfig.load(str(path))
+
+    def test_import_does_not_load_yaml(self):
+        # only RunConfig.load and save need yaml; every start-up pays its import
+        src = os.path.dirname(os.path.dirname(modroute.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, modroute; print('yaml' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            check=True, timeout=60)
+        assert out.stdout.strip() == "False"
 
 
 class TestCheckpoint:

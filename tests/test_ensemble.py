@@ -3,17 +3,15 @@
 Each member of a stacked pass must compute what a single network computes on
 that member's tensors alone: the same values and gradients, bit for bit,
 because the batched matmuls run the same products per member. The minimum
-over the members, the action gradient through the frozen critics, the
-per-member mask draws and the checkpoint keys are checked against the
-two-network formulation they replace.
+over the members, the action gradient through the frozen critics and the
+per-member mask draws are checked against the two-network formulation they
+replace.
 """
 
 import numpy as np
 import pytest
 
 from modroute.autodiff import Tape, member_min
-from modroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from modroute.config import RunConfig
 from modroute.network import (
     ModulePolicy,
     PolicyConfig,
@@ -21,7 +19,6 @@ from modroute.network import (
     policy_layout,
     topk_mask_rows,
 )
-from modroute.sac import Adam, Trainer
 from routing_oracles import padded
 
 
@@ -182,90 +179,3 @@ def test_frozen_critics_send_the_action_the_sum_over_both_critics():
         weight = np.where(first if i == 0 else ~first, coeff, 0.0)
         parts.append(t.backward((qi * weight).sum())["a"])
     np.testing.assert_array_equal(got, parts[0] + parts[1])
-
-
-def _trained(tmp_path, seed=3):
-    cfg = RunConfig(seed=seed, n_modules=4, module_dim=8, module_hidden=8,
-                    encoder_widths=[8], routing_widths=[8], batch_per_task=4,
-                    buffer_capacity=400, start_steps=4, out_dir=str(tmp_path))
-    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed)
-    tr.collect_rollouts(6)
-    for _ in range(3):
-        tr.collect_rollouts(1)
-        tr.train_step()
-    return cfg, tr
-
-
-def _two_network_arrays(tr, rng):
-    """A checkpoint's critic arrays as two separate critic networks, their
-    targets and their two optimizers write them: one single-network layout
-    per key prefix."""
-    single = policy_layout(tr.critics.cfg)
-    arrays = {}
-    for name in ("q1", "q2", "q1_target", "q2_target"):
-        net = ModulePolicy.init(tr.critics.cfg, rng)
-        arrays.update({f"{name}/{k}": v.copy() for k, v in net.params.items()})
-    for name in ("opt_q1", "opt_q2"):
-        opt = Adam(1e-3, single)
-        opt.step(ModulePolicy.init(tr.critics.cfg, rng).params.flat,
-                 rng.normal(size=single.size))
-        opt.t = tr.opt_critics.t
-        arrays.update({f"{name}/{k}": v.copy() for k, v in opt.state_dict().items()})
-    return arrays
-
-
-def test_checkpoint_keeps_the_two_network_key_set(tmp_path):
-    cfg, tr = _trained(tmp_path)
-    path = str(tmp_path / "c.npz")
-    save_checkpoint(path, tr, cfg)
-    single = policy_layout(tr.critics.cfg)
-    with np.load(path) as data:
-        saved = {k: data[k].shape for k in data.files}
-    for name in ("q1", "q2", "q1_target", "q2_target"):
-        for k, (t, index) in single.keys.items():
-            assert saved[f"{name}/{k}"] == np.zeros(single.shapes[t])[index].shape
-    for name in ("opt_q1", "opt_q2"):
-        assert saved[f"{name}/t"] == ()
-        for k in single.keys:
-            assert saved[f"{name}/m/{k}"] == saved[f"q1/{k}"]
-            assert saved[f"{name}/v/{k}"] == saved[f"q1/{k}"]
-    critic_keys = {k for k in saved if k.split("/")[0] in
-                   ("q1", "q2", "q1_target", "q2_target", "opt_q1", "opt_q2")}
-    assert len(critic_keys) == 4 * len(single.keys) + 2 * (1 + 2 * len(single.keys))
-
-
-def test_two_network_checkpoint_loads_into_the_members_bitwise(tmp_path):
-    cfg, tr = _trained(tmp_path)
-    path = str(tmp_path / "c.npz")
-    save_checkpoint(path, tr, cfg)
-    with np.load(path) as data:
-        arrays = dict(data)
-    replaced = _two_network_arrays(tr, np.random.default_rng(11))
-    arrays.update(replaced)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    tr2, _ = load_checkpoint(path)
-    members = {"q1": tr2.critics.params.members[0], "q2": tr2.critics.params.members[1],
-               "q1_target": tr2.critics_target.params.members[0],
-               "q2_target": tr2.critics_target.params.members[1]}
-    for i, name in enumerate(("opt_q1", "opt_q2")):
-        members[f"{name}/m"] = tr2.opt_critics.m.members[i]
-        members[f"{name}/v"] = tr2.opt_critics.v.members[i]
-    for prefix, params in members.items():
-        for k in params:
-            np.testing.assert_array_equal(params[k], replaced[f"{prefix}/{k}"],
-                                          err_msg=f"{prefix}/{k}")
-    assert tr2.opt_critics.t == tr.opt_critics.t
-
-
-def test_differing_critic_step_counts_are_refused(tmp_path):
-    cfg, tr = _trained(tmp_path)
-    path = str(tmp_path / "c.npz")
-    save_checkpoint(path, tr, cfg)
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays["opt_q2/t"] = np.array(int(arrays["opt_q1/t"]) + 1)
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    with pytest.raises(CheckpointError, match="opt_q1/t = 3, opt_q2/t = 4"):
-        load_checkpoint(path)

@@ -176,12 +176,18 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
         kwargs["mask_fn"] = make_mask_fn(fn, k, taus=np.ones(4), rng=rng)
     if mode == "taped":
         kwargs.update(params=pol.param_vars(Tape()), chi_mode="rsg", skip_unused=False)
-    pol.forward(obs, tasks, **kwargs)
+    res = pol.forward(obs, tasks, **kwargs)
     selector = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
                 "samplek": "sample_k_mask_rows"}.get(mode)
+    # a skipping pass runs reachability; another runs it at the first read
+    # of ``effective``, and only once
+    reach = int(kwargs["skip_unused"])
     assert kernel_counts == Counter({"ModulePolicy.forward": 1, "ModulePolicy.route": 1,
-                                     "masked_softmax_rows": 1, "effective_rows": 1,
+                                     "masked_softmax_rows": 1, "effective_rows": reach,
                                      **({selector: 1} if selector else {})})
+    for _ in range(2):
+        assert res.effective.shape == (4, 8)
+    assert kernel_counts["effective_rows"] == 1
 
 
 def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts):
@@ -193,7 +199,14 @@ def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts)
     while not tr.buffer.can_sample(cfg.batch_per_task):
         tr.collect_rollouts(1)
         rollouts += 1
+    before = Counter(kernel_counts)
     tr.train_step()
+    # the Bellman targets (actor, target critics), the critic loss and the
+    # actor loss (actor, frozen critics) skip no module: no reachability
+    assert kernel_counts - before == Counter({"ModulePolicy.forward": 5,
+                                              "ModulePolicy.route": 5,
+                                              "masked_softmax_rows": 5,
+                                              "sample_k_mask_rows": 3})
     tr.evaluate(1)
     forwards = kernel_counts["ModulePolicy.forward"]
     routes = kernel_counts["ModulePolicy.route"]
@@ -201,9 +214,26 @@ def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts)
     # every forward routes once; each rollout snapshot routes the critics alone
     assert routes == forwards + rollouts
     assert kernel_counts["masked_softmax_rows"] == forwards
-    assert kernel_counts["effective_rows"] == forwards
+    # the rollout snapshots' actor passes and evaluation skip modules
+    assert kernel_counts["effective_rows"] == forwards - 5
     # the three training passes (critics, actor, frozen critics) replay
     # stored masks; every other route selects once per member: the stacked
     # critics' routes (each snapshot, the Bellman targets) twice
     assert kernel_counts["topk_mask_rows"] + kernel_counts["sample_k_mask_rows"] == \
         routes - 3 + rollouts + 1
+
+
+@pytest.mark.parametrize("head, members", [("actor", 1), ("critic", 2)])
+def test_effective_of_a_non_skipping_pass_is_the_reachability_of_its_masks(head, members):
+    cfg, pol, rng = _policy(6, 11, head=head)
+    if members > 1:
+        pol = ModulePolicy.init(cfg, rng, rng)
+        pol.params.flat[:] = rng.normal(size=pol.params.flat.shape)
+    obs = rng.normal(size=(7, 5))
+    act = rng.normal(size=(7, 2)) if head == "critic" else None
+    res = pol.forward(obs, [0, 1, 2, 0, 1, 2, 0], action=act,
+                      mask_fn=make_mask_fn("topk", 2))
+    d = res.padded_masks.reshape((-1,) + res.padded_masks.shape[-2:])
+    want = network.effective_rows(d)[0]
+    assert res.effective.shape == (members * 7, cfg.n_modules)
+    np.testing.assert_array_equal(res.effective, want)

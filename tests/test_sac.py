@@ -199,7 +199,7 @@ class TestAdam:
                 ref[k] -= 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
         for k in params:
             np.testing.assert_array_equal(params[k], ref[k])
-            np.testing.assert_array_equal(opt.state_dict()[f"m/{k}"], m[k])
+            np.testing.assert_array_equal(opt.m[k], m[k])
 
     def test_replaced_param_entries_are_updated(self):
         opt, params = _adam(0.1, x=(2,))
