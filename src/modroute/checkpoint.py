@@ -25,14 +25,13 @@ from .network import Layout
 from .sac import Trainer
 
 FORMAT_VERSION = 2
+# the trainer attributes whose flat vectors a checkpoint holds
+_NETWORKS = ("actor", "critics", "critics_target")
+_OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
 
 
 class CheckpointError(RuntimeError):
     pass
-
-
-_NETWORKS = ("actor", "critics", "critics_target")
-_OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
 
 
 def _layout_record(layout: Layout) -> dict:

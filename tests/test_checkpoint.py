@@ -121,7 +121,7 @@ def _unstack(record):
     ("critics_target", _widen_routing, "critics_target"),
     ("critics", _unstack, "critics"),
     ("opt_critics", _swap_first_two_tensors, "opt_critics/m"),
-])
+], ids=["actor-order", "critics_target-shape", "critics-members", "opt_critics-order"])
 def test_edited_layout_record_is_named(tmp_path, owner, edit, array):
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: edit(arrays["manifest"]["layouts"][owner]))

@@ -165,7 +165,7 @@ class TestRunConfig:
             RunConfig.load(str(path))
 
     def test_import_does_not_load_yaml(self):
-        # only RunConfig.load and save need yaml; every start-up pays its import
+        # only RunConfig.load and save need yaml; at import it would cost every start-up
         src = os.path.dirname(os.path.dirname(modroute.__file__))
         out = subprocess.run(
             [sys.executable, "-c", "import sys, modroute; print('yaml' in sys.modules)"],
