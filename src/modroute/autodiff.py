@@ -18,11 +18,14 @@ the routed networks, each one tape node with a hand-written backward:
   output weights and biases behind the padding get a zero adjoint.
 * ``masked_softmax``: softmax over the last axis restricted to a constant
   binary mask; one node for all rows of a padded logit array.
-* ``mix``: a module's input ``u = sum_j p[:, row, j] * m_j``, reading its
-  row of the padded probabilities. It implements ResRouting's gate in its
-  backward: where a source is marked unsuitable its adjoint skips the
-  source's module transform and goes to that module's own input (the
-  residual shortcut), or nowhere.
+* ``modules``: a routed network's whole module stack (see ``modules``):
+  each module's input ``u = sum_j p[:, row, j] * m_j`` mixes its sources'
+  outputs by its row of the padded probabilities, then runs its ``mlp``.
+  Its backward sweeps the modules last to first, adding each source's
+  adjoint in place into one reused array, and implements ResRouting's
+  gate: where a source is marked unsuitable its adjoint skips the source's
+  module transform and goes to that module's own input (the residual
+  shortcut), or nowhere.
 
 The same ops run a stacked ensemble (the twin critics): every weight, value
 and mask then carries a leading member axis, and batched matmuls run all
@@ -38,7 +41,7 @@ The dispatch helpers at the bottom (``tanh``, ``exp``, ``concat``, ...)
 accept either plain numpy arrays or :class:`Var` handles, so the same code
 can run as a cheap inference pass or as a differentiable tape pass. The
 numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
-``mix``, ``masked_softmax``) serve the inference pass directly.
+``modules``, ``masked_softmax``) serve the inference pass directly.
 """
 
 from __future__ import annotations
@@ -294,6 +297,40 @@ def mix(p: np.ndarray, sources, cols) -> np.ndarray:
     return u
 
 
+def modules(h: np.ndarray, probs: np.ndarray, layers, plan, slab: np.ndarray,
+            acts: dict | None = None) -> np.ndarray:
+    """The module stack of a routed network. Module 1 runs on ``h``; each
+    later module ``i`` on the ``mix`` of its sources' outputs by row
+    ``i - 2`` of the padded probabilities; modules 2..n-1 add that mix back
+    (the residual).
+
+    ``plan[i - 1]`` lists module ``i``'s sources (module numbers), or is
+    None for a module not evaluated; ``layers[4(i-1):4i]`` are module
+    ``i``'s ``w0, b0, w1, b1``. Module ``i``'s output is written to
+    ``slab[i - 1]`` for i < n (an (n-1, ..., B, width) array; rows of
+    skipped modules are left as they are) and module n's is returned.
+    ``acts``, if given, receives each evaluated module's layer inputs.
+    """
+    n = len(plan)
+    for i, srcs in enumerate(plan, 1):
+        if srcs is None:
+            continue
+        if i == 1:
+            x = h
+        else:
+            x = mix(probs[..., i - 2, :], [slab[j - 1] for j in srcs],
+                    [j - 1 for j in srcs])
+        t, a = affine_chain(x, layers[4 * i - 4:4 * i])
+        if acts is not None:
+            acts[i] = a
+        if i == n:
+            return t
+        if i == 1:
+            slab[0] = t
+        else:
+            np.add(x, t, out=slab[i - 1])
+
+
 def masked_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Softmax of ``z`` over its last axis, restricted to the support of the
     binary mask ``d``; masked entries are exactly zero, however large (or
@@ -497,36 +534,81 @@ def _bwd_masked_softmax(g, p, vals, aux, need):
     return (p * (g - (g * p).sum(axis=-1, keepdims=True)),)
 
 
-def _fwd_mix(vals, aux):
-    """vals = [p, one source per entry of aux cols, then the shortcut
-    inputs]; p is (..., B, rows, width). aux: row (p's row holding the
-    weights), cols (that row's column of each source), suit ((..., B,
-    width) bool, or None: every source suitable), shortcut (per source, the
-    index in vals of its shortcut input, or None)."""
-    cols = aux["cols"]
-    return mix(vals[0][..., aux["row"], :], vals[1:1 + len(cols)], cols)
+def _fwd_modules(vals, aux):
+    """vals = [probs, h, then every module's layers w0, b0, w1, b1 in module
+    order]. aux: plan, slab (see ``modules``), suit ((..., B, n-1, n-1)
+    bool, or None: every source suitable) and rsg (whether an unsuitable
+    source's adjoint takes the residual shortcut)."""
+    aux["acts"] = {}
+    return modules(vals[1], vals[0], vals[2:], aux["plan"], aux["slab"], aux["acts"])
 
 
-def _bwd_mix(g, out, vals, aux, need):
-    row, cols, suit, shortcut = aux["row"], aux["cols"], aux["suit"], aux["shortcut"]
-    p = vals[0][..., row, :]
+def _add_rows(dst, rows, term, where):
+    """``dst[rows] += term`` where ``where`` holds; ``rows`` is a slice or
+    an index array."""
+    if isinstance(rows, slice):
+        np.add(dst[rows], term, out=dst[rows], where=where)
+    else:
+        part = dst[rows]
+        np.add(part, term, out=part, where=where)
+        dst[rows] = part
+
+
+def _bwd_modules(g, out, vals, aux, need):
+    probs, h = vals[0], vals[1]
+    plan, slab, acts, suit, rsg = (aux["plan"], aux["slab"], aux["acts"],
+                                   aux["suit"], aux["rsg"])
+    n = len(plan)
     grads = [None] * len(vals)
-    if need[0]:
-        gp = np.zeros_like(vals[0])
-        for s, c in enumerate(cols):
-            gp[..., row, c] = (g * vals[1 + s]).sum(axis=-1)
-        grads[0] = gp
-    for s, c in enumerate(cols):
-        gm = g * p[..., c:c + 1]
-        if suit is None:
-            grads[1 + s] = gm
+    # adjoints of the module outputs 1..n-1 and, under rsg, of the module
+    # inputs' shortcuts, added to in place as the sweep reaches each source
+    gm_all = _scratch(2, slab.shape)
+    gm_all.fill(0.0)
+    if rsg:
+        gshort = _scratch(3, slab.shape)
+        gshort.fill(0.0)
+    terms = _scratch(4, slab.shape)
+    # source (column) axis first, as the slab's module axis
+    p_src = np.moveaxis(probs, -1, 0)
+    if suit is not None:
+        ok_src = np.moveaxis(suit, -1, 0)
+        bad_src = ~ok_src
+    gp = np.zeros_like(probs) if need[0] else None
+    gp_src = None if gp is None else np.moveaxis(gp, -1, 0)
+    for i in range(n, 0, -1):
+        srcs = plan[i - 1]
+        if srcs is None:
             continue
-        ok = suit[..., c:c + 1]
-        grads[1 + s] = np.where(ok, gm, 0.0)
-        k = shortcut[s]
-        if k is not None:
-            # unsuitable rows skip the source's module transform
-            grads[k] = np.where(ok, 0.0, gm)
+        gm = g if i == n else gm_all[i - 1]
+        w = slice(4 * i - 2, 4 * i + 2)  # module i's layers in vals
+        # module i's input is reached by a parameter if something before it is
+        need_x = need[1] if i == 1 else any(need[:4 * i - 2])
+        grads[w], gu = _chain_backward(gm, acts[i], vals[w], need[w], need_x)
+        if gu is None:
+            continue
+        if i == 1:
+            grads[1] = _unbroadcast(gu, h.shape)
+            break
+        if i < n:
+            gu += gm  # the residual
+            if rsg:
+                gu += gshort[i - 1]
+        # the sources' slab rows: a slice when module i reads all of 1..i-1
+        rows = slice(0, i - 1) if len(srcs) == i - 1 else np.asarray(srcs) - 1
+        term = terms[:len(srcs)]
+        if gp is not None:
+            gp_src[rows, ..., i - 2] = np.multiply(slab[rows], gu, out=term).sum(axis=-1)
+        np.multiply(gu, p_src[rows, ..., i - 2, None], out=term)
+        if suit is None:
+            _add_rows(gm_all, rows, term, True)
+            continue
+        # ResRouting's gate: an unsuitable source's adjoint skips its module
+        # transform, to that module's input (rsg) or nowhere (sg); row 0,
+        # module 1's, is never read from gshort
+        _add_rows(gm_all, rows, term, ok_src[rows, ..., i - 2, None])
+        if rsg:
+            _add_rows(gshort, rows, term, bad_src[rows, ..., i - 2, None])
+    grads[0] = gp
     return grads
 
 
@@ -551,7 +633,7 @@ _FORWARD: dict[str, Callable] = {
     "mlp": _fwd_mlp,
     "route_mlps": _fwd_route_mlps,
     "masked_softmax": _fwd_masked_softmax,
-    "mix": _fwd_mix,
+    "modules": _fwd_modules,
 }
 
 _BACKWARD: dict[str, Callable] = {
@@ -589,7 +671,7 @@ _BACKWARD: dict[str, Callable] = {
     "mlp": _bwd_mlp,
     "route_mlps": _bwd_route_mlps,
     "masked_softmax": _bwd_masked_softmax,
-    "mix": _bwd_mix,
+    "modules": _bwd_modules,
 }
 
 

@@ -104,9 +104,9 @@ def _load(ckpt: str) -> tuple[Trainer, RunConfig]:
 
 
 def cmd_eval(args) -> int:
-    trainer, _ = _load(args.ckpt)
     if args.episodes < 0:
         raise UserError("--episodes must be >= 0")
+    trainer, _ = _load(args.ckpt)
     print("task-id,kind,goal-rule,success-rate")
     if args.episodes == 0:
         return 0
@@ -118,9 +118,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    trainer, _ = _load(args.ckpt)
     if args.samples <= 0:
         raise UserError("--samples must be > 0")
+    trainer, _ = _load(args.ckpt)
     if args.what == "usage":
         print("task-id,kind,goal-rule,mean-modules,std-modules,samples")
         for r in usage_table(trainer, args.samples):

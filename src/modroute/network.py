@@ -31,7 +31,7 @@ gradient to earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks
 the shortcut as well; ``chi_mode="off"`` disables the gating. The
 suitability test is one row softmax of the padded logits; the gate changes
 gradients only, never forward values, and lives in the backward of the
-tape's ``mix`` op (see ``autodiff``).
+tape's ``modules`` op (see ``autodiff``).
 
 Parameter layout. A network's parameters are one flat float64 vector
 (``Params.flat``); the forward reads a few tensors that are views of it
@@ -64,11 +64,15 @@ over leading axes with batched matmuls, each member's arithmetic the same
 as it is alone.
 
 ``ModulePolicy.forward`` decides once per pass between plain numpy (for
-inference) and a tape (for training). On a tape the pass is a few fused
-nodes: one ``mlp`` for the encoder and for each module, one ``route_mlps``
-for all routing logits, one ``masked_softmax`` for all probabilities, and
-one ``mix`` per module i >= 2 reading its row of them. Its routing half,
-``ModulePolicy.route``, runs alone where only the masks are needed.
+inference) and a tape (for training); both run the same kernels. On a tape
+the pass is a few nodes: one ``mlp`` for the encoder, one ``gather_rows``
+for the task embeddings and one product for the routing input (absent
+without state routing), one ``route_mlps`` for all routing logits, one
+``masked_softmax`` for all probabilities, and one ``modules`` for the
+module stack, which writes m^1..m^(n-1) into one (n-1, ..., B, width)
+slab. A pass that skips unreachable modules runs the same op on a plan
+that leaves them out. Its routing half, ``ModulePolicy.route``, runs alone
+where only the masks are needed.
 """
 
 from __future__ import annotations
@@ -389,7 +393,9 @@ class ForwardResult:
     padded_masks: np.ndarray      # binary source masks
     padded_probs: np.ndarray      # routing probabilities (values)
     padded_logits: np.ndarray     # routing logits (values)
-    module_outputs: dict = field(default_factory=dict)  # i -> m^i (evaluated only)
+    # i -> m^i of each evaluated module: a view of the pass's slab, and
+    # ``out`` for module n
+    module_outputs: dict = field(default_factory=dict)
     _effective: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -431,8 +437,12 @@ class ModulePolicy:
         self.cfg = cfg
         self.params = params
         self._enc_keys = _layer_keys("enc", len(cfg.encoder_widths) + 1)
-        self._mod_keys = {i: _layer_keys(f"mod{i}", 2)
-                          for i in range(1, cfg.n_modules + 1)}
+        # every module's layers, in module order, as ``autodiff.modules`` reads them
+        self._mod_keys = [k for i in range(1, cfg.n_modules + 1)
+                          for k in _layer_keys(f"mod{i}", 2)]
+        # the plan of a pass that evaluates every module: module i mixes
+        # all of modules 1..i-1
+        self._dense_plan = tuple(tuple(range(1, i)) for i in range(1, cfg.n_modules + 1))
         self._route_names = _route_names(cfg)
         # per padded routing row: the suitability threshold 1/i of module i
         self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
@@ -573,42 +583,23 @@ class ModulePolicy:
             suit = _row_softmax(zv) >= self._inv_i
         eff, sources = (effective_rows(d.reshape((-1,) + d.shape[-2:])) if skip_unused
                         else (None, None))
+        plan = ([sources.get(i) for i in range(1, n + 1)] if skip_unused
+                else self._dense_plan)
 
-        # m[i] is module i's output, u[i] its mixed input (the residual
-        # shortcut that ResRouting's "rsg" gate sends gradient to)
-        m: dict[int, object] = {}
-        u: dict[int, object] = {}
-
-        def module(i: int, inp):
-            ws = [p[k] for k in self._mod_keys[i]]
-            residual = 1 < i < n
-            if tape is None:
-                t = ad.affine_chain(inp, ws)[0]
-                return inp + t if residual else t
-            return tape.record("mlp", inp, *ws, residual=residual)
-
-        if not skip_unused or 1 in sources:
-            m[1] = module(1, r.encoded)
-        for i in range(2, n + 1):
-            if skip_unused and i not in sources:
-                continue
-            srcs = sources[i] if skip_unused else range(1, i)
-            cols = [j - 1 for j in srcs]
-            if tape is None:
-                u[i] = ad.mix(probs[..., i - 2, :], [m[j] for j in srcs], cols)
-            else:
-                short = [j for j in srcs if chi_mode == "rsg" and j > 1]
-                at = {j: 1 + len(srcs) + s for s, j in enumerate(short)}
-                u[i] = tape.record(
-                    "mix", probs, *[m[j] for j in srcs], *[u[j] for j in short],
-                    row=i - 2, cols=cols,
-                    suit=None if suit is None else suit[..., i - 2, :],
-                    shortcut=[at.get(j) for j in srcs],
-                )
-            m[i] = module(i, u[i])
+        # the module stack; m^1..m^(n-1) land in one slab
+        h = r.encoded
+        slab = np.empty((n - 1,) + ad.value_of(h).shape)
+        ws = [p[k] for k in self._mod_keys]
+        if tape is None:
+            out = ad.modules(h, probs, ws, plan, slab)
+        else:
+            out = tape.record("modules", probs, h, *ws, plan=plan, slab=slab,
+                              suit=suit, rsg=chi_mode == "rsg")
+        m = {i: slab[i - 1] for i in range(1, n) if plan[i - 1] is not None}
+        m[n] = out
 
         return ForwardResult(
-            out=m[n], padded_masks=d, padded_probs=ad.value_of(probs),
+            out=out, padded_masks=d, padded_probs=ad.value_of(probs),
             padded_logits=zv, module_outputs=m, _effective=eff,
         )
 

@@ -150,6 +150,28 @@ class TestEvalCommand:
                      "--episodes", "1"]) == 1
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--episodes", "-1"], "--episodes"),
+        (["analyze", "usage", "--samples", "0"], "--samples"),
+        (["analyze", "sparsity", "--samples", "-2"], "--samples"),
+    ])
+    def test_bad_count_is_rejected_before_the_checkpoint_is_read(
+            self, tmp_path, capsys, monkeypatch, argv, flag):
+        # a missing checkpoint: the argument is named, not the file
+        assert main(argv + ["--ckpt", str(tmp_path / "nope.npz")]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and "not found" not in err
+        # an existing one is never loaded
+        ckpt = tmp_path / "present.npz"
+        ckpt.write_bytes(b"")
+
+        def refuse(path):
+            raise AssertionError("checkpoint loaded")
+
+        monkeypatch.setattr("modroute.cli.load_checkpoint", refuse)
+        assert main(argv + ["--ckpt", str(ckpt)]) == 1
+        assert flag in capsys.readouterr().err
+
 
 class TestAnalysis:
     def test_soft_routing_uses_every_module(self, tmp_path):

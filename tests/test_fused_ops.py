@@ -1,6 +1,7 @@
-"""The fused tape ops (mlp, route_mlps, masked_softmax, mix): gradients
-against central differences, the ResRouting gate of ``mix`` against the
-same gate built from generic ops, and the routed network built on them."""
+"""The fused tape ops (mlp, route_mlps, masked_softmax) and the reference
+``mix`` op of ``tape_oracles``: gradients against central differences, the
+ResRouting gate of ``mix`` against the same gate built from generic ops,
+and the routed network built on the fused ops."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from modroute.autodiff import Tape, affine_chain, gradient_check
 from modroute.network import ModulePolicy, PolicyConfig, topk_mask_rows
 from routing_oracles import padded
+import tape_oracles  # noqa: F401  (registers the reference "mix" op)
 
 
 def _layers(rng, dims, prefix=""):
