@@ -599,13 +599,11 @@ def _bwd_modules(g, out, vals, aux, need):
         if gp is not None:
             gp_src[rows, ..., i - 2] = np.multiply(slab[rows], gu, out=term).sum(axis=-1)
         np.multiply(gu, p_src[rows, ..., i - 2, None], out=term)
-        if suit is None:
-            _add_rows(gm_all, rows, term, True)
-            continue
         # ResRouting's gate: an unsuitable source's adjoint skips its module
         # transform, to that module's input (rsg) or nowhere (sg); row 0,
         # module 1's, is never read from gshort
-        _add_rows(gm_all, rows, term, ok_src[rows, ..., i - 2, None])
+        ok = True if suit is None else ok_src[rows, ..., i - 2, None]
+        _add_rows(gm_all, rows, term, ok)
         if rsg:
             _add_rows(gshort, rows, term, bad_src[rows, ..., i - 2, None])
     grads[0] = gp
