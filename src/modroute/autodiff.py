@@ -19,11 +19,11 @@ the routed networks, each one tape node with a hand-written backward:
 * ``masked_softmax``: softmax over the last axis restricted to a constant
   binary mask; one node for all rows of a padded logit array.
 * ``modules``: a routed network's whole module stack (see ``modules``):
-  each module's input ``u = sum_j p[:, row, j] * m_j`` mixes its sources'
-  outputs by its row of the padded probabilities, then runs its ``mlp``.
-  Its backward sweeps the modules last to first, adding each source's
-  adjoint in place into one reused array, and implements ResRouting's
-  gate: where a source is marked unsuitable its adjoint skips the source's
+  each module's input ``u = sum_j p[:, row, j] * m_j`` is one ``einsum``
+  over its sources' outputs, then runs its ``mlp``. Its backward sweeps the
+  modules last to first, each output adjoint one ``einsum`` over the later
+  modules that read it, and implements ResRouting's gate in those weights:
+  where a source is marked unsuitable its adjoint skips the source's
   module transform and goes to that module's own input (the residual
   shortcut), or nowhere.
 
@@ -46,6 +46,7 @@ numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
 
 from __future__ import annotations
 
+import math
 import threading
 from functools import lru_cache
 from typing import Callable
@@ -288,38 +289,52 @@ def route_mlps(x: np.ndarray, layers):
     return np.where(_route_valid(count), a, -np.inf), acts
 
 
-def mix(p: np.ndarray, sources, cols) -> np.ndarray:
-    """``sum_s p[..., cols[s]] * sources[s]``, summed in list order."""
-    u = None
-    for c, m in zip(cols, sources):
-        term = p[..., c:c + 1] * m
-        u = term if u is None else u + term
-    return u
+# module i's input: its sources' outputs (the slab's leading rows) summed by
+# their weights. numpy adds up a contracted axis that is not the innermost
+# one in sequence, as a loop over the sources would, if it runs forward in
+# memory in both operands (its iterator flips an axis that runs backward)
+_MIX = "...bs,s...bw->...bw"
+
+
+@lru_cache(maxsize=1024)
+def _plan_sources(plan: tuple) -> np.ndarray | None:
+    """A plan's sources as a 0/1 matrix over the padded routing rows (a 1
+    in column ``j - 1`` of module ``i``'s row for each source ``j``), or None
+    if it evaluates every module on all its sources. Read-only, shared."""
+    sel = np.zeros((len(plan) - 1,) * 2)
+    for i, srcs in enumerate(plan[1:], 2):
+        sel[i - 2, [j - 1 for j in srcs or ()]] = 1.0
+    sel.flags.writeable = False
+    return None if np.array_equal(sel, np.tri(len(sel))) else sel
+
+
+def _mix_weights(probs: np.ndarray, plan) -> np.ndarray:
+    """``probs`` with the weights of sources outside the plan zeroed."""
+    sel = _plan_sources(tuple(s if s is None else tuple(s) for s in plan))
+    return probs if sel is None else probs * sel
 
 
 def modules(h: np.ndarray, probs: np.ndarray, layers, plan, slab: np.ndarray,
             acts: dict | None = None) -> np.ndarray:
     """The module stack of a routed network. Module 1 runs on ``h``; each
-    later module ``i`` on the ``mix`` of its sources' outputs by row
-    ``i - 2`` of the padded probabilities; modules 2..n-1 add that mix back
-    (the residual).
+    later module ``i`` on its input ``u = sum_j p[..., i - 2, j - 1] * m_j``
+    over its sources ``j``, by row ``i - 2`` of the padded probabilities;
+    modules 2..n-1 add ``u`` back (the residual).
 
     ``plan[i - 1]`` lists module ``i``'s sources (module numbers), or is
     None for a module not evaluated; ``layers[4(i-1):4i]`` are module
     ``i``'s ``w0, b0, w1, b1``. Module ``i``'s output is written to
-    ``slab[i - 1]`` for i < n (an (n-1, ..., B, width) array; rows of
-    skipped modules are left as they are) and module n's is returned.
+    ``slab[i - 1]`` for i < n (an (n-1, ..., B, width) array; the rows of
+    modules not evaluated are zeroed) and module n's is returned.
     ``acts``, if given, receives each evaluated module's layer inputs.
     """
     n = len(plan)
+    q = _mix_weights(probs, plan)
     for i, srcs in enumerate(plan, 1):
         if srcs is None:
+            slab[i - 1].fill(0.0)  # mixed with weight 0: never NaN * 0
             continue
-        if i == 1:
-            x = h
-        else:
-            x = mix(probs[..., i - 2, :], [slab[j - 1] for j in srcs],
-                    [j - 1 for j in srcs])
+        x = h if i == 1 else np.einsum(_MIX, q[..., i - 2, :i - 1], slab[:i - 1])
         t, a = affine_chain(x, layers[4 * i - 4:4 * i])
         if acts is not None:
             acts[i] = a
@@ -340,10 +355,11 @@ def masked_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     return num / num.sum(axis=-1, keepdims=True)
 
 
-def _chain_backward(g, acts, layers, need, need_x):
+def _chain_backward(g, acts, layers, need, need_x, out=None):
     """Adjoints of an ``affine_chain``'s layers (None where ``need`` is
     False) and of its input (None unless ``need_x``; with the member axis
-    of a stacked chain, summed away below if the input was shared)."""
+    of a stacked chain, summed away below if the input was shared), written
+    to ``out`` if given."""
     grads = [None] * len(layers)
     for l in range(len(acts) - 1, -1, -1):
         a = acts[l]
@@ -353,7 +369,7 @@ def _chain_backward(g, acts, layers, need, need_x):
             grads[2 * l + 1] = g.sum(axis=-2)
         if l == 0 and not need_x:
             return grads, None
-        g = g @ layers[2 * l].swapaxes(-1, -2)
+        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2), out=None if l else out)
         if l > 0:
             g = g * (a > 0.0)  # a layer input > 0 iff its relu was active
     return grads, g
@@ -479,10 +495,8 @@ def _scratch(slot: int, shape: tuple, dtype=np.float64) -> np.ndarray:
     one: a view of a buffer per thread, slot and dtype that every backward
     reuses and that grows to the largest size asked of it. Fresh large
     temporaries would cost page faults on every train step."""
-    size = int(np.prod(shape))
-    if not hasattr(_SCRATCH, "bufs"):
-        _SCRATCH.bufs = {}
-    bufs = _SCRATCH.bufs
+    size = math.prod(shape)
+    bufs = _SCRATCH.__dict__.setdefault("bufs", {})
     buf = bufs.get((slot, dtype))
     if buf is None or buf.size < size:
         buf = bufs[(slot, dtype)] = np.empty(size, dtype)
@@ -543,69 +557,51 @@ def _fwd_modules(vals, aux):
     return modules(vals[1], vals[0], vals[2:], aux["plan"], aux["slab"], aux["acts"])
 
 
-def _add_rows(dst, rows, term, where):
-    """``dst[rows] += term`` where ``where`` holds; ``rows`` is a slice or
-    an index array."""
-    if isinstance(rows, slice):
-        np.add(dst[rows], term, out=dst[rows], where=where)
-    else:
-        part = dst[rows]
-        np.add(part, term, out=part, where=where)
-        dst[rows] = part
-
-
 def _bwd_modules(g, out, vals, aux, need):
     probs, h = vals[0], vals[1]
     plan, slab, acts, suit, rsg = (aux["plan"], aux["slab"], aux["acts"],
                                    aux["suit"], aux["rsg"])
     n = len(plan)
     grads = [None] * len(vals)
-    # adjoints of the module outputs 1..n-1 and, under rsg, of the module
-    # inputs' shortcuts, added to in place as the sweep reaches each source
-    gm_all = _scratch(2, slab.shape)
-    gm_all.fill(0.0)
-    if rsg:
-        gshort = _scratch(3, slab.shape)
-        gshort.fill(0.0)
-    terms = _scratch(4, slab.shape)
-    # source (column) axis first, as the slab's module axis
-    p_src = np.moveaxis(probs, -1, 0)
-    if suit is not None:
-        ok_src = np.moveaxis(suit, -1, 0)
-        bad_src = ~ok_src
+    # row r of q_ok, q_bad and gu_rev (the module input adjoints) is module
+    # n - r's, so module i's readers n, n-1, ..., i+1, in the order the sweep
+    # reaches them, are their first n - i rows, running forward in memory
+    # (_MIX). ResRouting's gate is folded into the weights: an unsuitable
+    # source's adjoint skips its module transform, to the source module's
+    # own input (the residual shortcut, rsg) or nowhere (sg)
+    q = _mix_weights(probs, plan)[..., ::-1, :]
+    q_ok = q.copy() if suit is None else q * suit[..., ::-1, :]
+    q_bad = q * ~suit[..., ::-1, :] if rsg and suit is not None else None
+    gu_rev = _scratch(2, slab.shape)
     gp = np.zeros_like(probs) if need[0] else None
     gp_src = None if gp is None else np.moveaxis(gp, -1, 0)
     for i in range(n, 0, -1):
         srcs = plan[i - 1]
-        if srcs is None:
+        if srcs is None:  # zero adjoint; module 1 has no row
+            gu_rev[n - i:n - i + 1].fill(0.0)
             continue
-        gm = g if i == n else gm_all[i - 1]
+        gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i],
+                                        out=_scratch(3, slab.shape[1:]))
         w = slice(4 * i - 2, 4 * i + 2)  # module i's layers in vals
-        # module i's input is reached by a parameter if something before it is
+        # module i's input is reached by a parameter if something before it
+        # is; if not, nothing before it needs an adjoint either
         need_x = need[1] if i == 1 else any(need[:4 * i - 2])
-        grads[w], gu = _chain_backward(gm, acts[i], vals[w], need[w], need_x)
-        if gu is None:
-            continue
-        if i == 1:
+        grads[w], gu = _chain_backward(gm, acts[i], vals[w], need[w], need_x,
+                                       out=None if i == 1 else gu_rev[n - i])
+        if i == 1 and gu is not None:
             grads[1] = _unbroadcast(gu, h.shape)
+        if gu is None or i == 1:
             break
         if i < n:
             gu += gm  # the residual
-            if rsg:
-                gu += gshort[i - 1]
-        # the sources' slab rows: a slice when module i reads all of 1..i-1
-        rows = slice(0, i - 1) if len(srcs) == i - 1 else np.asarray(srcs) - 1
-        term = terms[:len(srcs)]
+            if q_bad is not None:
+                gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i],
+                                out=_scratch(4, gu.shape))
         if gp is not None:
-            gp_src[rows, ..., i - 2] = np.multiply(slab[rows], gu, out=term).sum(axis=-1)
-        np.multiply(gu, p_src[rows, ..., i - 2, None], out=term)
-        # ResRouting's gate: an unsuitable source's adjoint skips its module
-        # transform, to that module's input (rsg) or nowhere (sg); row 0,
-        # module 1's, is never read from gshort
-        ok = True if suit is None else ok_src[rows, ..., i - 2, None]
-        _add_rows(gm_all, rows, term, ok)
-        if rsg:
-            _add_rows(gshort, rows, term, bad_src[rows, ..., i - 2, None])
+            # the sources' slab rows: a slice when module i reads all of 1..i-1
+            rows = slice(0, i - 1) if len(srcs) == i - 1 else np.asarray(srcs) - 1
+            prod = _scratch(5, (len(srcs),) + gu.shape)
+            gp_src[rows, ..., i - 2] = np.multiply(slab[rows], gu, out=prod).sum(axis=-1)
     grads[0] = gp
     return grads
 

@@ -70,9 +70,9 @@ for the task embeddings and one product for the routing input (absent
 without state routing), one ``route_mlps`` for all routing logits, one
 ``masked_softmax`` for all probabilities, and one ``modules`` for the
 module stack, which writes m^1..m^(n-1) into one (n-1, ..., B, width)
-slab. A pass that skips unreachable modules runs the same op on a plan
-that leaves them out. Its routing half, ``ModulePolicy.route``, runs alone
-where only the masks are needed.
+slab and mixes from it by ``einsum``. A pass that skips unreachable
+modules runs the same op on a plan that leaves them out. Its routing half,
+``ModulePolicy.route``, runs alone where only the masks are needed.
 """
 
 from __future__ import annotations
@@ -393,10 +393,16 @@ class ForwardResult:
     padded_masks: np.ndarray      # binary source masks
     padded_probs: np.ndarray      # routing probabilities (values)
     padded_logits: np.ndarray     # routing logits (values)
-    # i -> m^i of each evaluated module: a view of the pass's slab, and
-    # ``out`` for module n
-    module_outputs: dict = field(default_factory=dict)
+    _slab: np.ndarray | None = field(default=None, repr=False)
+    _plan: tuple = field(default=(), repr=False)
     _effective: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def module_outputs(self) -> dict:
+        """i -> m^i of each module the pass evaluated (its ``_plan``): a view
+        of the pass's slab for i < n, ``out`` for module n."""
+        return {i: self._slab[i - 1] if i < len(self._plan) else self.out
+                for i, srcs in enumerate(self._plan, 1) if srcs is not None}
 
     @property
     def effective(self) -> np.ndarray:
@@ -595,12 +601,10 @@ class ModulePolicy:
         else:
             out = tape.record("modules", probs, h, *ws, plan=plan, slab=slab,
                               suit=suit, rsg=chi_mode == "rsg")
-        m = {i: slab[i - 1] for i in range(1, n) if plan[i - 1] is not None}
-        m[n] = out
 
         return ForwardResult(
             out=out, padded_masks=d, padded_probs=ad.value_of(probs),
-            padded_logits=zv, module_outputs=m, _effective=eff,
+            padded_logits=zv, _slab=slab, _plan=plan, _effective=eff,
         )
 
 

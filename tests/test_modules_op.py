@@ -1,8 +1,8 @@
 """The fused ``modules`` tape op against the chain of ``mlp`` and ``mix``
 nodes it replaces (``tape_oracles.module_chain``): forward values and every
 adjoint bitwise, for each ResRouting gate, single and stacked networks,
-several batch sizes and both evaluation plans; and its gradient against
-central differences."""
+several batch sizes, the module counts and widths the program runs, and
+both evaluation plans; and its gradient against central differences."""
 
 import numpy as np
 import pytest
@@ -15,60 +15,56 @@ from tape_oracles import module_chain
 N, WIDTH, HIDDEN, HEAD = 5, 4, 6, 3
 
 
-def _inputs(rng, lead, B, k):
-    """Routing probabilities, masks and module weights for an N-module
+def _inputs(rng, lead, B, k, n=N, width=WIDTH, hidden=HIDDEN):
+    """Routing probabilities, masks and module weights for an n-module
     stack; ``lead`` is () or (M,) for M stacked members, each with its own
     masks."""
-    z = np.where(np.tri(N - 1, dtype=bool), rng.normal(size=lead + (B, N - 1, N - 1)),
+    z = np.where(np.tri(n - 1, dtype=bool), rng.normal(size=lead + (B, n - 1, n - 1)),
                  -np.inf)
     d = topk_mask_rows(z, k)
     probs = ad.masked_softmax(z, d)
     suit = rng.uniform(size=d.shape) < 0.6
-    h = rng.normal(size=lead + (B, WIDTH))
+    h = rng.normal(size=lead + (B, width))
     ws = []
-    for i in range(1, N + 1):
-        out = HEAD if i == N else WIDTH
-        for a, b in ((WIDTH, HIDDEN), (HIDDEN, out)):
+    for i in range(1, n + 1):
+        out = HEAD if i == n else width
+        for a, b in ((width, hidden), (hidden, out)):
             bias = rng.normal(size=lead + (b,)) * 0.3
             ws += [rng.normal(size=lead + (a, b)) * 0.6, bias + np.sign(bias) * 1e-2]
     return probs, d, suit, h, ws
 
 
 def _plan(d, skip):
+    n = d.shape[-1] + 1
     if not skip:
-        return [list(range(1, i)) for i in range(1, N + 1)]
+        return [list(range(1, i)) for i in range(1, n + 1)]
     sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))[1]
-    return [sources.get(i) for i in range(1, N + 1)]
+    return [sources.get(i) for i in range(1, n + 1)]
 
 
-def _run(fused, probs, h, ws, plan, suit, chi_mode, c):
-    """Output, module outputs and adjoints of ``(out * c).sum()``."""
+def _run(fused, probs, h, ws, plan, suit, chi_mode, c, fill=None):
+    """Output, module outputs and adjoints of ``(out * c).sum()``; the
+    fused op's slab is ``np.empty``, or full of ``fill``."""
+    n = len(plan)
     tape = Tape()
     pv = tape.parameter("probs", probs)
     hv = tape.parameter("h", h)
     wv = [tape.parameter(f"w{l}", w) for l, w in enumerate(ws)]
     gate = None if chi_mode == "off" else suit
     if fused:
-        slab = np.empty((N - 1,) + h.shape)
+        slab = np.empty((n - 1,) + h.shape) if fill is None else np.full(
+            (n - 1,) + h.shape, fill)
         out = tape.record("modules", pv, hv, *wv, plan=plan, slab=slab, suit=gate,
                           rsg=chi_mode == "rsg")
-        m = {i: slab[i - 1] for i in range(1, N) if plan[i - 1] is not None}
+        m = {i: slab[i - 1] for i in range(1, n) if plan[i - 1] is not None}
     else:
         out, mv = module_chain(tape, pv, hv, wv, plan, gate, chi_mode)
-        m = {i: v.value for i, v in mv.items() if i < N}
+        m = {i: v.value for i, v in mv.items() if i < n}
     return out.value, m, tape.backward((out * c).sum())
 
 
-@pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["single", "stacked"])
-@pytest.mark.parametrize("B", [1, 4, 64])
-@pytest.mark.parametrize("chi_mode", ["off", "sg", "rsg"])
-def test_modules_op_matches_mlp_mix_chain_bitwise(chi_mode, B, lead, skip):
-    rng = np.random.default_rng([B, len(lead), skip, ["off", "sg", "rsg"].index(chi_mode)])
-    probs, d, suit, h, ws = _inputs(rng, lead, B, k=1 if skip else 2)
-    plan = _plan(d, skip)
-    c = rng.normal(size=lead + (B, HEAD))
-    out_f, m_f, g_f = _run(True, probs, h, ws, plan, suit, chi_mode, c)
+def _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=None):
+    out_f, m_f, g_f = _run(True, probs, h, ws, plan, suit, chi_mode, c, fill)
     out_r, m_r, g_r = _run(False, probs, h, ws, plan, suit, chi_mode, c)
     assert np.array_equal(out_f, out_r)
     assert m_f.keys() == m_r.keys()
@@ -78,8 +74,37 @@ def test_modules_op_matches_mlp_mix_chain_bitwise(chi_mode, B, lead, skip):
     for name in g_r:
         assert np.array_equal(g_f[name], g_r[name]), name
     # the numpy kernel computes the same values
-    slab = np.empty((N - 1,) + h.shape)
+    slab = np.empty((len(plan) - 1,) + h.shape)
+    if fill is not None:
+        slab.fill(fill)
     assert np.array_equal(ad.modules(h, probs, ws, plan, slab), out_r)
+    return g_f
+
+
+# (B, lead, n, width, hidden): small stacks, then the module counts, widths
+# (module_hidden = module_dim) and batches of the train workloads, whose
+# einsums sum over 1 to n - 1 sources in the order the chain adds them
+_SHAPES = [pytest.param(B, lead, N, WIDTH, HIDDEN, id=f"{B}-{name}")
+           for B in (1, 4, 64) for lead, name in (((), "single"), ((2,), "stacked"))]
+_SHAPES += [pytest.param(B, lead, n, width, width,
+                         id=f"{B}-{'stacked' if lead else 'single'}-n{n}-w{width}")
+            for B, lead, n, width in ((64, (), 8, 32), (64, (2,), 8, 32),
+                                      (128, (), 8, 64), (128, (2,), 8, 64),
+                                      (64, (2,), 10, 64), (128, (), 10, 32))]
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
+@pytest.mark.parametrize("B, lead, n, width, hidden", _SHAPES)
+@pytest.mark.parametrize("chi_mode", ["off", "sg", "rsg"])
+def test_modules_op_matches_mlp_mix_chain_bitwise(chi_mode, B, lead, n, width, hidden,
+                                                  skip):
+    chi = ["off", "sg", "rsg"].index(chi_mode)
+    rng = np.random.default_rng([B, len(lead), skip, chi] + ([n, width] if n != N else []))
+    probs, d, suit, h, ws = _inputs(rng, lead, B, k=1 if skip else 2, n=n, width=width,
+                                    hidden=hidden)
+    plan = _plan(d, skip)
+    c = rng.normal(size=lead + (B, HEAD))
+    _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c)
 
 
 def test_skip_plan_leaves_out_modules_and_their_weights():
@@ -116,3 +141,20 @@ def test_modules_op_gradient_check(skip):
         return (out * out * c).sum()
 
     assert gradient_check(build, params) < 1e-4
+
+
+@pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
+def test_slab_and_scratch_full_of_nan_give_the_chain_values(skip):
+    # the op writes or zeroes every slab row and backward scratch row it
+    # reads: a module left out is mixed, and reads its readers' adjoints,
+    # with weight zero, which would turn NaN into NaN
+    rng = np.random.default_rng(14)
+    probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=2)
+    plan = [[], [1], None, [1, 2], [4]] if skip else _plan(d, False)
+    c = rng.normal(size=(2, 3, HEAD))
+    for chi_mode in ("off", "sg", "rsg"):
+        _run(True, probs, h, ws, plan, suit, chi_mode, c)  # sizes the scratch
+        for buf in ad._SCRATCH.bufs.values():
+            buf.fill(np.nan)
+        grads = _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=np.nan)
+        assert all(np.isfinite(g).all() for g in grads.values())
