@@ -27,7 +27,8 @@ import sys
 
 import numpy as np
 
-# the benchmark's train workloads, and a tiny config for the tests
+# the benchmark's train workloads (as perfbench/workloads.py make_config builds
+# them), and a tiny config for the tests
 CONFIGS = {
     "train-accept": dict(n_modules=8, k=2, module_dim=32, module_hidden=32,
                          batch_per_task=16),
