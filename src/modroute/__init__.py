@@ -1,6 +1,6 @@
 """Depth-routed modular policies for multi-task reinforcement learning."""
 
-from .autodiff import Tape, Var, gradient_check
+from .autodiff import Tape, Var
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .network import ModulePolicy, PolicyConfig
@@ -17,7 +17,6 @@ __all__ = [
     "save_checkpoint",
     "Tape",
     "Var",
-    "gradient_check",
     "ModulePolicy",
     "PolicyConfig",
     "route_balance_temperatures",

@@ -1,12 +1,12 @@
 """Reverse-mode automatic differentiation on a flat tape of numpy ops.
 
 Everything is float64. Values are computed eagerly when an op is recorded,
-so a tape doubles as the forward pass. The one non-standard primitive is
-``stop_grad``: identity on the forward pass, zero adjoint on the backward
-pass.
+so a tape doubles as the forward pass. The tape registers only the op kinds
+a training step records.
 
-Besides the generic elementwise and shape ops, four fused op kinds carry
-the routed networks, each one tape node with a hand-written backward:
+Besides a few generic elementwise, reduction and shape ops, five fused op
+kinds carry the networks and the policy's action distribution, each one
+tape node with a hand-written backward:
 
 * ``mlp``: an affine-relu chain (linear last layer), optionally with the
   residual ``x + f(x)``; the encoder and every module.
@@ -26,6 +26,9 @@ the routed networks, each one tape node with a hand-written backward:
   where a source is marked unsuitable its adjoint skips the source's
   module transform and goes to that module's own input (the residual
   shortcut), or nowhere.
+* ``squashed_gaussian``: SAC's tanh-squashed Gaussian head (see
+  ``squashed_gaussian``), its value the action and log-probability side by
+  side, ``[a | logp]``, which two ``cols`` nodes split.
 
 The same ops run a stacked ensemble (the twin critics): every weight, value
 and mask then carries a leading member axis, and batched matmuls run all
@@ -37,11 +40,10 @@ Every node records whether a parameter reaches it. Backward hands adjoints
 only to such nodes, and the fused ops skip the products of inputs that need
 none, so frozen weights recorded as constants cost no weight gradients.
 
-The dispatch helpers at the bottom (``tanh``, ``exp``, ``concat``, ...)
-accept either plain numpy arrays or :class:`Var` handles, so the same code
-can run as a cheap inference pass or as a differentiable tape pass. The
-numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
-``modules``, ``masked_softmax``) serve the inference pass directly.
+The numpy kernels behind the fused ops (``affine_chain``, ``route_mlps``,
+``modules``, ``masked_softmax``, ``squashed_gaussian``) serve the inference
+pass directly. The few helpers at the bottom accept either plain numpy
+arrays or :class:`Var` handles.
 """
 
 from __future__ import annotations
@@ -98,11 +100,6 @@ class Var:
             return other
         return self.tape.constant(other)
 
-    def __add__(self, other):
-        return self.tape.record("add", self, self._coerce(other))
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         return self.tape.record("sub", self, self._coerce(other))
 
@@ -114,37 +111,8 @@ class Var:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self.tape.record("div", self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self.tape.record("div", self._coerce(other), self)
-
-    def __neg__(self):
-        return self.tape.record("neg", self)
-
-    def relu(self):
-        return self.tape.record("relu", self)
-
-    def tanh(self):
-        return self.tape.record("tanh", self)
-
-    def exp(self):
-        return self.tape.record("exp", self)
-
-    def log(self):
-        return self.tape.record("log", self)
-
-    def stop_grad(self):
-        return self.tape.record("stop_grad", self)
-
     def sum(self, axis=None, keepdims=False):
         return self.tape.record("sum", self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        s = self.sum(axis=axis, keepdims=keepdims)
-        n = self.value.size / s.value.size
-        return s * (1.0 / n)
 
     def cols(self, j0: int, j1: int):
         """Slice columns [j0:j1] of a 2-D value."""
@@ -189,15 +157,11 @@ class Tape:
             shapes = [v.shape for v in vals]
             raise TapeError(f"op {kind!r} on shapes {shapes}: {e}") from e
         need_in = tuple(self.needs_grad[i] for i in ids)
-        return self._append(kind, out, ids, aux or None, need_in,
-                            kind != "stop_grad" and any(need_in))
+        return self._append(kind, out, ids, aux or None, need_in, any(need_in))
 
     def backward(self, root: Var) -> dict[str, np.ndarray]:
         """Adjoints of ``root`` (a scalar) w.r.t. every parameter node.
-
-        stop_grad nodes propagate a zero adjoint to their input. Repeated
-        calls on an unchanged tape return identical results.
-        """
+        Repeated calls on an unchanged tape return identical results."""
         if root.tape is not self:
             raise TapeError("root lives on a different tape")
         if self.vals[root.nid].size != 1:
@@ -355,6 +319,31 @@ def masked_softmax(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     return num / num.sum(axis=-1, keepdims=True)
 
 
+# the Gaussian head's log-std range
+LOG_STD_MIN = -20.0
+LOG_STD_MAX = 2.0
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
+
+
+def squashed_gaussian(out: np.ndarray, act_dim: int, noise: np.ndarray):
+    """SAC's tanh-squashed Gaussian head on the actor output ``out`` (B,
+    2*act_dim): the mean, then a pre-activation for the log-std, squashed
+    smoothly into [LOG_STD_MIN, LOG_STD_MAX]. ``noise`` (B, act_dim) is
+    standard normal (reparameterization). Returns the action
+    ``a = tanh(mean + std * noise)``, its log-probability (B, 1), and what
+    the backward reads besides them: tanh of the pre-activation, ``std``
+    and ``1 - a * a``."""
+    mean, raw = out[:, :act_dim], out[:, act_dim:]
+    t = np.tanh(raw)
+    log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (t + 1.0)
+    std = np.exp(log_std)
+    a = np.tanh(mean + std * noise)
+    da = 1.0 - a * a
+    # log N(u; mean, std) - log |d tanh/du|
+    per_dim = -0.5 * (noise * noise) - log_std - _LOG_SQRT_2PI - np.log(da + 1e-6)
+    return a, np.sum(per_dim, axis=1, keepdims=True), (t, std, da)
+
+
 def _chain_backward(g, acts, layers, need, need_x, out=None):
     """Adjoints of an ``affine_chain``'s layers (None where ``need`` is
     False) and of its input (None unless ``need_x``; with the member axis
@@ -378,13 +367,6 @@ def _chain_backward(g, acts, layers, need, need_x, out=None):
 # ---------------------------------------------------------------------------
 # op tables; every backward takes (adjoint, output, input values, aux,
 # per-input needs-gradient flags) and returns one adjoint (or None) per input
-
-
-def _fwd_affine(vals, aux):
-    x, w, b = vals
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise ValueError(f"affine expects (B,m)@(m,k), got {x.shape} @ {w.shape}")
-    return x @ w + b
 
 
 def _fwd_sum(vals, aux):
@@ -442,19 +424,6 @@ def _bwd_gather(g, out, vals, aux, need):
     np.add.at(gx.swapaxes(0, -2), np.asarray(aux["idx"], dtype=np.intp),
               g.swapaxes(0, -2))
     return (gx,)
-
-
-def _fwd_where(vals, aux):
-    a, b = vals
-    return np.where(aux["cond"], a, b)
-
-
-def _bwd_where(g, out, vals, aux, need):
-    c = aux["cond"]
-    return (
-        _unbroadcast(np.where(c, g, 0.0), vals[0].shape),
-        _unbroadcast(np.where(c, 0.0, g), vals[1].shape),
-    )
 
 
 def _fwd_concat(vals, aux):
@@ -606,35 +575,44 @@ def _bwd_modules(g, out, vals, aux, need):
     return grads
 
 
+def _fwd_squashed_gaussian(vals, aux):
+    """vals = [out]; aux: act_dim, noise (see ``squashed_gaussian``).
+    Output: ``[a | logp]``, (B, act_dim + 1)."""
+    a, logp, aux["saved"] = squashed_gaussian(vals[0], aux["act_dim"], aux["noise"])
+    return np.concatenate([a, logp], axis=1)
+
+
+def _bwd_squashed_gaussian(g, out, vals, aux, need):
+    t, std, da = aux["saved"]
+    k = aux["act_dim"]
+    a, gl = out[:, :k], g[:, k:]
+    # a's adjoint: its own, then log(da + 1e-6)'s through each factor of a * a
+    ga_jac = gl / (da + 1e-6) * a
+    ga = g[:, :k] + ga_jac
+    ga += ga_jac
+    gu = ga * da  # the adjoint of u = mean + std * noise, and of mean
+    # log_std's: through std = exp(log_std), and -log_std in logp
+    gls = gu * aux["noise"] * std - gl
+    graw = gls * (0.5 * (LOG_STD_MAX - LOG_STD_MIN)) * (1.0 - t * t)
+    return (np.concatenate([gu, graw], axis=1),)
+
+
 _FORWARD: dict[str, Callable] = {
-    "add": lambda v, a: v[0] + v[1],
     "sub": lambda v, a: v[0] - v[1],
     "mul": lambda v, a: v[0] * v[1],
-    "div": lambda v, a: v[0] / v[1],
-    "neg": lambda v, a: -v[0],
-    "affine": _fwd_affine,
-    "relu": lambda v, a: np.maximum(v[0], 0.0),
-    "tanh": lambda v, a: np.tanh(v[0]),
-    "exp": lambda v, a: np.exp(v[0]),
-    "log": lambda v, a: np.log(v[0]),
-    "stop_grad": lambda v, a: v[0],
     "sum": _fwd_sum,
     "cols": _fwd_cols,
     "gather_rows": _fwd_gather,
-    "where_const": _fwd_where,
     "member_min": _fwd_member_min,
     "concat": _fwd_concat,
     "mlp": _fwd_mlp,
     "route_mlps": _fwd_route_mlps,
     "masked_softmax": _fwd_masked_softmax,
     "modules": _fwd_modules,
+    "squashed_gaussian": _fwd_squashed_gaussian,
 }
 
 _BACKWARD: dict[str, Callable] = {
-    "add": lambda g, o, v, a, n: (
-        _unbroadcast(g, v[0].shape),
-        _unbroadcast(g, v[1].shape),
-    ),
     "sub": lambda g, o, v, a, n: (
         _unbroadcast(g, v[0].shape),
         _unbroadcast(-g, v[1].shape),
@@ -643,29 +621,16 @@ _BACKWARD: dict[str, Callable] = {
         _unbroadcast(g * v[1], v[0].shape),
         _unbroadcast(g * v[0], v[1].shape),
     ),
-    "div": lambda g, o, v, a, n: (
-        _unbroadcast(g / v[1], v[0].shape),
-        _unbroadcast(-g * v[0] / (v[1] * v[1]), v[1].shape),
-    ),
-    "neg": lambda g, o, v, a, n: (-g,),
-    "affine": lambda g, o, v, a, n: (
-        g @ v[1].T, v[0].T @ g, _unbroadcast(g, v[2].shape),
-    ),
-    "relu": lambda g, o, v, a, n: (g * (v[0] > 0.0),),
-    "tanh": lambda g, o, v, a, n: (g * (1.0 - o * o),),
-    "exp": lambda g, o, v, a, n: (g * o,),
-    "log": lambda g, o, v, a, n: (g / v[0],),
-    "stop_grad": lambda g, o, v, a, n: (None,),
     "sum": _bwd_sum,
     "cols": _bwd_cols,
     "gather_rows": _bwd_gather,
-    "where_const": _bwd_where,
     "member_min": _bwd_member_min,
     "concat": _bwd_concat,
     "mlp": _bwd_mlp,
     "route_mlps": _bwd_route_mlps,
     "masked_softmax": _bwd_masked_softmax,
     "modules": _bwd_modules,
+    "squashed_gaussian": _bwd_squashed_gaussian,
 }
 
 
@@ -675,18 +640,6 @@ _BACKWARD: dict[str, Callable] = {
 
 def is_var(x) -> bool:
     return isinstance(x, Var)
-
-
-def tanh(x):
-    return x.tanh() if is_var(x) else np.tanh(x)
-
-
-def exp(x):
-    return x.exp() if is_var(x) else np.exp(x)
-
-
-def log(x):
-    return x.log() if is_var(x) else np.log(x)
 
 
 def value_of(x) -> np.ndarray:
@@ -708,52 +661,3 @@ def concat(parts, axis=1):
         return t.record("concat", *parts, axis=axis)
     return np.concatenate(parts, axis=axis)
 
-
-def vsum(x, axis=None, keepdims=False):
-    return x.sum(axis=axis, keepdims=keepdims) if is_var(x) else np.sum(
-        x, axis=axis, keepdims=keepdims
-    )
-
-
-# ---------------------------------------------------------------------------
-
-def gradient_check(
-    build: Callable[[Tape, dict[str, Var]], Var],
-    params: dict[str, np.ndarray],
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    ``build`` records a scalar function of the given parameters on a fresh
-    tape. Error metric per element: |analytic - fd| / max(1, |fd|).
-    """
-
-    def evaluate(pvals: dict[str, np.ndarray]):
-        tape = Tape()
-        pvars = {k: tape.parameter(k, v) for k, v in pvals.items()}
-        root = build(tape, pvars)
-        return tape, root
-
-    tape, root = evaluate(params)
-    analytic = tape.backward(root)
-
-    worst = 0.0
-    for name, base in params.items():
-        base = np.asarray(base, dtype=np.float64)
-        flat = base.ravel()
-        for j in range(flat.size):
-            bumped = dict(params)
-            plus = base.copy().ravel()
-            plus[j] += epsilon
-            bumped[name] = plus.reshape(base.shape)
-            _, r = evaluate(bumped)
-            f_plus = float(r.value)
-            minus = base.copy().ravel()
-            minus[j] -= epsilon
-            bumped[name] = minus.reshape(base.shape)
-            _, r = evaluate(bumped)
-            f_minus = float(r.value)
-            fd = (f_plus - f_minus) / (2.0 * epsilon)
-            an = analytic[name].ravel()[j]
-            worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
-    return worst

@@ -91,8 +91,9 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
     in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError naming the array when a stored array is missing,
-    its shape does not match the run config's, or the manifest records a
-    layout for it other than the run config's."""
+    its shape does not match the run config's, the manifest records a
+    layout for it other than the run config's, or an optimizer's step count
+    is negative."""
     with np.load(path, allow_pickle=False) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -105,6 +106,8 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
         for name in _OPTIMIZERS:
             opt = getattr(trainer, name)
             opt.t = int(_read(data, f"{name}/t", ()))
+            if opt.t < 0:
+                raise CheckpointError(f"checkpoint array {name}/t is negative ({opt.t})")
             if opt.t:
                 for part, moment in zip("mv", opt.moments()):
                     _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)

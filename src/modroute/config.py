@@ -122,6 +122,9 @@ class RunConfig:
             )
         if self.train_ratio < 0:
             raise ConfigError("train_ratio: must be >= 0")
+        for key in ("alpha_init", "maskout_threshold"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key}: must be > 0")
 
     # ------------------------------------------------------------------
 

@@ -70,7 +70,8 @@ for the task embeddings and one product for the routing input (absent
 without state routing), one ``route_mlps`` for all routing logits, one
 ``masked_softmax`` for all probabilities, and one ``modules`` for the
 module stack, which writes m^1..m^(n-1) into one (n-1, ..., B, width)
-slab and mixes from it by ``einsum``. A pass that skips unreachable
+slab and mixes from it by ``einsum``. The actor's Gaussian head adds one
+``squashed_gaussian`` node and the two ``cols`` nodes that split it. A pass that skips unreachable
 modules runs the same op on a plan that leaves them out. Its routing half,
 ``ModulePolicy.route``, runs alone where only the masks are needed.
 """
@@ -86,10 +87,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-
-LOG_STD_MIN = -20.0
-LOG_STD_MAX = 2.0
-_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 @dataclass
@@ -682,27 +679,16 @@ def squashed_gaussian(out, act_dim: int, noise: np.ndarray):
     """Tanh-squashed Gaussian sample and its log-probability.
 
     ``out`` is the raw actor head output (B, 2*act_dim): mean and a pre-
-    activation for log-std, squashed smoothly into [LOG_STD_MIN,
-    LOG_STD_MAX]. ``noise`` is standard-normal, supplied by the caller
-    (reparameterization). Returns (action, logp) with logp of shape (B, 1).
+    activation for log-std (see ``autodiff.squashed_gaussian``). ``noise``
+    is standard-normal, supplied by the caller (reparameterization).
+    Returns (action, logp) with logp of shape (B, 1). On a tape it is one
+    ``squashed_gaussian`` node, split by two ``cols`` nodes.
     """
-    mean = out.cols(0, act_dim) if ad.is_var(out) else out[:, :act_dim]
-    raw = out.cols(act_dim, 2 * act_dim) if ad.is_var(out) else out[:, act_dim:]
-    log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (ad.tanh(raw) + 1.0)
-    std = ad.exp(log_std)
-    u = mean + std * noise
-    a = ad.tanh(u)
-    # log N(u; mean, std) - log |d tanh/du|
-    per_dim = (
-        -0.5 * (noise * noise)
-        - log_std
-        - _LOG_SQRT_2PI
-        - ad.log(1.0 - a * a + 1e-6)
-    )
-    logp = ad.vsum(per_dim, axis=1, keepdims=True)
-    return a, logp
+    if not ad.is_var(out):
+        return ad.squashed_gaussian(out, act_dim, noise)[:2]
+    head = out.tape.record("squashed_gaussian", out, act_dim=act_dim, noise=noise)
+    return head.cols(0, act_dim), head.cols(act_dim, act_dim + 1)
 
 
-def deterministic_action(out, act_dim: int):
-    mean = out.cols(0, act_dim) if ad.is_var(out) else out[:, :act_dim]
-    return ad.tanh(mean)
+def deterministic_action(out: np.ndarray, act_dim: int) -> np.ndarray:
+    return np.tanh(out[:, :act_dim])

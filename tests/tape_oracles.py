@@ -1,18 +1,146 @@
-"""Reference tape ops for the tests: the per-node ``mix`` op and the
-per-module chain of ``mlp`` and ``mix`` nodes that the fused ``modules`` op
-replaces.
+"""Reference tape machinery for the tests: ``gradient_check``, the generic
+ops no training pass records, the per-node ``mix`` op, and the chains of
+generic nodes that the fused ops replace: the per-module chain of ``mlp``
+and ``mix`` nodes behind ``modules``, and the Gaussian head's chain behind
+``squashed_gaussian``.
 
-Importing this module registers ``mix`` with the tape. ``mix`` is one
-module's input ``u = sum_j p[:, row, j] * m_j``, reading its row of the
-padded probabilities, with ResRouting's gate in its backward: where a
-source is marked unsuitable its adjoint skips the source's module transform
-and goes to that module's own input (the residual shortcut), or nowhere.
-Its backward allocates fresh per-source adjoints, which the tape then adds.
+Importing this module registers the reference op kinds with the tape and
+gives ``Var`` the operator and methods that record them: ``x + y``,
+``x.relu()``, ``x.tanh()``, ``x.exp()``, ``x.log()`` and ``x.stop_grad()``
+(identity forward, zero adjoint); ``tape.record("affine", x, w, b)`` and
+``tape.record("where_const", a, b, cond=...)`` have no method.
+
+``mix`` is one module's input ``u = sum_j p[:, row, j] * m_j``, reading its
+row of the padded probabilities, with ResRouting's gate in its backward:
+where a source is marked unsuitable its adjoint skips the source's module
+transform and goes to that module's own input (the residual shortcut), or
+nowhere. Its backward allocates fresh per-source adjoints, which the tape
+then adds.
 """
+
+from typing import Callable
 
 import numpy as np
 
 from modroute import autodiff
+from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN, Tape, Var, _unbroadcast
+
+
+def gradient_check(
+    build: Callable[[Tape, dict[str, Var]], Var],
+    params: dict[str, np.ndarray],
+    epsilon: float = 1e-5,
+) -> float:
+    """Max relative error between analytic and central-difference gradients.
+
+    ``build`` records a scalar function of the given parameters on a fresh
+    tape. Error metric per element: |analytic - fd| / max(1, |fd|).
+    """
+
+    def evaluate(pvals: dict[str, np.ndarray]):
+        tape = Tape()
+        pvars = {k: tape.parameter(k, v) for k, v in pvals.items()}
+        root = build(tape, pvars)
+        return tape, root
+
+    tape, root = evaluate(params)
+    analytic = tape.backward(root)
+
+    worst = 0.0
+    for name, base in params.items():
+        base = np.asarray(base, dtype=np.float64)
+        flat = base.ravel()
+        for j in range(flat.size):
+            bumped = dict(params)
+            plus = base.copy().ravel()
+            plus[j] += epsilon
+            bumped[name] = plus.reshape(base.shape)
+            _, r = evaluate(bumped)
+            f_plus = float(r.value)
+            minus = base.copy().ravel()
+            minus[j] -= epsilon
+            bumped[name] = minus.reshape(base.shape)
+            _, r = evaluate(bumped)
+            f_minus = float(r.value)
+            fd = (f_plus - f_minus) / (2.0 * epsilon)
+            an = analytic[name].ravel()[j]
+            worst = max(worst, abs(an - fd) / max(1.0, abs(fd)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# generic ops
+
+
+def _fwd_affine(vals, aux):
+    x, w, b = vals
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"affine expects (B,m)@(m,k), got {x.shape} @ {w.shape}")
+    return x @ w + b
+
+
+def _bwd_where(g, out, vals, aux, need):
+    c = aux["cond"]
+    return (
+        _unbroadcast(np.where(c, g, 0.0), vals[0].shape),
+        _unbroadcast(np.where(c, 0.0, g), vals[1].shape),
+    )
+
+
+autodiff._FORWARD.update({
+    "add": lambda v, a: v[0] + v[1],
+    "affine": _fwd_affine,
+    "relu": lambda v, a: np.maximum(v[0], 0.0),
+    "tanh": lambda v, a: np.tanh(v[0]),
+    "exp": lambda v, a: np.exp(v[0]),
+    "log": lambda v, a: np.log(v[0]),
+    "stop_grad": lambda v, a: v[0],
+    "where_const": lambda v, a: np.where(a["cond"], v[0], v[1]),
+})
+autodiff._BACKWARD.update({
+    "add": lambda g, o, v, a, n: (
+        _unbroadcast(g, v[0].shape),
+        _unbroadcast(g, v[1].shape),
+    ),
+    "affine": lambda g, o, v, a, n: (
+        g @ v[1].T, v[0].T @ g, _unbroadcast(g, v[2].shape),
+    ),
+    "relu": lambda g, o, v, a, n: (g * (v[0] > 0.0),),
+    "tanh": lambda g, o, v, a, n: (g * (1.0 - o * o),),
+    "exp": lambda g, o, v, a, n: (g * o,),
+    "log": lambda g, o, v, a, n: (g / v[0],),
+    "stop_grad": lambda g, o, v, a, n: (None,),
+    "where_const": _bwd_where,
+})
+
+
+Var.__add__ = Var.__radd__ = lambda self, other: self.tape.record(
+    "add", self, self._coerce(other))
+for _kind in ("relu", "tanh", "exp", "log", "stop_grad"):
+    setattr(Var, _kind, lambda self, _kind=_kind: self.tape.record(_kind, self))
+
+
+def squashed_gaussian_chain(out, act_dim, noise):
+    """The Gaussian head of ``autodiff.squashed_gaussian`` recorded as
+    generic nodes, 18 of them: the reference for the fused op's values and
+    gradient. Returns the action and log-probability Vars."""
+    mean = out.cols(0, act_dim)
+    raw = out.cols(act_dim, 2 * act_dim)
+    log_std = LOG_STD_MIN + 0.5 * (LOG_STD_MAX - LOG_STD_MIN) * (raw.tanh() + 1.0)
+    std = log_std.exp()
+    u = mean + std * noise
+    a = u.tanh()
+    per_dim = (
+        -0.5 * (noise * noise)
+        - log_std
+        - autodiff._LOG_SQRT_2PI
+        - (1.0 - a * a + 1e-6).log()
+    )
+    return a, per_dim.sum(axis=1, keepdims=True)
+
+
+# ---------------------------------------------------------------------------
+# the module stack
 
 
 def mix(p, sources, cols):

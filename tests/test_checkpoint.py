@@ -101,6 +101,16 @@ def test_missing_array_is_named(tmp_path, name):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("name", ["opt_actor/t", "opt_alpha/t"])
+def test_negative_step_count_is_named(tmp_path, name):
+    # the step after t = -1 would divide by Adam's bias correction
+    # 1 - beta**0 = 0 and write non-finite weights
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays.__setitem__(name, np.array(-1)))
+    with pytest.raises(CheckpointError, match=f"array {name} is negative"):
+        load_checkpoint(path)
+
+
 def _swap_first_two_tensors(record):
     record["tensors"][:2] = record["tensors"][1::-1]
 

@@ -119,6 +119,8 @@ class TestRunConfig:
         ({"routing_widths": [8, -4]}, r"routing_widths\[1\]: expected a positive"),
         ({"buffer_capacity": 3}, "buffer_capacity: must hold at least one"),
         ({"train_ratio": -1}, "train_ratio: must be >= 0"),
+        ({"maskout_threshold": 0}, "maskout_threshold: must be > 0"),
+        ({"alpha_init": -0.1}, "alpha_init: must be > 0"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):

@@ -1,15 +1,21 @@
-"""The fused tape ops (mlp, route_mlps, masked_softmax) and the reference
-``mix`` op of ``tape_oracles``: gradients against central differences, the
-ResRouting gate of ``mix`` against the same gate built from generic ops,
-and the routed network built on the fused ops."""
+"""The fused tape ops (mlp, route_mlps, masked_softmax, squashed_gaussian)
+and the reference ``mix`` op of ``tape_oracles``: gradients against central
+differences, the Gaussian head against its density and its generic chain,
+the ResRouting gate of ``mix`` against the same gate built from generic
+ops, and the routed network built on the fused ops."""
 
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape, affine_chain, gradient_check
-from modroute.network import ModulePolicy, PolicyConfig, topk_mask_rows
+from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN, Tape, affine_chain
+from modroute.network import (
+    ModulePolicy,
+    PolicyConfig,
+    squashed_gaussian,
+    topk_mask_rows,
+)
 from routing_oracles import padded
-import tape_oracles  # noqa: F401  (registers the reference "mix" op)
+from tape_oracles import gradient_check, squashed_gaussian_chain
 
 
 def _layers(rng, dims, prefix=""):
@@ -130,6 +136,68 @@ def test_masked_softmax_ignores_huge_masked_logits():
     huge = tape.record("masked_softmax", tape.constant(z + [[0.0, 1e4, 0.0]]), d=d).value
     assert np.all(np.isfinite(huge))
     assert np.array_equal(base, huge)
+
+
+def _head_inputs(act_dim=3):
+    """Actor outputs (B, 2*act_dim) and noise: random rows, then rows whose
+    log-std pre-activation saturates tanh (std at either bound) and rows
+    whose |u| is large enough for tanh(u) to round to +-1."""
+    rng = np.random.default_rng(12)
+    out = rng.normal(size=(8, 2 * act_dim))
+    noise = rng.normal(size=(8, act_dim))
+    out[0, act_dim:] = 40.0
+    out[1, act_dim:] = -40.0
+    out[2, :act_dim] = [60.0, -60.0, 80.0]
+    out[3] = [-60.0, 60.0, 80.0, 40.0, 40.0, -40.0]
+    return out, noise
+
+
+def _change_of_variables_logp(out, act_dim, noise):
+    """log pi(a) for a = tanh(u), u ~ N(mean, std): per dimension
+    log N(u; mean, std) - log(1 - tanh(u)^2 + 1e-6), summed. The
+    standardized ``(u - mean) / std`` is the noise; computing it from ``u``
+    would lose digits where std is small."""
+    mean, pre = out[:, :act_dim], out[:, act_dim:]
+    log_std = LOG_STD_MIN + (LOG_STD_MAX - LOG_STD_MIN) * (np.tanh(pre) + 1.0) / 2.0
+    std = np.exp(log_std)
+    u = mean + std * noise
+    log_normal = -0.5 * noise ** 2 - np.log(std * np.sqrt(2.0 * np.pi))
+    log_jacobian = np.log(1.0 - np.tanh(u) ** 2 + 1e-6)
+    return np.sum(log_normal - log_jacobian, axis=1, keepdims=True)
+
+
+def test_squashed_gaussian_logp_is_the_change_of_variables_density():
+    out, noise = _head_inputs()
+    ref = _change_of_variables_logp(out, 3, noise)
+    a, logp = squashed_gaussian(out, 3, noise)
+    assert np.all(np.isfinite(logp)) and np.all(np.abs(a[2:4, :3]) == 1.0)
+    np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0)
+    tape = Tape()
+    a_v, logp_v = squashed_gaussian(tape.parameter("out", out), 3, noise)
+    assert np.array_equal(a_v.value, a) and np.array_equal(logp_v.value, logp)
+    np.testing.assert_allclose(logp_v.value, ref, rtol=1e-12, atol=0)
+
+
+def test_squashed_gaussian_op_matches_its_generic_chain():
+    out, noise = _head_inputs()
+    c = np.random.default_rng(13).normal(size=(8, 4))
+
+    def build(tape, p, head):
+        a, logp = head(p["out"], 3, noise)
+        return (a * c[:, :3]).sum() + (logp * c[:, 3:]).sum()
+
+    grads = []
+    for head, nodes in ((squashed_gaussian, 3), (squashed_gaussian_chain, 18)):
+        tape = Tape()
+        out_v = tape.parameter("out", out)
+        a, logp = head(out_v, 3, noise)
+        assert sum(op[0] not in ("parameter", "constant") for op in tape.ops) == nodes
+        grads.append(tape.backward(build(tape, {"out": out_v}, head))["out"])
+        if head is squashed_gaussian:
+            fused = a.value, logp.value
+    assert np.array_equal(fused[0], a.value) and np.array_equal(fused[1], logp.value)
+    np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=0)
+    assert gradient_check(lambda t, p: build(t, p, squashed_gaussian), {"out": out}) < 1e-6
 
 
 def test_mix_gradient_check_with_a_skipped_source():

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from modroute import autodiff as ad
-from modroute.autodiff import Tape, gradient_check
+from modroute.autodiff import Tape
 from modroute.network import effective_rows, topk_mask_rows
-from tape_oracles import module_chain
+from tape_oracles import gradient_check, module_chain
 
 N, WIDTH, HIDDEN, HEAD = 5, 4, 6, 3
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape, gradient_check
+from modroute.autodiff import Tape
 from modroute.network import (
     ModulePolicy,
     PolicyConfig,
@@ -14,6 +14,7 @@ from modroute.network import (
     unpack_masks,
 )
 from routing_oracles import effective_modules, padded
+from tape_oracles import gradient_check
 
 
 def small_cfg(head="actor", n=4, **kw):

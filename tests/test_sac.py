@@ -1,10 +1,14 @@
 import copy
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from modroute import autodiff
-from modroute.autodiff import Tape, gradient_check
+from modroute.autodiff import Tape
 from modroute.config import RunConfig
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
 from modroute.network import (
@@ -490,13 +494,46 @@ class TestTrainStepGraph:
         second = self._counts(tr, monkeypatch)
         # three routed passes (the stacked critics, the actor, the frozen
         # stacked critics) of 6 nodes each (encoder, embedding gather,
-        # routing input, routing MLPs, masked softmax, module stack), plus
-        # the heads and losses
-        assert first["record"] <= 46
+        # routing input, routing MLPs, masked softmax, module stack), the
+        # actor's Gaussian head (one squashed_gaussian node and the two cols
+        # that split it), 4 critic-loss nodes and 6 actor-loss nodes (among
+        # them the frozen critics' action concat and member_min)
+        assert first["record"] == 31
         # the actor and the stacked critics once each, one parameter per
         # tensor (45 per network); frozen critics are constants
         assert first["parameter"] <= 90
         assert first == second
+
+    def test_every_registered_op_kind_is_recorded(self):
+        # a fresh process: the reference ops that tests register stay out
+        code = """
+import json, sys
+from modroute import autodiff
+from modroute.config import RunConfig
+from modroute.sac import Trainer
+
+cfg = RunConfig(seed=0, n_modules=8, k=2, module_dim=32, module_hidden=32,
+                batch_per_task=16, start_steps=16)
+tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), 0)
+while not tr.buffer.can_sample(cfg.batch_per_task):
+    tr.collect_rollouts(1)
+recorded, record = set(), autodiff.Tape.record
+
+def counted(self, kind, *args, **kw):
+    recorded.add(kind)
+    return record(self, kind, *args, **kw)
+
+autodiff.Tape.record = counted
+tr.collect_rollouts(1)
+assert tr.train_step() is not None
+assert "tape_oracles" not in sys.modules
+print(json.dumps(sorted(set(autodiff._FORWARD) - recorded)))
+"""
+        src = os.path.dirname(os.path.dirname(autodiff.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert json.loads(out.stdout) == []
 
     def test_actor_gradient_uses_pre_step_critics(self):
         # the actor's gradient through min(Q1, Q2) must be taken at the
