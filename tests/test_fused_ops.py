@@ -182,22 +182,22 @@ def test_squashed_gaussian_op_matches_its_generic_chain():
     out, noise = _head_inputs()
     c = np.random.default_rng(13).normal(size=(8, 4))
 
-    def build(tape, p, head):
+    def build(tape, p, head=squashed_gaussian):
         a, logp = head(p["out"], 3, noise)
+        build.values = a.value, logp.value
         return (a * c[:, :3]).sum() + (logp * c[:, 3:]).sum()
 
-    grads = []
-    for head, nodes in ((squashed_gaussian, 3), (squashed_gaussian_chain, 18)):
+    def taped(head):
         tape = Tape()
-        out_v = tape.parameter("out", out)
-        a, logp = head(out_v, 3, noise)
-        assert sum(op[0] not in ("parameter", "constant") for op in tape.ops) == nodes
-        grads.append(tape.backward(build(tape, {"out": out_v}, head))["out"])
-        if head is squashed_gaussian:
-            fused = a.value, logp.value
-    assert np.array_equal(fused[0], a.value) and np.array_equal(fused[1], logp.value)
-    np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=0)
-    assert gradient_check(lambda t, p: build(t, p, squashed_gaussian), {"out": out}) < 1e-6
+        loss = build(tape, {"out": tape.parameter("out", out)}, head)
+        nodes = sum(op[0] not in ("parameter", "constant") for op in tape.ops)
+        return nodes - 5, build.values, tape.backward(loss)["out"]  # 5 loss nodes
+
+    fused, chain = taped(squashed_gaussian), taped(squashed_gaussian_chain)
+    assert (fused[0], chain[0]) == (3, 18)
+    assert all(np.array_equal(f, r) for f, r in zip(fused[1], chain[1]))
+    np.testing.assert_allclose(fused[2], chain[2], rtol=1e-12, atol=0)
+    assert gradient_check(build, {"out": out}) < 1e-6
 
 
 def test_mix_gradient_check_with_a_skipped_source():
