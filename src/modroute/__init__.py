@@ -1,6 +1,5 @@
 """Depth-routed modular policies for multi-task reinforcement learning."""
 
-from .autodiff import Tape, Var
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, RunConfig
 from .network import ModulePolicy, PolicyConfig
@@ -15,8 +14,6 @@ __all__ = [
     "TrainSettings",
     "load_checkpoint",
     "save_checkpoint",
-    "Tape",
-    "Var",
     "ModulePolicy",
     "PolicyConfig",
     "route_balance_temperatures",

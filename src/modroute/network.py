@@ -31,7 +31,7 @@ gradient to earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks
 the shortcut as well; ``chi_mode="off"`` disables the gating. The
 suitability test is one row softmax of the padded logits; the gate changes
 gradients only, never forward values, and lives in the backward of the
-tape's ``modules`` op (see ``autodiff``).
+module stack (``autodiff.modules_backward``).
 
 Parameter layout. A network's parameters are one flat float64 vector
 (``Params.flat``); the forward reads a few tensors that are views of it
@@ -58,22 +58,22 @@ each laid out as a single network's (``Params.members`` are their keyed
 views). The tensors, and each key's view, carry a leading member axis, and
 so do the pass's values: logits, masks and probabilities are
 (M, B, n-1, n-1), module outputs (M, B, width). Both members read the same
-states and actions; their masks may differ. One pass, and on a tape one
-node per fused op, serves every member: the kernels in ``autodiff`` run
-over leading axes with batched matmuls, each member's arithmetic the same
-as it is alone.
+states and actions; their masks may differ. One pass serves every member:
+the kernels in ``autodiff`` run over leading axes with batched matmuls,
+each member's arithmetic the same as it is alone.
 
-``ModulePolicy.forward`` decides once per pass between plain numpy (for
-inference) and a tape (for training); both run the same kernels. On a tape
-the pass is a few nodes: one ``mlp`` for the encoder, one ``gather_rows``
-for the task embeddings and one product for the routing input (absent
-without state routing), one ``route_mlps`` for all routing logits, one
-``masked_softmax`` for all probabilities, and one ``modules`` for the
-module stack, which writes m^1..m^(n-1) into one (n-1, ..., B, width)
-slab and mixes from it by ``einsum``. The actor's Gaussian head adds one
-``squashed_gaussian`` node and the two ``cols`` nodes that split it. A pass that skips unreachable
-modules runs the same op on a plan that leaves them out. Its routing half,
-``ModulePolicy.route``, runs alone where only the masks are needed.
+A pass (``ModulePolicy.forward``) is a fixed graph of a few kernels: the
+encoder, the task-embedding gather and the routing input F(s) * H(task),
+the stacked routing MLPs for all logits, one masked softmax for all
+probabilities, and the module stack, which writes m^1..m^(n-1) into one
+(n-1, ..., B, width) slab and mixes from it by ``einsum``. A pass that
+skips unreachable modules runs the stack on a plan that leaves them out.
+Its routing half, ``ModulePolicy.route``, runs alone where only the masks
+are needed. The pass keeps what its kernels saved, and
+``ModulePolicy.backward`` runs their backward kernels on it, last to first:
+the module stack, the masked softmax, the routing MLPs, the routing input
+and gather, the encoder. It writes each weight gradient straight into a
+view of a flat gradient vector over the network's layout.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
 
 
 @dataclass
@@ -297,23 +296,15 @@ def policy_layout(cfg: PolicyConfig, members: int = 1) -> Layout:
     return Layout(tensors, keys, members)
 
 
-def _row_softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def masked_softmax_rows(z, d: np.ndarray):
+def masked_softmax_rows(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Masked softmax over the last axis of the padded logits ``z``; ``d``
     is a constant binary array of the same shape.
 
     Masked entries are exactly zero (they are multiplied by 0 after
     exponentiation), so gradients never leak through unselected sources.
-    On a tape it is one ``masked_softmax`` node.
     """
-    if not np.all(d.sum(axis=-1) >= 1.0):
+    if not np.all(ad.row_max(d) > 0.0):
         raise ValueError("masked_softmax_rows: some row selects no source")
-    if ad.is_var(z):
-        return z.tape.record("masked_softmax", z, d=d)
     return ad.masked_softmax(z, d)
 
 
@@ -322,7 +313,7 @@ def effective_rows(masks: np.ndarray):
 
     Returns ``(need, sources)``. ``need`` is (B, n) bool: the modules each
     row reaches. ``sources`` is the batch-level closure: it maps module n,
-    and every module some row of a module in it selects, to the list of
+    and every module some row of a module in it selects, to the tuple of
     sources any row of that module selects. That is coarser than per-row
     reachability (a selected source of an evaluated module must exist even
     if only some rows need that module), and it is what a forward pass that
@@ -338,12 +329,12 @@ def effective_rows(masks: np.ndarray):
         if r + 2 not in sources:
             continue  # no row reaches it either
         need[:, :w] |= sel[:, r] & need[:, r + 1:r + 2]
-        srcs = [j + 1 for j in range(r + 1) if used[r][j]]
+        srcs = tuple(j + 1 for j in range(r + 1) if used[r][j])
         sources[r + 2] = srcs
         for j in srcs:
             sources.setdefault(j, None)
     if 1 in sources:
-        sources[1] = []
+        sources[1] = ()
     return need, sources
 
 
@@ -376,6 +367,18 @@ def _rows(a: np.ndarray) -> list[np.ndarray]:
     return [a[..., r, :r + 1] for r in range(a.shape[-2])]
 
 
+class Routing(NamedTuple):
+    """The routing half of a pass (``ModulePolicy.route``), with what its
+    kernels saved for the backward."""
+    masks: np.ndarray     # padded binary source masks
+    logits: np.ndarray    # padded logits
+    encoded: np.ndarray   # the encoder output F(s)
+    task_ids: np.ndarray
+    enc_acts: list        # the encoder's layer inputs
+    emb: np.ndarray       # the task embeddings H(task)
+    route_acts: list      # the routing MLPs' layer inputs, the first F(s) * H(task)
+
+
 @dataclass
 class ForwardResult:
     """A pass's head output and its routing.
@@ -384,15 +387,20 @@ class ForwardResult:
     docstring), (M, B, n-1, n-1) for a stacked ensemble of M members;
     ``masks``, ``probs`` and ``logits`` give their per-module (..., B, i-1)
     views, for modules 2..n. ``effective`` has one row per batch row and
-    member, members one after another.
+    member, members one after another. The fields after them are what
+    ``ModulePolicy.backward`` reads.
     """
-    out: object                   # head output, (..., B, head_dim) array or Var
+    out: np.ndarray               # head output, (..., B, head_dim)
     padded_masks: np.ndarray      # binary source masks
-    padded_probs: np.ndarray      # routing probabilities (values)
-    padded_logits: np.ndarray     # routing logits (values)
+    padded_probs: np.ndarray      # routing probabilities
+    padded_logits: np.ndarray     # routing logits
     _slab: np.ndarray | None = field(default=None, repr=False)
     _plan: tuple = field(default=(), repr=False)
     _effective: np.ndarray | None = field(default=None, repr=False)
+    _routing: Routing | None = field(default=None, repr=False)
+    _acts: dict | None = field(default=None, repr=False)  # module i's layer inputs
+    _suit: np.ndarray | None = field(default=None, repr=False)  # sources the gate passes
+    _rsg: bool = field(default=False, repr=False)
 
     @property
     def module_outputs(self) -> dict:
@@ -423,18 +431,9 @@ class ForwardResult:
         return _rows(self.padded_logits)
 
 
-class Routing(NamedTuple):
-    """The routing half of a pass (``ModulePolicy.route``)."""
-    masks: np.ndarray    # padded binary source masks
-    logits: object       # padded logits, array or Var
-    encoded: object      # the encoder output F(s), array or Var
-    params: dict         # the tensors the pass reads (tape Vars on a tape)
-    tape: Tape | None    # the tape the pass records on, if any
-
-
 class ModulePolicy:
-    """Parameters plus forward passes for one routed network, or for a
-    stacked ensemble of them (``params`` over a stacked layout)."""
+    """Parameters plus forward and backward passes for one routed network,
+    or for a stacked ensemble of them (``params`` over a stacked layout)."""
 
     def __init__(self, cfg: PolicyConfig, params: Params):
         self.cfg = cfg
@@ -449,22 +448,18 @@ class ModulePolicy:
         self._route_names = _route_names(cfg)
         # per padded routing row: the suitability threshold 1/i of module i
         self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
+        self._work = ad.Workspace()  # the backward's intermediate adjoints
 
     @classmethod
     def init(cls, cfg: PolicyConfig, *rngs: np.random.Generator) -> "ModulePolicy":
         """A network drawn by ``init_params``: one member per generator."""
         return cls(cfg, init_params(cfg, *rngs))
 
-    def param_vars(self, tape: Tape, scope: str = "") -> dict[str, Var]:
-        """One tape parameter per tensor, named ``scope`` + tensor name."""
-        return {t: tape.parameter(scope + t, v) for t, v in self.params.tensors.items()}
-
     def route(
         self,
         obs: np.ndarray,
         task_ids: np.ndarray,
         *,
-        params=None,
         action=None,
         masks: np.ndarray | None = None,
         mask_fn=None,
@@ -479,72 +474,48 @@ class ModulePolicy:
         cfg = self.cfg
         if (masks is None) == (mask_fn is None):
             raise ValueError("provide exactly one of masks / mask_fn")
-        p = params if params is not None else self.params
-        if isinstance(p, Params):
-            p = p.tensors
-        if ad.is_var(p["temb"]):
-            tape = p["temb"].tape
-        elif ad.is_var(action):
-            tape = action.tape
-            p = {k: tape.constant(v) for k, v in p.items()}
-        else:
-            tape = None
+        p = self.params.tensors
 
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        task_ids = np.atleast_1d(np.asarray(task_ids))
+        task_ids = np.atleast_1d(np.asarray(task_ids)).astype(np.intp)
         if cfg.head == "critic":
             if action is None:
                 raise ValueError("critic forward requires an action")
-            if ad.is_var(action):
-                x = ad.concat([obs, action], axis=1)
-            else:
-                act = np.atleast_2d(np.asarray(action, dtype=np.float64))
-                if act.shape[1] != cfg.act_dim:
-                    raise ValueError(
-                        f"action dim {act.shape[1]} != expected {cfg.act_dim}"
-                    )
-                x = np.concatenate([obs, act], axis=1)
+            act = np.atleast_2d(np.asarray(action, dtype=np.float64))
+            if act.shape[1] != cfg.act_dim:
+                raise ValueError(
+                    f"action dim {act.shape[1]} != expected {cfg.act_dim}"
+                )
+            x = np.concatenate([obs, act], axis=1)
         else:
             x = obs
-        if ad.value_of(x).shape[1] != cfg.input_dim:
-            raise ValueError(
-                f"input dim {ad.value_of(x).shape[1]} != expected {cfg.input_dim}"
-            )
+        if x.shape[1] != cfg.input_dim:
+            raise ValueError(f"input dim {x.shape[1]} != expected {cfg.input_dim}")
 
         # encoder, routing input and the padded logits of modules 2..n
-        route_ws = [p[t] for t in self._route_names]
-        if tape is None:
-            h = ad.affine_chain(x, [p[k] for k in self._enc_keys])[0]
-            emb = p["temb"][..., task_ids.astype(np.intp), :]
-            g = h * emb if cfg.state_routing else emb
-            z = ad.route_mlps(g, route_ws)[0]
-        else:
-            if not ad.is_var(x):
-                x = tape.constant(x)
-            h = tape.record("mlp", x, *[p[k] for k in self._enc_keys], residual=False)
-            emb = tape.record("gather_rows", p["temb"], idx=task_ids)
-            g = h * emb if cfg.state_routing else emb
-            z = tape.record("route_mlps", g, *route_ws)
+        h, enc_acts = ad.affine_chain(x, [p[k] for k in self._enc_keys])
+        emb = p["temb"][..., task_ids, :]
+        g = h * emb if cfg.state_routing else emb
+        z, route_acts = ad.route_mlps(g, [p[t] for t in self._route_names])
 
-        zv = ad.value_of(z)
         if masks is not None:
             d = np.asarray(masks, dtype=np.float64)
-            if d.shape != zv.shape:
+            if d.shape != z.shape:
                 raise ValueError(
-                    f"stored masks have shape {d.shape}, expected {zv.shape}"
+                    f"stored masks have shape {d.shape}, expected {z.shape}"
                 )
-        elif zv.ndim == 3:
-            d = mask_fn(zv)
+        elif z.ndim == 3:
+            d = mask_fn(z)
         else:
-            d = np.stack([mask_fn(member) for member in zv])
-        return Routing(masks=d, logits=z, encoded=h, params=p, tape=tape)
+            d = np.stack([mask_fn(member) for member in z])
+        return Routing(masks=d, logits=z, encoded=h, task_ids=task_ids,
+                       enc_acts=enc_acts, emb=emb, route_acts=route_acts)
 
     def forward(
         self,
         obs: np.ndarray,
         task_ids: np.ndarray,
         *,
-        params=None,
         action=None,
         masks: np.ndarray | None = None,
         mask_fn=None,
@@ -557,53 +528,90 @@ class ModulePolicy:
         (B, n-1, n-1), or (M, B, n-1, n-1) on a stacked ensemble) or
         ``mask_fn`` (callable padded (B, n-1, n-1) logits -> padded binary
         masks) selects the routing.
-        ``chi_mode`` gates unsuitable stored sources: "off" (no gating),
-        "sg" (full stop-gradient) or "rsg" (stop-gradient on the module
-        transform only, shortcut gradient preserved).
-
-        ``params`` is a ``Params``, or a dict keyed by tensor name (as
-        ``param_vars`` returns); by default the network's own. The pass is
-        recorded on a tape when ``params`` holds tape ``Var``s or ``action``
-        is a ``Var``; numpy ``params`` then enter the tape as constants
-        (frozen weights, no gradient). Otherwise it is plain numpy.
+        ``chi_mode`` is the gate ``backward`` applies to unsuitable stored
+        sources: "off" (no gating), "sg" (full stop-gradient) or "rsg"
+        (stop-gradient on the module transform only, shortcut gradient
+        preserved). It never changes the forward values.
 
         A stacked ensemble runs every member in the one pass on the same
         states and actions; its output and routing carry the member axis.
         """
         if chi_mode not in ("off", "sg", "rsg"):
             raise ValueError(f"unknown chi_mode {chi_mode!r}")
-        r = self.route(obs, task_ids, params=params, action=action,
-                       masks=masks, mask_fn=mask_fn)
-        p, tape, z, d = r.params, r.tape, r.logits, r.masks
+        r = self.route(obs, task_ids, action=action, masks=masks, mask_fn=mask_fn)
+        z, d = r.logits, r.masks
         n = self.cfg.n_modules
 
-        # routing probabilities; on a tape, also which stored sources the
+        # routing probabilities; under a gate, also which stored sources the
         # current router finds unsuitable (score below 1/i)
-        zv = ad.value_of(z)
         probs = masked_softmax_rows(z, d)
         suit = None
-        if tape is not None and chi_mode != "off":
-            suit = _row_softmax(zv) >= self._inv_i
+        if chi_mode != "off":
+            suit = ad.masked_softmax(z, ad.route_valid(n - 1)) >= self._inv_i
         eff, sources = (effective_rows(d.reshape((-1,) + d.shape[-2:])) if skip_unused
                         else (None, None))
-        plan = ([sources.get(i) for i in range(1, n + 1)] if skip_unused
+        plan = (tuple(sources.get(i) for i in range(1, n + 1)) if skip_unused
                 else self._dense_plan)
 
         # the module stack; m^1..m^(n-1) land in one slab
-        h = r.encoded
-        slab = np.empty((n - 1,) + ad.value_of(h).shape)
-        ws = [p[k] for k in self._mod_keys]
-        if tape is None:
-            out = ad.modules(h, probs, ws, plan, slab)
-        else:
-            out = tape.record("modules", probs, h, *ws, plan=plan, slab=slab,
-                              suit=suit, rsg=chi_mode == "rsg")
-
+        slab = np.empty((n - 1,) + r.encoded.shape)
+        acts = {}
+        out = ad.modules(r.encoded, probs, [self.params.tensors[k] for k in self._mod_keys],
+                         plan, slab, acts)
         return ForwardResult(
-            out=out, padded_masks=d, padded_probs=ad.value_of(probs),
-            padded_logits=zv, _slab=slab, _plan=plan, _effective=eff,
+            out=out, padded_masks=d, padded_probs=probs, padded_logits=z,
+            _slab=slab, _plan=plan, _effective=eff, _routing=r, _acts=acts,
+            _suit=suit, _rsg=chi_mode == "rsg",
         )
 
+    def backward(self, res: ForwardResult, g: np.ndarray, grad: Params | None = None,
+                 input_grad: bool = False):
+        """The reverse pass of ``res``, this network's ``forward`` result at
+        its current weights, from the adjoint ``g`` of its output.
+
+        Writes the gradient of every weight into the tensor views of
+        ``grad`` (``Params`` over the network's layout), if given; weights
+        the pass did not reach get zeros. Returns, if ``input_grad``, the
+        adjoint of a critic's action input, (B, act_dim), summed over the
+        members of a stacked ensemble (they share the action).
+
+        The adjoints of a value with two readers are added, as a reverse
+        sweep over the pass would add them: F(s) feeds module 1 and the
+        routing input.
+        """
+        cfg, r, ws = self.cfg, res._routing, self._work
+        p = self.params.tensors
+
+        def weights(keys):
+            return [p[k] for k in keys]
+
+        def grads(keys):
+            return [None] * len(keys) if grad is None else [grad.tensors[k] for k in keys]
+
+        # without weights to train and without state routing the routing
+        # half reads nothing differentiable
+        routed = grad is not None or cfg.state_routing
+        gp, gh = ad.modules_backward(
+            g, res.padded_probs, weights(self._mod_keys), res._plan, res._slab, res._acts,
+            res._suit, res._rsg, grads(self._mod_keys), ws, need_p=routed)
+        if routed:
+            gz = ad.masked_softmax_backward(gp, res.padded_probs, ws)
+            gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
+                                        grads(self._route_names), ws)
+            if cfg.state_routing:
+                gh += np.multiply(gg, r.emb, out=ws.take("gh_route", gg.shape))
+            if grad is not None:
+                gemb = (np.multiply(gg, r.encoded, out=ws.take("gemb", gg.shape))
+                        if cfg.state_routing else gg)
+                gt = grad.tensors["temb"]
+                gt.fill(0.0)
+                np.add.at(gt.swapaxes(0, -2), r.task_ids, gemb.swapaxes(0, -2))
+        gx = ad.affine_chain_backward(gh, r.enc_acts, weights(self._enc_keys),
+                                      grads(self._enc_keys), ws, need_x=input_grad)
+        if input_grad:
+            if gx.ndim == 3:  # the members share the input
+                gx = gx.sum(axis=0)
+            return gx[:, cfg.obs_dim:]
 
 # ---------------------------------------------------------------------------
 # mask selectors over padded logits (-inf entries are padding, never picked)
@@ -675,19 +683,15 @@ def make_mask_fn(mode: str, k: int, taus=None, rng=None):
 # ---------------------------------------------------------------------------
 # actor head utilities
 
-def squashed_gaussian(out, act_dim: int, noise: np.ndarray):
+def squashed_gaussian(out: np.ndarray, act_dim: int, noise: np.ndarray):
     """Tanh-squashed Gaussian sample and its log-probability.
 
     ``out`` is the raw actor head output (B, 2*act_dim): mean and a pre-
     activation for log-std (see ``autodiff.squashed_gaussian``). ``noise``
     is standard-normal, supplied by the caller (reparameterization).
-    Returns (action, logp) with logp of shape (B, 1). On a tape it is one
-    ``squashed_gaussian`` node, split by two ``cols`` nodes.
+    Returns (action, logp) with logp of shape (B, 1).
     """
-    if not ad.is_var(out):
-        return ad.squashed_gaussian(out, act_dim, noise)[:2]
-    head = out.tape.record("squashed_gaussian", out, act_dim=act_dim, noise=noise)
-    return head.cols(0, act_dim), head.cols(act_dim, act_dim + 1)
+    return ad.squashed_gaussian(out, act_dim, noise)[:2]
 
 
 def deterministic_action(out: np.ndarray, act_dim: int) -> np.ndarray:

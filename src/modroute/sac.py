@@ -8,11 +8,16 @@ fresh masks with per-task temperature.
 
 The twin critics are one stacked network of two members (``Trainer.critics``,
 its Polyak average ``Trainer.critics_target``; see ``network``): each use of
-the critics, the taped loss, the frozen critics under the actor loss, the
+the critics, their loss, the frozen critics under the actor loss, the
 Bellman targets and the rollout masks, is one pass over both members, and
 their update is one backward, one ``Adam`` step and one Polyak update. Each
 member's numbers are those of a critic trained alone; the min over the
 members goes to member 0 (q1) on ties.
+
+A train step differentiates two fixed graphs, the critics' TD loss and the
+actor loss through the frozen critics. Each loss builds the adjoint of its
+networks' outputs by hand and runs ``ModulePolicy.backward`` on them, in
+the order and with the sums a reverse sweep over the graph would take.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tape, member_min
+from . import autodiff as ad
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, ToyEnv
 from .network import (
     Layout,
@@ -148,7 +153,7 @@ def _per_task_mean(values: np.ndarray, task_ids: np.ndarray, num_tasks: int):
 def _coefficients(task_ids: np.ndarray, weights: np.ndarray,
                   included: np.ndarray) -> np.ndarray:
     """Per-sample weights implementing sum_T w_T * mean_T(loss_T) with
-    masked-out tasks removed; column vector for the tape."""
+    masked-out tasks removed; a column vector, one row per sample."""
     num_tasks = len(weights)
     counts = np.bincount(task_ids, minlength=num_tasks)
     c = np.zeros(len(task_ids))
@@ -156,6 +161,21 @@ def _coefficients(task_ids: np.ndarray, weights: np.ndarray,
         if counts[t] > 0 and included[t]:
             c[task_ids == t] = weights[t] / counts[t]
     return c.reshape(-1, 1)
+
+
+def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The adjoint of ``np.min(x, axis=0)`` from its adjoint ``g``: each
+    entry's goes to the member it came from, the first one on ties, the
+    later one where a NaN makes the comparison false."""
+    pick = np.zeros(x.shape[1:], dtype=np.intp)
+    best = x[0]
+    for i in range(1, len(x)):
+        later = ~(best <= x[i])
+        pick[later] = i
+        best = np.where(later, x[i], best)
+    gx = np.zeros_like(x)
+    np.put_along_axis(gx, pick[None], g[None], axis=0)
+    return gx
 
 
 def alpha_loss(logp: np.ndarray, task_ids: np.ndarray,
@@ -233,11 +253,10 @@ class Trainer:
         self.opt_actor = Adam(settings.lr, self.actor.params.layout)
         self.opt_critics = Adam(settings.lr, self.critics.params.layout)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
-        # per network (critics, actor): its flat gradient in a train step,
-        # then the scratch of the critics' Polyak update. Reused, because
-        # large fresh arrays cost page faults on every step
-        self._flat_bufs = [np.empty(net.params.layout.size)
-                           for net in (self.critics, self.actor)]
+        # per network (critics, actor): its gradient in a train step, then
+        # the scratch of the critics' Polyak update. Reused, because large
+        # fresh arrays cost page faults on every step
+        self._grads = [Params(net.params.layout) for net in (self.critics, self.actor)]
 
         self.buffer = ReplayBuffer(
             settings.buffer_capacity, self.num_tasks, OBS_DIM, ACT_DIM,
@@ -359,21 +378,19 @@ class Trainer:
     # training side
 
     def _forward_train(self, policy: ModulePolicy, batch: dict, mask_key: str,
-                       params, action=None):
-        """A training pass at the batch states on ``params`` (tape ``Var``s,
-        or numpy arrays for a frozen network fed a ``Var`` action). It
-        replays the stored behavior masks under ``mask_key`` (the batch's
-        (B, L) or, for the critics, (B, 2, L) rows, member axis moved to
-        the front), or, in the target-routing ablation, routes greedily for
-        itself."""
+                       action=None):
+        """A training pass at the batch states, gated for its backward by
+        ``resrouting``. It replays the stored behavior masks under
+        ``mask_key`` (the batch's (B, L) or, for the critics, (B, 2, L) rows,
+        member axis moved to the front), or, in the target-routing ablation,
+        routes greedily for itself."""
         if self.s.resrouting == "target-routing":
             routing = dict(mask_fn=self.routing_mask_fn())
         else:
             masks = unpack_masks(batch[mask_key], self.cfg)
             routing = dict(masks=np.moveaxis(masks, 0, -3))
-        return policy.forward(batch["state"], batch["task_id"], params=params,
-                              action=action, chi_mode=_CHI_BY_MODE[self.s.resrouting],
-                              **routing)
+        return policy.forward(batch["state"], batch["task_id"], action=action,
+                              chi_mode=_CHI_BY_MODE[self.s.resrouting], **routing)
 
     def bellman_targets(self, batch: dict) -> np.ndarray:
         """Soft targets r + gamma (1-done)(min Q'[s',a'] - alpha log pi(a'|s')),
@@ -386,45 +403,54 @@ class Trainer:
         q = self.critics_target.forward(batch["next_state"], ids, action=a2,
                                         mask_fn=mask_fn).out
         alphas = self.temps.alphas[ids].reshape(-1, 1)
-        soft_q = member_min(q) - alphas * logp2
+        soft_q = np.min(q, axis=0) - alphas * logp2
         r = self.s.reward_scale * batch["reward"].reshape(-1, 1)
         not_done = 1.0 - batch["done"].reshape(-1, 1).astype(np.float64)
         return r + self.s.gamma * not_done * soft_q
 
-    def critic_losses(self, batch: dict, targets: np.ndarray):
-        """The critics' tape and their per-sample squared errors, (2, B, 1)
-        (unreduced)."""
-        tape = Tape()
+    def critic_losses(self, batch: dict, targets: np.ndarray, coeff: np.ndarray):
+        """The critics' per-sample squared errors, (2, B, 1) (unreduced), and
+        the gradient of their sum weighted by ``coeff`` (B, 1) over the
+        critics' weights, in the critics' gradient buffer (``Params``)."""
         res = self._forward_train(self.critics, batch, "masks_critics",
-                                  self.critics.param_vars(tape), action=batch["action"])
+                                  action=batch["action"])
         err = res.out - targets
-        return tape, err * err
+        # err * err reads err twice: coeff * err from each factor, added
+        g = coeff * err
+        g += g
+        grad = self._grads[0]
+        self.critics.backward(res, g, grad)
+        return err * err, grad
 
-    def actor_losses(self, batch: dict, noise: np.ndarray):
-        """Actor tape with per-sample alpha log pi - min Q (unreduced);
-        ``noise`` is the reparameterization noise, one row per sample."""
-        tape = Tape()
-        res = self._forward_train(self.actor, batch, "masks_actor",
-                                  self.actor.param_vars(tape))
-        a, logp = squashed_gaussian(res.out, self.cfg.act_dim, noise)
-
-        # the critics are frozen here: their arrays enter the tape as
-        # constants, so backward computes no critic weight gradients
-        q = self._forward_train(self.critics, batch, "masks_critics",
-                                self.critics.params, action=a).out
+    def actor_losses(self, batch: dict, noise: np.ndarray, coeff: np.ndarray):
+        """Per-sample alpha log pi - min Q (unreduced), the gradient of their
+        sum weighted by ``coeff`` (B, 1) over the actor's weights, in the
+        actor's gradient buffer (``Params``), and log pi. ``noise`` is the
+        reparameterization noise, one row per sample."""
+        res = self._forward_train(self.actor, batch, "masks_actor")
+        a, logp, head = ad.squashed_gaussian(res.out, self.cfg.act_dim, noise)
+        q = self._forward_train(self.critics, batch, "masks_critics", action=a)
         alphas = self.temps.alphas[batch["task_id"]].reshape(-1, 1)
-        per_sample = alphas * logp - member_min(q)
-        return tape, per_sample, logp.value
+        per_sample = alphas * logp - np.min(q.out, axis=0)
+
+        # the critics are frozen here: they hand the adjoint of min Q on to
+        # the action and compute no weight gradient
+        ga = self.critics.backward(q, _member_min_adjoint(q.out, -coeff), input_grad=True)
+        g = ad.squashed_gaussian_backward(ga, coeff * alphas, a, noise, head)
+        grad = self._grads[1]
+        self.actor.backward(res, g, grad)
+        return per_sample, grad, logp
 
     def train_step(self) -> dict | None:
         """One gradient step on critics, actor, temperatures, plus Polyak.
 
-        When ``loss_maskout`` drops a task, the critic and actor graphs are
-        built again on the included rows only (same targets and noise rows,
-        no new random draws) before the backward pass, so a task with
-        non-finite rows does not stall the others. If a network's gradient
-        is still not finite, the whole update (every optimizer, Polyak) is
-        skipped, with a warning and ``skipped_updates`` 1 in the metrics.
+        The losses' gradients are taken with every task included. When
+        ``loss_maskout`` drops a task, the losses and their gradients are
+        taken again on the included rows only (same targets and noise rows,
+        no new random draws), so a task with non-finite rows does not stall
+        the others. If a network's gradient is still not finite, the whole
+        update (every optimizer, Polyak) is skipped, with a warning and
+        ``skipped_updates`` 1 in the metrics.
 
         Returns per-task metrics, or None when the buffer is too small."""
         if not self.buffer.can_sample(self.s.batch_per_task):
@@ -432,23 +458,20 @@ class Trainer:
             return None
         batch = self.buffer.sample_stratified(self.s.batch_per_task, self.rng_batch)
         ids = batch["task_id"]
+        weights = self._loss_weights()
+        coeff = _coefficients(ids, weights, np.ones(self.num_tasks, dtype=bool))
 
         targets = self.bellman_targets(batch)
-        critic_tape, critic_per_sample = self.critic_losses(batch, targets)
+        critic_per_sample, critic_grad = self.critic_losses(batch, targets, coeff)
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
-        actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise)
+        actor_per_sample, actor_grad, logp = self.actor_losses(batch, noise, coeff)
 
         # summed over the two critics
-        per_task_critic = sum(
-            _per_task_mean(member.ravel(), ids, self.num_tasks)
-            for member in critic_per_sample.value
-        )
-        per_task_actor = _per_task_mean(
-            actor_per_sample.value.ravel(), ids, self.num_tasks
-        )
+        per_task_critic = sum(_per_task_mean(member.ravel(), ids, self.num_tasks)
+                              for member in critic_per_sample)
+        per_task_actor = _per_task_mean(actor_per_sample.ravel(), ids, self.num_tasks)
         included = loss_maskout(per_task_critic + per_task_actor,
                                 self.s.maskout_threshold)
-        weights = self._loss_weights()
 
         metrics = {
             "critic_loss": per_task_critic,
@@ -466,18 +489,14 @@ class Trainer:
             rows = np.flatnonzero(included[ids])
             batch = {k: v[rows] for k, v in batch.items()}
             ids = batch["task_id"]
-            critic_tape, critic_per_sample = self.critic_losses(batch, targets[rows])
-            actor_tape, actor_per_sample, logp = self.actor_losses(batch, noise[rows])
-        coeff = _coefficients(ids, weights, included)
+            coeff = _coefficients(ids, weights, included)
+            _, critic_grad = self.critic_losses(batch, targets[rows], coeff)
+            _, actor_grad, logp = self.actor_losses(batch, noise[rows], coeff)
 
-        # every backward runs before any optimizer step: the tapes hold the
-        # live parameter arrays, which the steps update in place
+        # both gradients were taken before any optimizer step: the actor's
+        # runs through the critics' weights, which their step updates
         nets = (self.critics, self.actor)
-        tensor_grads = [tape.backward((per_sample * coeff).sum())
-                        for tape, per_sample in ((critic_tape, critic_per_sample),
-                                                 (actor_tape, actor_per_sample))]
-        grads = [net.params.layout.flatten(g, out=buf)
-                 for net, g, buf in zip(nets, tensor_grads, self._flat_bufs)]
+        grads = [critic_grad.flat, actor_grad.flat]
         finite = [bool(np.isfinite(g).all()) for g in grads]
         if not all(finite):
             metrics["skipped_updates"] = 1
@@ -494,7 +513,7 @@ class Trainer:
         rho = self.s.polyak
         target = self.critics_target.params.flat
         target *= rho
-        target += np.multiply(self.critics.params.flat, 1 - rho, out=self._flat_bufs[0])
+        target += np.multiply(self.critics.params.flat, 1 - rho, out=self._grads[0].flat)
 
         self.train_steps += 1
         self._last_metrics = metrics

@@ -16,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape, member_min
 from modroute.config import RunConfig
+from modroute.envs import ACT_DIM, OBS_DIM, default_suite
 from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
     _mlp,
+    pack_masks,
     policy_layout,
     squashed_gaussian,
     topk_mask_rows,
@@ -30,7 +31,7 @@ from modroute.network import (
 )
 from modroute.replay import Transition
 from modroute.routing import route_balance_temperatures
-from modroute.sac import Trainer, alpha_loss, task_loss_weights
+from modroute.sac import Trainer, TrainSettings, alpha_loss, task_loss_weights
 from routing_oracles import (
     effective_modules,
     mask_softmax,
@@ -38,7 +39,6 @@ from routing_oracles import (
     sample_k_mask,
     topk_mask,
 )
-from tape_oracles import gradient_check
 
 CACHE_DIR = Path(__file__).parent / ".acceptance_cache"
 SEEDS = (0, 1, 2)
@@ -88,53 +88,88 @@ def random_masks(cfg, rng, B=1):
 # losses match central finite differences
 
 
+def _randomize(policy, rng):
+    """Every member's weights drawn as small_cfg draws them."""
+    for member in policy.params.members:
+        for key, v in member.items():
+            member[key] = rng.normal(size=v.shape) * 0.4
+            if key.endswith("b0"):  # keep relu inputs off the kink for FD checks
+                member[key] += np.sign(member[key]) * 1e-2
+
+
+def _fd_worst(loss, flat, analytic, eps=1e-5):
+    """Max relative error between ``analytic`` and the central differences
+    of ``loss()`` in each entry of the flat vector ``flat``; error metric
+    per entry |analytic - fd| / max(1, |fd|)."""
+    worst = 0.0
+    for j in range(flat.size):
+        saved = flat[j]
+        flat[j] = saved + eps
+        f_plus = loss()
+        flat[j] = saved - eps
+        f_minus = loss()
+        flat[j] = saved
+        fd = (f_plus - f_minus) / (2.0 * eps)
+        worst = max(worst, abs(analytic[j] - fd) / max(1.0, abs(fd)))
+    return worst
+
+
 def test_criterion_1_gradient_correctness():
+    # the gradients a train step takes (Trainer.critic_losses and
+    # actor_losses: hand-built loss adjoints and ModulePolicy.backward)
+    # against central differences of the losses' numpy forwards, ungated
     t0 = time.time()
     worst = 0.0
     for n in (3, 4, 5):
-        # the twin critics' regression loss, both members in one stacked
-        # pass, each with its own masks
-        cfg, qnet = small_critics(n, seed=n)
+        cfg = PolicyConfig(obs_dim=OBS_DIM, act_dim=ACT_DIM, num_tasks=2, n_modules=n,
+                           module_dim=8, module_hidden=8, encoder_widths=(12,),
+                           routing_widths=(12,), k=2)
+        tr = Trainer(default_suite()[:2], cfg, TrainSettings(resrouting="off",
+                                                             buffer_capacity=8), seed=n)
         rng = np.random.default_rng(n)
+        _randomize(tr.actor, rng)
+        _randomize(tr.critics, rng)
+        tr.temps.log_alpha = rng.normal(size=2) - 2.0
         B = 3
-        obs = rng.normal(size=(B, 5))
-        act = rng.normal(size=(B, 2))
-        masks = np.stack([random_masks(cfg, rng, B) for _ in range(2)])
+        ids = np.array([0, 1, 0])
+        amasks = random_masks(cfg, rng, B)
+        cmasks = np.stack([amasks, random_masks(cfg, rng, B)])  # per critic
+        batch = {"state": rng.normal(size=(B, OBS_DIM)), "task_id": ids,
+                 "action": rng.normal(size=(B, ACT_DIM)),
+                 "masks_actor": pack_masks(amasks, cfg),
+                 "masks_critics": pack_masks(cmasks, cfg).swapaxes(0, 1)}
         targets = rng.normal(size=(B, 1))
         coeff = rng.uniform(0.1, 1.0, size=(B, 1))
+        noise = rng.normal(size=(B, ACT_DIM))
+        alphas = tr.temps.alphas[ids].reshape(-1, 1)
 
-        def critic_build(tape, pvars):
-            res = qnet.forward(obs, [0, 1, 0], params=pvars, action=act,
-                               masks=masks)
-            err = res.out - targets
-            return (err * err * coeff).sum()
+        # the twin critics' regression loss, both members in one stacked
+        # pass, each with its own masks
+        analytic = tr.critic_losses(batch, targets, coeff)[1].flat.copy()
 
-        worst = max(worst, gradient_check(critic_build, qnet.params.tensors,
-                                          epsilon=1e-5))
+        def critic_loss():
+            q = tr.critics.forward(batch["state"], ids, action=batch["action"],
+                                   masks=cmasks).out
+            return float(((q - targets) ** 2 * coeff).sum())
+
+        worst = max(worst, _fd_worst(critic_loss, tr.critics.params.flat, analytic))
 
         # actor loss alpha log pi - min(Q1, Q2) through frozen critics
-        acfg, actor, arng = small_cfg(head="actor", n=n, seed=10 + n)
-        _, critics = small_critics(n, seed=20 + n)
-        amasks = random_masks(acfg, arng, B)
-        cmasks = np.stack([amasks, random_masks(acfg, arng, B)])
-        noise = arng.normal(size=(B, 2))
-        alphas = arng.uniform(0.05, 0.3, size=(B, 1))
+        analytic = tr.actor_losses(batch, noise, coeff)[1].flat.copy()
 
-        def actor_build(tape, pvars):
-            res = actor.forward(obs, [0, 1, 0], params=pvars, masks=amasks)
-            a, logp = squashed_gaussian(res.out, 2, noise)
-            q = critics.forward(obs, [0, 1, 0], params=critics.params,
-                                action=a, masks=cmasks).out
-            return ((alphas * logp - member_min(q)) * coeff).sum()
+        def actor_loss():
+            res = tr.actor.forward(batch["state"], ids, masks=amasks)
+            a, logp = squashed_gaussian(res.out, ACT_DIM, noise)
+            q = tr.critics.forward(batch["state"], ids, action=a, masks=cmasks).out
+            return float(((alphas * logp - q.min(axis=0)) * coeff).sum())
 
-        worst = max(worst, gradient_check(actor_build, actor.params.tensors,
-                                          epsilon=1e-5))
+        worst = max(worst, _fd_worst(actor_loss, tr.actor.params.flat, analytic))
 
         # temperature loss: analytic gradient vs central differences
         from modroute.sac import TaskTemperatures
         temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.1)
-        temps.log_alpha = arng.normal(size=2) * 0.3
-        logp_vals = arng.normal(size=(B, 1))
+        temps.log_alpha = rng.normal(size=2) * 0.3
+        logp_vals = rng.normal(size=(B, 1))
         ids = np.array([0, 1, 0])
         _, grad = alpha_loss(logp_vals, ids, temps)
         eps = 1e-6
@@ -183,11 +218,10 @@ def test_criterion_2_rsg_semantics():
     forward_exact = (np.array_equal(outs["off"], outs["sg"])
                      and np.array_equal(outs["off"], outs["rsg"]))
 
-    tape = Tape()
-    pv = pol.param_vars(tape)
-    res = pol.forward(obs, [0], params=pv, masks=masks, chi_mode="rsg")
-    loss = (res.out * res.out).sum()
-    grads = tape.backward(loss)
+    res = pol.forward(obs, [0], masks=masks, chi_mode="rsg")
+    grad = Params(pol.params.layout)
+    pol.backward(res, 2.0 * res.out, grad)  # loss: the sum of out * out
+    grads = grad
 
     blocked_zero = all(np.all(grads[k] == 0.0) for k in grads
                        if k.startswith("mod3"))

@@ -1,0 +1,140 @@
+"""The fixed-graph backward against the tape it replaced (``tape_oracles``),
+bitwise: ``ModulePolicy.backward`` on single and stacked networks over
+dense and skip plans, and the gradients a train step takes (the trainer's
+hand-built loss adjoints for the critics' TD loss and for the actor loss
+through the frozen critics) at the benchmark's train shapes, under each
+ResRouting gate, on a full batch and on the rows a maskout keeps."""
+
+import numpy as np
+import pytest
+
+from modroute import RunConfig, Trainer
+from modroute.network import ModulePolicy, Params, PolicyConfig, topk_mask_rows, unpack_masks
+from modroute.sac import _coefficients
+from routing_oracles import padded
+from tape_oracles import Tape, member_min, param_vars
+from tape_oracles import forward as taped_forward
+from tape_oracles import squashed_gaussian as taped_squashed_gaussian
+from trajectory_digest import CONFIGS
+
+
+def _same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("chi_mode", ["rsg", "sg", "off"])
+@pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip"])
+@pytest.mark.parametrize("members", [1, 2], ids=["single", "stacked"])
+def test_backward_matches_the_tape(members, skip, chi_mode):
+    # a critic, so the action's adjoint is checked too
+    cfg = PolicyConfig(obs_dim=5, act_dim=2, num_tasks=3, head="critic", n_modules=6,
+                       module_dim=6, module_hidden=7, encoder_widths=(8, 5),
+                       routing_widths=(8, 6), k=1)
+    rng = np.random.default_rng([members, skip, len(chi_mode)])
+    net = ModulePolicy.init(cfg, *[rng] * members)
+    net.params.flat[:] = rng.normal(size=net.params.flat.shape) * 0.5
+    B = 3
+    obs, act = rng.normal(size=(B, 5)), rng.normal(size=(B, 2))
+    tasks = rng.integers(0, 3, size=B)
+    if skip:  # module 6 reads 4 or 2, 4 reads 2: modules 3 and 5 are left out
+        masks = padded([np.ones((3, 1)), np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                        np.tile([0.0, 1.0, 0.0], (3, 1)), np.tile([1.0, 0.0, 0.0, 0.0], (3, 1)),
+                        np.array([[0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0],
+                                  [0.0, 0.0, 0.0, 1.0, 0.0]])])
+        masks = np.stack([masks] * members)
+    else:
+        masks = np.stack([padded([topk_mask_rows(rng.normal(size=(B, i - 1)), 1)
+                                  for i in range(2, 7)]) for _ in range(members)])
+    masks = masks if members > 1 else masks[0]
+    c = rng.normal(size=masks.shape[:-2] + (1,))
+
+    res = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode,
+                      skip_unused=skip)
+    grad = Params(net.params.layout)
+    ga = net.backward(res, c, grad, input_grad=True)
+
+    tape = Tape()
+    a = tape.parameter("action", act)
+    ref = taped_forward(net, obs, tasks, params=param_vars(net, tape), action=a,
+                        masks=masks, chi_mode=chi_mode, skip_unused=skip)
+    assert res._plan == ref._plan
+    assert skip == (None in res._plan)
+    assert chi_mode == "off" or not res._suit.all()  # the gate is live
+    assert _same_bits(res.out, ref.out.value)
+    want = tape.backward((ref.out * c).sum())
+    assert _same_bits(ga, want.pop("action"))
+    for name, g in want.items():
+        assert _same_bits(grad.tensors[name], g), name
+
+
+def _trainer(config, resrouting):
+    """A trainer at a benchmark config whose routing output layers are drawn
+    at random, so that stored sources fall below the rsg threshold, with a
+    filled replay buffer."""
+    cfg = RunConfig.from_dict({**CONFIGS[config], "resrouting": resrouting,
+                               "buffer_capacity": 4000, "start_steps": 0})
+    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed=3)
+    rng = np.random.default_rng(4)
+    last = len(cfg.routing_widths)
+    for net in (tr.actor, tr.critics):
+        for i in range(2, cfg.n_modules + 1):
+            key = f"route{i}.w{last}"
+            net.params[key] = rng.normal(size=net.params[key].shape)
+    while not tr.buffer.can_sample(cfg.batch_per_task):
+        tr.collect_rollouts(1)
+    tr.temps.log_alpha = rng.normal(size=tr.num_tasks) - 2.0
+    return tr, rng
+
+
+def _taped_losses(tr, batch, targets, noise, coeff, chi_mode):
+    """The two graphs of a train step on tapes, as the trainer recorded
+    them: the per-sample losses and the flat gradient of each weighted sum."""
+    masks = {key: np.moveaxis(unpack_masks(batch[key], tr.cfg), 0, -3)
+             for key in ("masks_actor", "masks_critics")}
+    ids = batch["task_id"]
+
+    tape = Tape()
+    res = taped_forward(tr.critics, batch["state"], ids,
+                        params=param_vars(tr.critics, tape), action=batch["action"],
+                        masks=masks["masks_critics"], chi_mode=chi_mode)
+    err = res.out - targets
+    critic_per_sample = err * err
+    critic_grad = tape.backward((critic_per_sample * coeff).sum())
+
+    tape = Tape()
+    res = taped_forward(tr.actor, batch["state"], ids, params=param_vars(tr.actor, tape),
+                        masks=masks["masks_actor"], chi_mode=chi_mode)
+    a, logp = taped_squashed_gaussian(res.out, tr.cfg.act_dim, noise)
+    q = taped_forward(tr.critics, batch["state"], ids, action=a,
+                      masks=masks["masks_critics"], chi_mode=chi_mode).out
+    alphas = tr.temps.alphas[ids].reshape(-1, 1)
+    actor_per_sample = alphas * logp - member_min(q)
+    actor_grad = tape.backward((actor_per_sample * coeff).sum())
+    return ((critic_per_sample.value, tr.critics.params.layout.flatten(critic_grad)),
+            (actor_per_sample.value, tr.actor.params.layout.flatten(actor_grad)))
+
+
+@pytest.mark.parametrize("resrouting, chi_mode", [("rsg", "rsg"), ("sg-only", "sg"),
+                                                  ("off", "off")])
+@pytest.mark.parametrize("config", ["train-accept", "train-default"])
+def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode):
+    tr, rng = _trainer(config, resrouting)
+    batch = tr.buffer.sample_stratified(tr.s.batch_per_task, rng)
+    ids = batch["task_id"]
+    targets = tr.bellman_targets(batch)
+    noise = rng.normal(size=(len(ids), tr.cfg.act_dim))
+    weights = tr._loss_weights()
+    dropped = np.array([True, False, True, True])  # a maskout keeps the other rows
+    for included in (np.ones(tr.num_tasks, dtype=bool), dropped):
+        rows = np.flatnonzero(included[ids])
+        sub = {k: v[rows] for k, v in batch.items()}
+        coeff = _coefficients(sub["task_id"], weights, included)
+        critic = tr.critic_losses(sub, targets[rows], coeff)
+        actor = tr.actor_losses(sub, noise[rows], coeff)
+        ref = _taped_losses(tr, sub, targets[rows], noise[rows], coeff, chi_mode)
+        for (per_sample, grad), (want_loss, want_grad) in zip((critic, actor[:2]), ref):
+            assert _same_bits(per_sample, want_loss)
+            assert _same_bits(grad.flat, want_grad)
+    if chi_mode != "off":  # the gate is live
+        res = tr._forward_train(tr.critics, batch, "masks_critics", action=batch["action"])
+        assert not res._suit[res.padded_masks > 0.0].all()

@@ -11,14 +11,15 @@ replace.
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape, member_min
 from modroute.network import (
     ModulePolicy,
+    Params,
     PolicyConfig,
     make_mask_fn,
     policy_layout,
     topk_mask_rows,
 )
+from modroute.sac import _member_min_adjoint
 from routing_oracles import padded
 
 
@@ -38,6 +39,14 @@ def _critics(n=5, seed=0, routing_widths=(8, 6)):
 def _masks(cfg, rng, B):
     return padded([topk_mask_rows(rng.normal(size=(B, i - 1)), cfg.k)
                    for i in range(2, cfg.n_modules + 1)])
+
+
+def _grads(net, res, g):
+    """The gradient ``net.backward`` gives from the output adjoint ``g``,
+    by tensor name."""
+    grad = Params(net.params.layout)
+    net.backward(res, g, grad)
+    return grad.tensors
 
 
 def test_members_are_views_of_one_flat_vector():
@@ -75,26 +84,18 @@ def test_each_member_matches_a_single_network_bitwise(chi_mode, B):
     assert not np.array_equal(masks[0], masks[1])
     coeff = rng.uniform(0.1, 1.0, size=(B, 1))
 
-    tape = Tape()
-    res = critics.forward(obs, tasks, params=critics.param_vars(tape), action=act,
-                          masks=masks, chi_mode=chi_mode)
+    res = critics.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode)
     assert res.out.shape == (2, B, 1)
-    grads = tape.backward((res.out * res.out * coeff).sum())
-    plain = critics.forward(obs, tasks, action=act, masks=masks)
+    grads = _grads(critics, res, 2.0 * coeff * res.out)
     for i, net in enumerate(members):
-        t = Tape()
-        alone = net.forward(obs, tasks, params=net.param_vars(t), action=act,
-                            masks=masks[i], chi_mode=chi_mode)
-        g = t.backward((alone.out * alone.out * coeff).sum())
-        np.testing.assert_array_equal(res.out.value[i], alone.out.value)
+        alone = net.forward(obs, tasks, action=act, masks=masks[i], chi_mode=chi_mode)
+        g = _grads(net, alone, 2.0 * coeff * alone.out)
+        np.testing.assert_array_equal(res.out[i], alone.out)
         np.testing.assert_array_equal(res.padded_probs[i], alone.padded_probs)
         for name, grad in g.items():
-            np.testing.assert_array_equal(grads[name][i], grad, err_msg=name)
-        # the numpy pass, too
-        np.testing.assert_array_equal(
-            plain.out[i], net.forward(obs, tasks, action=act, masks=masks[i]).out)
+            assert grads[name][i].tobytes() == grad.tobytes(), name
     # one row of reachability per batch row and member, member 0 first
-    assert plain.effective.shape == (2 * B, cfg.n_modules)
+    assert res.effective.shape == (2 * B, cfg.n_modules)
 
 
 def test_the_rsg_gate_is_live_in_the_bitwise_check():
@@ -105,10 +106,8 @@ def test_the_rsg_gate_is_live_in_the_bitwise_check():
     masks = np.stack([_masks(cfg, rng, 4), _masks(cfg, rng, 4)])
     grads = {}
     for mode in ("rsg", "off"):
-        tape = Tape()
-        res = critics.forward(obs, tasks, params=critics.param_vars(tape), action=act,
-                              masks=masks, chi_mode=mode)
-        grads[mode] = tape.backward(res.out.sum())
+        res = critics.forward(obs, tasks, action=act, masks=masks, chi_mode=mode)
+        grads[mode] = _grads(critics, res, np.ones_like(res.out))
     assert any(not np.array_equal(grads["rsg"][k], grads["off"][k]) for k in grads["off"])
 
 
@@ -139,10 +138,8 @@ def test_route_gives_the_masks_of_the_full_pass_without_modules():
 def test_member_min_breaks_ties_toward_member_0():
     x = np.array([[[1.0], [2.0], [3.0], [np.nan]],
                   [[1.0], [1.5], [3.5], [0.0]]])
-    np.testing.assert_array_equal(member_min(x), np.minimum(x[0], x[1]))
-    tape = Tape()
-    v = tape.parameter("x", x)
-    g = tape.backward((member_min(v) * np.array([[1.0], [2.0], [3.0], [4.0]])).sum())["x"]
+    np.testing.assert_array_equal(np.min(x, axis=0), np.minimum(x[0], x[1]))
+    g = _member_min_adjoint(x, np.array([[1.0], [2.0], [3.0], [4.0]]))
     # rows: tie -> member 0; member 1 smaller; member 0 smaller; NaN in
     # member 0 -> member 1, as np.minimum's comparison a <= b decides
     np.testing.assert_array_equal(g[0].ravel(), [1.0, 0.0, 3.0, 0.0])
@@ -160,11 +157,8 @@ def test_frozen_critics_send_the_action_the_sum_over_both_critics():
     masks = np.stack([_masks(cfg, rng, B), _masks(cfg, rng, B)])
     coeff = rng.uniform(0.1, 1.0, size=(B, 1))
 
-    tape = Tape()
-    a = tape.parameter("a", act)
-    q = critics.forward(obs, tasks, params=critics.params, action=a, masks=masks,
-                        chi_mode="rsg").out
-    got = tape.backward((member_min(q) * coeff).sum())["a"]
+    q = critics.forward(obs, tasks, action=act, masks=masks, chi_mode="rsg")
+    got = critics.backward(q, _member_min_adjoint(q.out, coeff), input_grad=True)
 
     values = [net.forward(obs, tasks, action=act, masks=masks[i]).out
               for i, net in enumerate(members)]
@@ -172,10 +166,7 @@ def test_frozen_critics_send_the_action_the_sum_over_both_critics():
     assert first.any() and (~first).any()
     parts = []
     for i, net in enumerate(members):
-        t = Tape()
-        ai = t.parameter("a", act)
-        qi = net.forward(obs, tasks, params=net.params, action=ai, masks=masks[i],
-                         chi_mode="rsg").out
+        qi = net.forward(obs, tasks, action=act, masks=masks[i], chi_mode="rsg")
         weight = np.where(first if i == 0 else ~first, coeff, 0.0)
-        parts.append(t.backward((qi * weight).sum())["a"])
+        parts.append(net.backward(qi, weight, input_grad=True))
     np.testing.assert_array_equal(got, parts[0] + parts[1])

@@ -7,7 +7,7 @@ ops, and the routed network built on the fused ops."""
 import numpy as np
 import pytest
 
-from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN, Tape, affine_chain
+from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN, affine_chain
 from modroute.network import (
     ModulePolicy,
     PolicyConfig,
@@ -15,7 +15,12 @@ from modroute.network import (
     topk_mask_rows,
 )
 from routing_oracles import padded
-from tape_oracles import gradient_check, squashed_gaussian_chain
+from modroute.autodiff import masked_softmax, route_valid
+from tape_oracles import Tape, gradient_check, param_vars, squashed_gaussian_chain
+from tape_oracles import masked_softmax as taped_masked_softmax
+from tape_oracles import row_softmax
+from tape_oracles import forward as taped_forward
+from tape_oracles import squashed_gaussian as taped_squashed_gaussian
 
 
 def _layers(rng, dims, prefix=""):
@@ -173,7 +178,7 @@ def test_squashed_gaussian_logp_is_the_change_of_variables_density():
     assert np.all(np.isfinite(logp)) and np.all(np.abs(a[2:4, :3]) == 1.0)
     np.testing.assert_allclose(logp, ref, rtol=1e-12, atol=0)
     tape = Tape()
-    a_v, logp_v = squashed_gaussian(tape.parameter("out", out), 3, noise)
+    a_v, logp_v = taped_squashed_gaussian(tape.parameter("out", out), 3, noise)
     assert np.array_equal(a_v.value, a) and np.array_equal(logp_v.value, logp)
     np.testing.assert_allclose(logp_v.value, ref, rtol=1e-12, atol=0)
 
@@ -182,7 +187,7 @@ def test_squashed_gaussian_op_matches_its_generic_chain():
     out, noise = _head_inputs()
     c = np.random.default_rng(13).normal(size=(8, 4))
 
-    def build(tape, p, head=squashed_gaussian):
+    def build(tape, p, head=taped_squashed_gaussian):
         a, logp = head(p["out"], 3, noise)
         build.values = a.value, logp.value
         return (a * c[:, :3]).sum() + (logp * c[:, 3:]).sum()
@@ -193,7 +198,7 @@ def test_squashed_gaussian_op_matches_its_generic_chain():
         nodes = sum(op[0] not in ("parameter", "constant") for op in tape.ops)
         return nodes - 5, build.values, tape.backward(loss)["out"]  # 5 loss nodes
 
-    fused, chain = taped(squashed_gaussian), taped(squashed_gaussian_chain)
+    fused, chain = taped(taped_squashed_gaussian), taped(squashed_gaussian_chain)
     assert (fused[0], chain[0]) == (3, 18)
     assert all(np.array_equal(f, r) for f, r in zip(fused[1], chain[1]))
     np.testing.assert_allclose(fused[2], chain[2], rtol=1e-12, atol=0)
@@ -315,7 +320,7 @@ def test_two_module_network_gradient_check():
     masks = np.ones((2, 1, 1))
 
     def build(tape, pvars):
-        res = pol.forward(obs, [0, 1], params=pvars, masks=masks, chi_mode="rsg")
+        res = taped_forward(pol, obs, [0, 1], params=pvars, masks=masks, chi_mode="rsg")
         return (res.out * res.out).sum()
 
     assert gradient_check(build, pol.params.tensors) < 1e-4
@@ -333,7 +338,7 @@ def test_skip_unused_gradient_check_with_partly_skipped_sources():
                     np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])])
 
     def build(tape, pvars):
-        res = pol.forward(obs, [0, 1], params=pvars, masks=masks, skip_unused=True)
+        res = taped_forward(pol, obs, [0, 1], params=pvars, masks=masks, skip_unused=True)
         build.evaluated = set(res.module_outputs)
         return (res.out * res.out).sum()
 
@@ -351,12 +356,26 @@ def test_network_tape_and_numpy_forwards_agree_bitwise():
     plain = pol.forward(obs, [0, 1, 1, 0], action=act, masks=masks)
     for mode in ("off", "sg", "rsg"):
         tape = Tape()
-        taped = pol.forward(obs, [0, 1, 1, 0], params=pol.param_vars(tape),
-                            action=act, masks=masks, chi_mode=mode)
+        taped = taped_forward(pol, obs, [0, 1, 1, 0], params=param_vars(pol, tape),
+                              action=act, masks=masks, chi_mode=mode)
         assert np.array_equal(taped.out.value, plain.out)
         # frozen weights, differentiable action: the critic under the actor loss
         tape = Tape()
         a = tape.parameter("a", act)
-        frozen = pol.forward(obs, [0, 1, 1, 0], action=a, masks=masks, chi_mode=mode)
+        frozen = taped_forward(pol, obs, [0, 1, 1, 0], action=a, masks=masks,
+                               chi_mode=mode)
         assert np.array_equal(frozen.out.value, plain.out)
         assert set(tape.backward(frozen.out.sum())) == {"a"}
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 12])
+def test_masked_softmax_keeps_the_tape_formula_bits(n):
+    # a row max folded over the columns and exp of finite arguments only:
+    # the same bits as np.max and exp of the -inf entries, also for rows of
+    # 8 and more sources, which numpy sums pairwise
+    rng = np.random.default_rng(n)
+    z = np.where(route_valid(n - 1), rng.normal(size=(2, 16, n - 1, n - 1)) * 3, -np.inf)
+    d = topk_mask_rows(z, 3)
+    assert masked_softmax(z, d).tobytes() == taped_masked_softmax(z, d).tobytes()
+    valid = route_valid(n - 1)
+    assert masked_softmax(z, valid).tobytes() == row_softmax(z).tobytes()

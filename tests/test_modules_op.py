@@ -8,9 +8,8 @@ import numpy as np
 import pytest
 
 from modroute import autodiff as ad
-from modroute.autodiff import Tape
 from modroute.network import effective_rows, topk_mask_rows
-from tape_oracles import gradient_check, module_chain
+from tape_oracles import WORK, Tape, gradient_check, module_chain
 
 N, WIDTH, HIDDEN, HEAD = 5, 4, 6, 3
 
@@ -37,9 +36,9 @@ def _inputs(rng, lead, B, k, n=N, width=WIDTH, hidden=HIDDEN):
 def _plan(d, skip):
     n = d.shape[-1] + 1
     if not skip:
-        return [list(range(1, i)) for i in range(1, n + 1)]
+        return tuple(tuple(range(1, i)) for i in range(1, n + 1))
     sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))[1]
-    return [sources.get(i) for i in range(1, n + 1)]
+    return tuple(sources.get(i) for i in range(1, n + 1))
 
 
 def _run(fused, probs, h, ws, plan, suit, chi_mode, c, fill=None):
@@ -112,7 +111,7 @@ def test_skip_plan_leaves_out_modules_and_their_weights():
     # 3 is not evaluated: its weights get zero adjoints
     rng = np.random.default_rng(11)
     probs, d, suit, h, ws = _inputs(rng, (), 3, k=1)
-    plan = [[], [1], None, [1, 2], [4]]
+    plan = ((), (1,), None, (1, 2), (4,))
     c = rng.normal(size=(3, HEAD))
     out_f, m_f, g_f = _run(True, probs, h, ws, plan, suit, "rsg", c)
     out_r, m_r, g_r = _run(False, probs, h, ws, plan, suit, "rsg", c)
@@ -150,11 +149,11 @@ def test_slab_and_scratch_full_of_nan_give_the_chain_values(skip):
     # with weight zero, which would turn NaN into NaN
     rng = np.random.default_rng(14)
     probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=2)
-    plan = [[], [1], None, [1, 2], [4]] if skip else _plan(d, False)
+    plan = ((), (1,), None, (1, 2), (4,)) if skip else _plan(d, False)
     c = rng.normal(size=(2, 3, HEAD))
     for chi_mode in ("off", "sg", "rsg"):
         _run(True, probs, h, ws, plan, suit, chi_mode, c)  # sizes the scratch
-        for buf in ad._SCRATCH.bufs.values():
+        for buf in WORK.bufs.values():
             buf.fill(np.nan)
         grads = _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=np.nan)
         assert all(np.isfinite(g).all() for g in grads.values())

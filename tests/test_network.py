@@ -1,20 +1,21 @@
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape
 from modroute.network import (
     ModulePolicy,
+    Params,
     PolicyConfig,
     _mlp,
     make_mask_fn,
     pack_masks,
     sample_k_mask_rows,
-    squashed_gaussian,
     topk_mask_rows,
     unpack_masks,
 )
 from routing_oracles import effective_modules, padded
+from tape_oracles import forward as taped_forward
 from tape_oracles import gradient_check
+from tape_oracles import squashed_gaussian as taped_squashed_gaussian
 
 
 def small_cfg(head="actor", n=4, **kw):
@@ -159,11 +160,11 @@ def _rsg_fixture():
 
 
 def _loss_grads(pol, obs, masks, chi_mode):
-    tape = Tape()
-    pv = pol.param_vars(tape)
-    res = pol.forward(obs, [0], params=pv, masks=masks, chi_mode=chi_mode)
-    loss = (res.out * res.out).sum()
-    return float(loss.value), tape.backward(loss)
+    """The sum of out * out and its gradient, keyed as ``pol.params``."""
+    res = pol.forward(obs, [0], masks=masks, chi_mode=chi_mode)
+    grad = Params(pol.params.layout)
+    pol.backward(res, 2.0 * res.out, grad)
+    return float((res.out * res.out).sum()), grad
 
 
 def test_rsg_blocks_unsuitable_module_grads_only():
@@ -258,8 +259,8 @@ def test_actor_forward_gradient_check():
     noise = rng.normal(size=(2, 2))
 
     def build(tape, pvars):
-        res = pol.forward(obs, [0, 1], params=pvars, masks=masks)
-        a, logp = squashed_gaussian(res.out, cfg.act_dim, noise)
+        res = taped_forward(pol, obs, [0, 1], params=pvars, masks=masks)
+        a, logp = taped_squashed_gaussian(res.out, cfg.act_dim, noise)
         return logp.sum() + (a * a).sum()
 
     assert gradient_check(build, pol.params.tensors, epsilon=1e-5) < 1e-4
@@ -283,7 +284,7 @@ def test_critic_forward_and_gradient_check():
     np.testing.assert_array_equal(q1, q2)
 
     def build(tape, pvars):
-        res = pol.forward(obs, [0, 1], params=pvars, action=act, masks=masks)
+        res = taped_forward(pol, obs, [0, 1], params=pvars, action=act, masks=masks)
         return (res.out * res.out).sum()
 
     assert gradient_check(build, pol.params.tensors, epsilon=1e-5) < 1e-4

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from modroute import network
-from modroute.autodiff import Tape
 from modroute.config import RunConfig
 from modroute.network import ModulePolicy, PolicyConfig, _mlp, make_mask_fn
 from modroute.sac import Trainer
@@ -175,7 +174,8 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
         fn, k = ("topk", 1) if mode == "hard" else (mode, 2)
         kwargs["mask_fn"] = make_mask_fn(fn, k, taus=np.ones(4), rng=rng)
     if mode == "taped":
-        kwargs.update(params=pol.param_vars(Tape()), chi_mode="rsg", skip_unused=False)
+        # a training pass: stored masks under the gate, every module
+        kwargs.update(chi_mode="rsg", skip_unused=False)
     res = pol.forward(obs, tasks, **kwargs)
     selector = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
                 "samplek": "sample_k_mask_rows"}.get(mode)

@@ -10,7 +10,6 @@ stacked output layer against training; and checkpoints against the layout.
 import numpy as np
 import pytest
 
-from modroute.autodiff import Tape
 from modroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from modroute.config import RunConfig
 from modroute.network import (
@@ -24,7 +23,7 @@ from modroute.network import (
 )
 from modroute.sac import Trainer
 from routing_oracles import route_logits_per_mlp
-from tape_oracles import gradient_check
+from tape_oracles import Tape, gradient_check
 
 WIDTHS = [(), (8,), (8, 5), (64, 64)]
 NETS = ("actor", "critics", "critics_target")

@@ -1,4 +1,3 @@
-import copy
 import json
 import os
 import subprocess
@@ -7,9 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from modroute import autodiff
-from modroute.autodiff import Tape
-from modroute.config import RunConfig
+import modroute
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
 from modroute.network import (
     Layout,
@@ -224,14 +221,16 @@ class TestLosses:
         tr.collect_rollouts(30)
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(0))
         noise = tr.rng_noise.normal(size=(16, tr.cfg.act_dim))
-        tape, per_sample, logp = tr.actor_losses(batch, noise)
-        assert per_sample.value.shape == (16, 1)
+        coeff = np.full((16, 1), 1 / 16)
+        per_sample, grad, logp = tr.actor_losses(batch, noise, coeff)
+        assert per_sample.shape == (16, 1)
         assert logp.shape == (16, 1)
+        assert grad.flat.shape == tr.actor.params.flat.shape
         # with alpha -> 0 the entropy term vanishes: loss = -min Q
         tr.temps.log_alpha[:] = np.log(1e-300)
         rng = __import__("modroute.seeding", fromlist=["stream"]).stream(7, "noise-replay")
-        _, ps0, _ = tr.actor_losses(batch, rng.normal(size=(16, tr.cfg.act_dim)))
-        assert np.all(np.isfinite(ps0.value))
+        ps0, grad, _ = tr.actor_losses(batch, rng.normal(size=(16, tr.cfg.act_dim)), coeff)
+        assert np.all(np.isfinite(ps0)) and np.all(np.isfinite(grad.flat))
 
     def test_bellman_target_terminal_and_gamma_zero(self):
         tr = make_trainer(seed=8)
@@ -337,16 +336,14 @@ class TestTrainer:
                 batch["state"], batch["task_id"], action=batch["action"],
                 mask_fn=make_mask_fn("topk", tr.cfg.k))
             np.testing.assert_array_equal(alone.padded_masks, stored[:, i])
-        res = tr._forward_train(tr.critics, batch, "masks_critics",
-                                tr.critics.param_vars(Tape()), action=batch["action"])
+        res = tr._forward_train(tr.critics, batch, "masks_critics", action=batch["action"])
         np.testing.assert_array_equal(res.padded_masks, stored.swapaxes(0, 1))
 
     def test_training_probs_support_equals_stored_masks(self):
         tr = make_trainer(seed=14)
         tr.collect_rollouts(20)
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(3))
-        res = tr._forward_train(tr.actor, batch, "masks_actor",
-                                tr.actor.param_vars(Tape()))
+        res = tr._forward_train(tr.actor, batch, "masks_actor")
         stored = unpack_masks(batch["masks_actor"], tr.cfg)
         assert np.all(res.padded_probs[stored == 0.0] == 0.0)
         assert np.all(res.padded_probs[stored == 1.0] > 0.0)
@@ -371,8 +368,9 @@ class TestTrainer:
             return res
 
         monkeypatch.setattr(ModulePolicy, "forward", spy)
-        tr.critic_losses(batch, np.zeros((16, 1)))
-        tr.actor_losses(batch, np.zeros((16, tr.cfg.act_dim)))
+        coeff = np.full((16, 1), 1 / 16)
+        tr.critic_losses(batch, np.zeros((16, 1)), coeff)
+        tr.actor_losses(batch, np.zeros((16, tr.cfg.act_dim)), coeff)
         assert len(counts) == 2  # one stacked pass per loss, both critics
         for c in counts:
             np.testing.assert_array_equal(c, np.tile(sources, (2, 16, 1)))
@@ -393,17 +391,15 @@ class TestTrainer:
         # update: every network, the targets and the temperatures
         tr = make_trainer(seed=18)
         tr.collect_rollouts(20)
-        backward = autodiff.Tape.backward
-        calls = []
+        backward = ModulePolicy.backward
 
-        def poisoned(self, root):
-            grads = backward(self, root)
-            calls.append(None)
-            if len(calls) == 1:  # the critics', in q2's weights
-                grads["mod1.w0"][1, 0, 0] = np.nan
-            return grads
+        def poisoned(self, res, g, grad=None, input_grad=False):
+            out = backward(self, res, g, grad, input_grad)
+            if grad is not None and self is tr.critics:  # in q2's weights
+                grad["mod1.w0"][1, 0, 0] = np.nan
+            return out
 
-        monkeypatch.setattr(autodiff.Tape, "backward", poisoned)
+        monkeypatch.setattr(ModulePolicy, "backward", poisoned)
         nets = {name: getattr(tr, name)
                 for name in ("actor", "critics", "critics_target")}
         before = {name: pol.params.flat.copy() for name, pol in nets.items()}
@@ -461,75 +457,30 @@ class TestTrainer:
         assert taken == 5 * 3  # other tasks keep going
 
 
-def accept_trainer(seed=0):
-    """The acceptance config (8 modules, k=2, width 32, 4 tasks x 16 rows),
-    with a filled buffer."""
-    cfg = RunConfig(seed=seed, n_modules=8, k=2, module_dim=32, module_hidden=32,
-                    batch_per_task=16, start_steps=16)
-    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed)
-    while not tr.buffer.can_sample(cfg.batch_per_task):
-        tr.collect_rollouts(1)
-    return tr
-
-
 class TestTrainStepGraph:
-    def _counts(self, tr, monkeypatch):
-        counts = {"record": 0, "parameter": 0}
-        for name in counts:
-            orig = getattr(autodiff.Tape, name)
-
-            def counted(self, *args, _orig=orig, _name=name, **kw):
-                counts[_name] += 1
-                return _orig(self, *args, **kw)
-
-            monkeypatch.setattr(autodiff.Tape, name, counted)
-        assert tr.train_step() is not None
-        monkeypatch.undo()
-        return counts
-
-    def test_node_and_parameter_counts(self, monkeypatch):
-        tr = accept_trainer()
-        first = self._counts(tr, monkeypatch)
-        tr.collect_rollouts(1)
-        second = self._counts(tr, monkeypatch)
-        # three routed passes (the stacked critics, the actor, the frozen
-        # stacked critics) of 6 nodes each (encoder, embedding gather,
-        # routing input, routing MLPs, masked softmax, module stack), the
-        # actor's Gaussian head (one squashed_gaussian node and the two cols
-        # that split it), 4 critic-loss nodes and 6 actor-loss nodes (among
-        # them the frozen critics' action concat and member_min)
-        assert first["record"] == 31
-        # the actor and the stacked critics once each, one parameter per
-        # tensor (45 per network); frozen critics are constants
-        assert first["parameter"] <= 90
-        assert first == second
-
-    def test_every_registered_op_kind_is_recorded(self):
-        # a fresh process: the reference ops that tests register stay out
+    def test_modroute_defines_no_tape(self):
+        # a fresh process: a train step differentiates its two fixed graphs
+        # without a tape, and the tests' reference tape stays out of src
         code = """
 import json, sys
+import modroute
 from modroute import autodiff
-from modroute.config import RunConfig
-from modroute.sac import Trainer
 
-cfg = RunConfig(seed=0, n_modules=8, k=2, module_dim=32, module_hidden=32,
-                batch_per_task=16, start_steps=16)
-tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), 0)
+cfg = modroute.RunConfig(seed=0, n_modules=4, k=2, module_dim=8, module_hidden=8,
+                         encoder_widths=[8], routing_widths=[8], batch_per_task=4,
+                         start_steps=4)
+tr = modroute.Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), 0)
 while not tr.buffer.can_sample(cfg.batch_per_task):
     tr.collect_rollouts(1)
-recorded, record = set(), autodiff.Tape.record
-
-def counted(self, kind, *args, **kw):
-    recorded.add(kind)
-    return record(self, kind, *args, **kw)
-
-autodiff.Tape.record = counted
-tr.collect_rollouts(1)
 assert tr.train_step() is not None
 assert "tape_oracles" not in sys.modules
-print(json.dumps(sorted(set(autodiff._FORWARD) - recorded)))
+print(json.dumps(sorted(
+    [f"autodiff.{name}" for name in ("Tape", "Var", "_FORWARD", "_BACKWARD")
+     if hasattr(autodiff, name)]
+    + [f"modroute.{name}" for name in ("Tape", "Var")
+       if hasattr(modroute, name) or name in modroute.__all__])))
 """
-        src = os.path.dirname(os.path.dirname(autodiff.__file__))
+        src = os.path.dirname(os.path.dirname(modroute.__file__))
         out = subprocess.run([sys.executable, "-c", code],
                              env={**os.environ, "PYTHONPATH": src},
                              capture_output=True, text=True, check=True, timeout=120)
@@ -538,9 +489,9 @@ print(json.dumps(sorted(set(autodiff._FORWARD) - recorded)))
     def test_actor_gradient_uses_pre_step_critics(self):
         # the actor's gradient through min(Q1, Q2) must be taken at the
         # critics its forward pass ran on, not at the critics' stepped weights
-        tr = make_trainer(seed=17)
-        tr.collect_rollouts(20)
-        ref = copy.deepcopy(tr)
+        tr, ref = make_trainer(seed=17), make_trainer(seed=17)
+        for trainer in (tr, ref):
+            trainer.collect_rollouts(20)
         ref.opt_critics.step = lambda params, grad: None
         fed = {}
         for trainer, key in ((tr, "step"), (ref, "ref")):

@@ -21,3 +21,13 @@ def test_script_prints_one_digest_per_line(capsys):
     assert [line.split()[0] for line in lines] == ["params", "log_alpha", "metrics",
                                                    "evaluate"]
     assert all(len(line.split()[1]) == 64 for line in lines)
+
+
+def test_overrides_reach_the_run_config():
+    base = trajectory_digests("tiny", STEPS)
+    soft = trajectory_digests("tiny", STEPS, overrides={"routing_fn": "soft"})
+    assert soft["params"] != base["params"]
+    assert trajectory_digests("tiny", STEPS, overrides={"routing_fn": "samplek"}) == base
+    # a string field keeps the text YAML would read as a boolean
+    assert main(["tiny", "1", "resrouting=off", "loss_rescaling=false",
+                 "--episodes", "0"]) == 0

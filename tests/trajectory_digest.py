@@ -1,9 +1,12 @@
 """Digests of a training trajectory, for checking that a change keeps every
 trained bit.
 
-    python3 tests/trajectory_digest.py CONFIG STEPS [--seed S] [--episodes E]
+    python3 tests/trajectory_digest.py CONFIG STEPS [KEY=VALUE ...] [--seed S] [--episodes E]
 
-builds a ``Trainer`` for the named config (``CONFIGS``), fills its replay
+builds a ``Trainer`` for the named config (``CONFIGS``), with any
+``RunConfig`` fields overridden by ``KEY=VALUE`` (``resrouting=off``,
+``routing_fn=soft``, ``route_balancing=false``; the value is read as YAML,
+except for a string field), fills its replay
 buffer until a batch can be drawn, runs ``STEPS`` iterations of
 ``collect_rollouts(1)`` + ``train_step()`` and then ``evaluate(E)``, and
 prints one sha256 per line over:
@@ -46,16 +49,17 @@ def _update(h, value) -> None:
     h.update(a.tobytes())
 
 
-def trajectory_digests(config: str, steps: int, seed: int = 0,
-                       episodes: int = 1) -> dict[str, str]:
-    """The digests named in the module docstring, by name."""
+def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1,
+                       overrides: dict | None = None) -> dict[str, str]:
+    """The digests named in the module docstring, by name; ``overrides``
+    maps ``RunConfig`` fields to values that replace the config's."""
     # imported here: run as a script, the checkout's src joins sys.path first
     from modroute import RunConfig, Trainer
 
-    kw = dict(CONFIGS[config])
+    kw = {**CONFIGS[config], **(overrides or {})}
     # warm-up ends with the replay pre-fill, so every step trains the policy
     kw["start_steps"] = kw.get("batch_per_task", RunConfig.batch_per_task)
-    cfg = RunConfig(seed=seed, **kw)
+    cfg = RunConfig.from_dict({**kw, "seed": seed})
     trainer = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(),
                       seed=cfg.seed)
     while not trainer.buffer.can_sample(cfg.batch_per_task):
@@ -87,10 +91,24 @@ def trajectory_digests(config: str, steps: int, seed: int = 0,
         ("evaluate", evaluate))}
 
 
+def parse_override(text: str) -> tuple[str, object]:
+    """``KEY=VALUE`` as a ``RunConfig`` field and its value."""
+    import yaml
+    from modroute import RunConfig
+
+    key, sep, raw = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {text!r}")
+    # YAML reads a bare off or on as a boolean: a string field keeps its text
+    return key, raw if isinstance(getattr(RunConfig, key, None), str) else yaml.safe_load(raw)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("config", choices=sorted(CONFIGS))
     ap.add_argument("steps", type=int)
+    ap.add_argument("overrides", nargs="*", type=parse_override, metavar="KEY=VALUE",
+                    help="RunConfig fields to override")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--episodes", type=int, default=1,
                     help="evaluation episodes per task after training")
@@ -98,7 +116,7 @@ def main(argv=None) -> int:
     if args.steps < 0 or args.episodes < 0:
         ap.error("steps and episodes must be >= 0")
     for name, digest in trajectory_digests(args.config, args.steps, args.seed,
-                                           args.episodes).items():
+                                           args.episodes, dict(args.overrides)).items():
         print(f"{name} {digest}")
     return 0
 
