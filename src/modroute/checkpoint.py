@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 
 import numpy as np
 
@@ -71,18 +72,37 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
             os.remove(tmp)
 
 
+def _open(path: str):
+    """The checkpoint's archive of arrays (an ``np.load`` npz archive)."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise CheckpointError(f"checkpoint {path} is not an npz archive")
+    return data
+
+
 def _manifest(data) -> dict:
-    manifest = json.loads(str(data["manifest"]))
+    try:
+        manifest = json.loads(str(_read(data, "manifest", ())))
+    except ValueError as exc:
+        raise CheckpointError(f"checkpoint manifest is not JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError("checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"checkpoint format version {version} != supported {FORMAT_VERSION}"
         )
+    for key in ("config", "env_steps", "train_steps"):
+        if key not in manifest:
+            raise CheckpointError(f"checkpoint manifest lacks {key}")
     return manifest
 
 
 def read_manifest(path: str) -> dict:
-    with np.load(path, allow_pickle=False) as data:
+    with _open(path) as data:
         return _manifest(data)
 
 
@@ -90,11 +110,12 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
     """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
     in place into each network's and optimizer's flat vectors.
 
-    Raises CheckpointError naming the array when a stored array is missing,
-    its shape does not match the run config's, the manifest records a
-    layout for it other than the run config's, or an optimizer's step count
-    is negative."""
-    with np.load(path, allow_pickle=False) as data:
+    Raises CheckpointError when the file is no npz archive or its manifest
+    is unreadable or lacks an entry, and names the array when a stored array
+    is missing, its shape does not match the run config's, the manifest
+    records a layout for it other than the run config's, or an optimizer's
+    step count is negative."""
+    with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
         trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),

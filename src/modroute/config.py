@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .envs import ACT_DIM, GOAL_RULES, KINDS, OBS_DIM, TaskSpec, make_suite
 from .network import PolicyConfig
-from .sac import ROUTING_FNS, TrainSettings
+from .sac import CHI_BY_MODE, ROUTING_FNS, TrainSettings
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,7 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        if self.resrouting not in ("rsg", "sg-only", "target-routing", "off"):
+        if self.resrouting not in CHI_BY_MODE:
             raise ConfigError(f"resrouting: unknown mode {self.resrouting!r}")
         if self.routing_fn not in ROUTING_FNS:
             raise ConfigError(f"routing_fn: unknown mode {self.routing_fn!r}")
@@ -106,9 +106,13 @@ class RunConfig:
             raise ConfigError("n_modules: must be >= 2")
         if not 1 <= self.k:
             raise ConfigError("k: must be >= 1")
-        for key in ("module_dim", "module_hidden", "batch_per_task"):
+        for key in ("module_dim", "module_hidden", "batch_per_task", "eval_interval",
+                    "checkpoint_interval"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key}: must be >= 1")
+        for key in ("eval_episodes", "start_steps", "total_env_steps"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be >= 0")
         for key in ("encoder_widths", "routing_widths"):
             for i, width in enumerate(getattr(self, key)):
                 if not _is_int(width) or width < 1:
@@ -120,8 +124,13 @@ class RunConfig:
                 f"buffer_capacity: must hold at least one transition per task "
                 f"({len(self.tasks)})"
             )
-        if self.train_ratio < 0:
-            raise ConfigError("train_ratio: must be >= 0")
+        for key in ("train_ratio", "lr"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key}: must be >= 0")
+        for key in ("gamma", "polyak", "stop_at_success"):
+            value = getattr(self, key)
+            if value is not None and not 0 <= value <= 1:
+                raise ConfigError(f"{key}: must be in [0, 1]")
         for key in ("alpha_init", "maskout_threshold"):
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key}: must be > 0")
@@ -211,46 +220,29 @@ class RunConfig:
         return cls.from_dict(raw)
 
 
-_BOOL_KEYS = {"state_routing", "route_balancing", "loss_rescaling"}
-_STR_KEYS = {"resrouting", "routing_fn", "out_dir"}
-_LIST_KEYS = {"tasks", "encoder_widths", "routing_widths"}
-_FLOAT_KEYS = {"gamma", "polyak", "lr", "reward_scale", "alpha_init",
-               "train_ratio", "maskout_threshold"}
-_INT_KEYS = {"n_modules", "module_dim", "module_hidden", "k", "batch_per_task",
-             "buffer_capacity", "start_steps", "seed", "total_env_steps",
-             "eval_interval", "eval_episodes", "checkpoint_interval"}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _coerce(key: str, value, _annotation):
-    """Light type checking with key-path error messages."""
-    if key == "stop_at_success":
-        if value is None:
-            return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number or null, got {value!r}")
-        return float(value)
-    if key in _BOOL_KEYS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key}: expected true/false, got {value!r}")
-        return value
-    if key in _STR_KEYS:
-        if not isinstance(value, str):
-            raise ConfigError(f"{key}: expected a string, got {value!r}")
-        return value
-    if key in _LIST_KEYS:
-        if not isinstance(value, list):
-            raise ConfigError(f"{key}: expected a list, got {value!r}")
-        return value
-    if key in _INT_KEYS:
-        if not _is_int(value):
-            raise ConfigError(f"{key}: expected an integer, got {value!r}")
-        return value
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {value!r}")
-        return float(value)
-    return value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# per field annotation: the values it accepts and how an error names them
+_TYPE_CHECKS = {
+    "bool": (lambda v: isinstance(v, bool), "true/false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
+}
+
+
+def _coerce(key: str, value, annotation: str):
+    """Light type checking by the field's annotation, with key-path error
+    messages; a number for a float field becomes a float."""
+    accepts, expected = _TYPE_CHECKS[annotation]
+    if not accepts(value):
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
+    return float(value) if annotation.startswith("float") and value is not None else value

@@ -9,33 +9,37 @@ lower triangle of the forward pass's padded (n-1, n-1) mask array, module
 2's source first (see ``network.pack_masks``). The twin critics' rows are
 one (2, n(n-1)/2) field, member 0 first, as the stacked critic pass reads
 them.
+
+The buffer takes and returns batches: dicts of row arrays keyed
+``state``, ``action``, ``reward``, ``next_state``, ``done``, ``task_id``,
+``masks_actor`` and ``masks_critics``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# per mask field, the leading shape of one transition's packed rows: one
-# row for the actor, one per member of the stacked critics
-MASK_FIELDS = {"masks_actor": (), "masks_critics": (2,)}
 
+class _PerMember:
+    """A field with a member axis, kept as one (tasks, capacity, L) array per
+    member and indexed like one array whose member axis precedes the last."""
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float
-    next_state: np.ndarray
-    done: bool
-    task_id: int
-    masks_actor: np.ndarray
-    masks_critics: np.ndarray
+    def __init__(self, arrays: list[np.ndarray]):
+        self.arrays = arrays
+
+    def __getitem__(self, index) -> np.ndarray:
+        return np.stack([a[index] for a in self.arrays], axis=-2)
+
+    def __setitem__(self, index, rows: np.ndarray) -> None:
+        for m, a in enumerate(self.arrays):
+            a[index] = rows[..., m, :]
 
 
 class ReplayBuffer:
-    """Ring buffer partitioned by task; oldest entries overwritten first."""
+    """Ring buffer partitioned by task; oldest entries overwritten first.
+
+    ``fields`` maps each batch key but ``task_id`` to its storage, indexed
+    (task, slot, ...)."""
 
     def __init__(self, capacity: int, num_tasks: int, obs_dim: int,
                  act_dim: int, mask_len: int):
@@ -44,77 +48,47 @@ class ReplayBuffer:
         self.num_tasks = num_tasks
         self.per_task_capacity = capacity // num_tasks
         c, n = self.per_task_capacity, num_tasks
-        self.states = np.zeros((n, c, obs_dim))
-        self.actions = np.zeros((n, c, act_dim))
-        self.rewards = np.zeros((n, c))
-        self.next_states = np.zeros((n, c, obs_dim))
-        self.dones = np.zeros((n, c), dtype=bool)
-        # one (tasks, capacity, L) array per network a field holds rows of:
-        # one array of both critics' rows would pass numpy's 4 MB huge-page
-        # threshold at the default capacity, and its first writes would
-        # fault in a 2 MB page per task
-        self.masks = {f: [np.zeros((n, c, mask_len), dtype=np.uint8)
-                          for _ in range(int(np.prod(lead)))]
-                      for f, lead in MASK_FIELDS.items()}
+        self.fields = {
+            "state": np.zeros((n, c, obs_dim)),
+            "action": np.zeros((n, c, act_dim)),
+            "reward": np.zeros((n, c)),
+            "next_state": np.zeros((n, c, obs_dim)),
+            "done": np.zeros((n, c), dtype=bool),
+            # one (tasks, capacity, L) array per network: one array of both
+            # critics' rows would pass numpy's 4 MB huge-page threshold at
+            # the default capacity, and its first writes would fault in a
+            # 2 MB page per task
+            "masks_actor": np.zeros((n, c, mask_len), dtype=np.uint8),
+            "masks_critics": _PerMember([np.zeros((n, c, mask_len), dtype=np.uint8)
+                                         for _ in range(2)]),
+        }
         self.sizes = np.zeros(n, dtype=np.int64)
         self.heads = np.zeros(n, dtype=np.int64)
 
     def __len__(self) -> int:
         return int(self.sizes.sum())
 
-    def add(self, tr: Transition) -> None:
-        t = tr.task_id
+    def add(self, batch: dict) -> None:
+        """Store a batch of rows from distinct tasks, each at its task's head."""
+        t = batch["task_id"]
         i = self.heads[t]
-        self.states[t, i] = tr.state
-        self.actions[t, i] = tr.action
-        self.rewards[t, i] = tr.reward
-        self.next_states[t, i] = tr.next_state
-        self.dones[t, i] = tr.done
-        for f, arrays in self.masks.items():
-            for a, row in zip(arrays, np.reshape(getattr(tr, f), (len(arrays), -1))):
-                a[t, i] = row
+        for key, store in self.fields.items():
+            store[t, i] = batch[key]
         self.heads[t] = (i + 1) % self.per_task_capacity
-        self.sizes[t] = min(self.sizes[t] + 1, self.per_task_capacity)
+        self.sizes[t] = np.minimum(self.sizes[t] + 1, self.per_task_capacity)
 
     def can_sample(self, per_task: int) -> bool:
         return bool(np.all(self.sizes >= per_task))
 
     def sample_stratified(self, per_task: int, rng: np.random.Generator) -> dict:
-        """Equal transitions per task; raises if any task is short."""
+        """Equal transitions per task, task-major; raises if any task is short."""
         if not self.can_sample(per_task):
             raise ValueError(
                 f"need {per_task} transitions per task, have {self.sizes.tolist()}"
             )
-        rows = {k: [] for k in ("state", "action", "reward", "next_state",
-                                "done", "task_id", *MASK_FIELDS)}
-        for t in range(self.num_tasks):
-            idx = rng.integers(0, self.sizes[t], size=per_task)
-            rows["state"].append(self.states[t, idx])
-            rows["action"].append(self.actions[t, idx])
-            rows["reward"].append(self.rewards[t, idx])
-            rows["next_state"].append(self.next_states[t, idx])
-            rows["done"].append(self.dones[t, idx])
-            rows["task_id"].append(np.full(per_task, t, dtype=np.int64))
-            for f in MASK_FIELDS:
-                rows[f].append(self._mask_rows(f, (t, idx)))
-        return {k: np.concatenate(v) for k, v in rows.items()}
-
-    def get(self, task_id: int, index: int) -> Transition:
-        """Read one stored transition back out (round-trip checks)."""
-        if index >= self.sizes[task_id]:
-            raise IndexError("index beyond stored size")
-        return Transition(
-            state=self.states[task_id, index].copy(),
-            action=self.actions[task_id, index].copy(),
-            reward=float(self.rewards[task_id, index]),
-            next_state=self.next_states[task_id, index].copy(),
-            done=bool(self.dones[task_id, index]),
-            task_id=task_id,
-            **{f: self._mask_rows(f, (task_id, index)) for f in MASK_FIELDS},
-        )
-
-    def _mask_rows(self, field: str, index) -> np.ndarray:
-        """A mask field's rows at ``index`` of its per-network arrays, with
-        the field's leading shape after the row axes (a fresh array)."""
-        rows = np.stack([a[index] for a in self.masks[field]], axis=-2)
-        return rows.reshape(rows.shape[:-2] + MASK_FIELDS[field] + rows.shape[-1:])
+        task_id = np.repeat(np.arange(self.num_tasks), per_task)
+        slot = np.concatenate([rng.integers(0, size, size=per_task)
+                               for size in self.sizes])
+        batch = {key: store[task_id, slot] for key, store in self.fields.items()}
+        batch["task_id"] = task_id
+        return batch

@@ -41,7 +41,7 @@ from .network import (
     squashed_gaussian,
     unpack_masks,
 )
-from .replay import ReplayBuffer, Transition
+from .replay import ReplayBuffer
 from .routing import route_balance_temperatures
 from .seeding import stream
 
@@ -142,11 +142,14 @@ class TaskTemperatures:
 
 
 def _per_task_mean(values: np.ndarray, task_ids: np.ndarray, num_tasks: int):
-    out = np.zeros(num_tasks)
-    for t in range(num_tasks):
-        sel = task_ids == t
-        if sel.any():
-            out[t] = values[sel].mean()
+    """Each task's mean of ``values`` (..., B) over the batch axis, 0 for a
+    task with no rows. The batch must be task-major with equal rows per task
+    present, as ``sample_stratified`` and its maskout subsets are."""
+    tasks, counts = np.unique(task_ids, return_counts=True)
+    if not np.array_equal(task_ids, np.repeat(tasks, counts[:1])):
+        raise ValueError("per-task means need a task-major batch, equal rows per task")
+    out = np.zeros(values.shape[:-1] + (num_tasks,))
+    out[..., tasks] = values.reshape(*values.shape[:-1], len(tasks), -1).mean(axis=-1)
     return out
 
 
@@ -154,13 +157,9 @@ def _coefficients(task_ids: np.ndarray, weights: np.ndarray,
                   included: np.ndarray) -> np.ndarray:
     """Per-sample weights implementing sum_T w_T * mean_T(loss_T) with
     masked-out tasks removed; a column vector, one row per sample."""
-    num_tasks = len(weights)
-    counts = np.bincount(task_ids, minlength=num_tasks)
-    c = np.zeros(len(task_ids))
-    for t in range(num_tasks):
-        if counts[t] > 0 and included[t]:
-            c[task_ids == t] = weights[t] / counts[t]
-    return c.reshape(-1, 1)
+    counts = np.bincount(task_ids, minlength=len(weights))
+    per_task = np.where(included, weights / np.maximum(counts, 1), 0.0)
+    return per_task[task_ids].reshape(-1, 1)
 
 
 def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -180,24 +179,18 @@ def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def alpha_loss(logp: np.ndarray, task_ids: np.ndarray,
                temps: TaskTemperatures) -> tuple[float, np.ndarray]:
-    """Temperature objective sum_T mean_T(-alpha_T * (log pi + target_entropy)),
-    averaging within each task so unevenly filled batches don't skew it.
+    """Temperature objective sum_T mean_T(-alpha_T * (log pi + target_entropy))
+    over the tasks present in the batch.
 
     Returns (loss value, gradient w.r.t. log_alpha). Only tasks present in
-    the batch get a nonzero gradient.
+    the batch get a nonzero gradient. The batch is task-major with equal
+    rows per task present (see ``_per_task_mean``).
     """
-    num_tasks = len(temps.log_alpha)
-    alphas = temps.alphas
-    total = 0.0
-    grad = np.zeros(num_tasks)
-    for t in range(num_tasks):
-        sel = task_ids == t
-        if sel.any():
-            mean_neg = np.mean(-(logp.ravel()[sel] + temps.target_entropy))
-            total += alphas[t] * mean_neg
-            # d/d log_alpha = alpha * mean(-(logp + H))
-            grad[t] = alphas[t] * mean_neg
-    return float(total), grad
+    mean_neg = _per_task_mean(-(logp.ravel() + temps.target_entropy), task_ids,
+                              len(temps.log_alpha))
+    # d/d log_alpha = alpha * mean(-(logp + H))
+    grad = temps.alphas * mean_neg
+    return float(grad.sum()), grad
 
 
 @dataclass
@@ -218,7 +211,7 @@ class TrainSettings:
     routing_fn: str = "samplek"        # samplek | topk | hard | soft
 
 
-_CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
+CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
 ROUTING_FNS = ("samplek", "topk", "hard", "soft")
 
 
@@ -229,7 +222,7 @@ class Trainer:
                  settings: TrainSettings, seed: int):
         if policy_cfg.head != "actor":
             raise ValueError("policy_cfg must describe the actor head")
-        if settings.resrouting not in _CHI_BY_MODE:
+        if settings.resrouting not in CHI_BY_MODE:
             raise ValueError(f"unknown resrouting mode {settings.resrouting!r}")
         if settings.routing_fn not in ROUTING_FNS:
             raise ValueError(f"unknown routing_fn {settings.routing_fn!r}")
@@ -271,7 +264,6 @@ class Trainer:
         self.rng_explore = stream(seed, "explore")
 
         self._cur_obs = np.stack([env.reset() for env in self.envs])
-        self._alive = np.ones(self.num_tasks, dtype=bool)
         self.env_steps = 0
         self.train_steps = 0
         self.success_ema = np.zeros(self.num_tasks)
@@ -335,43 +327,41 @@ class Trainer:
     def collect_rollouts(self, vector_steps: int) -> int:
         """Advance every task environment ``vector_steps`` times.
 
-        Transitions carry the routing masks sampled at s. A faulted
-        environment is dropped for the rest of the call; the others proceed.
-        Returns the number of env transitions taken.
+        Each vector step writes one batch of transitions, which carry the
+        routing masks sampled at s. A faulted environment is dropped for the
+        rest of the call; the others proceed. Returns the number of env
+        transitions taken.
         """
+        n = self.num_tasks
+        alive = np.ones(n, dtype=bool)
         taken = 0
         for _ in range(vector_steps):
             warmup = None
-            if self.env_steps < self.s.start_steps * self.num_tasks:
-                warmup = self.rng_explore.uniform(-1, 1, (self.num_tasks, ACT_DIM))
-            actions, ma, mc = self._routing_snapshot(
-                self._cur_obs, np.arange(self.num_tasks), warmup
-            )
-            for i in range(self.num_tasks):
-                if not self._alive[i]:
-                    continue
+            if self.env_steps < self.s.start_steps * n:
+                warmup = self.rng_explore.uniform(-1, 1, (n, ACT_DIM))
+            obs = self._cur_obs
+            actions, ma, mc = self._routing_snapshot(obs, np.arange(n), warmup)
+            next_obs, rewards, dones = obs.copy(), np.zeros(n), np.zeros(n, dtype=bool)
+            for i in np.flatnonzero(alive):
                 try:
-                    obs2, reward, done, success = self.envs[i].step(actions[i])
+                    next_obs[i], rewards[i], dones[i], success = self.envs[i].step(actions[i])
                 except Exception:
                     log.exception("task %d env fault; aborting its rollout", i)
-                    self._alive[i] = False
+                    alive[i] = False
                     continue
-                taken += 1
-                self.env_steps += 1
-                self.buffer.add(Transition(
-                    state=self._cur_obs[i].copy(),
-                    action=np.asarray(actions[i]).copy(),
-                    reward=float(reward),
-                    next_state=obs2.copy(),
-                    done=bool(done),
-                    task_id=i,
-                    masks_actor=ma[i], masks_critics=mc[i],
-                ))
-                if done:
+                if dones[i]:
                     self.success_ema[i] = 0.95 * self.success_ema[i] + 0.05 * float(success)
-                    obs2 = self.envs[i].reset()
-                self._cur_obs[i] = obs2
-        self._alive[:] = True
+            rows = np.flatnonzero(alive)
+            self.buffer.add({
+                "state": obs[rows], "action": actions[rows], "reward": rewards[rows],
+                "next_state": next_obs[rows], "done": dones[rows], "task_id": rows,
+                "masks_actor": ma[rows], "masks_critics": mc[rows],
+            })
+            taken += len(rows)
+            self.env_steps += len(rows)
+            self._cur_obs = next_obs
+            for i in rows[dones[rows]]:
+                self._cur_obs[i] = self.envs[i].reset()
         return taken
 
     # ------------------------------------------------------------------
@@ -390,7 +380,7 @@ class Trainer:
             masks = unpack_masks(batch[mask_key], self.cfg)
             routing = dict(masks=np.moveaxis(masks, 0, -3))
         return policy.forward(batch["state"], batch["task_id"], action=action,
-                              chi_mode=_CHI_BY_MODE[self.s.resrouting], **routing)
+                              chi_mode=CHI_BY_MODE[self.s.resrouting], **routing)
 
     def bellman_targets(self, batch: dict) -> np.ndarray:
         """Soft targets r + gamma (1-done)(min Q'[s',a'] - alpha log pi(a'|s')),
@@ -467,9 +457,9 @@ class Trainer:
         actor_per_sample, actor_grad, logp = self.actor_losses(batch, noise, coeff)
 
         # summed over the two critics
-        per_task_critic = sum(_per_task_mean(member.ravel(), ids, self.num_tasks)
-                              for member in critic_per_sample)
-        per_task_actor = _per_task_mean(actor_per_sample.ravel(), ids, self.num_tasks)
+        per_task_critic = _per_task_mean(critic_per_sample[..., 0], ids,
+                                         self.num_tasks).sum(axis=0)
+        per_task_actor = _per_task_mean(actor_per_sample[:, 0], ids, self.num_tasks)
         included = loss_maskout(per_task_critic + per_task_actor,
                                 self.s.maskout_threshold)
 

@@ -29,7 +29,6 @@ from modroute.network import (
     topk_mask_rows,
     unpack_masks,
 )
-from modroute.replay import Transition
 from modroute.routing import route_balance_temperatures
 from modroute.sac import Trainer, TrainSettings, alpha_loss, task_loss_weights
 from routing_oracles import (
@@ -169,8 +168,9 @@ def test_criterion_1_gradient_correctness():
         from modroute.sac import TaskTemperatures
         temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.1)
         temps.log_alpha = rng.normal(size=2) * 0.3
-        logp_vals = rng.normal(size=(B, 1))
-        ids = np.array([0, 1, 0])
+        # the task-major batch of equal rows per task that train_step gives it
+        logp_vals = rng.normal(size=(4, 1))
+        ids = np.array([0, 0, 1, 1])
         _, grad = alpha_loss(logp_vals, ids, temps)
         eps = 1e-6
         for t in range(2):
@@ -530,29 +530,28 @@ def test_criterion_9_serialization_determinism(tmp_path):
     from modroute.checkpoint import load_checkpoint, save_checkpoint
     from modroute.replay import ReplayBuffer
 
-    # transition round trip through the buffer is field-identical
+    # transition round trip through the buffer is field-identical: ten
+    # transitions, written as five batches of one row per task, read back
+    # from each task's slots
     rng = np.random.default_rng(99)
     mask_len = 7
     buf = ReplayBuffer(100, 2, 9, 2, mask_len)
     originals = []
-    for i in range(10):
-        tr = Transition(
-            state=rng.normal(size=9), action=rng.normal(size=2),
-            reward=float(rng.normal()), next_state=rng.normal(size=9),
-            done=bool(i % 2), task_id=i % 2,
-            masks_actor=topk_mask_rows(rng.normal(size=(1, mask_len)), 3)[0],
-            masks_critics=topk_mask_rows(rng.normal(size=(2, mask_len)), 3),
-        )
-        originals.append(tr)
-        buf.add(tr)
-    fields_ok = True
-    for i, tr in enumerate(originals):
-        back = buf.get(tr.task_id, i // 2)
-        for name in Transition.__dataclass_fields__:
-            a, b = getattr(tr, name), getattr(back, name)
-            same = (np.array_equal(a, b) if isinstance(a, np.ndarray)
-                    else a == b)
-            fields_ok &= bool(same)
+    for i in range(5):
+        batch = {
+            "state": rng.normal(size=(2, 9)), "action": rng.normal(size=(2, 2)),
+            "reward": rng.normal(size=2), "next_state": rng.normal(size=(2, 9)),
+            "done": np.array([False, True]), "task_id": np.array([0, 1]),
+            "masks_actor": topk_mask_rows(rng.normal(size=(2, mask_len)), 3),
+            "masks_critics": topk_mask_rows(rng.normal(size=(2, 2, mask_len)), 3),
+        }
+        originals.append(batch)
+        buf.add(batch)
+    fields_ok = set(buf.fields) | {"task_id"} == set(originals[0])
+    for slot, batch in enumerate(originals):
+        for row, task in enumerate(batch["task_id"]):
+            for name, store in buf.fields.items():
+                fields_ok &= bool(np.array_equal(store[task, slot], batch[name][row]))
 
     # checkpoint round trip is bit-identical (covered per-array)
     cfg = RunConfig(tasks=[{"kind": "reach"}], n_modules=3, module_dim=8,

@@ -15,8 +15,10 @@ from modroute.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
+    read_manifest,
     save_checkpoint,
 )
+from modroute.cli import main
 from modroute.config import RunConfig
 from modroute.sac import Trainer
 
@@ -155,3 +157,50 @@ def test_version_1_file_is_refused(tmp_path):
     with pytest.raises(CheckpointError,
                        match=f"version 1 != supported {FORMAT_VERSION}"):
         load_checkpoint(path)
+
+
+def _write_npz(path, **arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+def _unreadable_files(tmp_path):
+    """(file, the phrase its CheckpointError names) per kind of damage."""
+    cfg, _ = _trainer(tmp_path, 0)
+    full = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(),
+            "env_steps": 0, "train_steps": 0}
+    text = tmp_path / "notes.txt"
+    text.write_text("not a checkpoint\n")
+    empty = tmp_path / "empty.npz"
+    empty.write_bytes(b"")
+    npy = tmp_path / "array.npz"
+    np.save(str(npy), np.zeros(3), allow_pickle=False)  # np.save appends .npy
+    cases = [(str(text), "cannot read checkpoint"), (str(empty), "cannot read checkpoint"),
+             (str(npy) + ".npy", "is not an npz archive")]
+    _write_npz(tmp_path / "bare.npz", actor=np.zeros(3))
+    cases.append((str(tmp_path / "bare.npz"), "lacks array manifest"))
+    _write_npz(tmp_path / "garbled.npz", manifest=np.array("{not json"))
+    cases.append((str(tmp_path / "garbled.npz"), "manifest is not JSON"))
+    _write_npz(tmp_path / "listed.npz", manifest=np.array("[2]"))
+    cases.append((str(tmp_path / "listed.npz"), "manifest is not a JSON object"))
+    for key in ("config", "env_steps", "train_steps"):
+        path = tmp_path / f"no-{key}.npz"
+        manifest = {k: v for k, v in full.items() if k != key}
+        _write_npz(path, manifest=np.array(json.dumps(manifest)))
+        cases.append((str(path), f"manifest lacks {key}"))
+    return cases
+
+
+def test_unreadable_file_is_a_checkpoint_error(tmp_path):
+    for path, phrase in _unreadable_files(tmp_path):
+        with pytest.raises(CheckpointError, match=phrase):
+            load_checkpoint(path)
+        with pytest.raises(CheckpointError, match=phrase):
+            read_manifest(path)
+
+
+def test_eval_of_an_unreadable_file_is_a_user_error(tmp_path, capsys):
+    for path, phrase in _unreadable_files(tmp_path):
+        assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and phrase in err, err

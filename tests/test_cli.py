@@ -115,6 +115,12 @@ class TestTrainCommand:
         ("routing_widths: [0]\n", "routing_widths[0]"),
         ("buffer_capacity: 3\n", "buffer_capacity"),
         ("train_ratio: -1\n", "train_ratio"),
+        ("eval_interval: 0\n", "eval_interval"),
+        ("eval_episodes: -3\n", "eval_episodes"),
+        ("checkpoint_interval: -1\n", "checkpoint_interval"),
+        ("polyak: 1.5\n", "polyak"),
+        ("gamma: -2\n", "gamma"),
+        ("lr: -1\n", "lr"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):

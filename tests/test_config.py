@@ -121,10 +121,28 @@ class TestRunConfig:
         ({"train_ratio": -1}, "train_ratio: must be >= 0"),
         ({"maskout_threshold": 0}, "maskout_threshold: must be > 0"),
         ({"alpha_init": -0.1}, "alpha_init: must be > 0"),
+        ({"eval_interval": 0}, "eval_interval: must be >= 1"),
+        ({"checkpoint_interval": -1}, "checkpoint_interval: must be >= 1"),
+        ({"eval_episodes": -3}, "eval_episodes: must be >= 0"),
+        ({"start_steps": -1}, "start_steps: must be >= 0"),
+        ({"total_env_steps": -1}, "total_env_steps: must be >= 0"),
+        ({"lr": -1}, "lr: must be >= 0"),
+        ({"gamma": -2}, r"gamma: must be in \[0, 1\]"),
+        ({"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
+        ({"stop_at_success": 1.5}, r"stop_at_success: must be in \[0, 1\]"),
+        ({"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):
             RunConfig.from_dict(values)
+
+    def test_bounds_of_the_checked_ranges_accepted(self):
+        # lr 0 freezes a network; the run-control counts may be 0 or 1
+        cfg = RunConfig.from_dict({
+            "lr": 0, "gamma": 0, "polyak": 1, "stop_at_success": 1,
+            "eval_interval": 1, "checkpoint_interval": 1, "eval_episodes": 0,
+            "start_steps": 0, "total_env_steps": 0})
+        assert cfg.lr == 0.0 and cfg.polyak == 1.0
 
     def test_smallest_sizes_accepted(self):
         # one slot per task, width-1 layers, no hidden routing layer, no training

@@ -18,12 +18,14 @@ from modroute.network import (
     topk_mask_rows,
     unpack_masks,
 )
-from modroute.replay import MASK_FIELDS, ReplayBuffer, Transition
+from modroute.replay import ReplayBuffer
 from modroute.sac import (
     Adam,
     TaskTemperatures,
     Trainer,
     TrainSettings,
+    _coefficients,
+    _per_task_mean,
     alpha_loss,
     loss_maskout,
     task_loss_weights,
@@ -109,55 +111,146 @@ class TestAlphaLoss:
         assert grad[0] != 0.0 and grad[2] != 0.0
 
 
-class TestReplay:
-    def _transition(self, rng, task, mask_len=6):
-        return Transition(
-            state=rng.normal(size=OBS_DIM), action=rng.normal(size=ACT_DIM),
-            reward=float(rng.normal()), next_state=rng.normal(size=OBS_DIM),
-            done=bool(rng.integers(2)), task_id=task,
-            **{f: rng.integers(0, 2, size=(*lead, mask_len)).astype(np.uint8)
-               for f, lead in MASK_FIELDS.items()},
-        )
+def random_rows(rng, tasks, mask_len=6):
+    """A batch of random transitions, one row per task in ``tasks``."""
+    m = len(tasks)
+    return {
+        "state": rng.normal(size=(m, OBS_DIM)), "action": rng.normal(size=(m, ACT_DIM)),
+        "reward": rng.normal(size=m), "next_state": rng.normal(size=(m, OBS_DIM)),
+        "done": rng.integers(2, size=m).astype(bool), "task_id": np.asarray(tasks),
+        "masks_actor": rng.integers(0, 2, size=(m, mask_len)).astype(np.uint8),
+        "masks_critics": rng.integers(0, 2, size=(m, 2, mask_len)).astype(np.uint8),
+    }
 
+
+class TestReplay:
     def test_round_trip_field_identical(self):
         rng = np.random.default_rng(1)
         buf = ReplayBuffer(100, 2, OBS_DIM, ACT_DIM, 6)
-        tr = self._transition(rng, 1)
-        buf.add(tr)
-        back = buf.get(1, 0)
-        np.testing.assert_array_equal(back.state, tr.state)
-        np.testing.assert_array_equal(back.action, tr.action)
-        assert back.reward == tr.reward
-        np.testing.assert_array_equal(back.next_state, tr.next_state)
-        assert back.done == tr.done and back.task_id == tr.task_id
-        for f in MASK_FIELDS:
-            np.testing.assert_array_equal(getattr(back, f), getattr(tr, f))
+        rows = random_rows(rng, [1, 0])
+        buf.add(rows)
+        for key, store in buf.fields.items():
+            np.testing.assert_array_equal(store[[1, 0], [0, 0]], rows[key])
+        # one row per task: the sample is the batch, task-major
+        back = buf.sample_stratified(1, rng)
+        assert set(back) == set(rows)
+        for key in rows:
+            assert back[key].dtype == rows[key].dtype
+            np.testing.assert_array_equal(back[key], rows[key][::-1])
 
     def test_overwrites_oldest_first(self):
         rng = np.random.default_rng(2)
         buf = ReplayBuffer(4, 2, OBS_DIM, ACT_DIM, 6)  # 2 slots per task
-        trs = [self._transition(rng, 0) for _ in range(3)]
-        for tr in trs:
-            buf.add(tr)
+        batches = [random_rows(rng, [0]) for _ in range(3)]
+        for rows in batches:
+            buf.add(rows)
         assert buf.sizes[0] == 2
-        np.testing.assert_array_equal(buf.get(0, 0).state, trs[2].state)
-        np.testing.assert_array_equal(buf.get(0, 1).state, trs[1].state)
+        np.testing.assert_array_equal(buf.fields["state"][0, 0], batches[2]["state"][0])
+        np.testing.assert_array_equal(buf.fields["state"][0, 1], batches[1]["state"][0])
 
     def test_never_samples_beyond_size(self):
         rng = np.random.default_rng(3)
         buf = ReplayBuffer(100, 2, OBS_DIM, ACT_DIM, 6)
-        buf.add(self._transition(rng, 0))
+        buf.add(random_rows(rng, [0]))
         with pytest.raises(ValueError):
             buf.sample_stratified(1, rng)  # task 1 still empty
 
     def test_stratified_batch_composition(self):
         rng = np.random.default_rng(4)
         buf = ReplayBuffer(100, 3, OBS_DIM, ACT_DIM, 6)
-        for t in range(3):
-            for _ in range(5):
-                buf.add(self._transition(rng, t))
+        for _ in range(5):
+            buf.add(random_rows(rng, [0, 1, 2]))
         batch = buf.sample_stratified(4, rng)
-        np.testing.assert_array_equal(np.bincount(batch["task_id"]), [4, 4, 4])
+        np.testing.assert_array_equal(batch["task_id"], np.repeat([0, 1, 2], 4))
+
+    def test_stratified_batch_draws_task_by_task(self):
+        # one draw of slots per task, in task order, from the task's filled
+        # slots: the same generator then reads each task's rows directly
+        rng = np.random.default_rng(5)
+        buf = ReplayBuffer(60, 3, OBS_DIM, ACT_DIM, 6)
+        for tasks in ([0, 1, 2],) * 4 + ([0, 2],) * 3 + ([2],) * 5:
+            buf.add(random_rows(rng, tasks))
+        np.testing.assert_array_equal(buf.sizes, [7, 4, 12])
+        batch = buf.sample_stratified(3, np.random.default_rng(6))
+        ref = np.random.default_rng(6)
+        for t in range(3):
+            slots = ref.integers(0, buf.sizes[t], size=3)
+            for key, store in buf.fields.items():
+                np.testing.assert_array_equal(batch[key][3 * t:3 * t + 3], store[t, slots])
+
+
+def _per_task_mean_loop(values, task_ids, num_tasks):
+    out = np.zeros(num_tasks)
+    for t in range(num_tasks):
+        sel = task_ids == t
+        if sel.any():
+            out[t] = values[sel].mean()
+    return out
+
+
+def _coefficients_loop(task_ids, weights, included):
+    num_tasks = len(weights)
+    counts = np.bincount(task_ids, minlength=num_tasks)
+    c = np.zeros(len(task_ids))
+    for t in range(num_tasks):
+        if counts[t] > 0 and included[t]:
+            c[task_ids == t] = weights[t] / counts[t]
+    return c.reshape(-1, 1)
+
+
+def _alpha_grad_loop(logp, task_ids, temps):
+    num_tasks = len(temps.log_alpha)
+    alphas = temps.alphas
+    grad = np.zeros(num_tasks)
+    for t in range(num_tasks):
+        sel = task_ids == t
+        if sel.any():
+            grad[t] = alphas[t] * np.mean(-(logp.ravel()[sel] + temps.target_entropy))
+    return grad
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPerTaskReductions:
+    """The per-task reductions over a task-major batch against the per-task
+    loops they replaced, bit for bit."""
+
+    @pytest.mark.parametrize("per_task", [4, 32, 200])
+    @pytest.mark.parametrize("drop", [None, 1])
+    def test_array_forms_match_the_loops(self, per_task, drop):
+        rng = np.random.default_rng(per_task)
+        buf = ReplayBuffer(4 * per_task, 4, OBS_DIM, ACT_DIM, 6)
+        for _ in range(per_task):
+            buf.add(random_rows(rng, [0, 1, 2, 3]))
+        ids = buf.sample_stratified(per_task, rng)["task_id"]
+        included = np.ones(4, dtype=bool)
+        if drop is not None:  # the maskout subset train_step takes
+            included[drop] = False
+            ids = ids[np.flatnonzero(included[ids])]
+        critic = rng.normal(size=(2, len(ids), 1)) ** 2 * 1e3
+        actor = rng.normal(size=(len(ids), 1)) * 10
+        logp = rng.normal(size=(len(ids), 1)) * 3
+        temps = TaskTemperatures(4, target_entropy=-2.0, alpha_init=0.1)
+        temps.log_alpha = rng.normal(size=4)
+        weights = task_loss_weights(temps.alphas)
+
+        assert_same_bits(_per_task_mean(actor[:, 0], ids, 4),
+                         _per_task_mean_loop(actor.ravel(), ids, 4))
+        assert_same_bits(_per_task_mean(critic[..., 0], ids, 4).sum(axis=0),
+                         sum(_per_task_mean_loop(m.ravel(), ids, 4) for m in critic))
+        assert_same_bits(_coefficients(ids, weights, included),
+                         _coefficients_loop(ids, weights, included))
+        assert_same_bits(alpha_loss(logp, ids, temps)[1],
+                         _alpha_grad_loop(logp, ids, temps))
+
+    @pytest.mark.parametrize("ids", [[0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0]])
+    def test_other_batch_layouts_are_refused(self, ids):
+        temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.1)
+        with pytest.raises(ValueError, match="task-major"):
+            alpha_loss(np.zeros((len(ids), 1)), np.array(ids), temps)
 
 
 def _adam(lr, **shapes):
@@ -275,14 +368,12 @@ class TestTrainer:
                 tr.actor.params[key] = rng.normal(size=v.shape)
         tr.collect_rollouts(50)
         agree = total = 0
-        from modroute.network import make_mask_fn
-        for idx in range(int(tr.buffer.sizes[0])):
-            trans = tr.buffer.get(0, idx)
-            res = tr.actor.forward(trans.state[None], [0],
-                                   mask_fn=make_mask_fn("topk", tr.cfg.k))
-            stored = unpack_masks(trans.masks_actor[None], tr.cfg)
+        size = int(tr.buffer.sizes[0])
+        stored = unpack_masks(tr.buffer.fields["masks_actor"][0, :size], tr.cfg)
+        for state, masks in zip(tr.buffer.fields["state"][0, :size], stored):
+            res = tr.actor.forward(state[None], [0], mask_fn=make_mask_fn("topk", tr.cfg.k))
             total += 1
-            agree += int(np.array_equal(res.padded_masks, stored))
+            agree += int(np.array_equal(res.padded_masks, masks[None]))
         assert total >= 50
         assert agree / total >= 0.99
 
@@ -419,10 +510,10 @@ class TestTrainer:
         # leave the graphs, so the other tasks keep training
         tr = make_trainer(seed=18)
         tr.collect_rollouts(20)
-        tr.buffer.states[1] = np.nan
+        tr.buffer.fields["state"][1] = np.nan
         for _ in range(5):
             tr.collect_rollouts(1)
-            tr.buffer.states[1] = np.nan
+            tr.buffer.fields["state"][1] = np.nan
             m = tr.train_step()
             assert not m["included"][1] and m["included"][[0, 2, 3]].all()
             assert m["skipped_updates"] == 0
@@ -439,7 +530,7 @@ class TestTrainer:
             tr = make_trainer(seed=19)
             tr.collect_rollouts(20)
             if poison:
-                tr.buffer.states[2] = np.nan
+                tr.buffer.fields["state"][2] = np.nan
             m = tr.train_step()
             assert m["included"][2] != poison
             seen.append([getattr(tr, f"rng_{k}").bit_generator.state
@@ -448,13 +539,39 @@ class TestTrainer:
 
     def test_env_fault_aborts_single_task(self):
         tr = make_trainer(seed=16)
+        tr.collect_rollouts(3)
+        buf = tr.buffer
+        sizes, heads = buf.sizes.copy(), buf.heads.copy()
+        seen = {i: [] for i in range(4)}
+        for i, env in enumerate(tr.envs):
+            def record(action, _i=i, _step=env.step):
+                obs2, reward, done, success = _step(action)
+                seen[_i].append((np.array(action), np.array(obs2), reward, done))
+                return obs2, reward, done, success
+
+            env.step = record
+        faults = []
 
         def boom(action):
+            faults.append(action)
             raise RuntimeError("fault")
 
         tr.envs[2].step = boom
         taken = tr.collect_rollouts(5)
         assert taken == 5 * 3  # other tasks keep going
+        assert len(faults) == 1  # the faulted env is dropped for the call
+        assert buf.sizes[2] == sizes[2] and buf.heads[2] == heads[2]
+        for i in (0, 1, 3):
+            assert buf.sizes[i] == sizes[i] + 5 and buf.heads[i] == heads[i] + 5
+            for j, (action, obs2, reward, done) in enumerate(seen[i]):
+                slot = heads[i] + j
+                np.testing.assert_array_equal(buf.fields["action"][i, slot], action)
+                np.testing.assert_array_equal(buf.fields["next_state"][i, slot], obs2)
+                assert buf.fields["reward"][i, slot] == reward
+                assert buf.fields["done"][i, slot] == done
+        # the next call steps the faulted env again
+        assert tr.collect_rollouts(1) == 3
+        assert len(faults) == 2
 
 
 class TestTrainStepGraph:

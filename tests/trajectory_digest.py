@@ -15,7 +15,9 @@ prints one sha256 per line over:
   optimizer's step count and Adam moments;
 * ``log_alpha``: the per-task temperatures;
 * ``metrics``: every train step's metrics row;
-* ``evaluate``: the per-task success and module-usage results.
+* ``evaluate``: the per-task success and module-usage results;
+* ``replay``: the final buffer's length and a stratified batch drawn from it
+  with a generator of the tool's own (so no trainer stream is consumed).
 
 Run it in two checkouts (it imports the ``modroute`` of the checkout it
 sits in) and compare the output.
@@ -86,9 +88,15 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
     evaluate = hashlib.sha256()
     for result in trainer.evaluate(episodes):
         _update(evaluate, result)
+    replay = hashlib.sha256()
+    _update(replay, len(trainer.buffer))
+    batch = trainer.buffer.sample_stratified(cfg.batch_per_task, np.random.default_rng(0))
+    for key in sorted(batch):
+        replay.update(key.encode())
+        _update(replay, batch[key])
     return {name: h.hexdigest() for name, h in (
         ("params", params), ("log_alpha", log_alpha), ("metrics", metrics),
-        ("evaluate", evaluate))}
+        ("evaluate", evaluate), ("replay", replay))}
 
 
 def parse_override(text: str) -> tuple[str, object]:
