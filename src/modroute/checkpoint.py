@@ -84,8 +84,9 @@ def _open(path: str):
 
 
 def _manifest(data) -> dict:
+    text = str(_read(data, "manifest", ()))
     try:
-        manifest = json.loads(str(_read(data, "manifest", ())))
+        manifest = json.loads(text)
     except ValueError as exc:
         raise CheckpointError(f"checkpoint manifest is not JSON: {exc}") from exc
     if not isinstance(manifest, dict):

@@ -166,8 +166,7 @@ def _write_npz(path, **arrays):
 
 def _unreadable_files(tmp_path):
     """(file, the phrase its CheckpointError names) per kind of damage."""
-    cfg, _ = _trainer(tmp_path, 0)
-    full = {"format_version": FORMAT_VERSION, "config": cfg.to_dict(),
+    full = {"format_version": FORMAT_VERSION, "config": RunConfig().to_dict(),
             "env_steps": 0, "train_steps": 0}
     text = tmp_path / "notes.txt"
     text.write_text("not a checkpoint\n")

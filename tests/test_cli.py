@@ -121,6 +121,9 @@ class TestTrainCommand:
         ("polyak: 1.5\n", "polyak"),
         ("gamma: -2\n", "gamma"),
         ("lr: -1\n", "lr"),
+        ("start_steps: -1\n", "start_steps"),
+        ("total_env_steps: -1\n", "total_env_steps"),
+        ("stop_at_success: 1.5\n", "stop_at_success"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):
