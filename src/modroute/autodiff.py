@@ -141,24 +141,6 @@ def route_mlps(x: np.ndarray, layers):
 _MIX = "...bs,s...bw->...bw"
 
 
-@lru_cache(maxsize=1024)
-def _plan_sources(plan: tuple) -> np.ndarray | None:
-    """A plan's sources as a 0/1 matrix over the padded routing rows (a 1
-    in column ``j - 1`` of module ``i``'s row for each source ``j``), or None
-    if it evaluates every module on all its sources. Read-only, shared."""
-    sel = np.zeros((len(plan) - 1,) * 2)
-    for i, srcs in enumerate(plan[1:], 2):
-        sel[i - 2, [j - 1 for j in srcs or ()]] = 1.0
-    sel.flags.writeable = False
-    return None if np.array_equal(sel, np.tri(len(sel))) else sel
-
-
-def _mix_weights(probs: np.ndarray, plan: tuple) -> np.ndarray:
-    """``probs`` with the weights of sources outside the plan zeroed."""
-    sel = _plan_sources(plan)
-    return probs if sel is None else probs * sel
-
-
 def modules(h: np.ndarray, probs: np.ndarray, layers, plan: tuple, slab: np.ndarray,
             acts: dict | None = None) -> np.ndarray:
     """The module stack of a routed network. Module 1 runs on ``h``; each
@@ -166,20 +148,21 @@ def modules(h: np.ndarray, probs: np.ndarray, layers, plan: tuple, slab: np.ndar
     over its sources ``j``, by row ``i - 2`` of the padded probabilities;
     modules 2..n-1 add ``u`` back (the residual).
 
-    ``plan[i - 1]`` is a tuple of module ``i``'s sources (module numbers),
-    or None for a module not evaluated; ``layers[4(i-1):4i]`` are module
-    ``i``'s ``w0, b0, w1, b1``. Module ``i``'s output is written to
-    ``slab[i - 1]`` for i < n (an (n-1, ..., B, width) array; the rows of
-    modules not evaluated are zeroed) and module n's is returned.
-    ``acts``, if given, receives each evaluated module's layer inputs.
+    ``plan[i - 1]`` says whether module ``i`` is evaluated;
+    ``layers[4(i-1):4i]`` are module ``i``'s ``w0, b0, w1, b1``. Module
+    ``i``'s output is written to ``slab[i - 1]`` for i < n (an
+    (n-1, ..., B, width) array) and module n's is returned. The rows of
+    modules not evaluated are zeroed, so a row that selects one mixes an
+    exact 0 (never NaN * 0): a row's output is exact where the plan holds
+    every module the row reaches. ``acts``, if given, receives each
+    evaluated module's layer inputs.
     """
     n = len(plan)
-    q = _mix_weights(probs, plan)
-    for i, srcs in enumerate(plan, 1):
-        if srcs is None:
-            slab[i - 1].fill(0.0)  # mixed with weight 0: never NaN * 0
+    for i, run in enumerate(plan, 1):
+        if not run:
+            slab[i - 1].fill(0.0)
             continue
-        x = h if i == 1 else np.einsum(_MIX, q[..., i - 2, :i - 1], slab[:i - 1])
+        x = h if i == 1 else np.einsum(_MIX, probs[..., i - 2, :i - 1], slab[:i - 1])
         t, a = affine_chain(x, layers[4 * i - 4:4 * i])
         if acts is not None:
             acts[i] = a
@@ -323,24 +306,24 @@ def masked_softmax_backward(gp, p, ws: Workspace):
     return np.multiply(p, gz, out=gz)
 
 
-def modules_backward(g, probs, layers, plan: tuple, slab, acts, suit, rsg: bool, grads,
-                     ws: Workspace, need_p=True):
-    """Adjoints of the ``modules`` stack from its output adjoint ``g``:
-    each module's weights into ``grads`` (four entries per module, in
-    module order; a module the plan leaves out gets zeros), and returns
-    those of ``probs`` (None unless ``need_p``) and of module 1's input.
+def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: Workspace,
+                     need_p=True):
+    """Adjoints of a ``modules`` stack that evaluated every module, from its
+    output adjoint ``g``: each module's weights into ``grads`` (four entries
+    per module, in module order), and returns those of ``probs`` (None
+    unless ``need_p``) and of module 1's input.
 
     ``suit`` ((..., B, n-1, n-1) bool, or None: every source suitable)
     marks the sources the gate lets through; ``rsg`` says whether an
     unsuitable source's adjoint takes the residual shortcut."""
-    n = len(plan)
+    n = len(layers) // 4
     # row r of q_ok, q_bad and gu_rev (the module input adjoints) is module
     # n - r's, so module i's readers n, n-1, ..., i+1, in the order the sweep
     # reaches them, are their first n - i rows, running forward in memory
     # (_MIX). ResRouting's gate is folded into the weights: an unsuitable
     # source's adjoint skips its module transform, to the source module's
     # own input (the residual shortcut, rsg) or nowhere (sg)
-    q = _mix_weights(probs, plan)[..., ::-1, :]
+    q = probs[..., ::-1, :]
     q_ok = ws.take("q_ok", q.shape)
     if suit is None:
         np.copyto(q_ok, q)
@@ -357,14 +340,7 @@ def modules_backward(g, probs, layers, plan: tuple, slab, acts, suit, rsg: bool,
         gp.fill(0.0)
         gp_src = np.moveaxis(gp, -1, 0)
     for i in range(n, 0, -1):
-        srcs = plan[i - 1]
         w = slice(4 * i - 4, 4 * i)  # module i's layers
-        if srcs is None:  # zero adjoint; module 1 has no row
-            gu_rev[n - i:n - i + 1].fill(0.0)
-            for grad in grads[w]:
-                if grad is not None:
-                    grad.fill(0.0)
-            continue
         gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i],
                                         out=ws.take("gm", slab.shape[1:]))
         out = ws.take("gh", slab.shape[1:]) if i == 1 else gu_rev[n - i]
@@ -377,10 +353,8 @@ def modules_backward(g, probs, layers, plan: tuple, slab, acts, suit, rsg: bool,
                 gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i],
                                 out=ws.take("gbad", gu.shape))
         if gp is not None:
-            # the sources' slab rows: a slice when module i reads all of 1..i-1
-            rows = slice(0, i - 1) if len(srcs) == i - 1 else np.asarray(srcs) - 1
-            prod = ws.take("prod", (len(srcs),) + gu.shape)
-            gp_src[rows, ..., i - 2] = np.multiply(slab[rows], gu, out=prod).sum(axis=-1)
+            prod = ws.take("prod", (i - 1,) + gu.shape)
+            gp_src[:i - 1, ..., i - 2] = np.multiply(slab[:i - 1], gu, out=prod).sum(axis=-1)
 
 
 def squashed_gaussian_backward(ga, gl, a, noise, saved):

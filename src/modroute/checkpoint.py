@@ -99,6 +99,11 @@ def _manifest(data) -> dict:
     for key in ("config", "env_steps", "train_steps"):
         if key not in manifest:
             raise CheckpointError(f"checkpoint manifest lacks {key}")
+    for key in ("env_steps", "train_steps"):
+        value = manifest[key]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise CheckpointError(
+                f"checkpoint manifest {key} is not a non-negative integer: {value!r}")
     return manifest
 
 
@@ -112,7 +117,8 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
     in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError when the file is no npz archive or its manifest
-    is unreadable or lacks an entry, and names the array when a stored array
+    is unreadable, lacks an entry or holds a step counter that is not a
+    non-negative integer, and names the array when a stored array
     is missing, its shape does not match the run config's, the manifest
     records a layout for it other than the run config's, or an optimizer's
     step count is negative."""
@@ -135,8 +141,8 @@ def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
                     _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
         trainer.temps.log_alpha = _read(data, "log_alpha", (trainer.num_tasks,)).copy()
         trainer.success_ema = _read(data, "success_ema", (trainer.num_tasks,)).copy()
-    trainer.env_steps = int(manifest["env_steps"])
-    trainer.train_steps = int(manifest["train_steps"])
+    trainer.env_steps = manifest["env_steps"]
+    trainer.train_steps = manifest["train_steps"]
     return trainer, run_cfg
 
 

@@ -140,28 +140,18 @@ class RunConfig:
     def suite(self) -> list[TaskSpec]:
         return make_suite(self.tasks)
 
+    def _shared(self, cls) -> dict:
+        """This config's values of the fields the dataclass ``cls`` shares
+        with it, by name."""
+        names = {f.name for f in fields(self)}
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in names}
+
     def policy_config(self, head: str = "actor") -> PolicyConfig:
-        return PolicyConfig(
-            obs_dim=OBS_DIM, act_dim=ACT_DIM, num_tasks=len(self.tasks),
-            head=head, n_modules=self.n_modules, module_dim=self.module_dim,
-            module_hidden=self.module_hidden,
-            encoder_widths=tuple(self.encoder_widths),
-            routing_widths=tuple(self.routing_widths),
-            k=self.k, state_routing=self.state_routing,
-        )
+        return PolicyConfig(obs_dim=OBS_DIM, act_dim=ACT_DIM, num_tasks=len(self.tasks),
+                            head=head, **self._shared(PolicyConfig))
 
     def train_settings(self) -> TrainSettings:
-        return TrainSettings(
-            gamma=self.gamma, polyak=self.polyak, lr=self.lr,
-            reward_scale=self.reward_scale, alpha_init=self.alpha_init,
-            batch_per_task=self.batch_per_task,
-            buffer_capacity=self.buffer_capacity,
-            start_steps=self.start_steps, train_ratio=self.train_ratio,
-            maskout_threshold=self.maskout_threshold,
-            route_balancing=self.route_balancing,
-            loss_rescaling=self.loss_rescaling,
-            resrouting=self.resrouting, routing_fn=self.routing_fn,
-        )
+        return TrainSettings(**self._shared(TrainSettings))
 
     # ------------------------------------------------------------------
     # serialization

@@ -197,16 +197,6 @@ def scripted_expert(spec: TaskSpec):
     return policy
 
 
-def default_suite() -> list[TaskSpec]:
-    """The 4-task training suite, ordered easy to hard."""
-    return [
-        TaskSpec(0, "reach", "fixed", difficulty=0),
-        TaskSpec(1, "reach", "random", difficulty=1),
-        TaskSpec(2, "push", "fixed", difficulty=2),
-        TaskSpec(3, "two-stage-fetch", "fixed", difficulty=3),
-    ]
-
-
 def make_suite(entries: list[dict]) -> list[TaskSpec]:
     """TaskSpecs from config dictionaries; task ids follow list order."""
     specs = []

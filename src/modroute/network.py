@@ -67,7 +67,7 @@ encoder, the task-embedding gather and the routing input F(s) * H(task),
 the stacked routing MLPs for all logits, one masked softmax for all
 probabilities, and the module stack, which writes m^1..m^(n-1) into one
 (n-1, ..., B, width) slab and mixes from it by ``einsum``. A pass that
-skips unreachable modules runs the stack on a plan that leaves them out.
+skips unreachable modules evaluates only the modules some row reaches.
 Its routing half, ``ModulePolicy.route``, runs alone where only the masks
 are needed. The pass keeps what its kernels saved, and
 ``ModulePolicy.backward`` runs their backward kernels on it, last to first:
@@ -127,10 +127,6 @@ class PolicyConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PolicyConfig":
-        return cls(**d)
-
 
 def _layer_sizes(cfg: PolicyConfig):
     """(prefix, in_dim, out_dims list, final_scale) for every sub-network."""
@@ -168,11 +164,6 @@ def _layer_keys(prefix: str, n_layers: int) -> list[str]:
     return [f"{prefix}.{kind}{l}" for l in range(n_layers) for kind in "wb"]
 
 
-def _mlp(params, prefix: str, x, n_layers: int):
-    """Numpy feed-forward pass with relu between layers, linear output."""
-    return ad.affine_chain(x, [params[k] for k in _layer_keys(prefix, n_layers)])[0]
-
-
 class Layout:
     """Where each named array lives in one flat float64 vector.
 
@@ -204,14 +195,6 @@ class Layout:
         rows = flat.reshape(self.members, -1)
         return {t: rows[:, a:b].reshape(self.lead + shape) for (t, shape), a, b
                 in zip(self.shapes.items(), self.bounds, self.bounds[1:])}
-
-    def flatten(self, tensors: dict, out: np.ndarray | None = None) -> np.ndarray:
-        """Arrays keyed by tensor name (gradients, say) as one flat vector,
-        written to ``out`` if given."""
-        flat = np.empty(self.size) if out is None else out
-        np.concatenate([np.reshape(tensors[t], (self.members, -1)) for t in self.shapes],
-                       axis=1, out=flat.reshape(self.members, -1))
-        return flat
 
 
 class Params(Mapping):
@@ -308,34 +291,16 @@ def masked_softmax_rows(z: np.ndarray, d: np.ndarray) -> np.ndarray:
     return ad.masked_softmax(z, d)
 
 
-def effective_rows(masks: np.ndarray):
-    """Backward reachability from module n over padded (B, n-1, n-1) masks.
-
-    Returns ``(need, sources)``. ``need`` is (B, n) bool: the modules each
-    row reaches. ``sources`` is the batch-level closure: it maps module n,
-    and every module some row of a module in it selects, to the tuple of
-    sources any row of that module selects. That is coarser than per-row
-    reachability (a selected source of an evaluated module must exist even
-    if only some rows need that module), and it is what a forward pass that
-    skips modules must evaluate.
-    """
+def effective_rows(masks: np.ndarray) -> np.ndarray:
+    """Backward reachability from module n over padded (B, n-1, n-1) masks:
+    (B, n) bool, the modules each row reaches."""
     sel = masks > 0.0
     B, w = sel.shape[:2]
     need = np.zeros((B, w + 1), dtype=bool)
     need[:, w] = True
-    used = sel.any(axis=0).tolist()
-    sources = {w + 1: None}
     for r in range(w - 1, -1, -1):  # module r + 2, last first
-        if r + 2 not in sources:
-            continue  # no row reaches it either
         need[:, :w] |= sel[:, r] & need[:, r + 1:r + 2]
-        srcs = tuple(j + 1 for j in range(r + 1) if used[r][j])
-        sources[r + 2] = srcs
-        for j in srcs:
-            sources.setdefault(j, None)
-    if 1 in sources:
-        sources[1] = ()
-    return need, sources
+    return need
 
 
 @lru_cache(maxsize=None)
@@ -395,7 +360,7 @@ class ForwardResult:
     padded_probs: np.ndarray      # routing probabilities
     padded_logits: np.ndarray     # routing logits
     _slab: np.ndarray | None = field(default=None, repr=False)
-    _plan: tuple = field(default=(), repr=False)
+    _plan: tuple = field(default=(), repr=False)  # per module: evaluated
     _effective: np.ndarray | None = field(default=None, repr=False)
     _routing: Routing | None = field(default=None, repr=False)
     _acts: dict | None = field(default=None, repr=False)  # module i's layer inputs
@@ -405,9 +370,11 @@ class ForwardResult:
     @property
     def module_outputs(self) -> dict:
         """i -> m^i of each module the pass evaluated (its ``_plan``): a view
-        of the pass's slab for i < n, ``out`` for module n."""
+        of the pass's slab for i < n, ``out`` for module n. A pass that skips
+        modules evaluates those some row reaches; its m^i is exact only in
+        the rows that reach module i."""
         return {i: self._slab[i - 1] if i < len(self._plan) else self.out
-                for i, srcs in enumerate(self._plan, 1) if srcs is not None}
+                for i, run in enumerate(self._plan, 1) if run}
 
     @property
     def effective(self) -> np.ndarray:
@@ -415,7 +382,7 @@ class ForwardResult:
         the masks, run at the first read unless a skipping pass already did."""
         if self._effective is None:
             d = self.padded_masks
-            self._effective = effective_rows(d.reshape((-1,) + d.shape[-2:]))[0]
+            self._effective = effective_rows(d.reshape((-1,) + d.shape[-2:]))
         return self._effective
 
     @property
@@ -442,9 +409,7 @@ class ModulePolicy:
         # every module's layers, in module order, as ``autodiff.modules`` reads them
         self._mod_keys = [k for i in range(1, cfg.n_modules + 1)
                           for k in _layer_keys(f"mod{i}", 2)]
-        # the plan of a pass that evaluates every module: module i mixes
-        # all of modules 1..i-1
-        self._dense_plan = tuple(tuple(range(1, i)) for i in range(1, cfg.n_modules + 1))
+        self._dense_plan = (True,) * cfg.n_modules  # a pass evaluating every module
         self._route_names = _route_names(cfg)
         # per padded routing row: the suitability threshold 1/i of module i
         self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
@@ -532,6 +497,9 @@ class ModulePolicy:
         sources: "off" (no gating), "sg" (full stop-gradient) or "rsg"
         (stop-gradient on the module transform only, shortcut gradient
         preserved). It never changes the forward values.
+        ``skip_unused`` evaluates only the modules some row's masks reach
+        (``effective_rows``); the output is the same bits, and the pass has
+        no backward.
 
         A stacked ensemble runs every member in the one pass on the same
         states and actions; its output and routing carry the member axis.
@@ -548,10 +516,10 @@ class ModulePolicy:
         suit = None
         if chi_mode != "off":
             suit = ad.masked_softmax(z, ad.route_valid(n - 1)) >= self._inv_i
-        eff, sources = (effective_rows(d.reshape((-1,) + d.shape[-2:])) if skip_unused
-                        else (None, None))
-        plan = (tuple(sources.get(i) for i in range(1, n + 1)) if skip_unused
-                else self._dense_plan)
+        eff, plan = None, self._dense_plan
+        if skip_unused:  # the modules some row reaches
+            eff = effective_rows(d.reshape((-1,) + d.shape[-2:]))
+            plan = tuple(eff.any(axis=0).tolist())
 
         # the module stack; m^1..m^(n-1) land in one slab
         slab = np.empty((n - 1,) + r.encoded.shape)
@@ -573,12 +541,16 @@ class ModulePolicy:
         ``grad`` (``Params`` over the network's layout), if given; weights
         the pass did not reach get zeros. Returns, if ``input_grad``, the
         adjoint of a critic's action input, (B, act_dim), summed over the
-        members of a stacked ensemble (they share the action).
+        members of a stacked ensemble (they share the action). Only a pass
+        that evaluated every module is differentiated: the result of a
+        ``skip_unused`` pass raises ``ValueError``.
 
         The adjoints of a value with two readers are added, as a reverse
         sweep over the pass would add them: F(s) feeds module 1 and the
         routing input.
         """
+        if not all(res._plan):
+            raise ValueError("backward of a pass that skipped modules (skip_unused)")
         cfg, r, ws = self.cfg, res._routing, self._work
         p = self.params.tensors
 
@@ -592,7 +564,7 @@ class ModulePolicy:
         # half reads nothing differentiable
         routed = grad is not None or cfg.state_routing
         gp, gh = ad.modules_backward(
-            g, res.padded_probs, weights(self._mod_keys), res._plan, res._slab, res._acts,
+            g, res.padded_probs, weights(self._mod_keys), res._slab, res._acts,
             res._suit, res._rsg, grads(self._mod_keys), ws, need_p=routed)
         if routed:
             gz = ad.masked_softmax_backward(gp, res.padded_probs, ws)

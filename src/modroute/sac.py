@@ -514,7 +514,10 @@ class Trainer:
 
     def evaluate(self, episodes_per_task: int, seed_tag: str = "eval"):
         """Deterministic rollouts (greedy routing, mean action); per-task
-        success and module usage."""
+        success and module usage (mean, std). Over zero episodes each is
+        NaN: a rate over no episode measures nothing."""
+        if episodes_per_task == 0:
+            return tuple(np.full(self.num_tasks, np.nan) for _ in range(3))
         k_fn = self.routing_mask_fn()
         success = np.zeros(self.num_tasks)
         usage_mean = np.zeros(self.num_tasks)
@@ -536,9 +539,9 @@ class Trainer:
                     if done:
                         success[i] += float(won)
                         break
-        success /= max(episodes_per_task, 1)
-        mean = usage_mean / np.maximum(usage_n, 1)
-        std = np.sqrt(np.maximum(usage_sq / np.maximum(usage_n, 1) - mean ** 2, 0.0))
+        success /= episodes_per_task
+        mean = usage_mean / usage_n
+        std = np.sqrt(np.maximum(usage_sq / usage_n - mean ** 2, 0.0))
         return success, mean, std
 
     # ------------------------------------------------------------------

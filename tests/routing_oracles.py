@@ -8,12 +8,20 @@ batched kernels in ``modroute.network`` work on padded (B, n-1, n-1)
 arrays instead (row r: module r+2, first r+1 columns valid); ``padded``
 and ``per_module`` convert between that layout and per-module lists.
 ``route_logits_per_mlp`` runs each routing MLP on its own, from its
-per-MLP keys, where the network runs them stacked.
+per-MLP keys, where the network runs them stacked; ``mlp`` runs any one
+MLP (the encoder, a module) from its keys.
 """
 
 import numpy as np
 
 from modroute.autodiff import affine_chain
+
+
+def mlp(params, prefix: str, x: np.ndarray, n_layers: int) -> np.ndarray:
+    """The MLP with keys ``{prefix}.w{l}``/``.b{l}`` (``n_layers`` layers)
+    on ``x``: relu between layers, linear output."""
+    return affine_chain(x, [params[f"{prefix}.{kind}{l}"] for l in range(n_layers)
+                            for kind in "wb"])[0]
 
 
 def route_logits_per_mlp(params, n: int, depth: int, g: np.ndarray) -> np.ndarray:

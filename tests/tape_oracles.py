@@ -346,16 +346,19 @@ def _fwd_modules(vals, aux):
     """vals = [probs, h, then every module's layers w0, b0, w1, b1 in module
     order]. aux: plan, slab (see ``autodiff.modules``), suit ((..., B, n-1,
     n-1) bool, or None: every source suitable) and rsg (whether an
-    unsuitable source's adjoint takes the residual shortcut)."""
+    unsuitable source's adjoint takes the residual shortcut). Only a plan
+    that evaluates every module has a backward."""
     aux["acts"] = {}
     return autodiff.modules(vals[1], vals[0], vals[2:], aux["plan"], aux["slab"], aux["acts"])
 
 
 def _bwd_modules(g, out, vals, aux, need):
+    if not all(aux["plan"]):
+        raise TapeError("modules: a plan that skips modules has no backward")
     grads = _fresh(vals[2:], need[2:])
     gp, gh = autodiff.modules_backward(
-        g, vals[0], vals[2:], aux["plan"], aux["slab"], aux["acts"], aux["suit"],
-        aux["rsg"], grads, WORK, need_p=need[0])
+        g, vals[0], vals[2:], aux["slab"], aux["acts"], aux["suit"], aux["rsg"], grads,
+        WORK, need_p=need[0])
     return (None if gp is None else gp.copy(),
             _unbroadcast(gh.copy(), vals[1].shape) if need[1] else None, *grads)
 
@@ -465,6 +468,13 @@ def concat(parts, axis=1):
 # a network's pass and the Gaussian head on a tape
 
 
+def flatten(layout, tensors: dict) -> np.ndarray:
+    """Arrays keyed by tensor name (a tape's gradients, say) as one flat
+    vector over the ``network.Layout`` ``layout``."""
+    return np.concatenate([np.reshape(tensors[t], (layout.members, -1)) for t in layout.shapes],
+                          axis=1).ravel()
+
+
 def param_vars(policy, tape: Tape, scope: str = "") -> dict[str, Var]:
     """One tape parameter per tensor of ``policy``, named ``scope`` + tensor
     name."""
@@ -503,12 +513,10 @@ def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
     probs = tape.record("masked_softmax", z, d=d)
     n = cfg.n_modules
     suit = None if chi_mode == "off" else row_softmax(zv) >= policy._inv_i
-    eff = None
+    eff, plan = None, (True,) * n
     if skip_unused:
-        eff, sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))
-        plan = tuple(sources.get(i) for i in range(1, n + 1))
-    else:
-        plan = tuple(tuple(range(1, i)) for i in range(1, n + 1))
+        eff = effective_rows(d.reshape((-1,) + d.shape[-2:]))
+        plan = tuple(eff.any(axis=0).tolist())
     slab = np.empty((n - 1,) + h.shape)
     out = tape.record("modules", probs, h, *[params[k] for k in policy._mod_keys],
                       plan=plan, slab=slab, suit=suit, rsg=chi_mode == "rsg")
@@ -597,16 +605,18 @@ def module_chain(tape, probs, h, ws, plan, suit, chi_mode):
     """The module stack recorded as one ``mlp`` node per module and one
     ``mix`` node per module i >= 2: the arguments of the ``modules`` op
     (``ws`` every module's four layer Vars in module order, ``plan`` per
-    module its sources or None). Returns the output Var and the module
-    outputs by module number."""
+    module whether it is evaluated). A module mixes the evaluated ones of
+    its sources. Returns the output Var and the module outputs by module
+    number."""
     n = len(plan)
     m, u = {}, {}
-    for i, srcs in enumerate(plan, 1):
-        if srcs is None:
+    for i, run in enumerate(plan, 1):
+        if not run:
             continue
         if i == 1:
             x = h
         else:
+            srcs = [j for j in range(1, i) if plan[j - 1]]
             # the residual shortcut of source j is its module's input u[j]
             short = [j for j in srcs if chi_mode == "rsg" and j > 1]
             at = {j: 1 + len(srcs) + s for s, j in enumerate(short)}

@@ -17,12 +17,11 @@ import numpy as np
 import pytest
 
 from modroute.config import RunConfig
-from modroute.envs import ACT_DIM, OBS_DIM, default_suite
+from modroute.envs import ACT_DIM, OBS_DIM
 from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
-    _mlp,
     pack_masks,
     policy_layout,
     squashed_gaussian,
@@ -34,6 +33,7 @@ from modroute.sac import Trainer, TrainSettings, alpha_loss, task_loss_weights
 from routing_oracles import (
     effective_modules,
     mask_softmax,
+    mlp,
     padded,
     sample_k_mask,
     topk_mask,
@@ -123,8 +123,8 @@ def test_criterion_1_gradient_correctness():
         cfg = PolicyConfig(obs_dim=OBS_DIM, act_dim=ACT_DIM, num_tasks=2, n_modules=n,
                            module_dim=8, module_hidden=8, encoder_widths=(12,),
                            routing_widths=(12,), k=2)
-        tr = Trainer(default_suite()[:2], cfg, TrainSettings(resrouting="off",
-                                                             buffer_capacity=8), seed=n)
+        tr = Trainer(RunConfig().suite()[:2], cfg, TrainSettings(resrouting="off",
+                                                                 buffer_capacity=8), seed=n)
         rng = np.random.default_rng(n)
         _randomize(tr.actor, rng)
         _randomize(tr.critics, rng)
@@ -230,17 +230,17 @@ def test_criterion_2_rsg_semantics():
 
     # oracle: finite differences of the chain with module 3's transform
     # frozen at its base-point value (residual shortcut still active)
-    h0 = _mlp(pol.params, "enc", obs, 2)
-    m10 = _mlp(pol.params, "mod1", h0, 2)
-    u30 = m10 + _mlp(pol.params, "mod2", m10, 2)
-    t3_const = _mlp(pol.params, "mod3", u30, 2)
+    h0 = mlp(pol.params, "enc", obs, 2)
+    m10 = mlp(pol.params, "mod1", h0, 2)
+    u30 = m10 + mlp(pol.params, "mod2", m10, 2)
+    t3_const = mlp(pol.params, "mod3", u30, 2)
 
     def surrogate(params):
-        h = _mlp(params, "enc", obs, 2)
-        m1 = _mlp(params, "mod1", h, 2)
-        m2 = m1 + _mlp(params, "mod2", m1, 2)
+        h = mlp(params, "enc", obs, 2)
+        m1 = mlp(params, "mod1", h, 2)
+        m2 = m1 + mlp(params, "mod2", m1, 2)
         m3_hat = m2 + t3_const
-        out = _mlp(params, "mod4", 1.0 * m3_hat, 2)
+        out = mlp(params, "mod4", 1.0 * m3_hat, 2)
         return float((out * out).sum())
 
     eps = 1e-6

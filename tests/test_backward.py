@@ -1,6 +1,7 @@
 """The fixed-graph backward against the tape it replaced (``tape_oracles``),
-bitwise: ``ModulePolicy.backward`` on single and stacked networks over
-dense and skip plans, and the gradients a train step takes (the trainer's
+bitwise: ``ModulePolicy.backward`` on single and stacked networks, on masks
+that reach every module and on masks that leave some out (whose skipping
+pass has no backward), and the gradients a train step takes (the trainer's
 hand-built loss adjoints for the critics' TD loss and for the actor loss
 through the frozen critics) at the benchmark's train shapes, under each
 ResRouting gate, on a full batch and on the rows a maskout keeps."""
@@ -12,7 +13,7 @@ from modroute import RunConfig, Trainer
 from modroute.network import ModulePolicy, Params, PolicyConfig, topk_mask_rows, unpack_masks
 from modroute.sac import _coefficients
 from routing_oracles import padded
-from tape_oracles import Tape, member_min, param_vars
+from tape_oracles import Tape, flatten, member_min, param_vars
 from tape_oracles import forward as taped_forward
 from tape_oracles import squashed_gaussian as taped_squashed_gaussian
 from trajectory_digest import CONFIGS
@@ -48,17 +49,24 @@ def test_backward_matches_the_tape(members, skip, chi_mode):
     masks = masks if members > 1 else masks[0]
     c = rng.normal(size=masks.shape[:-2] + (1,))
 
-    res = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode,
-                      skip_unused=skip)
+    res = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode)
     grad = Params(net.params.layout)
     ga = net.backward(res, c, grad, input_grad=True)
+    if skip:  # only a pass that evaluates every module is differentiated
+        skipping = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode,
+                               skip_unused=True)
+        assert skipping._plan == (True, True, False, True, False, True)
+        assert _same_bits(skipping.out, res.out)
+        with pytest.raises(ValueError, match="skipped modules"):
+            net.backward(skipping, c, grad)
+        # the weights of modules no row reaches get zeros
+        assert not any(grad.tensors[f"mod{i}.{w}"].any() for i in (3, 5)
+                       for w in ("w0", "b0", "w1", "b1"))
 
     tape = Tape()
     a = tape.parameter("action", act)
     ref = taped_forward(net, obs, tasks, params=param_vars(net, tape), action=a,
-                        masks=masks, chi_mode=chi_mode, skip_unused=skip)
-    assert res._plan == ref._plan
-    assert skip == (None in res._plan)
+                        masks=masks, chi_mode=chi_mode)
     assert chi_mode == "off" or not res._suit.all()  # the gate is live
     assert _same_bits(res.out, ref.out.value)
     want = tape.backward((ref.out * c).sum())
@@ -110,8 +118,8 @@ def _taped_losses(tr, batch, targets, noise, coeff, chi_mode):
     alphas = tr.temps.alphas[ids].reshape(-1, 1)
     actor_per_sample = alphas * logp - member_min(q)
     actor_grad = tape.backward((actor_per_sample * coeff).sum())
-    return ((critic_per_sample.value, tr.critics.params.layout.flatten(critic_grad)),
-            (actor_per_sample.value, tr.actor.params.layout.flatten(actor_grad)))
+    return ((critic_per_sample.value, flatten(tr.critics.params.layout, critic_grad)),
+            (actor_per_sample.value, flatten(tr.actor.params.layout, actor_grad)))
 
 
 @pytest.mark.parametrize("resrouting, chi_mode", [("rsg", "rsg"), ("sg-only", "sg"),

@@ -3,7 +3,8 @@
 A save stores each network's flat vector and each optimizer's ``t``, ``m``
 and ``v`` whole; a load checks every array against the trainer's layout and
 copies it back bit for bit. Damaged files are refused with the name of the
-array at fault; version-1 files (one array per parameter key) are refused.
+array or manifest entry at fault; version-1 files (one array per parameter
+key) are refused.
 """
 
 import json
@@ -111,6 +112,22 @@ def test_negative_step_count_is_named(tmp_path, name):
     _rewrite(path, lambda arrays: arrays.__setitem__(name, np.array(-1)))
     with pytest.raises(CheckpointError, match=f"array {name} is negative"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["env_steps", "train_steps"])
+@pytest.mark.parametrize("value", ["many", -5, 2.7, True, None])
+def test_step_counter_that_is_not_an_integer_is_named(tmp_path, capsys, key, value):
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays["manifest"].__setitem__(key, value))
+    phrase = f"manifest {key} is not a non-negative integer"
+    with pytest.raises(CheckpointError, match=phrase):
+        read_manifest(path)
+    with pytest.raises(CheckpointError, match=phrase):
+        load_checkpoint(path)
+    if value == "many":
+        assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and phrase in err, err
 
 
 def _swap_first_two_tensors(record):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from modroute.checkpoint import (
     save_checkpoint,
 )
 from modroute.config import ConfigError, RunConfig
-from modroute.sac import Trainer
+from modroute.network import PolicyConfig
+from modroute.sac import Trainer, TrainSettings
 
 
 def small_config(tmp_path, **overrides) -> RunConfig:
@@ -171,6 +173,12 @@ class TestRunConfig:
         assert p.head == "critic"
         assert p.n_modules == 4
         assert p.num_tasks == 2
+        # both are copied by field name: a field RunConfig lacks would keep
+        # its default whatever the run config says
+        run = {f.name for f in fields(RunConfig)}
+        assert {f.name for f in fields(TrainSettings)} <= run
+        assert {f.name for f in fields(PolicyConfig)} - run == {"obs_dim", "act_dim",
+                                                                "num_tasks", "head"}
 
     def test_empty_file_uses_defaults(self, tmp_path):
         path = tmp_path / "empty.yaml"

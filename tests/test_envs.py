@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from modroute.config import RunConfig
 from modroute.envs import (
     OBS_DIM,
     TaskSpec,
     ToyEnv,
-    default_suite,
     run_episode,
     scripted_expert,
 )
@@ -34,7 +34,7 @@ def test_random_goal_reproducible_with_seed():
 
 
 def test_observation_length_constant_across_kinds():
-    for spec in default_suite():
+    for spec in RunConfig().suite():
         env = ToyEnv(spec, stream(0, "env"))
         assert env.reset().shape == (OBS_DIM,)
 
@@ -101,7 +101,7 @@ def test_trajectory_determinism_bit_exact():
 
 def test_reward_bounded():
     rng = np.random.default_rng(4)
-    for spec in default_suite():
+    for spec in RunConfig().suite():
         env = ToyEnv(spec, stream(5, "env"))
         env.reset()
         for _ in range(200):

@@ -326,29 +326,6 @@ def test_two_module_network_gradient_check():
     assert gradient_check(build, pol.params.tensors) < 1e-4
 
 
-def test_skip_unused_gradient_check_with_partly_skipped_sources():
-    # n=5, k=1, two rows: module 5 reads module 4 in one row and module 2 in
-    # the other, so module 5's source columns 1 and 3 are skipped and module
-    # 3 is never evaluated
-    cfg, pol, rng = _net(5, 8)
-    obs = rng.normal(size=(2, 3))
-    masks = padded([np.array([[1.0], [1.0]]),
-                    np.array([[1.0, 0.0], [1.0, 0.0]]),
-                    np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
-                    np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])])
-
-    def build(tape, pvars):
-        res = taped_forward(pol, obs, [0, 1], params=pvars, masks=masks, skip_unused=True)
-        build.evaluated = set(res.module_outputs)
-        return (res.out * res.out).sum()
-
-    assert gradient_check(build, pol.params.tensors) < 1e-4
-    assert build.evaluated == {1, 2, 4, 5}
-    full = pol.forward(obs, [0, 1], masks=masks).out
-    assert np.array_equal(pol.forward(obs, [0, 1], masks=masks, skip_unused=True).out,
-                          full)
-
-
 def test_network_tape_and_numpy_forwards_agree_bitwise():
     cfg, pol, rng = _net(6, 9, head="critic")
     obs, act = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))

@@ -1,14 +1,17 @@
 """The fused ``modules`` tape op against the chain of ``mlp`` and ``mix``
 nodes it replaces (``tape_oracles.module_chain``): forward values and every
 adjoint bitwise, for each ResRouting gate, single and stacked networks,
-several batch sizes, the module counts and widths the program runs, and
-both evaluation plans; and its gradient against central differences."""
+several batch sizes and the module counts and widths the program runs; the
+forward values also on a plan that skips modules (only a plan that
+evaluates every module is differentiated); and its gradient against
+central differences."""
 
 import numpy as np
 import pytest
 
 from modroute import autodiff as ad
 from modroute.network import effective_rows, topk_mask_rows
+from routing_oracles import padded
 from tape_oracles import WORK, Tape, gradient_check, module_chain
 
 N, WIDTH, HIDDEN, HEAD = 5, 4, 6, 3
@@ -34,16 +37,17 @@ def _inputs(rng, lead, B, k, n=N, width=WIDTH, hidden=HIDDEN):
 
 
 def _plan(d, skip):
-    n = d.shape[-1] + 1
+    """Per module whether a pass evaluates it: every module, or (``skip``)
+    those some row of the masks ``d`` reaches."""
     if not skip:
-        return tuple(tuple(range(1, i)) for i in range(1, n + 1))
-    sources = effective_rows(d.reshape((-1,) + d.shape[-2:]))[1]
-    return tuple(sources.get(i) for i in range(1, n + 1))
+        return (True,) * (d.shape[-1] + 1)
+    return tuple(effective_rows(d.reshape((-1,) + d.shape[-2:])).any(axis=0).tolist())
 
 
 def _run(fused, probs, h, ws, plan, suit, chi_mode, c, fill=None):
-    """Output, module outputs and adjoints of ``(out * c).sum()``; the
-    fused op's slab is ``np.empty``, or full of ``fill``."""
+    """Output, module outputs and, for a plan that evaluates every module,
+    adjoints of ``(out * c).sum()`` (else None); the fused op's slab is
+    ``np.empty``, or full of ``fill``."""
     n = len(plan)
     tape = Tape()
     pv = tape.parameter("probs", probs)
@@ -55,11 +59,11 @@ def _run(fused, probs, h, ws, plan, suit, chi_mode, c, fill=None):
             (n - 1,) + h.shape, fill)
         out = tape.record("modules", pv, hv, *wv, plan=plan, slab=slab, suit=gate,
                           rsg=chi_mode == "rsg")
-        m = {i: slab[i - 1] for i in range(1, n) if plan[i - 1] is not None}
+        m = {i: slab[i - 1] for i in range(1, n) if plan[i - 1]}
     else:
         out, mv = module_chain(tape, pv, hv, wv, plan, gate, chi_mode)
         m = {i: v.value for i, v in mv.items() if i < n}
-    return out.value, m, tape.backward((out * c).sum())
+    return out.value, m, tape.backward((out * c).sum()) if all(plan) else None
 
 
 def _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=None):
@@ -69,9 +73,10 @@ def _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=None):
     assert m_f.keys() == m_r.keys()
     for i in m_r:
         assert np.array_equal(m_f[i], m_r[i]), i
-    assert g_f.keys() == g_r.keys()
-    for name in g_r:
-        assert np.array_equal(g_f[name], g_r[name]), name
+    if g_r is not None:
+        assert g_f.keys() == g_r.keys()
+        for name in g_r:
+            assert np.array_equal(g_f[name], g_r[name]), name
     # the numpy kernel computes the same values
     slab = np.empty((len(plan) - 1,) + h.shape)
     if fill is not None:
@@ -104,31 +109,40 @@ def test_modules_op_matches_mlp_mix_chain_bitwise(chi_mode, B, lead, n, width, h
     plan = _plan(d, skip)
     c = rng.normal(size=lead + (B, HEAD))
     _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c)
+    if skip:  # the rows' outputs are those of the pass that evaluates every module
+        slab = np.empty((n - 1,) + h.shape)
+        assert np.array_equal(ad.modules(h, probs, ws, plan, slab),
+                              ad.modules(h, probs, ws, _plan(d, False), slab))
 
 
 def test_skip_plan_leaves_out_modules_and_their_weights():
-    # module 5 reads module 4 and module 4 reads modules 1 and 2, so module
-    # 3 is not evaluated: its weights get zero adjoints
+    # module 5 reads module 4 in rows 0 and 2 and module 2 in row 1, module 4
+    # reads module 1 or 2; row 1 selects module 3 for module 4, which only
+    # the other rows reach: module 3 is not evaluated, its weights not read
     rng = np.random.default_rng(11)
-    probs, d, suit, h, ws = _inputs(rng, (), 3, k=1)
-    plan = ((), (1,), None, (1, 2), (4,))
+    _, _, suit, h, ws = _inputs(rng, (), 3, k=1)
+    d = padded([np.ones((3, 1)), np.tile([1.0, 0.0], (3, 1)),
+                np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]),
+                np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])])
+    probs = ad.masked_softmax(rng.normal(size=d.shape), d)
+    plan = _plan(d, True)
+    assert plan == (True, True, False, True, True)
     c = rng.normal(size=(3, HEAD))
-    out_f, m_f, g_f = _run(True, probs, h, ws, plan, suit, "rsg", c)
-    out_r, m_r, g_r = _run(False, probs, h, ws, plan, suit, "rsg", c)
+    out_f, m_f, _ = _run(True, probs, h, ws, plan, suit, "rsg", c)
+    out_r, m_r, _ = _run(False, probs, h, ws, plan, suit, "rsg", c)
     assert set(m_f) == {1, 2, 4} and np.array_equal(out_f, out_r)
-    for name in g_r:
-        assert np.array_equal(g_f[name], g_r[name]), name
-    for l in range(8, 12):
-        assert np.all(g_f[f"w{l}"] == 0.0)
+    slab = np.empty((N - 1,) + h.shape)
+    assert np.array_equal(ad.modules(h, probs, ws, _plan(d, False), slab), out_f)
+    ws[8:12] = [np.full_like(w, np.nan) for w in ws[8:12]]  # module 3's
+    assert np.array_equal(ad.modules(h, probs, ws, plan, slab), out_f)
 
 
-@pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
-def test_modules_op_gradient_check(skip):
+def test_modules_op_gradient_check():
     # stacked members with their own masks; without a gate the adjoints are
     # the true derivatives (a gate changes them on purpose)
     rng = np.random.default_rng(12)
-    probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=1 if skip else 2)
-    plan = _plan(d, skip)
+    probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=2)
+    plan = _plan(d, False)
     c = rng.normal(size=(2, 3, HEAD))
     params = {"probs": probs, "h": h, **{f"w{l}": w for l, w in enumerate(ws)}}
 
@@ -145,15 +159,15 @@ def test_modules_op_gradient_check(skip):
 @pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
 def test_slab_and_scratch_full_of_nan_give_the_chain_values(skip):
     # the op writes or zeroes every slab row and backward scratch row it
-    # reads: a module left out is mixed, and reads its readers' adjoints,
-    # with weight zero, which would turn NaN into NaN
+    # reads: a module left out is mixed with the weights its readers' rows
+    # give it, which would turn NaN into NaN
     rng = np.random.default_rng(14)
     probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=2)
-    plan = ((), (1,), None, (1, 2), (4,)) if skip else _plan(d, False)
+    plan = (True, True, False, True, True) if skip else _plan(d, False)
     c = rng.normal(size=(2, 3, HEAD))
     for chi_mode in ("off", "sg", "rsg"):
         _run(True, probs, h, ws, plan, suit, chi_mode, c)  # sizes the scratch
         for buf in WORK.bufs.values():
             buf.fill(np.nan)
         grads = _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=np.nan)
-        assert all(np.isfinite(g).all() for g in grads.values())
+        assert skip or all(np.isfinite(g).all() for g in grads.values())

@@ -5,14 +5,13 @@ from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
-    _mlp,
     make_mask_fn,
     pack_masks,
     sample_k_mask_rows,
     topk_mask_rows,
     unpack_masks,
 )
-from routing_oracles import effective_modules, padded
+from routing_oracles import effective_modules, mlp, padded
 from tape_oracles import forward as taped_forward
 from tape_oracles import gradient_check
 from tape_oracles import squashed_gaussian as taped_squashed_gaussian
@@ -71,9 +70,9 @@ def test_two_module_network_is_plain_composition():
     pol = ModulePolicy.init(cfg, rng)
     obs = rng.normal(size=(1, 5))
     res = pol.forward(obs, [0], masks=np.ones((1, 1, 1)))
-    h = _mlp(pol.params, "enc", obs, 2)
-    m1 = _mlp(pol.params, "mod1", h, 2)
-    expected = _mlp(pol.params, "mod2", 1.0 * m1, 2)
+    h = mlp(pol.params, "enc", obs, 2)
+    m1 = mlp(pol.params, "mod1", h, 2)
+    expected = mlp(pol.params, "mod2", 1.0 * m1, 2)
     np.testing.assert_array_equal(res.out, expected)
 
 
@@ -128,6 +127,48 @@ def test_skipped_evaluation_matches_full():
         eff = effective_modules([m[0] for m in full.masks], cfg.n_modules)
         assert set(skipped.module_outputs) == eff
     assert mismatches == 0
+
+
+def test_skip_evaluates_the_modules_some_row_reaches():
+    # row 0 reaches 5 <- 4 <- 1, row 1 reaches 5 <- 2 <- 1; row 1 selects
+    # module 3 as module 4's source, but only row 0 reaches module 4, so no
+    # row reaches module 3 and it is not evaluated; row 1 mixes it as 0
+    rng = np.random.default_rng(17)
+    cfg = small_cfg(n=5, k=1)
+    pol = ModulePolicy.init(cfg, rng)
+    pol.params.flat[:] = rng.normal(size=pol.params.flat.shape) * 0.4
+    masks = padded([np.ones((2, 1)), np.array([[1.0, 0.0], [1.0, 0.0]]),
+                    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+                    np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]])])
+    obs = rng.normal(size=(2, 5))
+    full = pol.forward(obs, [0, 1], masks=masks)
+    skipped = pol.forward(obs, [0, 1], masks=masks, skip_unused=True)
+    assert full.out.tobytes() == skipped.out.tobytes()
+    assert set(skipped.module_outputs) == {1, 2, 4, 5}
+    # random batches: the evaluated modules are the union of the rows'
+    for trial in range(200):
+        cfg = small_cfg(n=int(rng.integers(3, 9)), k=int(rng.integers(1, 3)))
+        pol = ModulePolicy.init(cfg, rng)
+        pol.params.flat[:] = rng.normal(size=pol.params.flat.shape) * 0.4
+        B = int(rng.integers(2, 33))
+        obs, tasks = rng.normal(size=(B, 5)), rng.integers(0, 2, size=B)
+        masks = random_masks(cfg, rng, B=B)
+        full = pol.forward(obs, tasks, masks=masks)
+        skipped = pol.forward(obs, tasks, masks=masks, skip_unused=True)
+        assert full.out.tobytes() == skipped.out.tobytes()
+        reached = set(np.flatnonzero(skipped.effective.any(axis=0)) + 1)
+        assert set(skipped.module_outputs) == reached
+
+
+def test_backward_of_a_skipping_pass_raises():
+    rng = np.random.default_rng(18)
+    cfg = small_cfg(n=4, k=1)
+    pol = ModulePolicy.init(cfg, rng)
+    masks = padded([np.ones((1, 1)), np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])])
+    res = pol.forward(rng.normal(size=(1, 5)), [0], masks=masks, skip_unused=True)
+    assert set(res.module_outputs) == {1, 4}
+    with pytest.raises(ValueError, match="skipped modules"):
+        pol.backward(res, np.ones_like(res.out), Params(pol.params.layout))
 
 
 def test_effective_rows_matches_scalar_oracle():
@@ -213,19 +254,19 @@ def test_rsg_gradients_match_frozen_transform_oracle():
 
     def surrogate(params):
         # chain forward with module 3's transform frozen at the base point
-        h = _mlp(params, "enc", obs, 2)
-        m1 = _mlp(params, "mod1", h, 2)
+        h = mlp(params, "enc", obs, 2)
+        m1 = mlp(params, "mod1", h, 2)
         u2 = 1.0 * m1
-        m2 = u2 + _mlp(params, "mod2", u2, 2)
+        m2 = u2 + mlp(params, "mod2", u2, 2)
         u3 = 1.0 * m2
         m3_hat = u3 + surrogate.t3_const
-        out = _mlp(params, "mod4", 1.0 * m3_hat, 2)
+        out = mlp(params, "mod4", 1.0 * m3_hat, 2)
         return float((out * out).sum())
 
-    h0 = _mlp(pol.params, "enc", obs, 2)
-    m10 = _mlp(pol.params, "mod1", h0, 2)
-    u30 = 1.0 * (m10 + _mlp(pol.params, "mod2", m10, 2))
-    surrogate.t3_const = _mlp(pol.params, "mod3", u30, 2)
+    h0 = mlp(pol.params, "enc", obs, 2)
+    m10 = mlp(pol.params, "mod1", h0, 2)
+    u30 = 1.0 * (m10 + mlp(pol.params, "mod2", m10, 2))
+    surrogate.t3_const = mlp(pol.params, "mod3", u30, 2)
 
     eps = 1e-6
     worst = 0.0

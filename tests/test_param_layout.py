@@ -17,12 +17,11 @@ from modroute.network import (
     Params,
     PolicyConfig,
     _layer_sizes,
-    _mlp,
     make_mask_fn,
     topk_mask_rows,
 )
 from modroute.sac import Trainer
-from routing_oracles import route_logits_per_mlp
+from routing_oracles import mlp, route_logits_per_mlp
 from tape_oracles import Tape, gradient_check
 
 WIDTHS = [(), (8,), (8, 5), (64, 64)]
@@ -43,7 +42,7 @@ def _policy(n, widths, seed, head="actor"):
 def _oracle_logits(pol, x, tasks):
     """Padded logits from each routing MLP alone; ``x`` is the encoder input
     (the observation, with the action appended for a critic)."""
-    g = _mlp(pol.params, "enc", x, 2) * pol.params["temb"][tasks]
+    g = mlp(pol.params, "enc", x, 2) * pol.params["temb"][tasks]
     return route_logits_per_mlp(pol.params, pol.cfg.n_modules,
                                 len(pol.cfg.routing_widths) + 1, g)
 
@@ -206,7 +205,7 @@ def test_eval_checkpoint_routing_weights_reach_the_loaded_forward(tmp_path):
     got = tr2.actor.forward(obs, tasks, mask_fn=make_mask_fn("topk", 2)).padded_logits
     # the oracle reads the assigned arrays, not the loaded network's views
     p = {**dict(tr2.actor.params), **assigned}
-    g = _mlp(p, "enc", obs, 2) * p["temb"][tasks]
+    g = mlp(p, "enc", obs, 2) * p["temb"][tasks]
     want = route_logits_per_mlp(p, cfg.n_modules, len(cfg.routing_widths) + 1, g)
     _assert_logits_close(got, want)
     assert np.abs(want[np.isfinite(want)]).max() > 1.0  # not the zero-init routing

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import modroute
-from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec, default_suite
+from modroute.config import RunConfig
+from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec
 from modroute.network import (
     Layout,
     ModulePolicy,
@@ -30,6 +31,7 @@ from modroute.sac import (
     loss_maskout,
     task_loss_weights,
 )
+from tape_oracles import flatten
 
 
 def desk_cfg(**kw):
@@ -49,7 +51,7 @@ def quick_settings(**kw):
 
 def make_trainer(seed=0, **kw):
     cfg_kw = kw.pop("cfg", {})
-    return Trainer(default_suite(), desk_cfg(**cfg_kw), quick_settings(**kw), seed)
+    return Trainer(RunConfig().suite(), desk_cfg(**cfg_kw), quick_settings(**kw), seed)
 
 
 class TestTaskLossWeights:
@@ -284,7 +286,7 @@ class TestAdam:
         v2 = {k: np.zeros_like(v) for k, v in ref.items()}
         for t in range(1, 4):
             grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
-            opt.step(params.flat, params.layout.flatten(grads))
+            opt.step(params.flat, flatten(params.layout, grads))
             for k, g in grads.items():
                 # the per-key update the flat one replaced, term by term
                 m[k] = 0.9 * m[k] + (1 - 0.9) * g
@@ -465,6 +467,15 @@ class TestTrainer:
         assert len(counts) == 2  # one stacked pass per loss, both critics
         for c in counts:
             np.testing.assert_array_equal(c, np.tile(sources, (2, 16, 1)))
+
+    def test_success_over_no_episode_is_nan_and_stops_no_run(self):
+        tr = make_trainer(seed=2)
+        for result in tr.evaluate(0):  # success, usage mean and std
+            assert result.shape == (4,) and np.isnan(result).all()
+        rows = tr.run(12, eval_interval=4, eval_episodes=0, stop_at_success=0.0)
+        assert tr.env_steps == 12
+        assert sorted({r["step"] for r in rows}) == [0, 4, 8, 12]
+        assert all(np.isnan(r["success_rate"]) for r in rows)
 
     def test_metrics_fields(self):
         tr = make_trainer(seed=15)
