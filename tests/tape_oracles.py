@@ -37,7 +37,7 @@ import numpy as np
 
 from modroute import autodiff
 from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN
-from modroute.network import ForwardResult, effective_rows
+from modroute.network import ForwardResult
 
 # the fused ops' intermediate adjoints; what a backward returns to the tape
 # is copied out of it
@@ -482,8 +482,9 @@ def param_vars(policy, tape: Tape, scope: str = "") -> dict[str, Var]:
 
 
 def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
-            mask_fn=None, chi_mode="off", skip_unused=False) -> ForwardResult:
-    """``policy.forward`` (same arguments) recorded on a tape. ``params``
+            mask_fn=None, chi_mode="off") -> ForwardResult:
+    """``policy.forward`` (same arguments but ``skip_unused``: a pass that
+    skips modules has no backward) recorded on a tape. ``params``
     maps tensor names to Vars (``param_vars``); without it the network's
     own arrays enter the tape as constants (frozen weights, no gradient),
     and ``action`` is a Var. The result's ``out`` is a Var."""
@@ -513,15 +514,12 @@ def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
     probs = tape.record("masked_softmax", z, d=d)
     n = cfg.n_modules
     suit = None if chi_mode == "off" else row_softmax(zv) >= policy._inv_i
-    eff, plan = None, (True,) * n
-    if skip_unused:
-        eff = effective_rows(d.reshape((-1,) + d.shape[-2:]))
-        plan = tuple(eff.any(axis=0).tolist())
+    plan = (True,) * n
     slab = np.empty((n - 1,) + h.shape)
     out = tape.record("modules", probs, h, *[params[k] for k in policy._mod_keys],
                       plan=plan, slab=slab, suit=suit, rsg=chi_mode == "rsg")
     return ForwardResult(out=out, padded_masks=d, padded_probs=probs.value,
-                         padded_logits=zv, _slab=slab, _plan=plan, _effective=eff)
+                         padded_logits=zv, _slab=slab, _plan=plan)
 
 
 def squashed_gaussian(out: Var, act_dim: int, noise: np.ndarray):
