@@ -1,8 +1,8 @@
 """Routing analysis: module usage, source-count sparsity, and DOT export.
 
-All analysis rolls the trained actor out deterministically (the Trainer's
-greedy routing, ``Trainer.routing_mask_fn()``, and the mean action) and
-inspects the routing masks and probabilities it produces.
+All analysis rolls an agent's actor out deterministically (its greedy
+routing, ``Agent.routing_mask_fn()``, and the mean action) and inspects the
+routing masks and probabilities it produces. A ``Trainer`` is an agent too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 
 from .envs import ToyEnv
 from .network import deterministic_action
-from .sac import Trainer
+from .sac import Agent
 from .seeding import stream
 
 PROB_FLOOR = 0.01  # a source "counts" if its routing probability exceeds this
@@ -33,25 +33,25 @@ class RoutingTrace:
     probs: list[np.ndarray]
 
 
-def collect_routing(trainer: Trainer, samples_per_task: int,
+def collect_routing(agent: Agent, samples_per_task: int,
                     seed_tag: str = "analysis") -> dict[int, RoutingTrace]:
     """Per-task routing traces from deterministic rollouts.
 
     Collects at least ``samples_per_task`` timestep samples per task
     (episodes are rolled whole and reset as needed).
     """
-    mask_fn = trainer.routing_mask_fn()
+    mask_fn = agent.routing_mask_fn()
     out = {}
-    for i, spec in enumerate(trainer.suite):
-        env = ToyEnv(spec, stream(trainer.seed, f"{seed_tag}/{i}"))
+    for i, spec in enumerate(agent.suite):
+        env = ToyEnv(spec, stream(agent.seed, f"{seed_tag}/{i}"))
         eff_rows, mask_rows, prob_rows = [], [], []
         obs = env.reset()
         while len(eff_rows) < samples_per_task:
-            res = trainer.actor.forward(obs[None], [i], mask_fn=mask_fn)
+            res = agent.actor.forward(obs[None], [i], mask_fn=mask_fn)
             eff_rows.append(res.effective[0])
             mask_rows.append([m[0] for m in res.masks])
             prob_rows.append([np.asarray(p[0]) for p in res.probs])
-            a = deterministic_action(res.out, trainer.cfg.act_dim)[0]
+            a = deterministic_action(res.out, agent.cfg.act_dim)[0]
             obs, _, done, _ = env.step(a)
             if done:
                 obs = env.reset()
@@ -65,11 +65,11 @@ def collect_routing(trainer: Trainer, samples_per_task: int,
     return out
 
 
-def usage_table(trainer: Trainer, samples_per_task: int) -> list[dict]:
+def usage_table(agent: Agent, samples_per_task: int) -> list[dict]:
     """Mean +- std of |effective modules| per timestep, one row per task."""
-    traces = collect_routing(trainer, samples_per_task)
+    traces = collect_routing(agent, samples_per_task)
     rows = []
-    for i, spec in enumerate(trainer.suite):
+    for i, spec in enumerate(agent.suite):
         counts = traces[i].effective.sum(axis=1).astype(np.float64)
         rows.append({
             "task_id": i,
@@ -82,15 +82,15 @@ def usage_table(trainer: Trainer, samples_per_task: int) -> list[dict]:
     return rows
 
 
-def sparsity_distribution(trainer: Trainer, samples: int) -> list[dict]:
+def sparsity_distribution(agent: Agent, samples: int) -> list[dict]:
     """How many sources each module actually listens to.
 
     For every sampled timestep and module, counts routing probabilities
     above PROB_FLOOR, then reports the percentage of (module, timestep)
     observations at each source count. Percentages sum to 100.
     """
-    per_task = max(1, samples // len(trainer.suite))
-    traces = collect_routing(trainer, per_task)
+    per_task = max(1, samples // len(agent.suite))
+    traces = collect_routing(agent, per_task)
     counts = []
     for i in traces:
         for p in traces[i].probs:  # p: (S, i-1)
@@ -104,24 +104,24 @@ def sparsity_distribution(trainer: Trainer, samples: int) -> list[dict]:
     return rows
 
 
-def export_dot(trainer: Trainer, task_id: int, obs: np.ndarray | None = None) -> str:
+def export_dot(agent: Agent, task_id: int, obs: np.ndarray | None = None) -> str:
     """DOT digraph of the routing at one state of the given task.
 
     One vertex per module; an edge j -> i for every selected source with the
     routing probability (2 decimals) as its weight. Modules outside the
     effective set are drawn dashed. State defaults to the task's reset state.
     """
-    if not 0 <= task_id < len(trainer.suite):
-        valid = ", ".join(str(i) for i in range(len(trainer.suite)))
+    if not 0 <= task_id < len(agent.suite):
+        valid = ", ".join(str(i) for i in range(len(agent.suite)))
         raise ValueError(f"unknown task id {task_id}; valid ids: {valid}")
     if obs is None:
-        env = ToyEnv(trainer.suite[task_id], stream(trainer.seed, f"dot/{task_id}"))
+        env = ToyEnv(agent.suite[task_id], stream(agent.seed, f"dot/{task_id}"))
         obs = env.reset()
-    res = trainer.actor.forward(obs[None], [task_id], mask_fn=trainer.routing_mask_fn())
+    res = agent.actor.forward(obs[None], [task_id], mask_fn=agent.routing_mask_fn())
     masks = [m[0] for m in res.masks]
     probs = [np.asarray(p[0]) for p in res.probs]
     return routing_to_dot(masks, probs, res.effective[0],
-                          trainer.cfg.n_modules, task_id)
+                          agent.cfg.n_modules, task_id)
 
 
 def routing_to_dot(masks: list[np.ndarray], probs: list[np.ndarray],

@@ -1,13 +1,18 @@
 """Versioned training checkpoints.
 
 Everything lives in one ``.npz``: a JSON manifest (format version, run config,
-config hash, step counters, the layout of every flat vector) plus one array
-per flat vector: each network's parameters (``actor``, ``critics``,
+step counters, the layout of every flat vector) plus one array per flat
+vector: each network's parameters (``actor``, ``critics``,
 ``critics_target``), each optimizer's step count ``t`` and, once it has
 stepped, its moments (``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...),
 ``log_alpha`` and ``success_ema``. A load refuses a file of another format
 version, and a vector whose recorded layout (tensor names and shapes, member
 count) or length differs from the run config's.
+
+``load_checkpoint`` reads back the agent alone: it builds and restores the
+actor and reads no other array, so evaluation and analysis need neither the
+training state nor the memory it takes. ``load_trainer`` restores a whole
+``Trainer`` to resume training.
 The replay buffer is not persisted; a resumed run refills it before training.
 A save writes a temporary file next to the target and renames it over the
 target, so a crash mid-save leaves the previous checkpoint intact.
@@ -22,8 +27,8 @@ import zipfile
 import numpy as np
 
 from .config import RunConfig
-from .network import Layout
-from .sac import Trainer
+from .network import Layout, ModulePolicy, Params, policy_layout
+from .sac import Agent, Trainer
 
 FORMAT_VERSION = 2
 # the trainer attributes whose flat vectors a checkpoint holds
@@ -47,7 +52,6 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": run_cfg.to_dict(),
-        "config_hash": run_cfg.hash(),
         "env_steps": trainer.env_steps,
         "train_steps": trainer.train_steps,
         "layouts": {name: _layout_record(owner.layout)
@@ -112,16 +116,34 @@ def read_manifest(path: str) -> dict:
         return _manifest(data)
 
 
-def load_checkpoint(path: str) -> tuple[Trainer, RunConfig]:
-    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
-    in place into each network's and optimizer's flat vectors.
+def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
+    """Rebuild the Agent of a checkpoint: its actor alone, restored
+    bit-exactly. No other network, optimizer, replay buffer or environment
+    is built, and no other array is read.
 
     Raises CheckpointError when the file is no npz archive or its manifest
     is unreadable, lacks an entry or holds a step counter that is not a
-    non-negative integer, and names the array when a stored array
-    is missing, its shape does not match the run config's, the manifest
-    records a layout for it other than the run config's, or an optimizer's
-    step count is negative."""
+    non-negative integer, and names the ``actor`` array when it is missing,
+    its shape does not match the run config's or the manifest records a
+    layout for it other than the run config's."""
+    with _open(path) as data:
+        manifest = _manifest(data)
+        run_cfg = RunConfig.from_dict(manifest["config"])
+        policy_cfg = run_cfg.policy_config("actor")
+        actor = ModulePolicy(policy_cfg, Params(policy_layout(policy_cfg)))
+        _restore(data, manifest.get("layouts", {}), "actor", actor.params.layout,
+                 actor.params.flat)
+    agent = Agent(run_cfg.suite(), policy_cfg, run_cfg.train_settings(),
+                  run_cfg.seed, actor)
+    return agent, run_cfg
+
+
+def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
+    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
+    in place into each network's and optimizer's flat vectors.
+
+    Raises CheckpointError as ``load_checkpoint`` does, for every stored
+    array, and names an optimizer whose step count is negative."""
     with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])

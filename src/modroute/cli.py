@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from .analysis import export_dot, sparsity_distribution, usage_table
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, load_trainer, save_checkpoint
 from .config import ConfigError, RunConfig
-from .sac import Trainer
+from .sac import Agent, Trainer
 
 log = logging.getLogger(__name__)
 
@@ -41,7 +41,7 @@ def cmd_train(args) -> int:
     csv_path = os.path.join(cfg.out_dir, "metrics.csv")
 
     if args.resume and os.path.exists(ckpt_path):
-        trainer, saved_cfg = load_checkpoint(ckpt_path)
+        trainer, saved_cfg = load_trainer(ckpt_path)
         if saved_cfg.compat_hash() != cfg.compat_hash():
             raise UserError(
                 f"checkpoint at {ckpt_path} was produced by an incompatible "
@@ -97,7 +97,7 @@ def cmd_train(args) -> int:
 # eval / analysis
 
 
-def _load(ckpt: str) -> tuple[Trainer, RunConfig]:
+def _load(ckpt: str) -> tuple[Agent, RunConfig]:
     if not os.path.exists(ckpt):
         raise UserError(f"checkpoint not found: {ckpt}")
     return load_checkpoint(ckpt)
@@ -106,12 +106,12 @@ def _load(ckpt: str) -> tuple[Trainer, RunConfig]:
 def cmd_eval(args) -> int:
     if args.episodes < 0:
         raise UserError("--episodes must be >= 0")
-    trainer, _ = _load(args.ckpt)
+    agent, _ = _load(args.ckpt)
     print("task-id,kind,goal-rule,success-rate")
     if args.episodes == 0:
         return 0
-    success, _, _ = trainer.evaluate(args.episodes)
-    for i, spec in enumerate(trainer.suite):
+    success, _, _ = agent.evaluate(args.episodes)
+    for i, spec in enumerate(agent.suite):
         print(f"{i},{spec.kind},{spec.goal_rule},{success[i]:.6g}")
     print(f"mean,,,{success.mean():.6g}")
     return 0
@@ -120,23 +120,23 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     if args.samples <= 0:
         raise UserError("--samples must be > 0")
-    trainer, _ = _load(args.ckpt)
+    agent, _ = _load(args.ckpt)
     if args.what == "usage":
         print("task-id,kind,goal-rule,mean-modules,std-modules,samples")
-        for r in usage_table(trainer, args.samples):
+        for r in usage_table(agent, args.samples):
             print(f"{r['task_id']},{r['kind']},{r['goal_rule']},"
                   f"{r['mean_modules']:.6g},{r['std_modules']:.6g},{r['samples']}")
     else:
         print("num-sources,percent")
-        for r in sparsity_distribution(trainer, args.samples):
+        for r in sparsity_distribution(agent, args.samples):
             print(f"{r['num_sources']},{r['percent']:.6g}")
     return 0
 
 
 def cmd_export_dot(args) -> int:
-    trainer, _ = _load(args.ckpt)
+    agent, _ = _load(args.ckpt)
     try:
-        dot = export_dot(trainer, args.task)
+        dot = export_dot(agent, args.task)
     except ValueError as exc:
         raise UserError(str(exc)) from exc
     sys.stdout.write(dot)

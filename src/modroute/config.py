@@ -175,11 +175,6 @@ class RunConfig:
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
 
-    def hash(self) -> str:
-        """Stable content hash: sha256 of the canonical JSON encoding."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
-
     # run-control knobs that may change between a run and its resumption
     _RUN_CONTROL = ("total_env_steps", "eval_interval", "eval_episodes",
                     "checkpoint_interval", "stop_at_success", "out_dir")

@@ -233,6 +233,11 @@ class Params(Mapping):
     def copy(self) -> "Params":
         return Params(self.layout, self.flat.copy())
 
+    def __reduce__(self):
+        # a deep copy or pickle copies the vector and rebuilds the views over
+        # it; copied one by one, the views would not share its memory
+        return Params, (self.layout, self.flat)
+
     @property
     def members(self) -> list["Params"]:
         """Each member's parameters, views of its slice of ``flat``; an

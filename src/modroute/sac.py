@@ -6,6 +6,10 @@ maskout. Training forwards replay the behavior policy's stored routing masks
 (optionally gated with the residual stop-gradient), rollout forwards sample
 fresh masks with per-task temperature.
 
+``Agent`` is the routed actor and its greedy evaluation, all that acting
+needs; ``Trainer``, an ``Agent``, adds the critics, temperatures,
+optimizers, replay buffer and environments, and trains.
+
 The twin critics are one stacked network of two members (``Trainer.critics``,
 its Polyak average ``Trainer.critics_target``; see ``network``): each use of
 the critics, their loss, the frozen critics under the actor loss, the
@@ -52,7 +56,8 @@ class Adam:
     """Adaptive-moment optimizer over one flat parameter vector.
 
     ``step(params, grad)`` updates the flat vector ``params`` in place from
-    the flat gradient ``grad``, both laid out by ``layout``. The moments
+    the flat gradient ``grad``, both laid out by ``layout``, and overwrites
+    ``grad`` (its step buffer once the moments have read it). The moments
     are flat vectors of the same layout (``m`` and ``v``, ``Params`` over
     them). They are allocated by the first step (or ``moments``): a network
     that is only evaluated needs none, and until then they are zero.
@@ -70,7 +75,7 @@ class Adam:
         """``m`` and ``v``, allocated (as zeros) at the first call."""
         if self.m is None:
             self.m, self.v = Params(self.layout), Params(self.layout)
-            self._tmp, self._step = np.empty(self.layout.size), np.empty(self.layout.size)
+            self._tmp = np.empty(self.layout.size)
         return self.m, self.v
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -81,7 +86,7 @@ class Adam:
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         m, v = (moment.flat for moment in self.moments())
-        tmp, step = self._tmp, self._step
+        tmp = self._tmp
         # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         m *= b1
         np.multiply(grad, 1 - b1, out=tmp)
@@ -90,14 +95,14 @@ class Adam:
         np.multiply(grad, 1 - b2, out=tmp)
         tmp *= grad
         v += tmp
-        # step = lr (m / corr1) / (sqrt(v / corr2) + eps)
+        # step = lr (m / corr1) / (sqrt(v / corr2) + eps), formed in grad
         np.divide(v, corr2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        np.divide(m, corr1, out=step)
-        step *= self.lr
-        step /= tmp
-        params -= step
+        np.divide(m, corr1, out=grad)
+        grad *= self.lr
+        grad /= tmp
+        params -= grad
 
 
 def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
@@ -215,15 +220,17 @@ CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "o
 ROUTING_FNS = ("samplek", "topk", "hard", "soft")
 
 
-class Trainer:
-    """Owns the networks, replay buffer, optimizers, and the sample/train loop."""
+class Agent:
+    """The routed actor of a run: the part of an agent that acts.
+
+    It routes greedily and evaluates; ``evaluate``, the analysis tools and
+    ``checkpoint.load_checkpoint`` need nothing else.
+    """
 
     def __init__(self, suite: list[TaskSpec], policy_cfg: PolicyConfig,
-                 settings: TrainSettings, seed: int):
+                 settings: TrainSettings, seed: int, actor: ModulePolicy):
         if policy_cfg.head != "actor":
             raise ValueError("policy_cfg must describe the actor head")
-        if settings.resrouting not in CHI_BY_MODE:
-            raise ValueError(f"unknown resrouting mode {settings.resrouting!r}")
         if settings.routing_fn not in ROUTING_FNS:
             raise ValueError(f"unknown routing_fn {settings.routing_fn!r}")
         self.suite = suite
@@ -231,9 +238,73 @@ class Trainer:
         self.s = settings
         self.seed = seed
         self.num_tasks = len(suite)
+        self.actor = actor
+        self.rng_routing = stream(seed, "routing")
+
+    def routing_mask_fn(self, taus: np.ndarray | None = None):
+        """The mask selector ``routing_fn`` prescribes for fresh routing.
+
+        With per-row ``taus`` it is behavior routing (rollouts, Bellman
+        targets): k_eff sources sampled at temperature tau under samplek
+        and hard, the top k under topk. Without, it is greedy top-k_eff
+        routing (evaluation, analysis, target-routing). Under soft it
+        selects every source either way. k_eff is 1 under hard, else k.
+        """
+        fn = self.s.routing_fn
+        if fn == "soft":
+            mode = "soft"
+        elif taus is not None and fn != "topk":
+            mode = "samplek"
+        else:
+            mode = "topk"
+        k = 1 if fn == "hard" else self.cfg.k
+        return make_mask_fn(mode, k, taus=taus, rng=self.rng_routing)
+
+    def evaluate(self, episodes_per_task: int, seed_tag: str = "eval"):
+        """Deterministic rollouts (greedy routing, mean action); per-task
+        success and module usage (mean, std). Over zero episodes each is
+        NaN: a rate over no episode measures nothing."""
+        if episodes_per_task == 0:
+            return tuple(np.full(self.num_tasks, np.nan) for _ in range(3))
+        k_fn = self.routing_mask_fn()
+        success = np.zeros(self.num_tasks)
+        usage_mean = np.zeros(self.num_tasks)
+        usage_sq = np.zeros(self.num_tasks)
+        usage_n = np.zeros(self.num_tasks)
+        for i, spec in enumerate(self.suite):
+            env = ToyEnv(spec, stream(self.seed, f"{seed_tag}/{i}"))
+            for _ in range(episodes_per_task):
+                obs = env.reset()
+                for _ in range(spec.horizon):
+                    res = self.actor.forward(obs[None], [i], mask_fn=k_fn,
+                                             skip_unused=True)
+                    count = float(res.effective[0].sum())
+                    usage_mean[i] += count
+                    usage_sq[i] += count * count
+                    usage_n[i] += 1
+                    a = deterministic_action(res.out, self.cfg.act_dim)[0]
+                    obs, _, done, won = env.step(a)
+                    if done:
+                        success[i] += float(won)
+                        break
+        success /= episodes_per_task
+        mean = usage_mean / usage_n
+        std = np.sqrt(np.maximum(usage_sq / usage_n - mean ** 2, 0.0))
+        return success, mean, std
+
+
+class Trainer(Agent):
+    """An agent with its training state: critics, temperatures, optimizers,
+    replay buffer and environments, and the sample/train loop."""
+
+    def __init__(self, suite: list[TaskSpec], policy_cfg: PolicyConfig,
+                 settings: TrainSettings, seed: int):
+        if settings.resrouting not in CHI_BY_MODE:
+            raise ValueError(f"unknown resrouting mode {settings.resrouting!r}")
+        super().__init__(suite, policy_cfg, settings, seed,
+                         ModulePolicy.init(policy_cfg, stream(seed, "init/actor")))
 
         critic_cfg = PolicyConfig(**{**policy_cfg.to_dict(), "head": "critic"})
-        self.actor = ModulePolicy.init(policy_cfg, stream(seed, "init/actor"))
         # the twin critics q1 and q2, stacked: members 0 and 1
         self.critics = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"),
                                          stream(seed, "init/q2"))
@@ -258,7 +329,6 @@ class Trainer:
         self.envs = [
             ToyEnv(spec, stream(seed, f"env/{spec.task_id}")) for spec in suite
         ]
-        self.rng_routing = stream(seed, "routing")
         self.rng_noise = stream(seed, "noise")
         self.rng_batch = stream(seed, "batch")
         self.rng_explore = stream(seed, "explore")
@@ -269,26 +339,7 @@ class Trainer:
         self.success_ema = np.zeros(self.num_tasks)
 
     # ------------------------------------------------------------------
-    # routing rule and per-task coefficients
-
-    def routing_mask_fn(self, taus: np.ndarray | None = None):
-        """The mask selector ``routing_fn`` prescribes for fresh routing.
-
-        With per-row ``taus`` it is behavior routing (rollouts, Bellman
-        targets): k_eff sources sampled at temperature tau under samplek
-        and hard, the top k under topk. Without, it is greedy top-k_eff
-        routing (evaluation, analysis, target-routing). Under soft it
-        selects every source either way. k_eff is 1 under hard, else k.
-        """
-        fn = self.s.routing_fn
-        if fn == "soft":
-            mode = "soft"
-        elif taus is not None and fn != "topk":
-            mode = "samplek"
-        else:
-            mode = "topk"
-        k = 1 if fn == "hard" else self.cfg.k
-        return make_mask_fn(mode, k, taus=taus, rng=self.rng_routing)
+    # per-task coefficients
 
     def _taus(self) -> np.ndarray:
         if self.s.route_balancing:
@@ -508,41 +559,6 @@ class Trainer:
         self.train_steps += 1
         self._last_metrics = metrics
         return metrics
-
-    # ------------------------------------------------------------------
-    # evaluation
-
-    def evaluate(self, episodes_per_task: int, seed_tag: str = "eval"):
-        """Deterministic rollouts (greedy routing, mean action); per-task
-        success and module usage (mean, std). Over zero episodes each is
-        NaN: a rate over no episode measures nothing."""
-        if episodes_per_task == 0:
-            return tuple(np.full(self.num_tasks, np.nan) for _ in range(3))
-        k_fn = self.routing_mask_fn()
-        success = np.zeros(self.num_tasks)
-        usage_mean = np.zeros(self.num_tasks)
-        usage_sq = np.zeros(self.num_tasks)
-        usage_n = np.zeros(self.num_tasks)
-        for i, spec in enumerate(self.suite):
-            env = ToyEnv(spec, stream(self.seed, f"{seed_tag}/{i}"))
-            for _ in range(episodes_per_task):
-                obs = env.reset()
-                for _ in range(spec.horizon):
-                    res = self.actor.forward(obs[None], [i], mask_fn=k_fn,
-                                             skip_unused=True)
-                    count = float(res.effective[0].sum())
-                    usage_mean[i] += count
-                    usage_sq[i] += count * count
-                    usage_n[i] += 1
-                    a = deterministic_action(res.out, self.cfg.act_dim)[0]
-                    obs, _, done, won = env.step(a)
-                    if done:
-                        success[i] += float(won)
-                        break
-        success /= episodes_per_task
-        mean = usage_mean / usage_n
-        std = np.sqrt(np.maximum(usage_sq / usage_n - mean ** 2, 0.0))
-        return success, mean, std
 
     # ------------------------------------------------------------------
 

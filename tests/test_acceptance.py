@@ -527,7 +527,7 @@ def test_criterion_8_ablation_direction(full_runs, ablation_runs):
 
 
 def test_criterion_9_serialization_determinism(tmp_path):
-    from modroute.checkpoint import load_checkpoint, save_checkpoint
+    from modroute.checkpoint import load_trainer, save_checkpoint
     from modroute.replay import ReplayBuffer
 
     # transition round trip through the buffer is field-identical: ten
@@ -562,7 +562,7 @@ def test_criterion_9_serialization_determinism(tmp_path):
                   cfg.train_settings(), seed=5)
     path = str(tmp_path / "c.npz")
     save_checkpoint(path, tr1, cfg)
-    tr2, _ = load_checkpoint(path)
+    tr2, _ = load_trainer(path)
     ckpt_ok = all(
         np.array_equal(getattr(tr1, net).params[k], getattr(tr2, net).params[k])
         for net in ("actor", "critics", "critics_target")

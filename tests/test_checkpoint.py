@@ -1,13 +1,15 @@
 """Checkpoint format 2: one array per flat vector, layouts in the manifest.
 
 A save stores each network's flat vector and each optimizer's ``t``, ``m``
-and ``v`` whole; a load checks every array against the trainer's layout and
-copies it back bit for bit. Damaged files are refused with the name of the
-array or manifest entry at fault; version-1 files (one array per parameter
-key) are refused.
+and ``v`` whole; ``load_trainer`` checks every array against the trainer's
+layout and copies it back bit for bit, ``load_checkpoint`` the actor's
+alone, into an ``Agent`` that builds no training state. Damaged files are
+refused with the name of the array or manifest entry at fault; version-1
+files (one array per parameter key) are refused.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,21 +18,24 @@ from modroute.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
+    load_trainer,
     read_manifest,
     save_checkpoint,
 )
 from modroute.cli import main
 from modroute.config import RunConfig
-from modroute.sac import Trainer
+from modroute.sac import Agent, Trainer
 
 NETS = ("actor", "critics", "critics_target")
 OPTS = ("opt_actor", "opt_critics", "opt_alpha")
+LOADERS = (load_checkpoint, load_trainer)
 
 
-def _trainer(tmp_path, steps, seed=4):
+def _trainer(tmp_path, steps, seed=4, **overrides):
     cfg = RunConfig(seed=seed, n_modules=4, module_dim=8, module_hidden=8,
                     encoder_widths=[8], routing_widths=[8, 6], batch_per_task=4,
-                    buffer_capacity=400, start_steps=4, out_dir=str(tmp_path))
+                    buffer_capacity=400, start_steps=4, out_dir=str(tmp_path),
+                    **overrides)
     tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), seed)
     tr.collect_rollouts(6)
     for _ in range(steps):
@@ -63,7 +68,7 @@ def _rewrite(path, edit):
 @pytest.mark.parametrize("steps", [0, 3])
 def test_round_trip_is_bitwise(tmp_path, steps):
     path, tr = _saved(tmp_path, steps)
-    tr2, _ = load_checkpoint(path)
+    tr2, _ = load_trainer(path)
     for name in NETS:
         np.testing.assert_array_equal(getattr(tr2, name).params.flat,
                                       getattr(tr, name).params.flat, err_msg=name)
@@ -78,6 +83,88 @@ def test_round_trip_is_bitwise(tmp_path, steps):
     np.testing.assert_array_equal(tr2.temps.log_alpha, tr.temps.log_alpha)
     np.testing.assert_array_equal(tr2.success_ema, tr.success_ema)
     assert (tr2.env_steps, tr2.train_steps) == (tr.env_steps, tr.train_steps)
+
+
+@pytest.mark.parametrize("routing_fn", ["samplek", "topk", "hard", "soft"])
+def test_agent_evaluates_as_the_saving_trainer(tmp_path, routing_fn):
+    cfg, tr = _trainer(tmp_path, 3, routing_fn=routing_fn)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, tr, cfg)
+    agent, cfg2 = load_checkpoint(path)
+    assert type(agent) is Agent and cfg2.to_dict() == cfg.to_dict()
+    np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
+    want = tr.evaluate(2)
+    for got in (agent.evaluate(2), load_trainer(path)[0].evaluate(2)):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_agent_load_builds_no_training_state(tmp_path):
+    # the acceptance config: a trainer there holds a 100,000-row replay
+    # buffer and five networks (~31.7 MB allocated by a full load)
+    cfg = RunConfig(n_modules=8, k=2, module_dim=32, module_hidden=32,
+                    batch_per_task=16, out_dir=str(tmp_path))
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, Trainer(cfg.suite(), cfg.policy_config("actor"),
+                                  cfg.train_settings(), cfg.seed), cfg)
+    load_checkpoint(path)  # first-call costs (imports, caches) out of the count
+    tracemalloc.start()
+    try:
+        agent, _ = load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
+    for name in ("critics", "buffer", "envs", "opt_actor", "temps"):
+        assert not hasattr(agent, name), name
+
+
+def _drop(name):
+    return lambda arrays: arrays.pop(name)
+
+
+def _lengthen(name):
+    return lambda arrays: arrays.__setitem__(name, np.zeros(arrays[name].size + 1))
+
+
+def _relay(name):
+    return lambda arrays: _swap_first_two_tensors(arrays["manifest"]["layouts"][name])
+
+
+@pytest.mark.parametrize("edit, phrase", [
+    (_drop, "lacks array actor$"),
+    (_lengthen, "array actor has shape"),
+    (_relay, "array actor was saved with another layout"),
+], ids=["missing", "shape", "layout"])
+@pytest.mark.parametrize("load", LOADERS)
+def test_bad_actor_array_is_named(tmp_path, load, edit, phrase):
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, edit("actor"))
+    with pytest.raises(CheckpointError, match=phrase):
+        load(path)
+
+
+def test_eval_needs_only_the_actor_array(tmp_path, capsys):
+    cfg, tr = _trainer(tmp_path, 2)
+    path = str(tmp_path / "checkpoint.npz")  # where train --resume looks
+    save_checkpoint(path, tr, cfg)
+    _rewrite(path, _drop("critics"))
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 0
+    assert capsys.readouterr().out.startswith("task-id,kind,goal-rule,success-rate")
+    config = str(tmp_path / "run.yaml")
+    cfg.save(config)
+    assert main(["train", "--config", config, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lacks array critics" in err, err
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_manifest_with_a_config_hash_still_loads(tmp_path, load):
+    # format-2 files written before the entry was dropped carry it
+    path, tr = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays["manifest"].__setitem__("config_hash", "0" * 64))
+    loaded, _ = load(path)
+    np.testing.assert_array_equal(loaded.actor.params.flat, tr.actor.params.flat)
 
 
 @pytest.mark.parametrize("steps", [0, 3])
@@ -101,7 +188,7 @@ def test_missing_array_is_named(tmp_path, name):
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays.pop(name))
     with pytest.raises(CheckpointError, match=f"lacks array {name}$"):
-        load_checkpoint(path)
+        load_trainer(path)
 
 
 @pytest.mark.parametrize("name", ["opt_actor/t", "opt_alpha/t"])
@@ -111,7 +198,7 @@ def test_negative_step_count_is_named(tmp_path, name):
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays.__setitem__(name, np.array(-1)))
     with pytest.raises(CheckpointError, match=f"array {name} is negative"):
-        load_checkpoint(path)
+        load_trainer(path)
 
 
 @pytest.mark.parametrize("key", ["env_steps", "train_steps"])
@@ -120,10 +207,9 @@ def test_step_counter_that_is_not_an_integer_is_named(tmp_path, capsys, key, val
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays["manifest"].__setitem__(key, value))
     phrase = f"manifest {key} is not a non-negative integer"
-    with pytest.raises(CheckpointError, match=phrase):
-        read_manifest(path)
-    with pytest.raises(CheckpointError, match=phrase):
-        load_checkpoint(path)
+    for load in (read_manifest, *LOADERS):
+        with pytest.raises(CheckpointError, match=phrase):
+            load(path)
     if value == "many":
         assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
         err = capsys.readouterr().err
@@ -155,13 +241,13 @@ def test_edited_layout_record_is_named(tmp_path, owner, edit, array):
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: edit(arrays["manifest"]["layouts"][owner]))
     with pytest.raises(CheckpointError, match=f"array {array} was saved with another layout"):
-        load_checkpoint(path)
+        load_trainer(path)
 
 
 def test_version_1_file_is_refused(tmp_path):
     cfg, tr = _trainer(tmp_path, 0)
     manifest = {"format_version": 1, "config": cfg.to_dict(),
-                "config_hash": cfg.hash(), "env_steps": 0, "train_steps": 0}
+                "env_steps": 0, "train_steps": 0}
     # version 1 stored one array per parameter key and the critics as two
     # networks, q1 and q2
     arrays = {"manifest": np.array(json.dumps(manifest)),
@@ -171,9 +257,10 @@ def test_version_1_file_is_refused(tmp_path):
     path = str(tmp_path / "v1.npz")
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
-    with pytest.raises(CheckpointError,
-                       match=f"version 1 != supported {FORMAT_VERSION}"):
-        load_checkpoint(path)
+    for load in LOADERS:
+        with pytest.raises(CheckpointError,
+                           match=f"version 1 != supported {FORMAT_VERSION}"):
+            load(path)
 
 
 def _write_npz(path, **arrays):
@@ -209,10 +296,9 @@ def _unreadable_files(tmp_path):
 
 def test_unreadable_file_is_a_checkpoint_error(tmp_path):
     for path, phrase in _unreadable_files(tmp_path):
-        with pytest.raises(CheckpointError, match=phrase):
-            load_checkpoint(path)
-        with pytest.raises(CheckpointError, match=phrase):
-            read_manifest(path)
+        for load in (read_manifest, *LOADERS):
+            with pytest.raises(CheckpointError, match=phrase):
+                load(path)
 
 
 def test_eval_of_an_unreadable_file_is_a_user_error(tmp_path, capsys):

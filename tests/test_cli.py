@@ -32,7 +32,8 @@ def write_config(tmp_path, **overrides) -> tuple[str, RunConfig]:
     )
     base.update(overrides)
     cfg = RunConfig(**base)
-    path = tmp_path / f"cfg-{cfg.hash()[:8]}.yaml"
+    # one file per call: configs may differ in run-control fields alone
+    path = tmp_path / f"cfg-{len(list(tmp_path.glob('cfg-*.yaml')))}.yaml"
     cfg.save(str(path))
     return str(path), cfg
 

@@ -14,6 +14,7 @@ from modroute.checkpoint import (
     FORMAT_VERSION,
     CheckpointError,
     load_checkpoint,
+    load_trainer,
     read_manifest,
     save_checkpoint,
 )
@@ -47,7 +48,7 @@ class TestRunConfig:
         cfg.save(str(path))
         again = RunConfig.load(str(path))
         assert again.to_dict() == cfg.to_dict()
-        assert again.hash() == cfg.hash()
+        assert again.compat_hash() == cfg.compat_hash()
 
     def test_defaults_give_four_task_suite(self):
         cfg = RunConfig()
@@ -60,13 +61,13 @@ class TestRunConfig:
     def test_hash_changes_with_content(self, tmp_path):
         a = small_config(tmp_path)
         b = small_config(tmp_path, k=1)
-        assert a.hash() != b.hash()
+        assert a.compat_hash() != b.compat_hash()
 
     def test_compat_hash_ignores_run_control(self, tmp_path):
         a = small_config(tmp_path, total_env_steps=100)
         b = small_config(tmp_path, total_env_steps=900, eval_interval=10)
         assert a.compat_hash() == b.compat_hash()
-        assert a.hash() != b.hash()
+        assert a.to_dict() != b.to_dict()
         c = small_config(tmp_path, total_env_steps=100, lr=1e-3)
         assert a.compat_hash() != c.compat_hash()
 
@@ -212,7 +213,7 @@ class TestCheckpoint:
             tr.train_step()
         path = str(tmp_path / "ckpt.npz")
         save_checkpoint(path, tr, cfg)
-        tr2, cfg2 = load_checkpoint(path)
+        tr2, cfg2 = load_trainer(path)
 
         assert cfg2.to_dict() == cfg.to_dict()
         assert tr2.env_steps == tr.env_steps
@@ -256,14 +257,6 @@ class TestCheckpoint:
         assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["ckpt.bin"]
         assert read_manifest(path)["format_version"] == FORMAT_VERSION
 
-    def test_manifest_records_config_hash(self, tmp_path):
-        cfg = small_config(tmp_path)
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, make_trainer(cfg), cfg)
-        manifest = read_manifest(path)
-        assert manifest["config_hash"] == cfg.hash()
-        assert manifest["format_version"] == FORMAT_VERSION
-
     def test_version_mismatch_refused(self, tmp_path):
         cfg = small_config(tmp_path)
         path = str(tmp_path / "ckpt.npz")
@@ -273,8 +266,9 @@ class TestCheckpoint:
         manifest["format_version"] = FORMAT_VERSION + 1
         data["manifest"] = np.array(json.dumps(manifest))
         np.savez(path, **data)
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+        for load in (load_checkpoint, load_trainer):
+            with pytest.raises(CheckpointError, match="version"):
+                load(path)
 
     def test_loaded_trainer_evaluates_identically(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -7,10 +7,13 @@ since the stacked products may sum in another order; the padding of the
 stacked output layer against training; and checkpoints against the layout.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from modroute.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from modroute.checkpoint import CheckpointError, load_checkpoint, load_trainer, save_checkpoint
 from modroute.config import RunConfig
 from modroute.network import (
     ModulePolicy,
@@ -180,6 +183,34 @@ def test_per_mlp_keys_seeded_values_and_writes_through_keys(widths):
         pol.params["route3.w0"] = np.zeros((2, 2))
 
 
+@pytest.mark.parametrize("head, members", [("actor", 1), ("critic", 2)])
+@pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+def test_a_copied_network_reads_its_own_flat_vector(head, members, how):
+    cfg, _, rng = _policy(5, (8,), seed=12, head=head)
+    pol = ModulePolicy.init(cfg, *(rng for _ in range(members)))
+    copied = (copy.deepcopy(pol) if how == "deepcopy"
+              else pickle.loads(pickle.dumps(pol)))
+    p = copied.params
+    assert not np.shares_memory(p.flat, pol.params.flat)
+    for view in (*p.tensors.values(), *(p[k] for k in p)):
+        assert np.shares_memory(view, p.flat)
+    obs = rng.normal(size=(4, 5))
+    tasks = np.array([0, 1, 2, 1])
+    action = rng.normal(size=(4, 2)) if head == "critic" else None
+
+    def out(net):
+        return net.forward(obs, tasks, action=action, mask_fn=make_mask_fn("topk", 2)).out
+
+    before = out(copied)
+    # a write to the copy's flat vector (as an optimizer step makes)
+    # reaches its forward, and the original's stays as it was
+    p.flat[...] = rng.normal(size=p.flat.shape) * 0.5
+    assert not np.array_equal(out(copied), before)
+    np.testing.assert_array_equal(out(pol), before)
+    pol.params.flat[...] = p.flat
+    np.testing.assert_array_equal(out(copied), out(pol))
+
+
 def _eval_style_checkpoint(cfg, tr, path):
     """Seeded routing output layers, assigned key by key as the benchmark's
     ``write_eval_checkpoint`` does, then saved; returns what was assigned."""
@@ -227,7 +258,7 @@ def test_checkpoint_restores_every_flat_vector(tmp_path):
         tr.train_step()
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(path, tr, cfg)
-    tr2, _ = load_checkpoint(path)
+    tr2, _ = load_trainer(path)
     for name in NETS:
         np.testing.assert_array_equal(getattr(tr2, name).params.flat,
                                       getattr(tr, name).params.flat, err_msg=name)
@@ -252,7 +283,7 @@ def test_checkpoint_with_a_wrong_shape_names_the_array(tmp_path, key):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(CheckpointError, match=f"array {key} has shape"):
-        load_checkpoint(path)
+        load_trainer(path)
 
 
 def test_checkpoint_without_a_network_array_names_it(tmp_path):
@@ -264,4 +295,4 @@ def test_checkpoint_without_a_network_array_names_it(tmp_path):
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
     with pytest.raises(CheckpointError, match="lacks array critics$"):
-        load_checkpoint(path)
+        load_trainer(path)
