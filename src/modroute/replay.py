@@ -20,26 +20,15 @@ from __future__ import annotations
 import numpy as np
 
 
-class _PerMember:
-    """A field with a member axis, kept as one (tasks, capacity, L) array per
-    member and indexed like one array whose member axis precedes the last."""
-
-    def __init__(self, arrays: list[np.ndarray]):
-        self.arrays = arrays
-
-    def __getitem__(self, index) -> np.ndarray:
-        return np.stack([a[index] for a in self.arrays], axis=-2)
-
-    def __setitem__(self, index, rows: np.ndarray) -> None:
-        for m, a in enumerate(self.arrays):
-            a[index] = rows[..., m, :]
-
-
 class ReplayBuffer:
     """Ring buffer partitioned by task; oldest entries overwritten first.
 
     ``fields`` maps each batch key but ``task_id`` to its storage, indexed
-    (task, slot, ...)."""
+    (task, slot, ...). Each is the ``swapaxes(0, 1)`` view of one slot-major
+    (slot, task, ...) array, so the rows written so far form one block at
+    the array's start. numpy asks the kernel for transparent huge pages on
+    every array of 4 MB or more; stored task-major, such an array would
+    fault in a separate 2 MB page at each task's first write."""
 
     def __init__(self, capacity: int, num_tasks: int, obs_dim: int,
                  act_dim: int, mask_len: int):
@@ -48,19 +37,18 @@ class ReplayBuffer:
         self.num_tasks = num_tasks
         self.per_task_capacity = capacity // num_tasks
         c, n = self.per_task_capacity, num_tasks
+
+        def field(*shape, dtype=np.float64) -> np.ndarray:
+            return np.zeros((c, n, *shape), dtype=dtype).swapaxes(0, 1)
+
         self.fields = {
-            "state": np.zeros((n, c, obs_dim)),
-            "action": np.zeros((n, c, act_dim)),
-            "reward": np.zeros((n, c)),
-            "next_state": np.zeros((n, c, obs_dim)),
-            "done": np.zeros((n, c), dtype=bool),
-            # one (tasks, capacity, L) array per network: one array of both
-            # critics' rows would pass numpy's 4 MB huge-page threshold at
-            # the default capacity, and its first writes would fault in a
-            # 2 MB page per task
-            "masks_actor": np.zeros((n, c, mask_len), dtype=np.uint8),
-            "masks_critics": _PerMember([np.zeros((n, c, mask_len), dtype=np.uint8)
-                                         for _ in range(2)]),
+            "state": field(obs_dim),
+            "action": field(act_dim),
+            "reward": field(),
+            "next_state": field(obs_dim),
+            "done": field(dtype=bool),
+            "masks_actor": field(mask_len, dtype=np.uint8),
+            "masks_critics": field(2, mask_len, dtype=np.uint8),
         }
         self.sizes = np.zeros(n, dtype=np.int64)
         self.heads = np.zeros(n, dtype=np.int64)

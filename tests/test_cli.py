@@ -95,6 +95,26 @@ class TestTrainCommand:
         assert max(steps) >= 240
         assert steps == sorted(steps)
 
+    def test_resumed_run_evaluates_where_an_uninterrupted_one_does(self, tmp_path):
+        # a resumed trainer's first evaluation is the first multiple of the
+        # interval above its step count, not one per vector step until a
+        # count from 0 catches up
+        def eval_rows(out_dir):
+            lines = open(os.path.join(out_dir, "metrics.csv")).read().splitlines()[1:]
+            return [tuple(int(cell) for cell in line.split(",")[:2]) for line in lines]
+
+        path, cfg = write_config(tmp_path, total_env_steps=120, eval_interval=20)
+        assert main(["train", "--config", path]) == 0
+        longer, _ = write_config(tmp_path, total_env_steps=240, eval_interval=20,
+                                 out_dir=cfg.out_dir)
+        assert main(["train", "--config", longer, "--resume"]) == 0
+        whole, whole_cfg = write_config(tmp_path, total_env_steps=240, eval_interval=20,
+                                        out_dir=str(tmp_path / "whole"))
+        assert main(["train", "--config", whole]) == 0
+        resumed = eval_rows(cfg.out_dir)
+        assert len(set(resumed)) == len(resumed)
+        assert resumed == eval_rows(whole_cfg.out_dir)
+
     def test_resume_refuses_incompatible_config(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, total_env_steps=0)
         assert main(["train", "--config", path]) == 0

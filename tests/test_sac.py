@@ -21,6 +21,7 @@ from modroute.network import (
 )
 from modroute.replay import ReplayBuffer
 from modroute.sac import (
+    ADAM_BLOCK,
     Adam,
     TaskTemperatures,
     Trainer,
@@ -181,6 +182,43 @@ class TestReplay:
                 np.testing.assert_array_equal(batch[key][3 * t:3 * t + 3], store[t, slots])
 
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="reads resident memory from /proc/self/statm")
+    def test_first_write_at_default_capacity_stays_small(self):
+        # a fresh process, so earlier tests' freed memory cannot absorb the
+        # first write; numpy asks for huge pages on arrays of 4 MB or more,
+        # and task-major storage faulted in a 2 MB page per task (~10 MB)
+        code = """
+import os
+import numpy as np
+from modroute import RunConfig
+from modroute.envs import ACT_DIM, OBS_DIM
+from modroute.replay import ReplayBuffer
+
+cfg = RunConfig()
+n = len(cfg.tasks)
+buf = ReplayBuffer(cfg.buffer_capacity, n, OBS_DIM, ACT_DIM,
+                   cfg.policy_config("actor").mask_len)
+rows = {key: np.ones((n, *store.shape[2:]), store.dtype)
+        for key, store in buf.fields.items()}
+rows["task_id"] = np.arange(n)
+
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+before = rss()
+buf.add(rows)
+print(rss() - before)
+"""
+        src = os.path.dirname(os.path.dirname(modroute.__file__))
+        out = subprocess.run([sys.executable, "-c", code],
+                             env={**os.environ, "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert RunConfig().buffer_capacity == 100_000 and len(RunConfig().tasks) == 4
+        assert int(out.stdout) < 2 * 2**20
+
+
 def _per_task_mean_loop(values, task_ids, num_tasks):
     out = np.zeros(num_tasks)
     for t in range(num_tasks):
@@ -296,6 +334,30 @@ class TestAdam:
         for k in params:
             np.testing.assert_array_equal(params[k], ref[k])
             np.testing.assert_array_equal(opt.m[k], m[k])
+
+    def test_blocked_step_matches_one_pass_formula(self):
+        # three full blocks and a partial one; each step's reference runs
+        # the update's operations over the whole vector at once
+        rng = np.random.default_rng(8)
+        n = 3 * ADAM_BLOCK + 17
+        opt, params = _adam(0.01, x=(n,))
+        params["x"] = rng.normal(size=n)
+        ref, m, v = params.flat.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 6):
+            grad = rng.normal(size=n)
+            m = 0.9 * m + (1 - 0.9) * grad
+            v = 0.999 * v + (1 - 0.999) * grad * grad
+            ref -= 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
+            opt.step(params.flat, grad)
+        np.testing.assert_array_equal(params.flat, ref)
+        np.testing.assert_array_equal(opt.m.flat, m)
+        np.testing.assert_array_equal(opt.v.flat, v)
+
+    @pytest.mark.parametrize("n", [5, ADAM_BLOCK, 3 * ADAM_BLOCK + 17])
+    def test_work_buffer_holds_at_most_one_block(self, n):
+        opt, params = _adam(0.01, x=(n,))
+        opt.step(params.flat, np.ones(n))
+        assert opt._tmp.size == min(n, ADAM_BLOCK)
 
     def test_replaced_param_entries_are_updated(self):
         opt, params = _adam(0.1, x=(2,))

@@ -1,6 +1,8 @@
 """``trajectory_digest``, the bit-identity check of a training trajectory:
 same-seed runs give equal digests, and the digests see a different run."""
 
+import hashlib
+
 from trajectory_digest import main, trajectory_digests
 
 STEPS = 5
@@ -33,3 +35,16 @@ def test_overrides_reach_the_run_config():
     # a string field keeps the text YAML would read as a boolean
     assert main(["tiny", "1", "resrouting=off", "loss_rescaling=false",
                  "--episodes", "0"]) == 0
+
+
+def test_all_prints_one_labelled_line_per_run(capsys):
+    assert main(["all", "1", "--episodes", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    labels = [line.rsplit(" ", 1)[0] for line in lines]
+    assert labels[:2] == ["train-accept", "train-default"]
+    assert len(labels) == len(set(labels)) == 18
+    # each line digests the lines its configuration prints alone
+    assert main(["tiny", "1", "resrouting=off", "routing_fn=soft", "--episodes", "0"]) == 0
+    alone = capsys.readouterr().out
+    line = lines[labels.index("tiny resrouting=off routing_fn=soft")]
+    assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()

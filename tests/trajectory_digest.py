@@ -21,6 +21,14 @@ prints one sha256 per line over:
 
 Run it in two checkouts (it imports the ``modroute`` of the checkout it
 sits in) and compare the output.
+
+    python3 tests/trajectory_digest.py all STEPS [--seed S] [--episodes E]
+
+runs every configuration a change that keeps every bit compares
+(``all_runs``: the two train configs, and tiny under each ``resrouting`` x
+``routing_fn`` pair) and prints one line per run: its label and one sha256
+over its five digests. One ``diff`` of two checkouts' outputs is the check;
+run a differing configuration alone to see which digest moved.
 """
 
 from __future__ import annotations
@@ -99,6 +107,17 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
         ("evaluate", evaluate), ("replay", replay))}
 
 
+def all_runs() -> list[tuple[str, str, dict]]:
+    """(label, config, overrides) of every run that ``all`` digests."""
+    from modroute.sac import CHI_BY_MODE, ROUTING_FNS
+
+    runs = [(name, name, {}) for name in ("train-accept", "train-default")]
+    runs += [(f"tiny resrouting={mode} routing_fn={fn}", "tiny",
+              {"resrouting": mode, "routing_fn": fn})
+             for mode in CHI_BY_MODE for fn in ROUTING_FNS]
+    return runs
+
+
 def parse_override(text: str) -> tuple[str, object]:
     """``KEY=VALUE`` as a ``RunConfig`` field and its value."""
     import yaml
@@ -113,7 +132,7 @@ def parse_override(text: str) -> tuple[str, object]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("config", choices=sorted(CONFIGS))
+    ap.add_argument("config", choices=sorted(CONFIGS) + ["all"])
     ap.add_argument("steps", type=int)
     ap.add_argument("overrides", nargs="*", type=parse_override, metavar="KEY=VALUE",
                     help="RunConfig fields to override")
@@ -123,6 +142,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.steps < 0 or args.episodes < 0:
         ap.error("steps and episodes must be >= 0")
+    if args.config == "all":
+        if args.overrides:
+            ap.error("all runs fixed configurations; it takes no KEY=VALUE")
+        for label, config, overrides in all_runs():
+            digests = trajectory_digests(config, args.steps, args.seed,
+                                         args.episodes, overrides)
+            text = "".join(f"{name} {d}\n" for name, d in digests.items())
+            print(f"{label} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
+        return 0
     for name, digest in trajectory_digests(args.config, args.steps, args.seed,
                                            args.episodes, dict(args.overrides)).items():
         print(f"{name} {digest}")
