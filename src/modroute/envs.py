@@ -19,7 +19,7 @@ sampling at reset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,16 @@ class TaskSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
+            raise ValueError(f"kind: {self.kind!r} is not one of {sorted(KINDS)}")
         if self.goal_rule not in GOAL_RULES:
-            raise ValueError(f"unknown goal rule {self.goal_rule!r}")
+            raise ValueError(
+                f"goal_rule: {self.goal_rule!r} is not one of {list(GOAL_RULES)}")
+        for key in ("difficulty", "horizon"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key}: expected an integer, got {value!r}")
+        if self.horizon < 1:
+            raise ValueError("horizon: must be >= 1")
 
 
 @dataclass
@@ -198,18 +205,24 @@ def scripted_expert(spec: TaskSpec):
 
 
 def make_suite(entries: list[dict]) -> list[TaskSpec]:
-    """TaskSpecs from config dictionaries; task ids follow list order."""
+    """TaskSpecs from config mappings of ``TaskSpec`` fields; task ids follow
+    list order and a task's difficulty defaults to its id. A bad entry
+    raises ``ValueError`` naming its key path, ``tasks[i].key``."""
+    if not entries:
+        raise ValueError("tasks: at least one task is required")
     specs = []
-    for i, e in enumerate(entries):
-        specs.append(
-            TaskSpec(
-                task_id=i,
-                kind=e["kind"],
-                goal_rule=e.get("goal_rule", "fixed"),
-                difficulty=int(e.get("difficulty", i)),
-                horizon=int(e.get("horizon", 200)),
-            )
-        )
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"tasks[{i}]: expected a mapping")
+        for key in entry:
+            if key == "task_id" or key not in TaskSpec.__dataclass_fields__:
+                raise ValueError(f"tasks[{i}].{key}: unknown key")
+        # a missing kind is reported as None, as any other unknown kind
+        values = {"difficulty": i, **entry, "kind": entry.get("kind")}
+        try:
+            specs.append(TaskSpec(task_id=i, **values))
+        except ValueError as exc:
+            raise ValueError(f"tasks[{i}].{exc}") from None
     return specs
 
 

@@ -79,7 +79,7 @@ view of a flat gradient vector over the network's layout.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -89,11 +89,10 @@ from . import autodiff as ad
 
 
 @dataclass
-class PolicyConfig:
-    obs_dim: int
-    act_dim: int
-    num_tasks: int
-    head: str = "actor"  # "actor" | "critic"
+class NetworkSizes:
+    """The sizes and routing of a module network: the fields of a
+    ``PolicyConfig`` that a run config sets. A value out of range raises
+    ``ValueError`` naming the field; the widths are kept as tuples."""
     n_modules: int = 8
     module_dim: int = 64          # shared residual-stream width
     module_hidden: int = 64       # hidden width inside each module MLP
@@ -103,12 +102,31 @@ class PolicyConfig:
     state_routing: bool = True    # feed F(s) * H(T) to routing (vs H(T) alone)
 
     def __post_init__(self):
-        if self.head not in ("actor", "critic"):
-            raise ValueError(f"unknown head kind {self.head!r}")
         if self.n_modules < 2:
-            raise ValueError("need at least 2 modules")
-        self.encoder_widths = tuple(self.encoder_widths)
-        self.routing_widths = tuple(self.routing_widths)
+            raise ValueError("n_modules: must be >= 2")
+        for key in ("k", "module_dim", "module_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key}: must be >= 1")
+        for key in ("encoder_widths", "routing_widths"):
+            widths = tuple(getattr(self, key))
+            for i, width in enumerate(widths):
+                if not isinstance(width, int) or isinstance(width, bool) or width < 1:
+                    raise ValueError(
+                        f"{key}[{i}]: expected a positive integer, got {width!r}")
+            setattr(self, key, widths)
+
+
+@dataclass(kw_only=True)
+class PolicyConfig(NetworkSizes):
+    obs_dim: int
+    act_dim: int
+    num_tasks: int
+    head: str = "actor"  # "actor" | "critic"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.head not in ("actor", "critic"):
+            raise ValueError(f"head: unknown kind {self.head!r}")
 
     @property
     def input_dim(self) -> int:
@@ -123,9 +141,6 @@ class PolicyConfig:
         """Total length of all per-module source masks, flattened."""
         n = self.n_modules
         return n * (n - 1) // 2
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _layer_sizes(cfg: PolicyConfig):

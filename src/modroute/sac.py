@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -212,8 +212,15 @@ def alpha_loss(logp: np.ndarray, task_ids: np.ndarray,
     return float(grad.sum()), grad
 
 
+CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
+ROUTING_FNS = ("samplek", "topk", "hard", "soft")
+
+
 @dataclass
 class TrainSettings:
+    """The training settings of a run. An unknown mode or a value out of
+    range raises ``ValueError`` naming the field. ``buffer_capacity`` is
+    checked against the task count by ``ReplayBuffer``."""
     gamma: float = 0.99
     polyak: float = 0.995
     lr: float = 3e-4
@@ -229,9 +236,21 @@ class TrainSettings:
     resrouting: str = "rsg"            # rsg | sg-only | target-routing | off
     routing_fn: str = "samplek"        # samplek | topk | hard | soft
 
-
-CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
-ROUTING_FNS = ("samplek", "topk", "hard", "soft")
+    def __post_init__(self):
+        for key, modes in (("resrouting", CHI_BY_MODE), ("routing_fn", ROUTING_FNS)):
+            if getattr(self, key) not in modes:
+                raise ValueError(f"{key}: unknown mode {getattr(self, key)!r}")
+        # written so that NaN fails each test
+        for key, low in (("batch_per_task", 1), ("start_steps", 0),
+                         ("train_ratio", 0), ("lr", 0)):
+            if not getattr(self, key) >= low:
+                raise ValueError(f"{key}: must be >= {low}")
+        for key in ("gamma", "polyak"):
+            if not 0 <= getattr(self, key) <= 1:
+                raise ValueError(f"{key}: must be in [0, 1]")
+        for key in ("alpha_init", "maskout_threshold"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key}: must be > 0")
 
 
 class Agent:
@@ -245,8 +264,6 @@ class Agent:
                  settings: TrainSettings, seed: int, actor: ModulePolicy):
         if policy_cfg.head != "actor":
             raise ValueError("policy_cfg must describe the actor head")
-        if settings.routing_fn not in ROUTING_FNS:
-            raise ValueError(f"unknown routing_fn {settings.routing_fn!r}")
         self.suite = suite
         self.cfg = policy_cfg
         self.s = settings
@@ -313,12 +330,10 @@ class Trainer(Agent):
 
     def __init__(self, suite: list[TaskSpec], policy_cfg: PolicyConfig,
                  settings: TrainSettings, seed: int):
-        if settings.resrouting not in CHI_BY_MODE:
-            raise ValueError(f"unknown resrouting mode {settings.resrouting!r}")
         super().__init__(suite, policy_cfg, settings, seed,
                          ModulePolicy.init(policy_cfg, stream(seed, "init/actor")))
 
-        critic_cfg = PolicyConfig(**{**policy_cfg.to_dict(), "head": "critic"})
+        critic_cfg = replace(policy_cfg, head="critic")
         # the twin critics q1 and q2, stacked: members 0 and 1
         self.critics = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"),
                                          stream(seed, "init/q2"))
@@ -581,8 +596,11 @@ class Trainer(Agent):
         """Alternating sample/train loop; evaluates every ``eval_interval``
         total env steps, from step 0 on a fresh trainer and from the first
         multiple above its step count on one that has stepped (a resumed
-        run). Returns the recorded evaluation rows."""
-        if total_env_steps <= 0:
+        run). Returns the recorded evaluation rows: none from a trainer that
+        already stands at ``total_env_steps``."""
+        if eval_interval < 1:
+            raise ValueError("eval_interval: must be >= 1")
+        if self.env_steps >= total_env_steps:
             return []
         rows = []
         steps = self.env_steps

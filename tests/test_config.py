@@ -19,6 +19,7 @@ from modroute.checkpoint import (
     save_checkpoint,
 )
 from modroute.config import ConfigError, RunConfig
+from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec
 from modroute.network import PolicyConfig
 from modroute.sac import Trainer, TrainSettings
 
@@ -201,6 +202,61 @@ class TestRunConfig:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
             check=True, timeout=60)
         assert out.stdout.strip() == "False"
+
+
+def sized_policy(**values) -> PolicyConfig:
+    return PolicyConfig(obs_dim=OBS_DIM, act_dim=ACT_DIM, num_tasks=2, **values)
+
+
+def push_task(**values) -> TaskSpec:
+    return TaskSpec(task_id=0, kind="push", **values)
+
+
+# the values the run config rejects that its parts own, each passed straight
+# to the part; the message is the run config's without the key path's prefix
+@pytest.mark.parametrize("build, values, message", [
+    (TrainSettings, {"batch_per_task": 0}, "batch_per_task: must be >= 1"),
+    (TrainSettings, {"train_ratio": -1}, "train_ratio: must be >= 0"),
+    (TrainSettings, {"maskout_threshold": 0}, "maskout_threshold: must be > 0"),
+    (TrainSettings, {"alpha_init": -0.1}, "alpha_init: must be > 0"),
+    (TrainSettings, {"start_steps": -1}, "start_steps: must be >= 0"),
+    (TrainSettings, {"lr": -1}, "lr: must be >= 0"),
+    (TrainSettings, {"gamma": -2}, r"gamma: must be in \[0, 1\]"),
+    (TrainSettings, {"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
+    (TrainSettings, {"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
+    (TrainSettings, {"resrouting": "residual"}, "resrouting: unknown mode"),
+    (TrainSettings, {"routing_fn": "dense"}, "routing_fn: unknown mode"),
+    (sized_policy, {"n_modules": 1}, "n_modules: must be >= 2"),
+    (sized_policy, {"k": 0}, "k: must be >= 1"),
+    (sized_policy, {"module_dim": 0}, "module_dim: must be >= 1"),
+    (sized_policy, {"module_hidden": 0}, "module_hidden: must be >= 1"),
+    (sized_policy, {"encoder_widths": ["a"]}, r"encoder_widths\[0\]: expected a positive"),
+    (sized_policy, {"encoder_widths": [16, 2.5]}, r"encoder_widths\[1\]: expected a positive"),
+    (sized_policy, {"encoder_widths": [True]}, r"encoder_widths\[0\]: expected a positive"),
+    (sized_policy, {"routing_widths": [0]}, r"routing_widths\[0\]: expected a positive"),
+    (sized_policy, {"routing_widths": [8, -4]}, r"routing_widths\[1\]: expected a positive"),
+    (push_task, {"goal_rule": "moving"}, "goal_rule: 'moving' is not one of"),
+    (push_task, {"horizon": 0}, "horizon: must be >= 1"),
+    (push_task, {"horizon": -5}, "horizon: must be >= 1"),
+    (push_task, {"horizon": 2.5}, "horizon: expected an integer"),
+    (push_task, {"horizon": "long"}, "horizon: expected an integer"),
+    (push_task, {"difficulty": 1.5}, "difficulty: expected an integer"),
+    (push_task, {"difficulty": True}, "difficulty: expected an integer"),
+])
+def test_parts_reject_what_the_run_config_rejects(build, values, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        build(**values)
+
+
+def test_compat_hash_is_stable_across_versions():
+    # the hashes earlier versions computed for these configs: a change to the
+    # hashed fields, their defaults or their encoding shows here
+    assert RunConfig().compat_hash() == (
+        "c18f26d5bdd0887ff8bb1e706eed85258e1d2b12b0d3ddebe9dfedaa99067dce")
+    accept = RunConfig(n_modules=8, k=2, module_dim=32, module_hidden=32,
+                       batch_per_task=16)
+    assert accept.compat_hash() == (
+        "42177bcbca736cb29949e2140374334d2263de93020849270ae734c05b97c28c")
 
 
 class TestCheckpoint:

@@ -539,6 +539,17 @@ class TestTrainer:
         assert sorted({r["step"] for r in rows}) == [0, 4, 8, 12]
         assert all(np.isnan(r["success_rate"]) for r in rows)
 
+    def test_run_at_its_end_evaluates_nothing(self):
+        tr = make_trainer(seed=2)
+        rows = tr.run(8, eval_interval=4, eval_episodes=0)
+        assert sorted({r["step"] for r in rows}) == [0, 4, 8]
+        assert tr.run(8, eval_interval=4, eval_episodes=0) == []
+        assert tr.env_steps == 8
+        for interval in (0, -4):
+            with pytest.raises(ValueError, match="eval_interval: must be >= 1"):
+                tr.run(16, eval_interval=interval, eval_episodes=0)
+        assert tr.env_steps == 8
+
     def test_metrics_fields(self):
         tr = make_trainer(seed=15)
         tr.collect_rollouts(20)
