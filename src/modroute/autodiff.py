@@ -1,6 +1,8 @@
 """Numpy kernels of the routed networks and their reverse passes.
 
-Everything is float64. Each forward kernel has a hand-written backward
+Every kernel computes in the dtype of its inputs: a float64 network
+(``ModulePolicy.init``, the oracles) runs in float64, the trainer's float32
+networks in float32. Each forward kernel has a hand-written backward
 (vector-Jacobian product) that ``network.ModulePolicy.backward`` runs, last
 to first, on what the forward saved:
 
@@ -45,8 +47,8 @@ import numpy as np
 class Workspace:
     """Work arrays for intermediate adjoints, reused from step to step.
 
-    ``take(slot, shape)`` returns a view of the slot's buffer, which is
-    allocated at the first request and grows only to a larger one: a train
+    ``take(slot, shape, dtype)`` returns a view of the slot's buffer of
+    that dtype (the adjoint's), which is allocated at the first request and grows only to a larger one: a train
     step's shapes are fixed, so its buffers are sized by the first step.
     Fresh large temporaries would cost page faults on every step. A slot's
     contents live until the next ``take`` of the same slot.
@@ -65,13 +67,14 @@ class Workspace:
     def __init__(self):
         self.bufs: dict[tuple, np.ndarray] = {}
 
-    def take(self, slot, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def take(self, slot, shape: tuple, dtype) -> np.ndarray:
         if not self.bufs:
             np.empty(2 << 20)
         size = math.prod(shape)
-        buf = self.bufs.get((slot, dtype))
+        key = (slot, np.dtype(dtype))
+        buf = self.bufs.get(key)
         if buf is None or buf.size < size:
-            buf = self.bufs[(slot, dtype)] = np.empty(size, dtype)
+            buf = self.bufs[key] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
 
@@ -253,9 +256,10 @@ def affine_chain_backward(g, acts, layers, grads, ws: Workspace, need_x=True, ou
         shape = g.shape[:-1] + layers[2 * l].shape[-2:-1]
         if l == 0:
             return np.matmul(g, layers[0].swapaxes(-1, -2),
-                             out=ws.take("chain_x", shape) if out is None else out)
+                             out=ws.take("chain_x", shape, g.dtype) if out is None else out)
         # layers alternate between two slots: g is in the other one
-        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2), out=ws.take(("chain", l % 2), shape))
+        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2),
+                      out=ws.take(("chain", l % 2), shape, g.dtype))
         # a layer input > 0 iff its relu was active
         g *= np.greater(a, 0.0, out=ws.take("relu", a.shape, bool))
 
@@ -277,13 +281,13 @@ def route_mlps_backward(gz, acts, layers, grads, ws: Workspace):
                 np.sum(g, axis=-2, out=grads[l + 1])
             # layers alternate between two slots: g is in the other one
             g = np.matmul(g, layers[l].swapaxes(-1, -2),
-                          out=ws.take(("route", l // 2 % 2), a.shape))
+                          out=ws.take(("route", l // 2 % 2), a.shape, g.dtype))
             # a layer input > 0 iff its relu was active
             g *= np.greater(a, 0.0, out=ws.take("relu", a.shape, bool))
         # back to (B, R, h0), contiguous, so the first layer reads it as
         # (B, R*h0); the last layer (l = 2) left g in slot 1
         g = g.swapaxes(-3, -2)
-        buf = ws.take(("route", 0), g.shape)
+        buf = ws.take(("route", 0), g.shape, g.dtype)
         np.copyto(buf, g)
         g = buf
     w0 = layers[0]
@@ -294,13 +298,13 @@ def route_mlps_backward(gz, acts, layers, grads, ws: Workspace):
     if grads[1] is not None:
         np.sum(g, axis=-2, out=grads[1].reshape(lead + (-1,)))
     w = w0.reshape(lead + (w0.shape[-3], -1)).swapaxes(-1, -2)
-    return np.matmul(g, w, out=ws.take("route_x", g.shape[:-1] + w.shape[-1:]))
+    return np.matmul(g, w, out=ws.take("route_x", g.shape[:-1] + w.shape[-1:], g.dtype))
 
 
 def masked_softmax_backward(gp, p, ws: Workspace):
     """The adjoint of ``masked_softmax``'s logits from that of its output
     ``p``, in a workspace array."""
-    gz = np.multiply(gp, p, out=ws.take("softmax", p.shape))
+    gz = np.multiply(gp, p, out=ws.take("softmax", p.shape, gp.dtype))
     s = gz.sum(axis=-1, keepdims=True)
     np.subtract(gp, s, out=gz)
     return np.multiply(p, gz, out=gz)
@@ -324,7 +328,8 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: W
     # source's adjoint skips its module transform, to the source module's
     # own input (the residual shortcut, rsg) or nowhere (sg)
     q = probs[..., ::-1, :]
-    q_ok = ws.take("q_ok", q.shape)
+    dt = g.dtype
+    q_ok = ws.take("q_ok", q.shape, dt)
     if suit is None:
         np.copyto(q_ok, q)
         q_bad = None
@@ -332,18 +337,18 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: W
         np.multiply(q, suit[..., ::-1, :], out=q_ok)
         q_bad = None
         if rsg:
-            q_bad = np.multiply(q, ~suit[..., ::-1, :], out=ws.take("q_bad", q.shape))
-    gu_rev = ws.take("gu_rev", slab.shape)
+            q_bad = np.multiply(q, ~suit[..., ::-1, :], out=ws.take("q_bad", q.shape, dt))
+    gu_rev = ws.take("gu_rev", slab.shape, dt)
     gp = None
     if need_p:
-        gp = ws.take("gp", probs.shape)
+        gp = ws.take("gp", probs.shape, dt)
         gp.fill(0.0)
         gp_src = np.moveaxis(gp, -1, 0)
     for i in range(n, 0, -1):
         w = slice(4 * i - 4, 4 * i)  # module i's layers
         gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i],
-                                        out=ws.take("gm", slab.shape[1:]))
-        out = ws.take("gh", slab.shape[1:]) if i == 1 else gu_rev[n - i]
+                                        out=ws.take("gm", slab.shape[1:], dt))
+        out = ws.take("gh", slab.shape[1:], dt) if i == 1 else gu_rev[n - i]
         gu = affine_chain_backward(gm, acts[i], layers[w], grads[w], ws, out=out)
         if i == 1:
             return gp, gu
@@ -351,9 +356,9 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: W
             gu += gm  # the residual
             if q_bad is not None:
                 gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i],
-                                out=ws.take("gbad", gu.shape))
+                                out=ws.take("gbad", gu.shape, dt))
         if gp is not None:
-            prod = ws.take("prod", (i - 1,) + gu.shape)
+            prod = ws.take("prod", (i - 1,) + gu.shape, dt)
             gp_src[:i - 1, ..., i - 2] = np.multiply(slab[:i - 1], gu, out=prod).sum(axis=-1)
 
 

@@ -5,14 +5,18 @@ step counters, the layout of every flat vector) plus one array per flat
 vector: each network's parameters (``actor``, ``critics``,
 ``critics_target``), each optimizer's step count ``t`` and, once it has
 stepped, its moments (``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...),
-``log_alpha`` and ``success_ema``. A load refuses a file of another format
-version, and a vector whose recorded layout (tensor names and shapes, member
-count) or length differs from the run config's.
+``log_alpha`` and ``success_ema``. Each vector is stored in its own dtype: a
+trainer's networks and moments in float32 (``sac.TRAIN_DTYPE``), the
+temperatures and success averages in float64. A load refuses a file of another
+format version (format 2 held float64 networks), and a vector whose
+recorded layout (tensor names and shapes, member count) or length differs
+from the run config's.
 
 ``load_checkpoint`` reads back the agent alone: it builds and restores the
 actor and reads no other array, so evaluation and analysis need neither the
-training state nor the memory it takes. ``load_trainer`` restores a whole
-``Trainer`` to resume training.
+training state nor the memory it takes; the actor keeps the dtype it was
+saved in. ``load_trainer`` restores a whole ``Trainer`` to resume training,
+and refuses a vector saved in another dtype than the trainer's.
 The replay buffer is not persisted; a resumed run refills it before training.
 A save writes a temporary file next to the target and renames it over the
 target, so a crash mid-save leaves the previous checkpoint intact.
@@ -30,7 +34,7 @@ from .config import RunConfig
 from .network import Layout, ModulePolicy, Params, policy_layout
 from .sac import Agent, Trainer
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # the trainer attributes whose flat vectors a checkpoint holds
 _NETWORKS = ("actor", "critics", "critics_target")
 _OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
@@ -118,8 +122,8 @@ def read_manifest(path: str) -> dict:
 
 def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     """Rebuild the Agent of a checkpoint: its actor alone, restored
-    bit-exactly. No other network, optimizer, replay buffer or environment
-    is built, and no other array is read.
+    bit-exactly in the dtype it was saved in. No other network, optimizer,
+    replay buffer or environment is built, and no other array is read.
 
     Raises CheckpointError when the file is no npz archive or its manifest
     is unreadable, lacks an entry or holds a step counter that is not a
@@ -130,9 +134,12 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
         policy_cfg = run_cfg.policy_config("actor")
-        actor = ModulePolicy(policy_cfg, Params(policy_layout(policy_cfg)))
-        _restore(data, manifest.get("layouts", {}), "actor", actor.params.layout,
-                 actor.params.flat)
+        layout = policy_layout(policy_cfg)
+        flat = _vector(data, manifest.get("layouts", {}), "actor", layout)
+        if flat.dtype not in (np.float32, np.float64):
+            raise CheckpointError(f"checkpoint array actor has dtype {flat.dtype}, "
+                                  f"expected float32 or float64")
+        actor = ModulePolicy(policy_cfg, Params(layout, flat))
     agent = Agent(run_cfg.suite(), policy_cfg, run_cfg.train_settings(),
                   run_cfg.seed, actor)
     return agent, run_cfg
@@ -143,7 +150,8 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
     in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError as ``load_checkpoint`` does, for every stored
-    array, and names an optimizer whose step count is negative."""
+    array, and names an optimizer whose step count is negative and a vector
+    stored in another dtype than the trainer's."""
     with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -179,10 +187,20 @@ def _read(data, name: str, shape: tuple) -> np.ndarray:
     return value
 
 
-def _restore(data, layouts: dict, name: str, layout: Layout, flat: np.ndarray) -> None:
-    """Copy the stored vector ``name`` into ``flat`` if the layout recorded
-    for it (for an optimizer's moments, the optimizer's) is ``layout``."""
+def _vector(data, layouts: dict, name: str, layout: Layout) -> np.ndarray:
+    """The stored vector ``name``, if the layout recorded for it (for an
+    optimizer's moments, the optimizer's) is ``layout``."""
     if layouts.get(name.partition("/")[0]) != _layout_record(layout):
         raise CheckpointError(f"checkpoint array {name} was saved with another "
                               f"layout than the run config's")
-    flat[...] = _read(data, name, flat.shape)
+    return _read(data, name, (layout.size,))
+
+
+def _restore(data, layouts: dict, name: str, layout: Layout, flat: np.ndarray) -> None:
+    """Copy the stored vector ``name`` (see ``_vector``) into ``flat``, which
+    has the dtype it was stored in."""
+    stored = _vector(data, layouts, name, layout)
+    if stored.dtype != flat.dtype:
+        raise CheckpointError(f"checkpoint array {name} has dtype {stored.dtype}, "
+                              f"expected {flat.dtype}")
+    flat[...] = stored

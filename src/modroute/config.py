@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, make_suite
 from .network import NetworkSizes, PolicyConfig
+from .replay import check_capacity
 from .sac import TrainSettings
 
 
@@ -51,17 +52,13 @@ class RunConfig(TrainSettings, NetworkSizes):
             TrainSettings.__post_init__(self)
             NetworkSizes.__post_init__(self)
             make_suite(self.tasks)
+            check_capacity(self.buffer_capacity, len(self.tasks))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for key, low in (("eval_interval", 1), ("checkpoint_interval", 1),
                          ("eval_episodes", 0), ("total_env_steps", 0)):
             if getattr(self, key) < low:
                 raise ConfigError(f"{key}: must be >= {low}")
-        if self.buffer_capacity < len(self.tasks):
-            raise ConfigError(
-                f"buffer_capacity: must hold at least one transition per task "
-                f"({len(self.tasks)})"
-            )
         if self.stop_at_success is not None and not 0 <= self.stop_at_success <= 1:
             raise ConfigError("stop_at_success: must be in [0, 1]")
 

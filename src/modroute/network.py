@@ -52,6 +52,12 @@ of the same vector; a routing key's view is its MLP's slice, cut to its
 i-1 sources, so no key shows the padding. Assigning to a key copies into
 its view. Optimizers and Polyak averaging work on the flat vectors.
 
+Precision. A pass computes in its network's dtype, the dtype of the flat
+vector: ``route`` casts the states, actions and masks to it once, and every
+activation, routing array and adjoint follows. ``init_params`` and
+``ModulePolicy.init`` draw float64 networks; ``ModulePolicy.astype`` rounds
+one to another dtype (the trainer trains in float32).
+
 Stacked ensembles. The twin critics are one ``ModulePolicy`` of M = 2
 members: one flat vector holding member 0's parameters, then member 1's,
 each laid out as a single network's (``Params.members`` are their keyed
@@ -180,7 +186,7 @@ def _layer_keys(prefix: str, n_layers: int) -> list[str]:
 
 
 class Layout:
-    """Where each named array lives in one flat float64 vector.
+    """Where each named array lives in one flat vector.
 
     ``tensors`` are ``(name, shape)`` pairs stored back to back in that
     order. ``keys`` maps each key to ``(tensor name, index)``: its array is
@@ -213,17 +219,18 @@ class Layout:
 
 
 class Params(Mapping):
-    """One flat float64 vector and the keyed views of a ``Layout`` into it.
+    """One flat vector and the keyed views of a ``Layout`` into it.
 
     ``params[key]`` is the key's view (with the leading member axis of a
     stacked layout); ``params[key] = array`` copies the array into it (the
     shapes must match); ``tensors`` maps each tensor name to its view. A
-    fresh vector is all zeros.
+    fresh vector is all zeros, of ``dtype``.
     """
 
-    def __init__(self, layout: Layout, flat: np.ndarray | None = None):
+    def __init__(self, layout: Layout, flat: np.ndarray | None = None,
+                 dtype=np.float64):
         self.layout = layout
-        self.flat = np.zeros(layout.size) if flat is None else flat
+        self.flat = np.zeros(layout.size, dtype) if flat is None else flat
         self.tensors = layout.split(self.flat)
         every = (slice(None),) * len(layout.lead)
         self._views = {k: self.tensors[t][every + index]
@@ -440,6 +447,10 @@ class ModulePolicy:
         """A network drawn by ``init_params``: one member per generator."""
         return cls(cfg, init_params(cfg, *rngs))
 
+    def astype(self, dtype) -> "ModulePolicy":
+        """This network with its flat vector rounded to ``dtype`` (a copy)."""
+        return ModulePolicy(self.cfg, Params(self.params.layout, self.params.flat.astype(dtype)))
+
     def route(
         self,
         obs: np.ndarray,
@@ -451,7 +462,8 @@ class ModulePolicy:
     ) -> Routing:
         """The routing half of ``forward`` (same arguments): the encoder,
         the routing MLPs and the masks, no module. Alone, it gives the masks
-        a pass would route with at a fraction of the pass's cost.
+        a pass would route with at a fraction of the pass's cost. The inputs are
+        cast to the network's dtype.
 
         On a stacked ensemble ``mask_fn`` runs once per member, member 0
         first, so a sampling selector draws what separate networks would.
@@ -460,13 +472,14 @@ class ModulePolicy:
         if (masks is None) == (mask_fn is None):
             raise ValueError("provide exactly one of masks / mask_fn")
         p = self.params.tensors
+        dt = self.params.flat.dtype
 
-        obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+        obs = np.atleast_2d(np.asarray(obs, dtype=dt))
         task_ids = np.atleast_1d(np.asarray(task_ids)).astype(np.intp)
         if cfg.head == "critic":
             if action is None:
                 raise ValueError("critic forward requires an action")
-            act = np.atleast_2d(np.asarray(action, dtype=np.float64))
+            act = np.atleast_2d(np.asarray(action, dtype=dt))
             if act.shape[1] != cfg.act_dim:
                 raise ValueError(
                     f"action dim {act.shape[1]} != expected {cfg.act_dim}"
@@ -484,15 +497,15 @@ class ModulePolicy:
         z, route_acts = ad.route_mlps(g, [p[t] for t in self._route_names])
 
         if masks is not None:
-            d = np.asarray(masks, dtype=np.float64)
+            d = np.asarray(masks, dtype=dt)
             if d.shape != z.shape:
                 raise ValueError(
                     f"stored masks have shape {d.shape}, expected {z.shape}"
                 )
         elif z.ndim == 3:
-            d = mask_fn(z)
+            d = np.asarray(mask_fn(z), dtype=dt)
         else:
-            d = np.stack([mask_fn(member) for member in z])
+            d = np.stack([mask_fn(member) for member in z]).astype(dt, copy=False)
         return Routing(masks=d, logits=z, encoded=h, task_ids=task_ids,
                        enc_acts=enc_acts, emb=emb, route_acts=route_acts)
 
@@ -542,7 +555,7 @@ class ModulePolicy:
             plan = tuple(eff.any(axis=0).tolist())
 
         # the module stack; m^1..m^(n-1) land in one slab
-        slab = np.empty((n - 1,) + r.encoded.shape)
+        slab = np.empty((n - 1,) + r.encoded.shape, r.encoded.dtype)
         acts = {}
         out = ad.modules(r.encoded, probs, [self.params.tensors[k] for k in self._mod_keys],
                          plan, slab, acts)
@@ -555,7 +568,8 @@ class ModulePolicy:
     def backward(self, res: ForwardResult, g: np.ndarray, grad: Params | None = None,
                  input_grad: bool = False):
         """The reverse pass of ``res``, this network's ``forward`` result at
-        its current weights, from the adjoint ``g`` of its output.
+        its current weights, from the adjoint ``g`` of its output, which is
+        cast to the network's dtype.
 
         Writes the gradient of every weight into the tensor views of
         ``grad`` (``Params`` over the network's layout), if given; weights
@@ -573,6 +587,7 @@ class ModulePolicy:
             raise ValueError("backward of a pass that skipped modules (skip_unused)")
         cfg, r, ws = self.cfg, res._routing, self._work
         p = self.params.tensors
+        g = np.asarray(g, dtype=self.params.flat.dtype)
 
         def weights(keys):
             return [p[k] for k in keys]
@@ -591,9 +606,9 @@ class ModulePolicy:
             gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
                                         grads(self._route_names), ws)
             if cfg.state_routing:
-                gh += np.multiply(gg, r.emb, out=ws.take("gh_route", gg.shape))
+                gh += np.multiply(gg, r.emb, out=ws.take("gh_route", gg.shape, gg.dtype))
             if grad is not None:
-                gemb = (np.multiply(gg, r.encoded, out=ws.take("gemb", gg.shape))
+                gemb = (np.multiply(gg, r.encoded, out=ws.take("gemb", gg.shape, gg.dtype))
                         if cfg.state_routing else gg)
                 gt = grad.tensors["temb"]
                 gt.fill(0.0)
@@ -616,7 +631,7 @@ def _top_k(keys: np.ndarray, k: int, valid: np.ndarray) -> np.ndarray:
     width = keys.shape[-1]
     # flat positions of the picks: each row's offset plus its first k
     top = order[..., :k] + np.arange(0, keys.size, width).reshape(keys.shape[:-1] + (1,))
-    mask = np.zeros(keys.shape)
+    mask = np.zeros(keys.shape, keys.dtype)
     mask.ravel()[top] = 1.0
     mask *= valid
     return mask
@@ -664,7 +679,7 @@ def make_mask_fn(mode: str, k: int, taus=None, rng=None):
     if mode == "topk":
         return lambda z: topk_mask_rows(z, k)
     if mode == "soft":
-        return lambda z: (~np.isneginf(z)).astype(np.float64)
+        return lambda z: (~np.isneginf(z)).astype(z.dtype)
     if mode == "samplek":
         if taus is None or rng is None:
             raise ValueError("samplek mask_fn needs taus and rng")

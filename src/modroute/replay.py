@@ -12,12 +12,21 @@ them.
 
 The buffer takes and returns batches: dicts of row arrays keyed
 ``state``, ``action``, ``reward``, ``next_state``, ``done``, ``task_id``,
-``masks_actor`` and ``masks_critics``.
+``masks_actor`` and ``masks_critics``. States and actions are stored in the
+buffer's ``dtype`` (a trainer's, float32), rewards in float64.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def check_capacity(capacity: int, num_tasks: int) -> None:
+    """Raise ``ValueError`` unless ``capacity`` holds at least one
+    transition per task."""
+    if capacity < num_tasks:
+        raise ValueError(f"buffer_capacity: must hold at least one transition "
+                         f"per task ({num_tasks})")
 
 
 class ReplayBuffer:
@@ -31,9 +40,8 @@ class ReplayBuffer:
     fault in a separate 2 MB page at each task's first write."""
 
     def __init__(self, capacity: int, num_tasks: int, obs_dim: int,
-                 act_dim: int, mask_len: int):
-        if capacity < num_tasks:
-            raise ValueError("capacity smaller than task count")
+                 act_dim: int, mask_len: int, dtype=np.float64):
+        check_capacity(capacity, num_tasks)
         self.num_tasks = num_tasks
         self.per_task_capacity = capacity // num_tasks
         c, n = self.per_task_capacity, num_tasks
@@ -42,10 +50,10 @@ class ReplayBuffer:
             return np.zeros((c, n, *shape), dtype=dtype).swapaxes(0, 1)
 
         self.fields = {
-            "state": field(obs_dim),
-            "action": field(act_dim),
+            "state": field(obs_dim, dtype=dtype),
+            "action": field(act_dim, dtype=dtype),
             "reward": field(),
-            "next_state": field(obs_dim),
+            "next_state": field(obs_dim, dtype=dtype),
             "done": field(dtype=bool),
             "masks_actor": field(mask_len, dtype=np.uint8),
             "masks_critics": field(2, mask_len, dtype=np.uint8),

@@ -22,6 +22,13 @@ A train step differentiates two fixed graphs, the critics' TD loss and the
 actor loss through the frozen critics. Each loss builds the adjoint of its
 networks' outputs by hand and runs ``ModulePolicy.backward`` on them, in
 the order and with the sums a reverse sweep over the graph would take.
+
+A trainer trains in ``TRAIN_DTYPE`` (float32): it rounds its freshly drawn
+networks to it once, and their gradients, Adam moments, the replay buffer's
+states and actions and every pass array follow. The temperatures, the loss
+weights, the per-task loss means and the metrics stay float64, and so do
+the random draws (noise, Gumbel keys, batch slots); the float64 output
+adjoints the losses build are cast by ``ModulePolicy.backward``.
 """
 
 from __future__ import annotations
@@ -51,10 +58,14 @@ from .seeding import stream
 
 log = logging.getLogger(__name__)
 
+# the dtype a Trainer's networks, gradients, optimizer moments and replay
+# states train in
+TRAIN_DTYPE = np.float32
+
 
 # Adam updates this many elements at a time: five blocks of float64 (the
-# parameters, gradient, both moments and the work buffer) take 1.25 MB, so
-# each block's 14 passes run in a 2 MB L2 cache
+# parameters, gradient, both moments and the work buffer) take 1.25 MB, of
+# float32 0.63 MB, so each block's 14 passes run in a 2 MB L2 cache
 ADAM_BLOCK = 32_768
 
 
@@ -71,22 +82,24 @@ class Adam:
     The update runs over consecutive blocks of ``ADAM_BLOCK`` elements, each
     block through every operation in turn, with a work buffer of one block.
     Each operation is elementwise, so the result is that of one pass over
-    the whole vector, bit for bit.
+    the whole vector, bit for bit. The moments and the work buffer have
+    ``dtype``, that of the parameters.
     """
 
     def __init__(self, lr: float, layout: Layout, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+                 beta2: float = 0.999, eps: float = 1e-8, dtype=np.float64):
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.layout = layout
+        self.dtype = dtype
         self.m = self.v = None
         self.t = 0
 
     def moments(self) -> tuple[Params, Params]:
         """``m`` and ``v``, allocated (as zeros) at the first call."""
         if self.m is None:
-            self.m, self.v = Params(self.layout), Params(self.layout)
-            self._tmp = np.empty(min(self.layout.size, ADAM_BLOCK))
+            self.m, self.v = (Params(self.layout, dtype=self.dtype) for _ in "mv")
+            self._tmp = np.empty(min(self.layout.size, ADAM_BLOCK), self.dtype)
         return self.m, self.v
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
@@ -220,7 +233,7 @@ ROUTING_FNS = ("samplek", "topk", "hard", "soft")
 class TrainSettings:
     """The training settings of a run. An unknown mode or a value out of
     range raises ``ValueError`` naming the field. ``buffer_capacity`` is
-    checked against the task count by ``ReplayBuffer``."""
+    checked against the task count by ``replay.check_capacity``."""
     gamma: float = 0.99
     polyak: float = 0.995
     lr: float = 3e-4
@@ -251,6 +264,8 @@ class TrainSettings:
         for key in ("alpha_init", "maskout_threshold"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key}: must be > 0")
+        if not np.isfinite(self.reward_scale):
+            raise ValueError("reward_scale: must be finite")
 
 
 class Agent:
@@ -326,34 +341,36 @@ class Agent:
 
 class Trainer(Agent):
     """An agent with its training state: critics, temperatures, optimizers,
-    replay buffer and environments, and the sample/train loop."""
+    replay buffer and environments, and the sample/train loop. Its networks
+    are drawn in float64 and rounded once to ``TRAIN_DTYPE``."""
 
     def __init__(self, suite: list[TaskSpec], policy_cfg: PolicyConfig,
                  settings: TrainSettings, seed: int):
-        super().__init__(suite, policy_cfg, settings, seed,
-                         ModulePolicy.init(policy_cfg, stream(seed, "init/actor")))
+        actor = ModulePolicy.init(policy_cfg, stream(seed, "init/actor"))
+        super().__init__(suite, policy_cfg, settings, seed, actor.astype(TRAIN_DTYPE))
 
         critic_cfg = replace(policy_cfg, head="critic")
         # the twin critics q1 and q2, stacked: members 0 and 1
         self.critics = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"),
-                                         stream(seed, "init/q2"))
+                                         stream(seed, "init/q2")).astype(TRAIN_DTYPE)
         self.critics_target = ModulePolicy(critic_cfg, self.critics.params.copy())
 
         self.temps = TaskTemperatures(
             self.num_tasks, target_entropy=-float(policy_cfg.act_dim),
             alpha_init=settings.alpha_init,
         )
-        self.opt_actor = Adam(settings.lr, self.actor.params.layout)
-        self.opt_critics = Adam(settings.lr, self.critics.params.layout)
+        self.opt_actor = Adam(settings.lr, self.actor.params.layout, dtype=TRAIN_DTYPE)
+        self.opt_critics = Adam(settings.lr, self.critics.params.layout, dtype=TRAIN_DTYPE)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
         # per network (critics, actor): its gradient in a train step, then
         # the scratch of the critics' Polyak update. Reused, because large
         # fresh arrays cost page faults on every step
-        self._grads = [Params(net.params.layout) for net in (self.critics, self.actor)]
+        self._grads = [Params(net.params.layout, dtype=TRAIN_DTYPE)
+                       for net in (self.critics, self.actor)]
 
         self.buffer = ReplayBuffer(
             settings.buffer_capacity, self.num_tasks, OBS_DIM, ACT_DIM,
-            policy_cfg.mask_len,
+            policy_cfg.mask_len, TRAIN_DTYPE,
         )
         self.envs = [
             ToyEnv(spec, stream(seed, f"env/{spec.task_id}")) for spec in suite

@@ -113,10 +113,11 @@ def _fd_worst(loss, flat, analytic, eps=1e-5):
     return worst
 
 
-def test_criterion_1_gradient_correctness():
+def test_criterion_1_gradient_correctness(float64_training):
     # the gradients a train step takes (Trainer.critic_losses and
     # actor_losses: hand-built loss adjoints and ModulePolicy.backward)
-    # against central differences of the losses' numpy forwards, ungated
+    # against central differences of the losses' numpy forwards, ungated,
+    # on float64 networks
     t0 = time.time()
     worst = 0.0
     for n in (3, 4, 5):
@@ -458,6 +459,41 @@ def _train_once(seed: int, variant: str) -> dict:
     return result
 
 
+def _curve(history, total=TOTAL_STEPS, level=0.9):
+    """(env steps to ``level`` mean success, or None if never reached; the
+    area under the mean-success curve) of a run's evaluation ``history`` of
+    (step, task, success) rows. The area is the mean success over ``total``
+    steps: trapezoids between evaluations, the last value held to ``total``
+    (a run stops once it reaches the stop level)."""
+    by_step = {}
+    for step, _, success in history:
+        by_step.setdefault(step, []).append(success)
+    steps = sorted(by_step)
+    # the mean the trainer's stop check takes, over the tasks in row order
+    means = [float(np.mean(by_step[step])) for step in steps]
+    reached = next((step for step, m in zip(steps, means) if m >= level), None)
+    area = sum((b - a) * (ma + mb) / 2 for a, b, ma, mb
+               in zip(steps, steps[1:], means, means[1:]))
+    area += (total - steps[-1]) * means[-1]
+    return reached, area / total
+
+
+def _curve_detail(run) -> str:
+    reached, area = _curve(run["history"])
+    to_level = "0.9 not reached" if reached is None else f"0.9 at {reached} steps"
+    return f"{to_level}, success area {area:.3f}"
+
+
+def test_curve_of_a_hand_made_history():
+    history = [(0, 0, 0.0), (0, 1, 0.0), (10_000, 0, 0.5), (10_000, 1, 1.0),
+               (20_000, 0, 0.9), (20_000, 1, 0.9)]
+    # means 0, 0.75, 0.9: 3,750 + 8,250 + 0.9 * 20,000 over 40,000 steps
+    assert _curve(history, total=40_000) == (20_000, pytest.approx(0.75))
+    reached, area = _curve(history[:4], total=20_000)
+    assert reached is None and area == pytest.approx((3_750 + 7_500) / 20_000)
+    assert _curve(history, total=40_000, level=0.7)[0] == 10_000
+
+
 @pytest.fixture(scope="module")
 def full_runs():
     return [_train_once(seed, "full") for seed in SEEDS]
@@ -477,7 +513,7 @@ def test_criterion_6_end_to_end_training(full_runs):
     ]
     detail = "; ".join(
         f"seed {r['seed']}: success {r['final_mean_success']:.2f} at "
-        f"{r['env_steps']} steps in {r['elapsed_s'] / 60:.1f} min"
+        f"{r['env_steps']} steps in {r['elapsed_s'] / 60:.1f} min, {_curve_detail(r)}"
         for r in full_runs
     )
     ok = len(passing) >= 2
@@ -512,8 +548,9 @@ def test_criterion_8_ablation_direction(full_runs, ablation_runs):
         win = f["final_mean_success"] >= a["final_mean_success"]
         wins += int(win)
         details.append(
-            f"seed {f['seed']}: full {f['final_mean_success']:.2f} vs "
-            f"ablation {a['final_mean_success']:.2f}"
+            f"seed {f['seed']}: full {f['final_mean_success']:.2f} "
+            f"({_curve_detail(f)}) vs ablation {a['final_mean_success']:.2f} "
+            f"({_curve_detail(a)})"
         )
     ok = wins >= 2
     _report(8, ok, f"full >= ablation in {wins}/3 seeds ({'; '.join(details)})"

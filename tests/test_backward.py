@@ -125,7 +125,7 @@ def _taped_losses(tr, batch, targets, noise, coeff, chi_mode):
 @pytest.mark.parametrize("resrouting, chi_mode", [("rsg", "rsg"), ("sg-only", "sg"),
                                                   ("off", "off")])
 @pytest.mark.parametrize("config", ["train-accept", "train-default"])
-def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode):
+def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode, float64_training):
     tr, rng = _trainer(config, resrouting)
     batch = tr.buffer.sample_stratified(tr.s.batch_per_task, rng)
     ids = batch["task_id"]

@@ -1,11 +1,13 @@
-"""Checkpoint format 2: one array per flat vector, layouts in the manifest.
+"""Checkpoint format 3: one array per flat vector, in its own dtype,
+layouts in the manifest.
 
 A save stores each network's flat vector and each optimizer's ``t``, ``m``
 and ``v`` whole; ``load_trainer`` checks every array against the trainer's
-layout and copies it back bit for bit, ``load_checkpoint`` the actor's
-alone, into an ``Agent`` that builds no training state. Damaged files are
-refused with the name of the array or manifest entry at fault; version-1
-files (one array per parameter key) are refused.
+layout and dtype and copies it back bit for bit, ``load_checkpoint`` the
+actor's alone, in the dtype it was saved in, into an ``Agent`` that builds
+no training state. Damaged files are refused with the name of the array or
+manifest entry at fault; version-1 files (one array per parameter key) and
+version-2 files (float64 vectors) are refused.
 """
 
 import json
@@ -261,6 +263,51 @@ def test_version_1_file_is_refused(tmp_path):
         with pytest.raises(CheckpointError,
                            match=f"version 1 != supported {FORMAT_VERSION}"):
             load(path)
+
+
+def test_version_2_file_is_refused(tmp_path):
+    path, _ = _saved(tmp_path, 2)
+
+    def as_version_2(arrays):
+        # format 2 held the same arrays, the networks and moments in float64
+        arrays["manifest"]["format_version"] = 2
+        for name, value in arrays.items():
+            if name != "manifest" and value.dtype == np.float32:
+                arrays[name] = value.astype(np.float64)
+
+    _rewrite(path, as_version_2)
+    for load in LOADERS:
+        with pytest.raises(CheckpointError,
+                           match=f"version 2 != supported {FORMAT_VERSION}"):
+            load(path)
+
+
+def test_vectors_are_stored_in_their_own_dtype(tmp_path):
+    path, tr = _saved(tmp_path, 2)
+    with np.load(path) as data:
+        dtypes = {name: data[name].dtype for name in data.files if name != "manifest"}
+    for name in NETS + ("opt_actor/m", "opt_actor/v", "opt_critics/m", "opt_critics/v"):
+        assert dtypes[name] == np.float32, name
+    for name in ("opt_alpha/m", "opt_alpha/v", "log_alpha", "success_ema"):
+        assert dtypes[name] == np.float64, name
+    agent, _ = load_checkpoint(path)
+    assert agent.actor.params.flat.dtype == np.float32
+
+
+def test_float64_agent_loads_as_float64(tmp_path, monkeypatch, float64_training):
+    # a float64 trainer's file: its agent evaluates in float64, as its writer
+    cfg, tr = _trainer(tmp_path, 2)
+    path = str(tmp_path / "ckpt.npz")
+    save_checkpoint(path, tr, cfg)
+    agent, _ = load_checkpoint(path)
+    assert agent.actor.params.flat.dtype == np.float64
+    np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
+    for a, b in zip(agent.evaluate(2), tr.evaluate(2)):
+        assert a.tobytes() == b.tobytes()
+    # a float32 trainer does not resume from it
+    monkeypatch.undo()
+    with pytest.raises(CheckpointError, match="array actor has dtype float64, expected float32"):
+        load_trainer(path)
 
 
 def _write_npz(path, **arrays):

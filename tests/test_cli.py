@@ -145,6 +145,7 @@ class TestTrainCommand:
         ("start_steps: -1\n", "start_steps"),
         ("total_env_steps: -1\n", "total_env_steps"),
         ("stop_at_success: 1.5\n", "stop_at_success"),
+        ("reward_scale: .nan\n", "reward_scale"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):
@@ -228,9 +229,10 @@ class TestAnalysis:
         assert rows.get(1, 0.0) == pytest.approx(100.0, abs=0.1)
 
     @pytest.mark.parametrize("routing_fn", ["samplek", "hard", "soft", "topk"])
-    def test_routing_traces_consistent(self, tmp_path, routing_fn):
+    def test_routing_traces_consistent(self, tmp_path, routing_fn, float64_training):
         # analysis routes as the Trainer evaluates: greedy top-k_eff (one
-        # source under hard, min(k, i - 1) otherwise), every source under soft
+        # source under hard, min(k, i - 1) otherwise), every source under
+        # soft; float64 networks, whose probabilities sum to 1 within 1e-9
         _, cfg = write_config(tmp_path, n_modules=5, k=2, routing_fn=routing_fn)
 
         def sources(i):

@@ -135,6 +135,8 @@ class TestRunConfig:
         ({"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
         ({"stop_at_success": 1.5}, r"stop_at_success: must be in \[0, 1\]"),
         ({"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
+        ({"reward_scale": float("nan")}, "reward_scale: must be finite"),
+        ({"reward_scale": float("-inf")}, "reward_scale: must be finite"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):
@@ -224,6 +226,8 @@ def push_task(**values) -> TaskSpec:
     (TrainSettings, {"gamma": -2}, r"gamma: must be in \[0, 1\]"),
     (TrainSettings, {"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
     (TrainSettings, {"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
+    (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
+    (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
     (TrainSettings, {"resrouting": "residual"}, "resrouting: unknown mode"),
     (TrainSettings, {"routing_fn": "dense"}, "routing_fn: unknown mode"),
     (sized_policy, {"n_modules": 1}, "n_modules: must be >= 2"),
@@ -246,6 +250,18 @@ def push_task(**values) -> TaskSpec:
 def test_parts_reject_what_the_run_config_rejects(build, values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build(**values)
+
+
+def test_capacity_check_gives_one_message():
+    # the run config checks the capacity against its suite; a trainer built
+    # from bare settings, through its replay buffer, says the same
+    cfg = RunConfig()
+    with pytest.raises(ConfigError) as by_config:
+        RunConfig(buffer_capacity=3)
+    with pytest.raises(ValueError) as by_trainer:
+        Trainer(cfg.suite(), cfg.policy_config("actor"), TrainSettings(buffer_capacity=3), 0)
+    want = "buffer_capacity: must hold at least one transition per task (4)"
+    assert str(by_config.value) == str(by_trainer.value) == want
 
 
 def test_compat_hash_is_stable_across_versions():

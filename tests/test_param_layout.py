@@ -226,7 +226,8 @@ def _eval_style_checkpoint(cfg, tr, path):
     return assigned
 
 
-def test_eval_checkpoint_routing_weights_reach_the_loaded_forward(tmp_path):
+def test_eval_checkpoint_routing_weights_reach_the_loaded_forward(tmp_path, float64_training):
+    # float64 networks, saved and loaded as float64, against the float64 oracle
     cfg, tr = _small_trainer(seed=6)
     path = str(tmp_path / "eval.npz")
     assigned = _eval_style_checkpoint(cfg, tr, path)

@@ -2,6 +2,10 @@
 same-seed runs give equal digests, and the digests see a different run."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from trajectory_digest import main, trajectory_digests
 
@@ -48,3 +52,17 @@ def test_all_prints_one_labelled_line_per_run(capsys):
     alone = capsys.readouterr().out
     line = lines[labels.index("tiny resrouting=off routing_fn=soft")]
     assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count():
+    # the same seed gives the same bits whether OpenBLAS runs on one thread
+    # or two
+    script = Path(__file__).with_name("trajectory_digest.py")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        outputs.append(subprocess.run(
+            [sys.executable, str(script), "train-default", "20"], env=env,
+            capture_output=True, text=True, check=True, timeout=300).stdout)
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
