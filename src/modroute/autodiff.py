@@ -48,8 +48,9 @@ class Workspace:
     """Work arrays for intermediate adjoints, reused from step to step.
 
     ``take(slot, shape, dtype)`` returns a view of the slot's buffer of
-    that dtype (the adjoint's), which is allocated at the first request and grows only to a larger one: a train
-    step's shapes are fixed, so its buffers are sized by the first step.
+    that dtype (the adjoint's), which is allocated at the first request and
+    grows only to a larger one: a train step's shapes are fixed, so its
+    buffers are sized by the first step.
     Fresh large temporaries would cost page faults on every step. A slot's
     contents live until the next ``take`` of the same slot.
 

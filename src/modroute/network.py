@@ -505,7 +505,7 @@ class ModulePolicy:
         elif z.ndim == 3:
             d = np.asarray(mask_fn(z), dtype=dt)
         else:
-            d = np.stack([mask_fn(member) for member in z]).astype(dt, copy=False)
+            d = np.asarray(np.stack([mask_fn(member) for member in z]), dtype=dt)
         return Routing(masks=d, logits=z, encoded=h, task_ids=task_ids,
                        enc_acts=enc_acts, emb=emb, route_acts=route_acts)
 
