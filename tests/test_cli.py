@@ -145,7 +145,8 @@ class TestTrainCommand:
         ("start_steps: -1\n", "start_steps"),
         ("total_env_steps: -1\n", "total_env_steps"),
         ("stop_at_success: 1.5\n", "stop_at_success"),
-        ("reward_scale: .nan\n", "reward_scale"),
+        # a run that accepted it would train the default 200,000 steps
+        ("reward_scale: .nan\ntotal_env_steps: 0\n", "reward_scale"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):

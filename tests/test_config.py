@@ -226,8 +226,6 @@ def push_task(**values) -> TaskSpec:
     (TrainSettings, {"gamma": -2}, r"gamma: must be in \[0, 1\]"),
     (TrainSettings, {"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
     (TrainSettings, {"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
-    (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
-    (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
     (TrainSettings, {"resrouting": "residual"}, "resrouting: unknown mode"),
     (TrainSettings, {"routing_fn": "dense"}, "routing_fn: unknown mode"),
     (sized_policy, {"n_modules": 1}, "n_modules: must be >= 2"),
@@ -246,6 +244,8 @@ def push_task(**values) -> TaskSpec:
     (push_task, {"horizon": "long"}, "horizon: expected an integer"),
     (push_task, {"difficulty": 1.5}, "difficulty: expected an integer"),
     (push_task, {"difficulty": True}, "difficulty: expected an integer"),
+    (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
+    (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
 ])
 def test_parts_reject_what_the_run_config_rejects(build, values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
