@@ -7,16 +7,19 @@ vector: each network's parameters (``actor``, ``critics``,
 stepped, its moments (``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...),
 ``log_alpha`` and ``success_ema``. Each vector is stored in its own dtype: a
 trainer's networks and moments in float32 (``sac.TRAIN_DTYPE``), the
-temperatures and success averages in float64. A load refuses a file of another
-format version (format 2 held float64 networks), and a vector whose
-recorded layout (tensor names and shapes, member count) or length differs
-from the run config's.
+temperatures and success averages in float64. Format 2 held the same arrays
+with the networks and moments in float64. A load refuses a file of another
+format version, and a vector whose recorded layout (tensor names and shapes,
+member count) or length differs from the run config's.
 
 ``load_checkpoint`` reads back the agent alone: it builds and restores the
 actor and reads no other array, so evaluation and analysis need neither the
 training state nor the memory it takes; the actor keeps the dtype it was
-saved in. ``load_trainer`` restores a whole ``Trainer`` to resume training,
-and refuses a vector saved in another dtype than the trainer's.
+saved in, so it also reads format 2, whose actor evaluates in float64.
+``load_trainer`` restores a whole ``Trainer`` to resume training. It reads
+format 3 alone, and refuses a vector saved in another dtype than the
+trainer's: a float32 trainer cannot resume float64 training state bit for
+bit.
 The replay buffer is not persisted; a resumed run refills it before training.
 A save writes a temporary file next to the target and renames it over the
 target, so a crash mid-save leaves the previous checkpoint intact.
@@ -35,6 +38,8 @@ from .network import Layout, ModulePolicy, Params, policy_layout
 from .sac import Agent, Trainer
 
 FORMAT_VERSION = 3
+# the format versions an actor-only load reads
+AGENT_VERSIONS = (FORMAT_VERSION, 2)
 # the trainer attributes whose flat vectors a checkpoint holds
 _NETWORKS = ("actor", "critics", "critics_target")
 _OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
@@ -91,7 +96,8 @@ def _open(path: str):
     return data
 
 
-def _manifest(data) -> dict:
+def _manifest(data, versions: tuple = (FORMAT_VERSION,)) -> dict:
+    """The manifest, if its format version is one of ``versions``."""
     text = str(_read(data, "manifest", ()))
     try:
         manifest = json.loads(text)
@@ -100,10 +106,9 @@ def _manifest(data) -> dict:
     if not isinstance(manifest, dict):
         raise CheckpointError("checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {version} != supported {FORMAT_VERSION}"
-        )
+    if version not in versions:
+        raise CheckpointError(f"checkpoint format version {version} != supported "
+                              f"{' or '.join(map(str, versions))}")
     for key in ("config", "env_steps", "train_steps"):
         if key not in manifest:
             raise CheckpointError(f"checkpoint manifest lacks {key}")
@@ -117,13 +122,14 @@ def _manifest(data) -> dict:
 
 def read_manifest(path: str) -> dict:
     with _open(path) as data:
-        return _manifest(data)
+        return _manifest(data, AGENT_VERSIONS)
 
 
 def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     """Rebuild the Agent of a checkpoint: its actor alone, restored
     bit-exactly in the dtype it was saved in. No other network, optimizer,
     replay buffer or environment is built, and no other array is read.
+    Reads format 3 and format 2.
 
     Raises CheckpointError when the file is no npz archive or its manifest
     is unreadable, lacks an entry or holds a step counter that is not a
@@ -131,7 +137,7 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     its shape does not match the run config's or the manifest records a
     layout for it other than the run config's."""
     with _open(path) as data:
-        manifest = _manifest(data)
+        manifest = _manifest(data, AGENT_VERSIONS)
         run_cfg = RunConfig.from_dict(manifest["config"])
         policy_cfg = run_cfg.policy_config("actor")
         layout = policy_layout(policy_cfg)
@@ -146,8 +152,8 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
 
 
 def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
-    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
-    in place into each network's and optimizer's flat vectors.
+    """Rebuild a Trainer from a format-3 checkpoint; arrays are restored
+    bit-exactly, in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError as ``load_checkpoint`` does, for every stored
     array, and names an optimizer whose step count is negative and a vector
@@ -169,38 +175,40 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
             if opt.t:
                 for part, moment in zip("mv", opt.moments()):
                     _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
-        trainer.temps.log_alpha = _read(data, "log_alpha", (trainer.num_tasks,)).copy()
-        trainer.success_ema = _read(data, "success_ema", (trainer.num_tasks,)).copy()
+        trainer.temps.log_alpha = _read(data, "log_alpha", (trainer.num_tasks,),
+                                        np.float64).copy()
+        trainer.success_ema = _read(data, "success_ema", (trainer.num_tasks,),
+                                    np.float64).copy()
     trainer.env_steps = manifest["env_steps"]
     trainer.train_steps = manifest["train_steps"]
     return trainer, run_cfg
 
 
-def _read(data, name: str, shape: tuple) -> np.ndarray:
-    """The stored array ``name``, which must have ``shape``."""
+def _read(data, name: str, shape: tuple, dtype=None) -> np.ndarray:
+    """The stored array ``name``, which must have ``shape`` and, if one is
+    given, ``dtype``."""
     if name not in data.files:
         raise CheckpointError(f"checkpoint lacks array {name}")
     value = data[name]
     if value.shape != shape:
         raise CheckpointError(f"checkpoint array {name} has shape {value.shape}, "
                               f"expected {shape}")
+    if dtype is not None and value.dtype != dtype:
+        raise CheckpointError(f"checkpoint array {name} has dtype {value.dtype}, "
+                              f"expected {np.dtype(dtype)}")
     return value
 
 
-def _vector(data, layouts: dict, name: str, layout: Layout) -> np.ndarray:
-    """The stored vector ``name``, if the layout recorded for it (for an
-    optimizer's moments, the optimizer's) is ``layout``."""
+def _vector(data, layouts: dict, name: str, layout: Layout, dtype=None) -> np.ndarray:
+    """The stored vector ``name`` (see ``_read``), if the layout recorded for
+    it (for an optimizer's moments, the optimizer's) is ``layout``."""
     if layouts.get(name.partition("/")[0]) != _layout_record(layout):
         raise CheckpointError(f"checkpoint array {name} was saved with another "
                               f"layout than the run config's")
-    return _read(data, name, (layout.size,))
+    return _read(data, name, (layout.size,), dtype)
 
 
 def _restore(data, layouts: dict, name: str, layout: Layout, flat: np.ndarray) -> None:
     """Copy the stored vector ``name`` (see ``_vector``) into ``flat``, which
     has the dtype it was stored in."""
-    stored = _vector(data, layouts, name, layout)
-    if stored.dtype != flat.dtype:
-        raise CheckpointError(f"checkpoint array {name} has dtype {stored.dtype}, "
-                              f"expected {flat.dtype}")
-    flat[...] = stored
+    flat[...] = _vector(data, layouts, name, layout, flat.dtype)

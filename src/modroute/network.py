@@ -33,8 +33,8 @@ suitability test is one row softmax of the padded logits; the gate changes
 gradients only, never forward values, and lives in the backward of the
 module stack (``autodiff.modules_backward``).
 
-Parameter layout. A network's parameters are one flat float64 vector
-(``Params.flat``); the forward reads a few tensors that are views of it
+Parameter layout. A network's parameters are one flat vector
+(``Params.flat``, of the dtype described under Precision); the forward reads a few tensors that are views of it
 (``Params.tensors``, laid out by ``policy_layout``):
 
 * ``enc.w{l}``/``enc.b{l}``, ``mod{i}.w{l}``/``mod{i}.b{l}`` and ``temb``,
@@ -224,13 +224,12 @@ class Params(Mapping):
     ``params[key]`` is the key's view (with the leading member axis of a
     stacked layout); ``params[key] = array`` copies the array into it (the
     shapes must match); ``tensors`` maps each tensor name to its view. A
-    fresh vector is all zeros, of ``dtype``.
+    fresh vector is all zeros, float64.
     """
 
-    def __init__(self, layout: Layout, flat: np.ndarray | None = None,
-                 dtype=np.float64):
+    def __init__(self, layout: Layout, flat: np.ndarray | None = None):
         self.layout = layout
-        self.flat = np.zeros(layout.size, dtype) if flat is None else flat
+        self.flat = np.zeros(layout.size) if flat is None else flat
         self.tensors = layout.split(self.flat)
         every = (slice(None),) * len(layout.lead)
         self._views = {k: self.tensors[t][every + index]

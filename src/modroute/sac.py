@@ -98,7 +98,8 @@ class Adam:
     def moments(self) -> tuple[Params, Params]:
         """``m`` and ``v``, allocated (as zeros) at the first call."""
         if self.m is None:
-            self.m, self.v = (Params(self.layout, dtype=self.dtype) for _ in "mv")
+            self.m, self.v = (Params(self.layout, np.zeros(self.layout.size, self.dtype))
+                              for _ in "mv")
             self._tmp = np.empty(min(self.layout.size, ADAM_BLOCK), self.dtype)
         return self.m, self.v
 
@@ -349,28 +350,30 @@ class Trainer(Agent):
         actor = ModulePolicy.init(policy_cfg, stream(seed, "init/actor"))
         super().__init__(suite, policy_cfg, settings, seed, actor.astype(TRAIN_DTYPE))
 
+        # every other training array takes the actor's dtype
+        dtype = self.actor.params.flat.dtype
         critic_cfg = replace(policy_cfg, head="critic")
         # the twin critics q1 and q2, stacked: members 0 and 1
         self.critics = ModulePolicy.init(critic_cfg, stream(seed, "init/q1"),
-                                         stream(seed, "init/q2")).astype(TRAIN_DTYPE)
+                                         stream(seed, "init/q2")).astype(dtype)
         self.critics_target = ModulePolicy(critic_cfg, self.critics.params.copy())
 
         self.temps = TaskTemperatures(
             self.num_tasks, target_entropy=-float(policy_cfg.act_dim),
             alpha_init=settings.alpha_init,
         )
-        self.opt_actor = Adam(settings.lr, self.actor.params.layout, dtype=TRAIN_DTYPE)
-        self.opt_critics = Adam(settings.lr, self.critics.params.layout, dtype=TRAIN_DTYPE)
+        self.opt_actor = Adam(settings.lr, self.actor.params.layout, dtype=dtype)
+        self.opt_critics = Adam(settings.lr, self.critics.params.layout, dtype=dtype)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
         # per network (critics, actor): its gradient in a train step, then
         # the scratch of the critics' Polyak update. Reused, because large
         # fresh arrays cost page faults on every step
-        self._grads = [Params(net.params.layout, dtype=TRAIN_DTYPE)
+        self._grads = [Params(net.params.layout, np.zeros_like(net.params.flat))
                        for net in (self.critics, self.actor)]
 
         self.buffer = ReplayBuffer(
             settings.buffer_capacity, self.num_tasks, OBS_DIM, ACT_DIM,
-            policy_cfg.mask_len, TRAIN_DTYPE,
+            policy_cfg.mask_len, dtype,
         )
         self.envs = [
             ToyEnv(spec, stream(seed, f"env/{spec.task_id}")) for spec in suite

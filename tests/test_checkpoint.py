@@ -6,8 +6,9 @@ and ``v`` whole; ``load_trainer`` checks every array against the trainer's
 layout and dtype and copies it back bit for bit, ``load_checkpoint`` the
 actor's alone, in the dtype it was saved in, into an ``Agent`` that builds
 no training state. Damaged files are refused with the name of the array or
-manifest entry at fault; version-1 files (one array per parameter key) and
-version-2 files (float64 vectors) are refused.
+manifest entry at fault; version-1 files (one array per parameter key) are
+refused. A version-2 file (float64 vectors) loads as a float64 agent and is
+refused for resuming.
 """
 
 import json
@@ -193,6 +194,16 @@ def test_missing_array_is_named(tmp_path, name):
         load_trainer(path)
 
 
+@pytest.mark.parametrize("name", ["log_alpha", "success_ema"])
+def test_float32_temperatures_are_named(tmp_path, name):
+    # they stay float64; a float32 file would train float32 temperatures
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays.__setitem__(name, arrays[name].astype(np.float32)))
+    with pytest.raises(CheckpointError,
+                       match=f"array {name} has dtype float32, expected float64"):
+        load_trainer(path)
+
+
 @pytest.mark.parametrize("name", ["opt_actor/t", "opt_alpha/t"])
 def test_negative_step_count_is_named(tmp_path, name):
     # the step after t = -1 would divide by Adam's bias correction
@@ -265,8 +276,8 @@ def test_version_1_file_is_refused(tmp_path):
             load(path)
 
 
-def test_version_2_file_is_refused(tmp_path):
-    path, _ = _saved(tmp_path, 2)
+def test_version_2_file_evaluates_but_does_not_resume(tmp_path):
+    path, tr = _saved(tmp_path, 2)
 
     def as_version_2(arrays):
         # format 2 held the same arrays, the networks and moments in float64
@@ -276,10 +287,12 @@ def test_version_2_file_is_refused(tmp_path):
                 arrays[name] = value.astype(np.float64)
 
     _rewrite(path, as_version_2)
-    for load in LOADERS:
-        with pytest.raises(CheckpointError,
-                           match=f"version 2 != supported {FORMAT_VERSION}"):
-            load(path)
+    assert read_manifest(path)["format_version"] == 2
+    agent, _ = load_checkpoint(path)
+    assert agent.actor.params.flat.dtype == np.float64
+    np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
+    with pytest.raises(CheckpointError, match=f"version 2 != supported {FORMAT_VERSION}$"):
+        load_trainer(path)
 
 
 def test_vectors_are_stored_in_their_own_dtype(tmp_path):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import modroute.sac
 from modroute.analysis import (
     collect_routing,
     export_dot,
@@ -16,6 +17,8 @@ from modroute.analysis import (
 from modroute.cli import METRICS_COLUMNS, main
 from modroute.config import RunConfig
 from modroute.sac import Trainer
+
+ROUTING_FNS = ("samplek", "hard", "soft", "topk")
 
 EDGE_RE = re.compile(r"m(\d+)\s*->\s*m(\d+)\s*\[weight=\"([0-9.]+)\"")
 NODE_RE = re.compile(r"^\s*m(\d+)\s*\[([^\]]*)\];", re.MULTILINE)
@@ -229,17 +232,24 @@ class TestAnalysis:
                 sparsity_distribution(tr, samples=12)}
         assert rows.get(1, 0.0) == pytest.approx(100.0, abs=0.1)
 
-    @pytest.mark.parametrize("routing_fn", ["samplek", "hard", "soft", "topk"])
-    def test_routing_traces_consistent(self, tmp_path, routing_fn, float64_training):
+    # the float64 cases keep the ids they had when trainers trained in float64
+    @pytest.mark.parametrize("routing_fn, dtype", [
+        *((fn, np.float64) for fn in ROUTING_FNS),
+        *((fn, np.float32) for fn in ROUTING_FNS),
+    ], ids=[*ROUTING_FNS, *(f"{fn}-float32" for fn in ROUTING_FNS)])
+    def test_routing_traces_consistent(self, tmp_path, monkeypatch, routing_fn, dtype):
         # analysis routes as the Trainer evaluates: greedy top-k_eff (one
         # source under hard, min(k, i - 1) otherwise), every source under
-        # soft; float64 networks, whose probabilities sum to 1 within 1e-9
+        # soft. Float64 probabilities sum to 1 within 1e-9, float32 ones
+        # within 1e-6 (~8 units of float32 rounding)
+        monkeypatch.setattr(modroute.sac, "TRAIN_DTYPE", dtype)
         _, cfg = write_config(tmp_path, n_modules=5, k=2, routing_fn=routing_fn)
 
         def sources(i):
             return {"hard": 1, "soft": i - 1}.get(routing_fn, min(cfg.k, i - 1))
 
         tr = make_trainer(cfg)
+        assert tr.actor.params.flat.dtype == dtype
         rng = np.random.default_rng(0)
         for key, v in tr.actor.params.items():  # routing logits not all tied
             if key.startswith("route"):
@@ -255,7 +265,8 @@ class TestAnalysis:
                 assert d.shape == p.shape == (S, i - 1)
                 assert np.all(d.sum(axis=1) == sources(i))
                 assert np.all(p[d == 0.0] == 0.0)  # probs live on the mask
-                np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
+                np.testing.assert_allclose(p.sum(axis=1), 1.0,
+                                           atol=1e-9 if dtype == np.float64 else 1e-6)
         edges = EDGE_RE.findall(export_dot(tr, 1))
         assert len(edges) == sum(sources(i) for i in range(2, 6))
 
