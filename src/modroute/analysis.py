@@ -1,20 +1,18 @@
 """Routing analysis: module usage, source-count sparsity, and DOT export.
 
-All analysis rolls an agent's actor out deterministically (its greedy
-routing, ``Agent.routing_mask_fn()``, and the mean action) and inspects the
-routing masks and probabilities it produces. A ``Trainer`` is an agent too.
+All analysis reads an agent's greedy rollouts (``Agent.greedy_steps``: its
+greedy routing and the mean action) and inspects the routing masks and
+probabilities they produce. A ``Trainer`` is an agent too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .envs import ToyEnv
-from .network import deterministic_action
 from .sac import Agent
-from .seeding import stream
 
 PROB_FLOOR = 0.01  # a source "counts" if its routing probability exceeds this
 
@@ -23,44 +21,32 @@ PROB_FLOOR = 0.01  # a source "counts" if its routing probability exceeds this
 class RoutingTrace:
     """Routing decisions collected over one task's rollout timesteps.
 
-    ``effective`` is (S, n) bool; ``masks`` and ``probs`` hold one (S, i-1)
-    array per module i in 2..n. Useful as raw material for external
+    ``effective`` is (S, n) bool; ``masks`` and ``probs`` are padded
+    (S, n-1, n-1) arrays (see ``network``): row r is module r+2, its first
+    r+1 columns its sources. Useful as raw material for external
     projection/clustering tools.
     """
     task_id: int
     effective: np.ndarray
-    masks: list[np.ndarray]
-    probs: list[np.ndarray]
+    masks: np.ndarray
+    probs: np.ndarray
 
 
 def collect_routing(agent: Agent, samples_per_task: int,
                     seed_tag: str = "analysis") -> dict[int, RoutingTrace]:
-    """Per-task routing traces from deterministic rollouts.
-
-    Collects at least ``samples_per_task`` timestep samples per task
-    (episodes are rolled whole and reset as needed).
-    """
-    mask_fn = agent.routing_mask_fn()
+    """Per-task routing traces of the first ``samples_per_task`` steps of
+    each task's greedy rollout. Fewer than 1 sample raises ``ValueError``."""
+    if samples_per_task < 1:
+        raise ValueError(f"samples_per_task must be >= 1, got {samples_per_task}")
     out = {}
-    for i, spec in enumerate(agent.suite):
-        env = ToyEnv(spec, stream(agent.seed, f"{seed_tag}/{i}"))
-        eff_rows, mask_rows, prob_rows = [], [], []
-        obs = env.reset()
-        while len(eff_rows) < samples_per_task:
-            res = agent.actor.forward(obs[None], [i], mask_fn=mask_fn)
-            eff_rows.append(res.effective[0])
-            mask_rows.append([m[0] for m in res.masks])
-            prob_rows.append([np.asarray(p[0]) for p in res.probs])
-            a = deterministic_action(res.out, agent.cfg.act_dim)[0]
-            obs, _, done, _ = env.step(a)
-            if done:
-                obs = env.reset()
-        n_mods = len(prob_rows[0])
+    for i in range(agent.num_tasks):
+        steps = [res for res, _, _ in
+                 islice(agent.greedy_steps(i, seed_tag), samples_per_task)]
         out[i] = RoutingTrace(
             task_id=i,
-            effective=np.stack(eff_rows),
-            masks=[np.stack([r[j] for r in mask_rows]) for j in range(n_mods)],
-            probs=[np.stack([r[j] for r in prob_rows]) for j in range(n_mods)],
+            effective=np.concatenate([res.effective for res in steps]),
+            masks=np.concatenate([res.padded_masks for res in steps]),
+            probs=np.concatenate([res.padded_probs for res in steps]),
         )
     return out
 
@@ -91,11 +77,9 @@ def sparsity_distribution(agent: Agent, samples: int) -> list[dict]:
     """
     per_task = max(1, samples // len(agent.suite))
     traces = collect_routing(agent, per_task)
-    counts = []
-    for i in traces:
-        for p in traces[i].probs:  # p: (S, i-1)
-            counts.append((p > PROB_FLOOR).sum(axis=1))
-    counts = np.concatenate(counts)
+    # (S, n-1) per task: padded entries are 0, below the floor
+    counts = np.concatenate([(t.probs > PROB_FLOOR).sum(axis=2).ravel()
+                             for t in traces.values()])
     total = len(counts)
     rows = []
     for c in range(0, int(counts.max()) + 1):
@@ -104,41 +88,37 @@ def sparsity_distribution(agent: Agent, samples: int) -> list[dict]:
     return rows
 
 
-def export_dot(agent: Agent, task_id: int, obs: np.ndarray | None = None) -> str:
-    """DOT digraph of the routing at one state of the given task.
+def export_dot(agent: Agent, task_id: int) -> str:
+    """DOT digraph of the routing at the reset state of the given task (the
+    first step of its greedy rollout on the stream ``dot/{task_id}``).
 
     One vertex per module; an edge j -> i for every selected source with the
     routing probability (2 decimals) as its weight. Modules outside the
-    effective set are drawn dashed. State defaults to the task's reset state.
+    effective set are drawn dashed.
     """
     if not 0 <= task_id < len(agent.suite):
         valid = ", ".join(str(i) for i in range(len(agent.suite)))
         raise ValueError(f"unknown task id {task_id}; valid ids: {valid}")
-    if obs is None:
-        env = ToyEnv(agent.suite[task_id], stream(agent.seed, f"dot/{task_id}"))
-        obs = env.reset()
-    res = agent.actor.forward(obs[None], [task_id], mask_fn=agent.routing_mask_fn())
-    masks = [m[0] for m in res.masks]
-    probs = [np.asarray(p[0]) for p in res.probs]
-    return routing_to_dot(masks, probs, res.effective[0],
+    res, _, _ = next(agent.greedy_steps(task_id, "dot"))
+    return routing_to_dot(res.padded_masks[0], res.padded_probs[0], res.effective[0],
                           agent.cfg.n_modules, task_id)
 
 
-def routing_to_dot(masks: list[np.ndarray], probs: list[np.ndarray],
+def routing_to_dot(masks: np.ndarray, probs: np.ndarray,
                    effective: np.ndarray, n: int, task_id: int) -> str:
     """Render one routing decision (single sample) as DOT text.
 
-    ``masks[idx]`` / ``probs[idx]`` describe module idx+2's sources over
-    modules 1..idx+1, so every edge goes from a lower to a higher index.
+    ``masks`` and ``probs`` are padded (n-1, n-1): row r describes module
+    r+2's sources over modules 1..r+1, so every edge goes from a lower to a
+    higher index.
     """
     lines = [f"digraph routing_task_{task_id} {{", "  rankdir=LR;"]
     for m in range(1, n + 1):
         style = "" if effective[m - 1] else ", style=dashed"
         lines.append(f'  m{m} [label="M{m}"{style}];')
-    for idx in range(n - 1):
-        target = idx + 2
-        for j in np.nonzero(masks[idx])[0]:
-            w = f"{probs[idx][j]:.2f}"
-            lines.append(f'  m{j + 1} -> m{target} [weight="{w}", label="{w}"];')
+    for r in range(n - 1):
+        for j in np.nonzero(masks[r])[0]:
+            w = f"{probs[r, j]:.2f}"
+            lines.append(f'  m{j + 1} -> m{r + 2} [weight="{w}", label="{w}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -117,6 +117,8 @@ def _manifest(data, versions: tuple = (FORMAT_VERSION,)) -> dict:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CheckpointError(
                 f"checkpoint manifest {key} is not a non-negative integer: {value!r}")
+    if not isinstance(manifest.get("layouts", {}), dict):
+        raise CheckpointError("checkpoint manifest layouts is not a JSON object")
     return manifest
 
 
@@ -132,10 +134,11 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     Reads format 3 and format 2.
 
     Raises CheckpointError when the file is no npz archive or its manifest
-    is unreadable, lacks an entry or holds a step counter that is not a
-    non-negative integer, and names the ``actor`` array when it is missing,
-    its shape does not match the run config's or the manifest records a
-    layout for it other than the run config's."""
+    is unreadable, lacks an entry, holds a step counter that is not a
+    non-negative integer or layouts that are not a JSON object, and names
+    the ``actor`` array when it is missing, its shape does not match the run
+    config's or the manifest records a layout for it other than the run
+    config's."""
     with _open(path) as data:
         manifest = _manifest(data, AGENT_VERSIONS)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -156,8 +159,9 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
     bit-exactly, in place into each network's and optimizer's flat vectors.
 
     Raises CheckpointError as ``load_checkpoint`` does, for every stored
-    array, and names an optimizer whose step count is negative and a vector
-    stored in another dtype than the trainer's."""
+    array, and names an optimizer whose step count is not an integer or is
+    negative, a vector stored in another dtype than the trainer's, and a
+    ``log_alpha`` or ``success_ema`` that is not finite."""
     with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -169,16 +173,22 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
             _restore(data, layouts, name, params.layout, params.flat)
         for name in _OPTIMIZERS:
             opt = getattr(trainer, name)
-            opt.t = int(_read(data, f"{name}/t", ()))
+            t = _read(data, f"{name}/t", ())
+            if t.dtype.kind not in "iu":
+                raise CheckpointError(f"checkpoint array {name}/t has dtype {t.dtype}, "
+                                      f"expected an integer")
+            opt.t = int(t)
             if opt.t < 0:
                 raise CheckpointError(f"checkpoint array {name}/t is negative ({opt.t})")
             if opt.t:
                 for part, moment in zip("mv", opt.moments()):
                     _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
-        trainer.temps.log_alpha = _read(data, "log_alpha", (trainer.num_tasks,),
-                                        np.float64).copy()
-        trainer.success_ema = _read(data, "success_ema", (trainer.num_tasks,),
-                                    np.float64).copy()
+        for name, owner in (("log_alpha", trainer.temps), ("success_ema", trainer)):
+            value = _read(data, name, (trainer.num_tasks,), np.float64)
+            # a non-finite temperature would make every train step skip its update
+            if not np.isfinite(value).all():
+                raise CheckpointError(f"checkpoint array {name} is not finite: {value}")
+            setattr(owner, name, value.copy())
     trainer.env_steps = manifest["env_steps"]
     trainer.train_steps = manifest["train_steps"]
     return trainer, run_cfg

@@ -353,11 +353,6 @@ def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
     return out
 
 
-def _rows(a: np.ndarray) -> list[np.ndarray]:
-    """Per-module (..., B, i-1) views of a padded routing array."""
-    return [a[..., r, :r + 1] for r in range(a.shape[-2])]
-
-
 class Routing(NamedTuple):
     """The routing half of a pass (``ModulePolicy.route``), with what its
     kernels saved for the backward."""
@@ -375,11 +370,9 @@ class ForwardResult:
     """A pass's head output and its routing.
 
     The routing arrays are padded (B, n-1, n-1) values (see the module
-    docstring), (M, B, n-1, n-1) for a stacked ensemble of M members;
-    ``masks``, ``probs`` and ``logits`` give their per-module (..., B, i-1)
-    views, for modules 2..n. ``effective`` has one row per batch row and
-    member, members one after another. The fields after them are what
-    ``ModulePolicy.backward`` reads.
+    docstring), (M, B, n-1, n-1) for a stacked ensemble of M members.
+    ``effective`` has one row per batch row and member, members one after
+    another. The fields after them are what ``ModulePolicy.backward`` reads.
     """
     out: np.ndarray               # head output, (..., B, head_dim)
     padded_masks: np.ndarray      # binary source masks
@@ -410,18 +403,6 @@ class ForwardResult:
             d = self.padded_masks
             self._effective = effective_rows(d.reshape((-1,) + d.shape[-2:]))
         return self._effective
-
-    @property
-    def masks(self) -> list[np.ndarray]:
-        return _rows(self.padded_masks)
-
-    @property
-    def probs(self) -> list[np.ndarray]:
-        return _rows(self.padded_probs)
-
-    @property
-    def logits(self) -> list[np.ndarray]:
-        return _rows(self.padded_logits)
 
 
 class ModulePolicy:

@@ -307,35 +307,47 @@ class Agent:
         k = 1 if fn == "hard" else self.cfg.k
         return make_mask_fn(mode, k, taus=taus, rng=self.rng_routing)
 
+    def greedy_steps(self, task: int, seed_tag: str):
+        """One task's greedy rollout (greedy routing, mean action), episode
+        after episode: ``(res, done, won)`` per env step, ``res`` the
+        skipping pass that chose the step's action. The env runs on the
+        stream ``{seed_tag}/{task}`` and is reset only after ``done``."""
+        env = ToyEnv(self.suite[task], stream(self.seed, f"{seed_tag}/{task}"))
+        mask_fn = self.routing_mask_fn()
+        obs = env.reset()
+        while True:
+            res = self.actor.forward(obs[None], [task], mask_fn=mask_fn, skip_unused=True)
+            obs, _, done, won = env.step(deterministic_action(res.out, self.cfg.act_dim)[0])
+            yield res, done, won
+            if done:
+                obs = env.reset()
+
     def evaluate(self, episodes_per_task: int, seed_tag: str = "eval"):
-        """Deterministic rollouts (greedy routing, mean action); per-task
-        success and module usage (mean, std). Over zero episodes each is
-        NaN: a rate over no episode measures nothing."""
+        """Deterministic rollouts (``greedy_steps``); per-task success and
+        module usage (mean, std) over ``episodes_per_task`` episodes. Over
+        zero episodes each is NaN: a rate over no episode measures nothing.
+        A negative count raises ``ValueError``."""
+        if episodes_per_task < 0:
+            raise ValueError(f"episodes_per_task must be >= 0, got {episodes_per_task}")
         if episodes_per_task == 0:
             return tuple(np.full(self.num_tasks, np.nan) for _ in range(3))
-        k_fn = self.routing_mask_fn()
-        success = np.zeros(self.num_tasks)
-        usage_mean = np.zeros(self.num_tasks)
-        usage_sq = np.zeros(self.num_tasks)
-        usage_n = np.zeros(self.num_tasks)
-        for i, spec in enumerate(self.suite):
-            env = ToyEnv(spec, stream(self.seed, f"{seed_tag}/{i}"))
-            for _ in range(episodes_per_task):
-                obs = env.reset()
-                for _ in range(spec.horizon):
-                    res = self.actor.forward(obs[None], [i], mask_fn=k_fn,
-                                             skip_unused=True)
-                    count = float(res.effective[0].sum())
-                    usage_mean[i] += count
-                    usage_sq[i] += count * count
-                    usage_n[i] += 1
-                    a = deterministic_action(res.out, self.cfg.act_dim)[0]
-                    obs, _, done, won = env.step(a)
-                    if done:
-                        success[i] += float(won)
+        # per task: successes, steps, and the sum and sum of squares of the
+        # modules each step reached
+        success, usage_n, usage_sum, usage_sq = np.zeros((4, self.num_tasks))
+        for i in range(self.num_tasks):
+            episodes = 0
+            for res, done, won in self.greedy_steps(i, seed_tag):
+                count = float(res.effective[0].sum())
+                usage_sum[i] += count
+                usage_sq[i] += count * count
+                usage_n[i] += 1
+                if done:
+                    success[i] += float(won)
+                    episodes += 1
+                    if episodes == episodes_per_task:
                         break
         success /= episodes_per_task
-        mean = usage_mean / usage_n
+        mean = usage_sum / usage_n
         std = np.sqrt(np.maximum(usage_sq / usage_n - mean ** 2, 0.0))
         return success, mean, std
 

@@ -6,7 +6,7 @@ ties toward the lowest index, sequential renormalized categorical draws,
 a softmax restricted to a mask, and breadth-first reachability. The
 batched kernels in ``modroute.network`` work on padded (B, n-1, n-1)
 arrays instead (row r: module r+2, first r+1 columns valid); ``padded``
-and ``per_module`` convert between that layout and per-module lists.
+and ``unpadded`` convert between that layout and per-module lists.
 ``route_logits_per_mlp`` runs each routing MLP on its own, from its
 per-MLP keys, where the network runs them stacked; ``mlp`` runs any one
 MLP (the encoder, a module) from its keys.
@@ -43,6 +43,12 @@ def padded(masks: list[np.ndarray]) -> np.ndarray:
     for r, m in enumerate(masks):
         out[:, r, :r + 1] = m
     return out
+
+
+def unpadded(a: np.ndarray) -> list[np.ndarray]:
+    """The inverse of ``padded``: per-module (..., i-1) views of a padded
+    (..., n-1, n-1) array, for modules 2..n."""
+    return [a[..., r, :r + 1] for r in range(a.shape[-2])]
 
 
 def per_module_sample_k(zs: list[np.ndarray], k: int, taus, rng) -> list[np.ndarray]:

@@ -229,6 +229,44 @@ def test_step_counter_that_is_not_an_integer_is_named(tmp_path, capsys, key, val
         assert err.startswith("error: ") and phrase in err, err
 
 
+@pytest.mark.parametrize("layouts", [[], "actor", 3])
+def test_layouts_that_are_not_an_object_are_named(tmp_path, capsys, layouts):
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays["manifest"].__setitem__("layouts", layouts))
+    phrase = "manifest layouts is not a JSON object"
+    for load in (read_manifest, *LOADERS):
+        with pytest.raises(CheckpointError, match=phrase):
+            load(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and phrase in err, err
+
+
+@pytest.mark.parametrize("value", ["many", 1.7, True], ids=["str", "float", "bool"])
+def test_optimizer_step_count_that_is_not_an_integer_is_named(tmp_path, value):
+    # a float step count would be truncated, a string one not read at all
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: arrays.__setitem__("opt_actor/t", np.array(value)))
+    with pytest.raises(CheckpointError,
+                       match="array opt_actor/t has dtype .*, expected an integer"):
+        load_trainer(path)
+
+
+@pytest.mark.parametrize("name", ["log_alpha", "success_ema"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_temperatures_are_named(tmp_path, name, bad):
+    # a NaN log_alpha makes every later train step skip its update
+    path, _ = _saved(tmp_path, 2)
+
+    def spoil(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][0] = bad
+
+    _rewrite(path, spoil)
+    with pytest.raises(CheckpointError, match=f"array {name} is not finite"):
+        load_trainer(path)
+
+
 def _swap_first_two_tensors(record):
     record["tensors"][:2] = record["tensors"][1::-1]
 

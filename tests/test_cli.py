@@ -17,6 +17,7 @@ from modroute.analysis import (
 from modroute.cli import METRICS_COLUMNS, main
 from modroute.config import RunConfig
 from modroute.sac import Trainer
+from routing_oracles import unpadded
 
 ROUTING_FNS = ("samplek", "hard", "soft", "topk")
 
@@ -260,8 +261,13 @@ class TestAnalysis:
             S = trace.effective.shape[0]
             assert S >= 7
             assert trace.effective.shape == (S, 5)
-            assert len(trace.masks) == len(trace.probs) == 4
-            for i, (d, p) in enumerate(zip(trace.masks, trace.probs), start=2):
+            assert trace.masks.shape == trace.probs.shape == (S, 4, 4)
+            # padded: row i-2 holds module i's i-1 sources, zeros beyond
+            for i in range(2, 6):
+                assert np.all(trace.masks[:, i - 2, i - 1:] == 0.0)
+                assert np.all(trace.probs[:, i - 2, i - 1:] == 0.0)
+            for i, (d, p) in enumerate(zip(unpadded(trace.masks), unpadded(trace.probs)),
+                                       start=2):
                 assert d.shape == p.shape == (S, i - 1)
                 assert np.all(d.sum(axis=1) == sources(i))
                 assert np.all(p[d == 0.0] == 0.0)  # probs live on the mask
@@ -287,9 +293,9 @@ class TestAnalysis:
 
 class TestDotExport:
     def test_forced_masks_exact_edges(self):
-        # n=3, d^2=[1], d^3=[0,1]: exactly the chain 1->2->3
-        masks = [np.array([1.0]), np.array([0.0, 1.0])]
-        probs = [np.array([1.0]), np.array([0.0, 1.0])]
+        # n=3, d^2=[1], d^3=[0,1] (padded rows): exactly the chain 1->2->3
+        masks = np.array([[1.0, 0.0], [0.0, 1.0]])
+        probs = masks.copy()
         effective = np.array([True, True, True])
         dot = routing_to_dot(masks, probs, effective, n=3, task_id=0)
         edges = EDGE_RE.findall(dot)

@@ -11,7 +11,7 @@ from modroute.network import (
     topk_mask_rows,
     unpack_masks,
 )
-from routing_oracles import effective_modules, mlp, padded
+from routing_oracles import effective_modules, mlp, padded, unpadded
 from tape_oracles import forward as taped_forward
 from tape_oracles import gradient_check
 from tape_oracles import squashed_gaussian as taped_squashed_gaussian
@@ -41,7 +41,7 @@ def test_zero_init_routing_gives_zero_logits():
     pol = ModulePolicy.init(cfg, rng)
     res = pol.forward(rng.normal(size=(3, 5)), np.zeros(3, dtype=int),
                       mask_fn=make_mask_fn("topk", 2))
-    for z in res.logits:
+    for z in unpadded(res.padded_logits):
         assert np.all(z == 0.0)
 
 
@@ -50,7 +50,7 @@ def test_logit_lengths():
     cfg = small_cfg(n=3)
     pol = ModulePolicy.init(cfg, rng)
     res = pol.forward(rng.normal(size=(1, 5)), [0], mask_fn=make_mask_fn("topk", 2))
-    assert [z.shape[1] for z in res.logits] == [1, 2]
+    assert [z.shape[1] for z in unpadded(res.padded_logits)] == [1, 2]
 
 
 def test_forward_deterministic():
@@ -86,7 +86,8 @@ def test_mask_invariants_from_mask_fn():
             pol.params[key] = rng.normal(size=v.shape)
     res = pol.forward(rng.normal(size=(4, 5)), [0, 1, 0, 1],
                       mask_fn=make_mask_fn("topk", 2))
-    for i, (d, p) in enumerate(zip(res.masks, res.probs), start=2):
+    masks, probs = unpadded(res.padded_masks), unpadded(res.padded_probs)
+    for i, (d, p) in enumerate(zip(masks, probs), start=2):
         assert np.all(d.sum(axis=1) == min(2, i - 1))
         assert np.all(p[d == 0.0] == 0.0)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
@@ -124,7 +125,8 @@ def test_skipped_evaluation_matches_full():
         skipped = pol.forward(obs, [0], masks=masks, skip_unused=True)
         if not np.array_equal(full.out, skipped.out):
             mismatches += 1
-        eff = effective_modules([m[0] for m in full.masks], cfg.n_modules)
+        eff = effective_modules([m[0] for m in unpadded(full.padded_masks)],
+                                cfg.n_modules)
         assert set(skipped.module_outputs) == eff
     assert mismatches == 0
 
@@ -178,7 +180,8 @@ def test_effective_rows_matches_scalar_oracle():
     masks = random_masks(cfg, rng, B=5, k=2)
     res = pol.forward(rng.normal(size=(5, 5)), rng.integers(0, 2, 5), masks=masks)
     for b in range(5):
-        expected = effective_modules([m[b] for m in res.masks], cfg.n_modules)
+        expected = effective_modules([m[b] for m in unpadded(res.padded_masks)],
+                                     cfg.n_modules)
         got = {i + 1 for i in range(cfg.n_modules) if res.effective[b, i]}
         assert got == expected
 
@@ -403,5 +406,5 @@ def test_state_routing_flag():
     obs1, obs2 = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
     r1 = pol.forward(obs1, [0], mask_fn=make_mask_fn("topk", 2))
     r2 = pol.forward(obs2, [0], mask_fn=make_mask_fn("topk", 2))
-    for z1, z2 in zip(r1.logits, r2.logits):
+    for z1, z2 in zip(unpadded(r1.padded_logits), unpadded(r2.padded_logits)):
         np.testing.assert_array_equal(z1, z2)  # routing ignores the state

@@ -27,6 +27,7 @@ from routing_oracles import (
     per_module_sample_k,
     route_logits_per_mlp,
     topk_mask,
+    unpadded,
 )
 
 MODES = [("topk", 1), ("topk", 2), ("topk", 3), ("topk", 8),
@@ -64,16 +65,17 @@ def _check_against_oracles(cfg, pol, res, x, tasks, expected_masks, exact):
         assert np.all(res.padded_logits[row][:, r + 1:] == -np.inf)
         assert np.all(res.padded_masks[row][:, r + 1:] == 0.0)
         assert np.all(res.padded_probs[row][:, r + 1:] == 0.0)
-    for got, want in zip(res.masks, expected_masks):
+    masks = unpadded(res.padded_masks)
+    for got, want in zip(masks, expected_masks):
         np.testing.assert_array_equal(got, want)
-    for z, d, p in zip(res.logits, res.masks, res.probs):
+    for z, d, p in zip(unpadded(res.padded_logits), masks, unpadded(res.padded_probs)):
         want = np.stack([mask_softmax(zb, db) for zb, db in zip(z, d)])
         if exact:
             np.testing.assert_array_equal(p, want)
         else:
             np.testing.assert_allclose(p, want, rtol=1e-12, atol=0)
     for b in range(len(x)):
-        reach = effective_modules([m[b] for m in res.masks], n)
+        reach = effective_modules([m[b] for m in masks], n)
         assert set(np.flatnonzero(res.effective[b]) + 1) == reach
 
 
@@ -94,14 +96,15 @@ def _run_modes(n, exact):
                     fn = make_mask_fn(mode, k, taus=taus, rng=fwd_rng)
                     res = pol.forward(obs, tasks, action=act, mask_fn=fn,
                                       skip_unused=skip)
+                    logits = unpadded(res.padded_logits)
                     if mode == "samplek":
-                        want = per_module_sample_k(res.logits, k, taus, oracle_rng)
+                        want = per_module_sample_k(logits, k, taus, oracle_rng)
                         assert fwd_rng.bit_generator.state == oracle_rng.bit_generator.state
                     elif mode == "soft":
-                        want = [np.ones_like(z) for z in res.logits]
+                        want = [np.ones_like(z) for z in logits]
                     else:
                         want = [np.stack([topk_mask(row, k) for row in z])
-                                for z in res.logits]
+                                for z in logits]
                     _check_against_oracles(cfg, pol, res, x, tasks, want, exact)
                     outs.append(res)
                 if mode != "samplek":  # the two samplek passes draw apart
