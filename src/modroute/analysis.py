@@ -12,7 +12,7 @@ from itertools import islice
 
 import numpy as np
 
-from .sac import Agent
+from .sac import Agent, mean_std
 
 PROB_FLOOR = 0.01  # a source "counts" if its routing probability exceeds this
 
@@ -57,12 +57,13 @@ def usage_table(agent: Agent, samples_per_task: int) -> list[dict]:
     rows = []
     for i, spec in enumerate(agent.suite):
         counts = traces[i].effective.sum(axis=1).astype(np.float64)
+        mean, std = mean_std(counts.sum(), (counts * counts).sum(), len(counts))
         rows.append({
             "task_id": i,
             "kind": spec.kind,
             "goal_rule": spec.goal_rule,
-            "mean_modules": float(counts.mean()),
-            "std_modules": float(counts.std()),
+            "mean_modules": float(mean),
+            "std_modules": float(std),
             "samples": int(len(counts)),
         })
     return rows

@@ -21,12 +21,15 @@ format 3 alone, and refuses a vector saved in another dtype than the
 trainer's: a float32 trainer cannot resume float64 training state bit for
 bit.
 The replay buffer is not persisted; a resumed run refills it before training.
-A save writes a temporary file next to the target and renames it over the
-target, so a crash mid-save leaves the previous checkpoint intact.
+A save writes a temporary file next to the target, syncs it to disk and
+renames it over the target, then syncs the directory, so neither a crash
+mid-save nor a power loss after it leaves the target empty or the previous
+checkpoint gone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import zipfile
@@ -79,10 +82,24 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
         # a file handle, because np.savez appends ".npz" to a path string
         with open(tmp, "wb") as fh:
             np.savez(fh, **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):  # the save failed before the rename
             os.remove(tmp)
+    _fsync_dir(os.path.dirname(path) or ".")
+
+
+def _fsync_dir(path: str) -> None:
+    """Sync a directory's entries (a rename in it) to disk, where the OS
+    lets a directory be opened and synced."""
+    with contextlib.suppress(OSError):
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
 
 def _open(path: str):

@@ -52,7 +52,7 @@ class RunConfig(TrainSettings, NetworkSizes):
             TrainSettings.__post_init__(self)
             NetworkSizes.__post_init__(self)
             make_suite(self.tasks)
-            check_capacity(self.buffer_capacity, len(self.tasks))
+            check_capacity(self.buffer_capacity, len(self.tasks), self.batch_per_task)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for key, low in (("eval_interval", 1), ("checkpoint_interval", 1),

@@ -172,38 +172,6 @@ class ToyEnv:
         return self._observe(), reward, done, success
 
 
-def scripted_expert(spec: TaskSpec):
-    """Hand-coded controller solving every task kind; the validation oracle.
-
-    Returns policy(obs) -> action. Stateless: everything needed is read back
-    out of the observation.
-    """
-
-    def policy(obs: np.ndarray) -> np.ndarray:
-        agent = obs[0:2]
-        obj = obs[4:6]
-        latched = obs[6] > 0.5
-        goal = obs[7:9]
-        kind = spec.kind
-        if kind == "reach":
-            target = goal
-        elif kind == "toggle":
-            target = obj
-        elif kind == "push":
-            if np.linalg.norm(agent - obj) > CONTACT_RADIUS:
-                target = obj
-            else:
-                target = goal + (agent - obj)  # keep the carry offset
-        else:  # two-stage-fetch
-            if not latched:
-                target = obj
-            else:
-                target = goal + (agent - obj)
-        return np.clip((target - agent) / DT, -1.0, 1.0)
-
-    return policy
-
-
 def make_suite(entries: list[dict]) -> list[TaskSpec]:
     """TaskSpecs from config mappings of ``TaskSpec`` fields; task ids follow
     list order and a task's difficulty defaults to its id. A bad entry
@@ -224,16 +192,3 @@ def make_suite(entries: list[dict]) -> list[TaskSpec]:
         except ValueError as exc:
             raise ValueError(f"tasks[{i}].{exc}") from None
     return specs
-
-
-def run_episode(env: ToyEnv, policy, max_steps: int | None = None):
-    """Roll one episode; returns (success, steps, total_reward)."""
-    obs = env.reset()
-    limit = max_steps or env.spec.horizon
-    total = 0.0
-    for t in range(limit):
-        obs, reward, done, success = env.step(policy(obs))
-        total += reward
-        if done:
-            return success, t + 1, total
-    return False, limit, total

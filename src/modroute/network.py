@@ -25,13 +25,14 @@ which keep any leading axes).
 
 During off-policy training the stored behavior masks may disagree with what
 the current network would pick. Sources whose current (unmasked) softmax
-score falls below 1/i are treated as unsuitable: their module transform is
-frozen with a stop-gradient while the residual shortcut keeps carrying
-gradient to earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks
-the shortcut as well; ``chi_mode="off"`` disables the gating. The
-suitability test is one row softmax of the padded logits; the gate changes
-gradients only, never forward values, and lives in the backward of the
-module stack (``autodiff.modules_backward``).
+score falls below 1/i are treated as unsuitable (``ModulePolicy.suitable``,
+one row softmax of the padded logits): their module transform is frozen
+with a stop-gradient while the residual shortcut keeps carrying gradient to
+earlier modules (``chi_mode="rsg"``). ``chi_mode="sg"`` blocks the shortcut
+as well; ``chi_mode="off"`` disables the gating. The gate changes gradients
+only, never forward values, so it is an argument of the backward
+(``ModulePolicy.backward``), which applies it in the backward of the module
+stack (``autodiff.modules_backward``); a forward pass does not know it.
 
 Parameter layout. A network's parameters are one flat vector
 (``Params.flat``, of the dtype described under Precision); the forward reads a few tensors that are views of it
@@ -331,9 +332,9 @@ def effective_rows(masks: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _tril(n: int):
-    """Row-major lower-triangle index of a padded (n-1, n-1) routing array:
-    the packed order of the per-module masks. Read-only, shared."""
-    rows, cols = np.tril_indices(n - 1)
+    """Row-major index of the valid entries of a padded (n-1, n-1) routing
+    array: the packed order of the per-module masks. Read-only, shared."""
+    rows, cols = np.nonzero(ad.route_valid(n - 1))
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
@@ -383,8 +384,6 @@ class ForwardResult:
     _effective: np.ndarray | None = field(default=None, repr=False)
     _routing: Routing | None = field(default=None, repr=False)
     _acts: dict | None = field(default=None, repr=False)  # module i's layer inputs
-    _suit: np.ndarray | None = field(default=None, repr=False)  # sources the gate passes
-    _rsg: bool = field(default=False, repr=False)
 
     @property
     def module_outputs(self) -> dict:
@@ -418,8 +417,6 @@ class ModulePolicy:
                           for k in _layer_keys(f"mod{i}", 2)]
         self._dense_plan = (True,) * cfg.n_modules  # a pass evaluating every module
         self._route_names = _route_names(cfg)
-        # per padded routing row: the suitability threshold 1/i of module i
-        self._inv_i = 1.0 / np.arange(2, cfg.n_modules + 1).reshape(-1, 1)
         self._work = ad.Workspace()  # the backward's intermediate adjoints
 
     @classmethod
@@ -497,7 +494,6 @@ class ModulePolicy:
         action=None,
         masks: np.ndarray | None = None,
         mask_fn=None,
-        chi_mode: str = "off",
         skip_unused: bool = False,
     ) -> ForwardResult:
         """Run the routed network.
@@ -506,10 +502,6 @@ class ModulePolicy:
         (B, n-1, n-1), or (M, B, n-1, n-1) on a stacked ensemble) or
         ``mask_fn`` (callable padded (B, n-1, n-1) logits -> padded binary
         masks) selects the routing.
-        ``chi_mode`` is the gate ``backward`` applies to unsuitable stored
-        sources: "off" (no gating), "sg" (full stop-gradient) or "rsg"
-        (stop-gradient on the module transform only, shortcut gradient
-        preserved). It never changes the forward values.
         ``skip_unused`` evaluates only the modules some row's masks reach
         (``effective_rows``); the output is the same bits, and the pass has
         no backward.
@@ -517,18 +509,11 @@ class ModulePolicy:
         A stacked ensemble runs every member in the one pass on the same
         states and actions; its output and routing carry the member axis.
         """
-        if chi_mode not in ("off", "sg", "rsg"):
-            raise ValueError(f"unknown chi_mode {chi_mode!r}")
         r = self.route(obs, task_ids, action=action, masks=masks, mask_fn=mask_fn)
         z, d = r.logits, r.masks
         n = self.cfg.n_modules
 
-        # routing probabilities; under a gate, also which stored sources the
-        # current router finds unsuitable (score below 1/i)
         probs = masked_softmax_rows(z, d)
-        suit = None
-        if chi_mode != "off":
-            suit = ad.masked_softmax(z, ad.route_valid(n - 1)) >= self._inv_i
         eff, plan = None, self._dense_plan
         if skip_unused:  # the modules some row reaches
             eff = effective_rows(d.reshape((-1,) + d.shape[-2:]))
@@ -542,14 +527,26 @@ class ModulePolicy:
         return ForwardResult(
             out=out, padded_masks=d, padded_probs=probs, padded_logits=z,
             _slab=slab, _plan=plan, _effective=eff, _routing=r, _acts=acts,
-            _suit=suit, _rsg=chi_mode == "rsg",
         )
 
+    def suitable(self, z: np.ndarray) -> np.ndarray:
+        """The sources that ResRouting's gate lets through, bool, of the
+        shape of the padded logits ``z``: those whose softmax score over all
+        of module i's sources is at least 1/i (padding is False)."""
+        n = self.cfg.n_modules
+        inv_i = 1.0 / np.arange(2, n + 1).reshape(-1, 1)  # per padded row
+        return ad.masked_softmax(z, ad.route_valid(n - 1)) >= inv_i
+
     def backward(self, res: ForwardResult, g: np.ndarray, grad: Params | None = None,
-                 input_grad: bool = False):
+                 input_grad: bool = False, chi_mode: str = "off"):
         """The reverse pass of ``res``, this network's ``forward`` result at
         its current weights, from the adjoint ``g`` of its output, which is
         cast to the network's dtype.
+
+        ``chi_mode`` is ResRouting's gate on the sources that ``suitable``
+        rejects: "off" (no gating), "sg" (full stop-gradient) or "rsg"
+        (stop-gradient on the module transform only, shortcut gradient
+        preserved).
 
         Writes the gradient of every weight into the tensor views of
         ``grad`` (``Params`` over the network's layout), if given; weights
@@ -563,6 +560,8 @@ class ModulePolicy:
         sweep over the pass would add them: F(s) feeds module 1 and the
         routing input.
         """
+        if chi_mode not in ("off", "sg", "rsg"):
+            raise ValueError(f"unknown chi_mode {chi_mode!r}")
         if not all(res._plan):
             raise ValueError("backward of a pass that skipped modules (skip_unused)")
         cfg, r, ws = self.cfg, res._routing, self._work
@@ -578,9 +577,10 @@ class ModulePolicy:
         # without weights to train and without state routing the routing
         # half reads nothing differentiable
         routed = grad is not None or cfg.state_routing
+        suit = None if chi_mode == "off" else self.suitable(res.padded_logits)
         gp, gh = ad.modules_backward(
             g, res.padded_probs, weights(self._mod_keys), res._slab, res._acts,
-            res._suit, res._rsg, grads(self._mod_keys), ws, need_p=routed)
+            suit, chi_mode == "rsg", grads(self._mod_keys), ws, need_p=routed)
         if routed:
             gz = ad.masked_softmax_backward(gp, res.padded_probs, ws)
             gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
@@ -647,24 +647,6 @@ def sample_k_mask_rows(
         gumbel[np.broadcast_to(drawn[:, None], gumbel.shape)] = rng.gumbel(size=count)
         keys += gumbel.transpose(1, 0, 2)
     return _top_k(keys, k, valid)
-
-
-def make_mask_fn(mode: str, k: int, taus=None, rng=None):
-    """Mask selector for fresh (non-stored) routing: padded logits ->
-    padded binary masks.
-
-    mode: "topk" (deterministic), "samplek" (needs taus per row and rng),
-    "soft" (all sources).
-    """
-    if mode == "topk":
-        return lambda z: topk_mask_rows(z, k)
-    if mode == "soft":
-        return lambda z: (~np.isneginf(z)).astype(z.dtype)
-    if mode == "samplek":
-        if taus is None or rng is None:
-            raise ValueError("samplek mask_fn needs taus and rng")
-        return lambda z: sample_k_mask_rows(z, k, taus, rng)
-    raise ValueError(f"unknown routing mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------

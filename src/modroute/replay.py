@@ -21,12 +21,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def check_capacity(capacity: int, num_tasks: int) -> None:
+def check_capacity(capacity: int, num_tasks: int, batch_per_task: int = 1) -> None:
     """Raise ``ValueError`` unless ``capacity`` holds at least one
-    transition per task."""
+    transition per task, and ``batch_per_task`` of them: a buffer whose
+    tasks hold fewer than a batch never gives one, and a run never trains."""
     if capacity < num_tasks:
         raise ValueError(f"buffer_capacity: must hold at least one transition "
                          f"per task ({num_tasks})")
+    if capacity // num_tasks < batch_per_task:
+        raise ValueError(f"buffer_capacity: holds {capacity // num_tasks} transitions "
+                         f"per task, fewer than batch_per_task ({batch_per_task})")
 
 
 class ReplayBuffer:

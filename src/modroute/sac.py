@@ -47,12 +47,13 @@ from .network import (
     Params,
     PolicyConfig,
     deterministic_action,
-    make_mask_fn,
     pack_masks,
+    sample_k_mask_rows,
     squashed_gaussian,
+    topk_mask_rows,
     unpack_masks,
 )
-from .replay import ReplayBuffer
+from .replay import ReplayBuffer, check_capacity
 from .routing import route_balance_temperatures
 from .seeding import stream
 
@@ -226,6 +227,14 @@ def alpha_loss(logp: np.ndarray, task_ids: np.ndarray,
     return float(grad.sum()), grad
 
 
+def mean_std(total, total_sq, n):
+    """The mean and standard deviation of ``n`` values from their sum and
+    sum of squares (arrays of them, or scalars): the one usage statistic of
+    ``Agent.evaluate`` and ``analysis.usage_table``."""
+    mean = total / n
+    return mean, np.sqrt(np.maximum(total_sq / n - mean ** 2, 0.0))
+
+
 CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
 ROUTING_FNS = ("samplek", "topk", "hard", "soft")
 
@@ -297,15 +306,13 @@ class Agent:
         routing (evaluation, analysis, target-routing). Under soft it
         selects every source either way. k_eff is 1 under hard, else k.
         """
-        fn = self.s.routing_fn
-        if fn == "soft":
-            mode = "soft"
-        elif taus is not None and fn != "topk":
-            mode = "samplek"
-        else:
-            mode = "topk"
+        fn, rng = self.s.routing_fn, self.rng_routing
         k = 1 if fn == "hard" else self.cfg.k
-        return make_mask_fn(mode, k, taus=taus, rng=self.rng_routing)
+        if fn == "soft":
+            return lambda z: (~np.isneginf(z)).astype(z.dtype)
+        if taus is not None and fn != "topk":
+            return lambda z: sample_k_mask_rows(z, k, taus, rng)
+        return lambda z: topk_mask_rows(z, k)
 
     def greedy_steps(self, task: int, seed_tag: str):
         """One task's greedy rollout (greedy routing, mean action), episode
@@ -347,9 +354,7 @@ class Agent:
                     if episodes == episodes_per_task:
                         break
         success /= episodes_per_task
-        mean = usage_sum / usage_n
-        std = np.sqrt(np.maximum(usage_sq / usage_n - mean ** 2, 0.0))
-        return success, mean, std
+        return (success, *mean_std(usage_sum, usage_sq, usage_n))
 
 
 class Trainer(Agent):
@@ -481,18 +486,17 @@ class Trainer(Agent):
 
     def _forward_train(self, policy: ModulePolicy, batch: dict, mask_key: str,
                        action=None):
-        """A training pass at the batch states, gated for its backward by
-        ``resrouting``. It replays the stored behavior masks under
-        ``mask_key`` (the batch's (B, L) or, for the critics, (B, 2, L) rows,
-        member axis moved to the front), or, in the target-routing ablation,
-        routes greedily for itself."""
+        """A training pass at the batch states. It replays the stored
+        behavior masks under ``mask_key`` (the batch's (B, L) or, for the
+        critics, (B, 2, L) rows, member axis moved to the front), or, in the
+        target-routing ablation, routes greedily for itself. Its backward
+        takes the gate of ``resrouting`` (``CHI_BY_MODE``)."""
         if self.s.resrouting == "target-routing":
             routing = dict(mask_fn=self.routing_mask_fn())
         else:
             masks = unpack_masks(batch[mask_key], self.cfg)
             routing = dict(masks=np.moveaxis(masks, 0, -3))
-        return policy.forward(batch["state"], batch["task_id"], action=action,
-                              chi_mode=CHI_BY_MODE[self.s.resrouting], **routing)
+        return policy.forward(batch["state"], batch["task_id"], action=action, **routing)
 
     def bellman_targets(self, batch: dict) -> np.ndarray:
         """Soft targets r + gamma (1-done)(min Q'[s',a'] - alpha log pi(a'|s')),
@@ -521,7 +525,7 @@ class Trainer(Agent):
         g = coeff * err
         g += g
         grad = self._grads[0]
-        self.critics.backward(res, g, grad)
+        self.critics.backward(res, g, grad, chi_mode=CHI_BY_MODE[self.s.resrouting])
         return err * err, grad
 
     def actor_losses(self, batch: dict, noise: np.ndarray, coeff: np.ndarray):
@@ -536,11 +540,13 @@ class Trainer(Agent):
         per_sample = alphas * logp - np.min(q.out, axis=0)
 
         # the critics are frozen here: they hand the adjoint of min Q on to
-        # the action and compute no weight gradient
-        ga = self.critics.backward(q, _member_min_adjoint(q.out, -coeff), input_grad=True)
+        # the action and compute no weight gradient, gated as in their loss
+        chi = CHI_BY_MODE[self.s.resrouting]
+        ga = self.critics.backward(q, _member_min_adjoint(q.out, -coeff), input_grad=True,
+                                   chi_mode=chi)
         g = ad.squashed_gaussian_backward(ga, coeff * alphas, a, noise, head)
         grad = self._grads[1]
-        self.actor.backward(res, g, grad)
+        self.actor.backward(res, g, grad, chi_mode=chi)
         return per_sample, grad, logp
 
     def train_step(self) -> dict | None:
@@ -629,9 +635,11 @@ class Trainer(Agent):
         total env steps, from step 0 on a fresh trainer and from the first
         multiple above its step count on one that has stepped (a resumed
         run). Returns the recorded evaluation rows: none from a trainer that
-        already stands at ``total_env_steps``."""
+        already stands at ``total_env_steps``. A replay buffer that cannot
+        hold a batch per task raises ``ValueError``: it would never train."""
         if eval_interval < 1:
             raise ValueError("eval_interval: must be >= 1")
+        check_capacity(self.s.buffer_capacity, self.num_tasks, self.s.batch_per_task)
         if self.env_steps >= total_env_steps:
             return []
         rows = []

@@ -7,6 +7,8 @@ action, a reset at the start of each episode (``evaluate``) or after each
 ``done`` (``collect_routing``). ``collect_routing`` runs a full pass (no
 skipping) and returns per-module (S, i-1) mask and probability lists, and
 ``export_dot`` reads the task's reset state on the stream ``dot/{task}``.
+``usage_table``'s std is ``evaluate``'s formula, sqrt(E[c^2] - E[c]^2),
+where the loops it once referenced took ``np.std``.
 """
 
 import numpy as np
@@ -89,7 +91,10 @@ def usage_table(agent, samples_per_task: int) -> list[dict]:
             "kind": spec.kind,
             "goal_rule": spec.goal_rule,
             "mean_modules": float(counts.mean()),
-            "std_modules": float(counts.std()),
+            # the population std as ``evaluate`` computes it, from the mean
+            # square; exact sums, as the counts are small integers
+            "std_modules": float(np.sqrt(max(np.mean(counts * counts)
+                                             - counts.mean() ** 2, 0.0))),
             "samples": int(len(counts)),
         })
     return rows

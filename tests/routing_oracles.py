@@ -9,12 +9,27 @@ arrays instead (row r: module r+2, first r+1 columns valid); ``padded``
 and ``unpadded`` convert between that layout and per-module lists.
 ``route_logits_per_mlp`` runs each routing MLP on its own, from its
 per-MLP keys, where the network runs them stacked; ``mlp`` runs any one
-MLP (the encoder, a module) from its keys.
+MLP (the encoder, a module) from its keys. ``selector`` names the batched
+mask selectors, for tests that route a network without an agent.
 """
 
 import numpy as np
 
+from modroute import network
 from modroute.autodiff import affine_chain
+
+
+def selector(mode: str, k: int, taus=None, rng=None):
+    """A ``mask_fn`` over padded logits: "topk" (deterministic), "samplek"
+    (per-row ``taus`` and ``rng``) or "soft" (every valid source), the
+    selectors ``sac.Agent.routing_mask_fn`` builds."""
+    if mode == "topk":
+        return lambda z: network.topk_mask_rows(z, k)
+    if mode == "samplek":
+        return lambda z: network.sample_k_mask_rows(z, k, taus, rng)
+    if mode == "soft":
+        return lambda z: (~np.isneginf(z)).astype(z.dtype)
+    raise ValueError(f"unknown routing mode {mode!r}")
 
 
 def mlp(params, prefix: str, x: np.ndarray, n_layers: int) -> np.ndarray:

@@ -484,7 +484,9 @@ def param_vars(policy, tape: Tape, scope: str = "") -> dict[str, Var]:
 def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
             mask_fn=None, chi_mode="off") -> ForwardResult:
     """``policy.forward`` (same arguments but ``skip_unused``: a pass that
-    skips modules has no backward) recorded on a tape. ``params``
+    skips modules has no backward) recorded on a tape, with the gate
+    ``chi_mode`` that ``policy.backward`` takes: a tape records it in the
+    module stack's node, which scores each source against 1/i. ``params``
     maps tensor names to Vars (``param_vars``); without it the network's
     own arrays enter the tape as constants (frozen weights, no gradient),
     and ``action`` is a Var. The result's ``out`` is a Var."""
@@ -513,7 +515,8 @@ def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
         d = np.stack([mask_fn(member) for member in zv])
     probs = tape.record("masked_softmax", z, d=d)
     n = cfg.n_modules
-    suit = None if chi_mode == "off" else row_softmax(zv) >= policy._inv_i
+    inv_i = 1.0 / np.arange(2, n + 1).reshape(-1, 1)  # module i's threshold, per padded row
+    suit = None if chi_mode == "off" else row_softmax(zv) >= inv_i
     plan = (True,) * n
     slab = np.empty((n - 1,) + h.shape)
     out = tape.record("modules", probs, h, *[params[k] for k in policy._mod_keys],

@@ -49,16 +49,15 @@ def test_backward_matches_the_tape(members, skip, chi_mode):
     masks = masks if members > 1 else masks[0]
     c = rng.normal(size=masks.shape[:-2] + (1,))
 
-    res = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode)
+    res = net.forward(obs, tasks, action=act, masks=masks)
     grad = Params(net.params.layout)
-    ga = net.backward(res, c, grad, input_grad=True)
+    ga = net.backward(res, c, grad, input_grad=True, chi_mode=chi_mode)
     if skip:  # only a pass that evaluates every module is differentiated
-        skipping = net.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode,
-                               skip_unused=True)
+        skipping = net.forward(obs, tasks, action=act, masks=masks, skip_unused=True)
         assert skipping._plan == (True, True, False, True, False, True)
         assert _same_bits(skipping.out, res.out)
         with pytest.raises(ValueError, match="skipped modules"):
-            net.backward(skipping, c, grad)
+            net.backward(skipping, c, grad, chi_mode=chi_mode)
         # the weights of modules no row reaches get zeros
         assert not any(grad.tensors[f"mod{i}.{w}"].any() for i in (3, 5)
                        for w in ("w0", "b0", "w1", "b1"))
@@ -67,7 +66,7 @@ def test_backward_matches_the_tape(members, skip, chi_mode):
     a = tape.parameter("action", act)
     ref = taped_forward(net, obs, tasks, params=param_vars(net, tape), action=a,
                         masks=masks, chi_mode=chi_mode)
-    assert chi_mode == "off" or not res._suit.all()  # the gate is live
+    assert chi_mode == "off" or not net.suitable(res.padded_logits).all()  # the gate is live
     assert _same_bits(res.out, ref.out.value)
     want = tape.backward((ref.out * c).sum())
     assert _same_bits(ga, want.pop("action"))
@@ -145,4 +144,4 @@ def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode, float
             assert _same_bits(grad.flat, want_grad)
     if chi_mode != "off":  # the gate is live
         res = tr._forward_train(tr.critics, batch, "masks_critics", action=batch["action"])
-        assert not res._suit[res.padded_masks > 0.0].all()
+        assert not tr.critics.suitable(res.padded_logits)[res.padded_masks > 0.0].all()

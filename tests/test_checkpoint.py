@@ -12,6 +12,8 @@ refused for resuming.
 """
 
 import json
+import os
+import stat
 import tracemalloc
 
 import numpy as np
@@ -404,3 +406,29 @@ def test_eval_of_an_unreadable_file_is_a_user_error(tmp_path, capsys):
         assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1, path
         err = capsys.readouterr().err
         assert err.startswith("error: ") and phrase in err, err
+
+
+def test_save_syncs_the_file_before_the_rename_and_the_directory_after(
+        tmp_path, monkeypatch):
+    # a rename that reaches the disk before the file's data leaves an empty
+    # checkpoint after a power loss, and the previous one gone
+    cfg, tr = _trainer(tmp_path, 1)
+    path = tmp_path / "ckpt.npz"
+    events = []
+    fsync, replace = os.fsync, os.replace
+
+    def recorded_fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        fsync(fd)
+
+    def recorded_replace(src, dst):
+        events.append(("replace", os.path.basename(dst)))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", recorded_fsync)
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    save_checkpoint(str(path), tr, cfg)
+    # the whole file, flushed, is synced before the rename
+    assert events == [("fsync", path.stat().st_size), ("replace", "ckpt.npz"),
+                      ("fsync", "dir")]

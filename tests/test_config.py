@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -262,6 +263,20 @@ def test_capacity_check_gives_one_message():
         Trainer(cfg.suite(), cfg.policy_config("actor"), TrainSettings(buffer_capacity=3), 0)
     want = "buffer_capacity: must hold at least one transition per task (4)"
     assert str(by_config.value) == str(by_trainer.value) == want
+
+
+def test_capacity_below_a_batch_per_task_is_refused():
+    # 100 // 4 = 25 transitions per task can never give a batch of 32: the
+    # run would step its environments and never train
+    want = "buffer_capacity: holds 25 transitions per task, fewer than batch_per_task (32)"
+    with pytest.raises(ConfigError, match=re.escape(want)):
+        RunConfig(buffer_capacity=100, batch_per_task=32)
+    cfg = RunConfig()
+    settings = TrainSettings(buffer_capacity=100, batch_per_task=32)
+    tr = Trainer(cfg.suite(), cfg.policy_config("actor"), settings, 0)
+    with pytest.raises(ValueError, match=re.escape(want)):
+        tr.run(2000, 1000, 0)
+    assert tr.env_steps == 0
 
 
 def test_compat_hash_is_stable_across_versions():

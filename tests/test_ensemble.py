@@ -15,12 +15,11 @@ from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
-    make_mask_fn,
     policy_layout,
     topk_mask_rows,
 )
 from modroute.sac import _member_min_adjoint
-from routing_oracles import padded
+from routing_oracles import padded, selector
 
 
 def _critics(n=5, seed=0, routing_widths=(8, 6)):
@@ -41,11 +40,11 @@ def _masks(cfg, rng, B):
                    for i in range(2, cfg.n_modules + 1)])
 
 
-def _grads(net, res, g):
-    """The gradient ``net.backward`` gives from the output adjoint ``g``,
-    by tensor name."""
+def _grads(net, res, g, chi_mode="off"):
+    """The gradient ``net.backward`` gives from the output adjoint ``g``
+    under the gate ``chi_mode``, by tensor name."""
     grad = Params(net.params.layout)
-    net.backward(res, g, grad)
+    net.backward(res, g, grad, chi_mode=chi_mode)
     return grad.tensors
 
 
@@ -84,12 +83,12 @@ def test_each_member_matches_a_single_network_bitwise(chi_mode, B):
     assert not np.array_equal(masks[0], masks[1])
     coeff = rng.uniform(0.1, 1.0, size=(B, 1))
 
-    res = critics.forward(obs, tasks, action=act, masks=masks, chi_mode=chi_mode)
+    res = critics.forward(obs, tasks, action=act, masks=masks)
     assert res.out.shape == (2, B, 1)
-    grads = _grads(critics, res, 2.0 * coeff * res.out)
+    grads = _grads(critics, res, 2.0 * coeff * res.out, chi_mode)
     for i, net in enumerate(members):
-        alone = net.forward(obs, tasks, action=act, masks=masks[i], chi_mode=chi_mode)
-        g = _grads(net, alone, 2.0 * coeff * alone.out)
+        alone = net.forward(obs, tasks, action=act, masks=masks[i])
+        g = _grads(net, alone, 2.0 * coeff * alone.out, chi_mode)
         np.testing.assert_array_equal(res.out[i], alone.out)
         np.testing.assert_array_equal(res.padded_probs[i], alone.padded_probs)
         for name, grad in g.items():
@@ -106,8 +105,8 @@ def test_the_rsg_gate_is_live_in_the_bitwise_check():
     masks = np.stack([_masks(cfg, rng, 4), _masks(cfg, rng, 4)])
     grads = {}
     for mode in ("rsg", "off"):
-        res = critics.forward(obs, tasks, action=act, masks=masks, chi_mode=mode)
-        grads[mode] = _grads(critics, res, np.ones_like(res.out))
+        res = critics.forward(obs, tasks, action=act, masks=masks)
+        grads[mode] = _grads(critics, res, np.ones_like(res.out), mode)
     assert any(not np.array_equal(grads["rsg"][k], grads["off"][k]) for k in grads["off"])
 
 
@@ -115,12 +114,12 @@ def test_a_sampling_selector_runs_once_per_member_in_order():
     cfg, critics, members, rng = _critics(seed=6)
     obs, act, tasks = rng.normal(size=(5, 5)), rng.normal(size=(5, 2)), [0, 1, 2, 0, 1]
     taus = np.full(5, 0.7)
-    stacked = critics.route(obs, tasks, action=act, mask_fn=make_mask_fn(
+    stacked = critics.route(obs, tasks, action=act, mask_fn=selector(
         "samplek", 2, taus=taus, rng=np.random.default_rng(9)))
     rng_alone = np.random.default_rng(9)
     for i, net in enumerate(members):
         alone = net.forward(obs, tasks, action=act,
-                            mask_fn=make_mask_fn("samplek", 2, taus=taus, rng=rng_alone))
+                            mask_fn=selector("samplek", 2, taus=taus, rng=rng_alone))
         np.testing.assert_array_equal(stacked.masks[i], alone.padded_masks)
         np.testing.assert_array_equal(stacked.logits[i], alone.padded_logits)
 
@@ -128,7 +127,7 @@ def test_a_sampling_selector_runs_once_per_member_in_order():
 def test_route_gives_the_masks_of_the_full_pass_without_modules():
     cfg, critics, _, rng = _critics(seed=7)
     obs, act, tasks = rng.normal(size=(3, 5)), rng.normal(size=(3, 2)), [2, 0, 1]
-    fn = make_mask_fn("topk", 2)
+    fn = selector("topk", 2)
     routed = critics.route(obs, tasks, action=act, mask_fn=fn)
     full = critics.forward(obs, tasks, action=act, mask_fn=fn)
     np.testing.assert_array_equal(routed.masks, full.padded_masks)
@@ -157,8 +156,9 @@ def test_frozen_critics_send_the_action_the_sum_over_both_critics():
     masks = np.stack([_masks(cfg, rng, B), _masks(cfg, rng, B)])
     coeff = rng.uniform(0.1, 1.0, size=(B, 1))
 
-    q = critics.forward(obs, tasks, action=act, masks=masks, chi_mode="rsg")
-    got = critics.backward(q, _member_min_adjoint(q.out, coeff), input_grad=True)
+    q = critics.forward(obs, tasks, action=act, masks=masks)
+    got = critics.backward(q, _member_min_adjoint(q.out, coeff), input_grad=True,
+                           chi_mode="rsg")
 
     values = [net.forward(obs, tasks, action=act, masks=masks[i]).out
               for i, net in enumerate(members)]
@@ -166,7 +166,7 @@ def test_frozen_critics_send_the_action_the_sum_over_both_critics():
     assert first.any() and (~first).any()
     parts = []
     for i, net in enumerate(members):
-        qi = net.forward(obs, tasks, action=act, masks=masks[i], chi_mode="rsg")
+        qi = net.forward(obs, tasks, action=act, masks=masks[i])
         weight = np.where(first if i == 0 else ~first, coeff, 0.0)
-        parts.append(net.backward(qi, weight, input_grad=True))
+        parts.append(net.backward(qi, weight, input_grad=True, chi_mode="rsg"))
     np.testing.assert_array_equal(got, parts[0] + parts[1])

@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from modroute.config import RunConfig
-from modroute.envs import (
-    OBS_DIM,
-    TaskSpec,
-    ToyEnv,
-    run_episode,
-    scripted_expert,
-)
+from env_oracles import run_episode, scripted_expert
+from modroute.envs import OBS_DIM, TaskSpec, ToyEnv
 from modroute.seeding import stream
 
 

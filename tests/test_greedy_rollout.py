@@ -9,6 +9,8 @@ state. An untrained actor never succeeds, so there the tasks succeed by a
 rule of the agent's position and step that ends some episodes early.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -118,3 +120,33 @@ def test_analysis_without_samples_is_refused(samples):
     for analyse in (collect_routing, usage_table):
         with pytest.raises(ValueError, match="samples_per_task must be >= 1"):
             analyse(tr, samples)
+
+
+class _CountingAgent(modroute.sac.Agent):
+    """An agent whose greedy rollout reaches a given number of modules at
+    each step, one episode of ``len(counts)`` steps."""
+
+    def __init__(self, counts, n=8):
+        self.suite, self.num_tasks = [RunConfig().suite()[0]], 1
+        self.counts, self.n = counts, n
+
+    def greedy_steps(self, task, seed_tag):
+        while True:
+            for t, c in enumerate(self.counts):
+                res = SimpleNamespace(effective=np.arange(self.n)[None] < c,
+                                      padded_masks=np.zeros((1, 1, 1)),
+                                      padded_probs=np.zeros((1, 1, 1)))
+                yield res, t == len(self.counts) - 1, False
+
+
+def test_evaluation_and_usage_table_share_one_usage_std():
+    # counts whose mean-square std and two-pass std (np.std) differ in the
+    # last bit
+    counts = [4, 5, 7, 8, 1, 2, 7]
+    c = np.array(counts, dtype=np.float64)
+    assert np.sqrt(np.mean(c * c) - c.mean() ** 2) != c.std()
+    agent = _CountingAgent(counts)
+    _, mean, std = agent.evaluate(1)
+    row, = usage_table(agent, len(counts))
+    assert row["mean_modules"] == mean[0] == c.mean()
+    assert row["std_modules"] == std[0]

@@ -5,13 +5,12 @@ from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
-    make_mask_fn,
     pack_masks,
     sample_k_mask_rows,
     topk_mask_rows,
     unpack_masks,
 )
-from routing_oracles import effective_modules, mlp, padded, unpadded
+from routing_oracles import effective_modules, mask_softmax, mlp, padded, selector, unpadded
 from tape_oracles import forward as taped_forward
 from tape_oracles import gradient_check
 from tape_oracles import squashed_gaussian as taped_squashed_gaussian
@@ -40,7 +39,7 @@ def test_zero_init_routing_gives_zero_logits():
     cfg = small_cfg()
     pol = ModulePolicy.init(cfg, rng)
     res = pol.forward(rng.normal(size=(3, 5)), np.zeros(3, dtype=int),
-                      mask_fn=make_mask_fn("topk", 2))
+                      mask_fn=selector("topk", 2))
     for z in unpadded(res.padded_logits):
         assert np.all(z == 0.0)
 
@@ -49,7 +48,7 @@ def test_logit_lengths():
     rng = np.random.default_rng(1)
     cfg = small_cfg(n=3)
     pol = ModulePolicy.init(cfg, rng)
-    res = pol.forward(rng.normal(size=(1, 5)), [0], mask_fn=make_mask_fn("topk", 2))
+    res = pol.forward(rng.normal(size=(1, 5)), [0], mask_fn=selector("topk", 2))
     assert [z.shape[1] for z in unpadded(res.padded_logits)] == [1, 2]
 
 
@@ -85,7 +84,7 @@ def test_mask_invariants_from_mask_fn():
         if key.startswith("route"):
             pol.params[key] = rng.normal(size=v.shape)
     res = pol.forward(rng.normal(size=(4, 5)), [0, 1, 0, 1],
-                      mask_fn=make_mask_fn("topk", 2))
+                      mask_fn=selector("topk", 2))
     masks, probs = unpadded(res.padded_masks), unpadded(res.padded_probs)
     for i, (d, p) in enumerate(zip(masks, probs), start=2):
         assert np.all(d.sum(axis=1) == min(2, i - 1))
@@ -94,6 +93,8 @@ def test_mask_invariants_from_mask_fn():
 
 
 def test_forward_identity_across_chi_modes():
+    # the gate changes gradients only: a backward under any mode leaves the
+    # pass's output and routing arrays as its forward computed them
     rng = np.random.default_rng(6)
     for trial in range(20):
         cfg = small_cfg(n=int(rng.integers(3, 6)))
@@ -103,12 +104,49 @@ def test_forward_identity_across_chi_modes():
         obs = rng.normal(size=(3, 5))
         tasks = rng.integers(0, 2, size=3)
         masks = random_masks(cfg, rng, B=3)
-        outs = [
-            pol.forward(obs, tasks, masks=masks, chi_mode=mode).out
-            for mode in ("off", "sg", "rsg")
-        ]
-        assert np.array_equal(outs[0], outs[1])
-        assert np.array_equal(outs[0], outs[2])
+        res = pol.forward(obs, tasks, masks=masks)
+        values = (res.out, res.padded_masks, res.padded_probs, res.padded_logits)
+        before = [v.copy() for v in values]
+        for mode in ("off", "sg", "rsg"):
+            pol.backward(res, rng.normal(size=res.out.shape), Params(pol.params.layout),
+                         chi_mode=mode)
+            for v, b in zip(values, before):
+                assert np.array_equal(v, b)
+        assert np.array_equal(pol.forward(obs, tasks, masks=masks).out, before[0])
+
+
+def test_backward_rejects_an_unknown_chi_mode():
+    rng = np.random.default_rng(6)
+    cfg = small_cfg()
+    pol = ModulePolicy.init(cfg, rng)
+    res = pol.forward(rng.normal(size=(2, 5)), [0, 1], masks=random_masks(cfg, rng, B=2))
+    with pytest.raises(ValueError, match="unknown chi_mode 'rsg-only'"):
+        pol.backward(res, np.ones_like(res.out), chi_mode="rsg-only")
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("members", [1, 2], ids=["single", "stacked"])
+def test_suitable_matches_a_per_module_oracle(members, dtype):
+    # a source of module i is suitable where its softmax score over all of
+    # module i's sources is at least 1/i; padding never is
+    rng = np.random.default_rng([members, np.dtype(dtype).itemsize])
+    cfg = small_cfg(n=6)
+    pol = ModulePolicy.init(cfg, *[rng] * members).astype(dtype)
+    pol.params.flat[:] = rng.normal(size=pol.params.flat.shape)
+    B = 5
+    res = pol.forward(rng.normal(size=(B, 5)), rng.integers(0, 2, size=B),
+                      mask_fn=selector("topk", 2))
+    z = res.padded_logits
+    got = pol.suitable(z)
+    assert got.shape == z.shape and got.dtype == bool
+    want = np.zeros(z.shape, dtype=bool)
+    for lead in np.ndindex(z.shape[:-2]):  # (member,) batch row
+        for i in range(2, cfg.n_modules + 1):
+            scores = mask_softmax(z[lead][i - 2, :i - 1], np.ones(i - 1))
+            want[lead][i - 2, :i - 1] = scores >= 1.0 / i
+    np.testing.assert_array_equal(got, want)
+    valid = np.tri(cfg.n_modules - 1, dtype=bool)
+    assert not want[..., valid].all()  # the test sees both outcomes
 
 
 def test_skipped_evaluation_matches_full():
@@ -204,10 +242,11 @@ def _rsg_fixture():
 
 
 def _loss_grads(pol, obs, masks, chi_mode):
-    """The sum of out * out and its gradient, keyed as ``pol.params``."""
-    res = pol.forward(obs, [0], masks=masks, chi_mode=chi_mode)
+    """The sum of out * out and its gradient under the gate ``chi_mode``,
+    keyed as ``pol.params``."""
+    res = pol.forward(obs, [0], masks=masks)
     grad = Params(pol.params.layout)
-    pol.backward(res, 2.0 * res.out, grad)
+    pol.backward(res, 2.0 * res.out, grad, chi_mode=chi_mode)
     return float((res.out * res.out).sum()), grad
 
 
@@ -404,7 +443,7 @@ def test_state_routing_flag():
         if key.startswith("route"):
             pol.params[key] = rng.normal(size=v.shape)
     obs1, obs2 = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-    r1 = pol.forward(obs1, [0], mask_fn=make_mask_fn("topk", 2))
-    r2 = pol.forward(obs2, [0], mask_fn=make_mask_fn("topk", 2))
+    r1 = pol.forward(obs1, [0], mask_fn=selector("topk", 2))
+    r2 = pol.forward(obs2, [0], mask_fn=selector("topk", 2))
     for z1, z2 in zip(unpadded(r1.padded_logits), unpadded(r2.padded_logits)):
         np.testing.assert_array_equal(z1, z2)  # routing ignores the state

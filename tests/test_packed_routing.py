@@ -15,9 +15,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modroute import network
+from modroute import network, sac
 from modroute.config import RunConfig
-from modroute.network import ModulePolicy, PolicyConfig, make_mask_fn
+from modroute.network import ModulePolicy, PolicyConfig
 from modroute.sac import Trainer
 from routing_oracles import (
     effective_modules,
@@ -26,6 +26,7 @@ from routing_oracles import (
     padded,
     per_module_sample_k,
     route_logits_per_mlp,
+    selector,
     topk_mask,
     unpadded,
 )
@@ -93,7 +94,7 @@ def _run_modes(n, exact):
                 for skip in (False, True):
                     seed = int(rng.integers(1 << 30))
                     fwd_rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
-                    fn = make_mask_fn(mode, k, taus=taus, rng=fwd_rng)
+                    fn = selector(mode, k, taus=taus, rng=fwd_rng)
                     res = pol.forward(obs, tasks, action=act, mask_fn=fn,
                                       skip_unused=skip)
                     logits = unpadded(res.padded_logits)
@@ -161,7 +162,10 @@ def kernel_counts(monkeypatch):
             counts[_name] += 1
             return _orig(*args, **kwargs)
 
-        monkeypatch.setattr(owner, attr, counted)
+        # every binding of a kernel: the agent's selectors call sac's
+        for ns in (owner, sac):
+            if getattr(ns, attr, None) is orig:
+                monkeypatch.setattr(ns, attr, counted)
     return counts
 
 
@@ -176,19 +180,19 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
                                   for i in range(2, 9)])
     else:  # hard routing is greedy top-1
         fn, k = ("topk", 1) if mode == "hard" else (mode, 2)
-        kwargs["mask_fn"] = make_mask_fn(fn, k, taus=np.ones(4), rng=rng)
+        kwargs["mask_fn"] = selector(fn, k, taus=np.ones(4), rng=rng)
     if mode == "taped":
-        # a training pass: stored masks under the gate, every module
-        kwargs.update(chi_mode="rsg", skip_unused=False)
+        # a training pass: stored masks, every module
+        kwargs.update(skip_unused=False)
     res = pol.forward(obs, tasks, **kwargs)
-    selector = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
-                "samplek": "sample_k_mask_rows"}.get(mode)
+    kernel = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
+              "samplek": "sample_k_mask_rows"}.get(mode)
     # a skipping pass runs reachability; another runs it at the first read
     # of ``effective``, and only once
     reach = int(kwargs["skip_unused"])
     assert kernel_counts == Counter({"ModulePolicy.forward": 1, "ModulePolicy.route": 1,
                                      "masked_softmax_rows": 1, "effective_rows": reach,
-                                     **({selector: 1} if selector else {})})
+                                     **({kernel: 1} if kernel else {})})
     for _ in range(2):
         assert res.effective.shape == (4, 8)
     assert kernel_counts["effective_rows"] == 1
@@ -236,7 +240,7 @@ def test_effective_of_a_non_skipping_pass_is_the_reachability_of_its_masks(head,
     obs = rng.normal(size=(7, 5))
     act = rng.normal(size=(7, 2)) if head == "critic" else None
     res = pol.forward(obs, [0, 1, 2, 0, 1, 2, 0], action=act,
-                      mask_fn=make_mask_fn("topk", 2))
+                      mask_fn=selector("topk", 2))
     d = res.padded_masks.reshape((-1,) + res.padded_masks.shape[-2:])
     want = network.effective_rows(d)
     assert res.effective.shape == (members * 7, cfg.n_modules)

@@ -20,11 +20,10 @@ from modroute.network import (
     Params,
     PolicyConfig,
     _layer_sizes,
-    make_mask_fn,
     topk_mask_rows,
 )
 from modroute.sac import Trainer
-from routing_oracles import mlp, route_logits_per_mlp
+from routing_oracles import mlp, route_logits_per_mlp, selector
 from tape_oracles import Tape, gradient_check
 
 WIDTHS = [(), (8,), (8, 5), (64, 64)]
@@ -75,7 +74,7 @@ def test_stacked_logits_match_each_mlp_alone(n, widths):
     for B in (1, 4):
         obs = rng.normal(size=(B, 5))
         tasks = rng.integers(0, 3, size=B)
-        got = pol.forward(obs, tasks, mask_fn=make_mask_fn("topk", 2)).padded_logits
+        got = pol.forward(obs, tasks, mask_fn=selector("topk", 2)).padded_logits
         want = _oracle_logits(pol, obs, tasks)
         _assert_logits_close(got, want)
         for k in (1, 2, 3):
@@ -199,7 +198,7 @@ def test_a_copied_network_reads_its_own_flat_vector(head, members, how):
     action = rng.normal(size=(4, 2)) if head == "critic" else None
 
     def out(net):
-        return net.forward(obs, tasks, action=action, mask_fn=make_mask_fn("topk", 2)).out
+        return net.forward(obs, tasks, action=action, mask_fn=selector("topk", 2)).out
 
     before = out(copied)
     # a write to the copy's flat vector (as an optimizer step makes)
@@ -234,7 +233,7 @@ def test_eval_checkpoint_routing_weights_reach_the_loaded_forward(tmp_path, floa
     tr2, _ = load_checkpoint(path)
     obs = np.random.default_rng(7).normal(size=(3, tr2.cfg.obs_dim))
     tasks = np.array([0, 1, 3])
-    got = tr2.actor.forward(obs, tasks, mask_fn=make_mask_fn("topk", 2)).padded_logits
+    got = tr2.actor.forward(obs, tasks, mask_fn=selector("topk", 2)).padded_logits
     # the oracle reads the assigned arrays, not the loaded network's views
     p = {**dict(tr2.actor.params), **assigned}
     g = mlp(p, "enc", obs, 2) * p["temb"][tasks]

@@ -14,7 +14,6 @@ from modroute.network import (
     ModulePolicy,
     Params,
     PolicyConfig,
-    make_mask_fn,
     pack_masks,
     topk_mask_rows,
     unpack_masks,
@@ -32,6 +31,7 @@ from modroute.sac import (
     loss_maskout,
     task_loss_weights,
 )
+from routing_oracles import selector
 from tape_oracles import flatten
 
 
@@ -435,7 +435,7 @@ class TestTrainer:
         size = int(tr.buffer.sizes[0])
         stored = unpack_masks(tr.buffer.fields["masks_actor"][0, :size], tr.cfg)
         for state, masks in zip(tr.buffer.fields["state"][0, :size], stored):
-            res = tr.actor.forward(state[None], [0], mask_fn=make_mask_fn("topk", tr.cfg.k))
+            res = tr.actor.forward(state[None], [0], mask_fn=selector("topk", tr.cfg.k))
             total += 1
             agree += int(np.array_equal(res.padded_masks, masks[None]))
         assert total >= 50
@@ -489,7 +489,7 @@ class TestTrainer:
         for i, member in enumerate(tr.critics.params.members):
             alone = ModulePolicy(tr.critics.cfg, member).forward(
                 batch["state"], batch["task_id"], action=batch["action"],
-                mask_fn=make_mask_fn("topk", tr.cfg.k))
+                mask_fn=selector("topk", tr.cfg.k))
             np.testing.assert_array_equal(alone.padded_masks, stored[:, i])
         res = tr._forward_train(tr.critics, batch, "masks_critics", action=batch["action"])
         np.testing.assert_array_equal(res.padded_masks, stored.swapaxes(0, 1))
@@ -568,8 +568,8 @@ class TestTrainer:
         tr.collect_rollouts(20)
         backward = ModulePolicy.backward
 
-        def poisoned(self, res, g, grad=None, input_grad=False):
-            out = backward(self, res, g, grad, input_grad)
+        def poisoned(self, res, g, grad=None, input_grad=False, chi_mode="off"):
+            out = backward(self, res, g, grad, input_grad, chi_mode)
             if grad is not None and self is tr.critics:  # in q2's weights
                 grad["mod1.w0"][1, 0, 0] = np.nan
             return out
