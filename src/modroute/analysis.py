@@ -74,8 +74,11 @@ def sparsity_distribution(agent: Agent, samples: int) -> list[dict]:
 
     For every sampled timestep and module, counts routing probabilities
     above PROB_FLOOR, then reports the percentage of (module, timestep)
-    observations at each source count. Percentages sum to 100.
+    observations at each source count. Percentages sum to 100. Fewer
+    than 1 sample raises ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     per_task = max(1, samples // len(agent.suite))
     traces = collect_routing(agent, per_task)
     # (S, n-1) per task: padded entries are 0, below the floor

@@ -6,14 +6,17 @@ networks in float32. Each forward kernel has a hand-written backward
 (vector-Jacobian product) that ``network.ModulePolicy.backward`` runs, last
 to first, on what the forward saved:
 
-* ``affine_chain``: an affine-relu chain (linear last layer); the encoder
-  and every module.
+* ``affine_chain``: an affine-relu chain (linear last layer). Every MLP
+  runs on it and on ``affine_chain_backward``: the encoder, every module
+  and both parts of the routing MLPs.
 * ``route_mlps``: the ``R`` routing MLPs of a network, stacked, on their
-  shared input: one 2-D matmul for the first layer and one batched matmul
-  for each later one. Their logits are one padded ``(B, R, R)`` array:
-  MLP ``r``'s outputs fill row ``r`` up to column ``r`` and the rest of
-  the row is ``-inf``, so a softmax over the last axis ignores it. The
-  output weights and biases behind the padding get a zero adjoint.
+  shared input: the first layers as one affine layer of ``R`` times their
+  width (one 2-D matmul), the later layers as one chain of ``R`` stacked
+  members (one batched matmul each). Their logits are one padded
+  ``(B, R, R)`` array: MLP ``r``'s outputs fill row ``r`` up to column
+  ``r`` and the rest of the row is ``-inf``, so a softmax over the last
+  axis ignores it. The output weights and biases behind the padding get a
+  zero adjoint.
 * ``masked_softmax``: softmax over the last axis restricted to a constant
   binary mask, for all rows of a padded logit array at once.
 * ``modules``: a routed network's whole module stack: each module's input
@@ -91,10 +94,13 @@ def affine_chain(x: np.ndarray, layers) -> tuple[np.ndarray, list[np.ndarray]]:
     k), ``b`` (M, k)); ``x`` is then (M, B, m), or (B, m) shared by every
     member, and the output (M, B, k)."""
     acts = [x]
-    for l in range(0, len(layers) - 2, 2):
-        x = np.maximum(x @ layers[l] + layers[l + 1][..., None, :], 0.0)
-        acts.append(x)
-    return x @ layers[-2] + layers[-1][..., None, :], acts
+    for l in range(0, len(layers), 2):
+        x = x @ layers[l]
+        x += layers[l + 1][..., None, :]
+        if l + 2 < len(layers):
+            np.maximum(x, 0.0, out=x)
+            acts.append(x)
+    return x, acts
 
 
 @lru_cache(maxsize=None)
@@ -111,31 +117,30 @@ def route_mlps(x: np.ndarray, layers):
     layers and a linear last layer, whose width is ``R``.
 
     ``layers = [w0, b0, w1, b1, ...]``: ``w0`` is (d, R, h0) and runs as one
-    (d, R*h0) matmul; each later ``w`` is (R, h_in, h_out) and runs as one
-    batched matmul; each ``b`` is (R, h_out). Returns the logits, (B, R, R)
-    with MLP ``r``'s outputs in columns 0..r of row ``r`` and ``-inf``
-    after them, and each layer's input: ``x``, then (R, B, h) arrays.
+    affine layer of width R*h0 (one 2-D matmul); the later layers, each
+    ``w`` (R, h_in, h_out) and ``b`` (R, h_out), run as an ``affine_chain``
+    of R stacked members. Returns the logits, (B, R, R) with MLP ``r``'s
+    outputs in columns 0..r of row ``r`` and ``-inf`` after them, and each
+    layer's input: ``x``, then (R, B, h) arrays.
     A stacked network adds a leading member axis to every array, as in
     ``affine_chain``.
     """
-    w0, b0 = layers[0], layers[1]
-    d, count, h0 = w0.shape[-3:]
-    lead = w0.shape[:-3]
-    a = x @ w0.reshape(lead + (d, count * h0))
-    a += b0.reshape(lead + (1, count * h0))
-    acts = [x]
+    count, h0 = layers[0].shape[-2:]
+    a, acts = affine_chain(x, _merged(layers))
+    a = a.reshape(a.shape[:-1] + (count, h0))
     if len(layers) > 2:
-        a = np.maximum(a, 0.0, out=a).reshape(a.shape[:-1] + (count, h0)).swapaxes(-3, -2)
-        for l in range(2, len(layers), 2):
-            acts.append(a)
-            a = np.matmul(a, layers[l])
-            a += layers[l + 1][..., None, :]
-            if l + 2 < len(layers):
-                np.maximum(a, 0.0, out=a)
+        a = np.maximum(a, 0.0, out=a).swapaxes(-3, -2)
+        a, later = affine_chain(a, layers[2:])
+        acts += later
         a = a.swapaxes(-3, -2)
-    else:
-        a = a.reshape(a.shape[:-1] + (count, count))
     return np.where(route_valid(count), a, -np.inf), acts
+
+
+def _merged(layers) -> list:
+    """``route_mlps``'s first layer, ``w0`` (..., d, R, h0) and ``b0``
+    (..., R, h0), or their gradients (None or views), as one affine layer
+    of R*h0 outputs: views with the last two axes merged."""
+    return [None if t is None else t.reshape(t.shape[:-2] + (-1,)) for t in layers[:2]]
 
 
 # module i's input: its sources' outputs (the slab's leading rows) summed by
@@ -273,33 +278,13 @@ def route_mlps_backward(gz, acts, layers, grads, ws: Workspace):
     np.copyto(gz, 0.0, where=~route_valid(gz.shape[-1]))
     g = gz
     if len(layers) > 2:
-        g = g.swapaxes(-3, -2)  # (R, B, R), as the layer inputs
-        for l in range(len(layers) - 2, 0, -2):
-            a = acts[l // 2]
-            if grads[l] is not None:
-                np.matmul(a.swapaxes(-1, -2), g, out=grads[l])
-            if grads[l + 1] is not None:
-                np.sum(g, axis=-2, out=grads[l + 1])
-            # layers alternate between two slots: g is in the other one
-            g = np.matmul(g, layers[l].swapaxes(-1, -2),
-                          out=ws.take(("route", l // 2 % 2), a.shape, g.dtype))
-            # a layer input > 0 iff its relu was active
-            g *= np.greater(a, 0.0, out=ws.take("relu", a.shape, bool))
-        # back to (B, R, h0), contiguous, so the first layer reads it as
-        # (B, R*h0); the last layer (l = 2) left g in slot 1
-        g = g.swapaxes(-3, -2)
-        buf = ws.take(("route", 0), g.shape, g.dtype)
-        np.copyto(buf, g)
-        g = buf
-    w0 = layers[0]
-    lead = w0.shape[:-3]
-    g = g.reshape(g.shape[:-2] + (-1,))
-    if grads[0] is not None:
-        np.matmul(acts[0].swapaxes(-1, -2), g, out=grads[0].reshape(lead + (w0.shape[-3], -1)))
-    if grads[1] is not None:
-        np.sum(g, axis=-2, out=grads[1].reshape(lead + (-1,)))
-    w = w0.reshape(lead + (w0.shape[-3], -1)).swapaxes(-1, -2)
-    return np.matmul(g, w, out=ws.take("route_x", g.shape[:-1] + w.shape[-1:], g.dtype))
+        g = affine_chain_backward(gz.swapaxes(-3, -2), acts[1:], layers[2:], grads[2:], ws)
+        # through the first layer's relu (its output > 0 iff active), into
+        # one contiguous (B, R, h0) copy, which the first layer reads as
+        # (B, R*h0)
+        g = np.multiply(g.swapaxes(-3, -2), acts[1].swapaxes(-3, -2) > 0.0, order="C")
+    return affine_chain_backward(g.reshape(g.shape[:-2] + (-1,)), acts[:1], _merged(layers),
+                                 _merged(grads), ws)
 
 
 def masked_softmax_backward(gp, p, ws: Workspace):

@@ -13,6 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, make_suite
+from .fieldtypes import check_types
 from .network import NetworkSizes, PolicyConfig
 from .replay import check_capacity
 from .sac import TrainSettings
@@ -49,6 +50,7 @@ class RunConfig(TrainSettings, NetworkSizes):
 
     def __post_init__(self):
         try:
+            check_types(self)
             TrainSettings.__post_init__(self)
             NetworkSizes.__post_init__(self)
             make_suite(self.tasks)
@@ -85,17 +87,11 @@ class RunConfig(TrainSettings, NetworkSizes):
     def from_dict(cls, d: dict) -> "RunConfig":
         if not isinstance(d, dict):
             raise ConfigError("config root: expected a mapping")
-        known = {f.name: f for f in fields(cls)}
+        known = {f.name for f in fields(cls)}
         for key in d:
             if key not in known:
                 raise ConfigError(f"{key}: unknown config key")
-        checked = {}
-        for key, value in d.items():
-            checked[key] = _coerce(key, value, known[key].type)
-        try:
-            return cls(**checked)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**d)
 
     # run-control knobs that may change between a run and its resumption
     _RUN_CONTROL = ("total_env_steps", "eval_interval", "eval_episodes",
@@ -126,31 +122,3 @@ class RunConfig(TrainSettings, NetworkSizes):
             raw = {}
         return cls.from_dict(raw)
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# per field annotation: the values it accepts and how an error names them
-_TYPE_CHECKS = {
-    "bool": (lambda v: isinstance(v, bool), "true/false"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "list": (lambda v: isinstance(v, list), "a list"),
-    "tuple": (lambda v: isinstance(v, (list, tuple)), "a list"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
-    "float | None": (lambda v: v is None or _is_number(v), "a number or null"),
-}
-
-
-def _coerce(key: str, value, annotation: str):
-    """Light type checking by the field's annotation, with key-path error
-    messages; a number for a float field becomes a float."""
-    accepts, expected = _TYPE_CHECKS[annotation]
-    if not accepts(value):
-        raise ConfigError(f"{key}: expected {expected}, got {value!r}")
-    return float(value) if annotation.startswith("float") and value is not None else value

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fieldtypes import check_types
+
 DT = 0.05
 CONTACT_RADIUS = 0.1
 LATCH_RADIUS = 0.05
@@ -50,10 +52,7 @@ class TaskSpec:
         if self.goal_rule not in GOAL_RULES:
             raise ValueError(
                 f"goal_rule: {self.goal_rule!r} is not one of {list(GOAL_RULES)}")
-        for key in ("difficulty", "horizon"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{key}: expected an integer, got {value!r}")
+        check_types(self)
         if self.horizon < 1:
             raise ValueError("horizon: must be >= 1")
 

@@ -93,6 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
+from .fieldtypes import check_types
 
 
 @dataclass
@@ -109,6 +110,7 @@ class NetworkSizes:
     state_routing: bool = True    # feed F(s) * H(T) to routing (vs H(T) alone)
 
     def __post_init__(self):
+        check_types(self, NetworkSizes)
         if self.n_modules < 2:
             raise ValueError("n_modules: must be >= 2")
         for key in ("k", "module_dim", "module_hidden"):

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, ToyEnv
+from .fieldtypes import check_types
 from .network import (
     Layout,
     ModulePolicy,
@@ -260,6 +261,7 @@ class TrainSettings:
     routing_fn: str = "samplek"        # samplek | topk | hard | soft
 
     def __post_init__(self):
+        check_types(self, TrainSettings)
         for key, modes in (("resrouting", CHI_BY_MODE), ("routing_fn", ROUTING_FNS)):
             if getattr(self, key) not in modes:
                 raise ValueError(f"{key}: unknown mode {getattr(self, key)!r}")
@@ -289,6 +291,9 @@ class Agent:
                  settings: TrainSettings, seed: int, actor: ModulePolicy):
         if policy_cfg.head != "actor":
             raise ValueError("policy_cfg must describe the actor head")
+        if len(suite) != policy_cfg.num_tasks:
+            raise ValueError(f"the suite has {len(suite)} tasks, "
+                             f"policy_cfg.num_tasks is {policy_cfg.num_tasks}")
         self.suite = suite
         self.cfg = policy_cfg
         self.s = settings
@@ -333,7 +338,9 @@ class Agent:
         """Deterministic rollouts (``greedy_steps``); per-task success and
         module usage (mean, std) over ``episodes_per_task`` episodes. Over
         zero episodes each is NaN: a rate over no episode measures nothing.
-        A negative count raises ``ValueError``."""
+        A count that is negative or not an integer raises ``ValueError``."""
+        if not isinstance(episodes_per_task, (int, np.integer)):
+            raise ValueError(f"episodes_per_task must be an integer, got {episodes_per_task!r}")
         if episodes_per_task < 0:
             raise ValueError(f"episodes_per_task must be >= 0, got {episodes_per_task}")
         if episodes_per_task == 0:

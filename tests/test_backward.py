@@ -23,14 +23,21 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# routing MLPs without a hidden layer, with one, with two (the cases without
+# a name: the widths these tests ran at first) and with three
+ROUTING_WIDTHS = {"": (8, 6), "-routing0": (), "-routing1": (8,), "-routing3": (8, 6, 5)}
+
+
 @pytest.mark.parametrize("chi_mode", ["rsg", "sg", "off"])
 @pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip"])
-@pytest.mark.parametrize("members", [1, 2], ids=["single", "stacked"])
-def test_backward_matches_the_tape(members, skip, chi_mode):
+@pytest.mark.parametrize("members, routing_widths", [
+    (members, widths) for name, widths in ROUTING_WIDTHS.items() for members in (1, 2)],
+    ids=[kind + name for name in ROUTING_WIDTHS for kind in ("single", "stacked")])
+def test_backward_matches_the_tape(members, routing_widths, skip, chi_mode):
     # a critic, so the action's adjoint is checked too
     cfg = PolicyConfig(obs_dim=5, act_dim=2, num_tasks=3, head="critic", n_modules=6,
                        module_dim=6, module_hidden=7, encoder_widths=(8, 5),
-                       routing_widths=(8, 6), k=1)
+                       routing_widths=routing_widths, k=1)
     rng = np.random.default_rng([members, skip, len(chi_mode)])
     net = ModulePolicy.init(cfg, *[rng] * members)
     net.params.flat[:] = rng.normal(size=net.params.flat.shape) * 0.5

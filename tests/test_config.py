@@ -247,10 +247,38 @@ def push_task(**values) -> TaskSpec:
     (push_task, {"difficulty": True}, "difficulty: expected an integer"),
     (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
     (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
+    (TrainSettings, {"route_balancing": "no"}, "route_balancing: expected true/false, got 'no'"),
+    (TrainSettings, {"batch_per_task": 4.0}, "batch_per_task: expected an integer, got 4.0"),
+    (TrainSettings, {"gamma": "high"}, "gamma: expected a number, got 'high'"),
+    (sized_policy, {"k": 2.5}, "k: expected an integer, got 2.5"),
+    (sized_policy, {"module_dim": True}, "module_dim: expected an integer, got True"),
+    (sized_policy, {"state_routing": 1}, "state_routing: expected true/false, got 1"),
+    (TaskSpec, {"task_id": "0", "kind": "push"}, "task_id: expected an integer, got '0'"),
 ])
 def test_parts_reject_what_the_run_config_rejects(build, values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build(**values)
+
+
+@pytest.mark.parametrize("values", [
+    {"route_balancing": "no"}, {"k": 2.5}, {"seed": "x"}, {"module_dim": True},
+    {"eval_episodes": 1.5}, {"stop_at_success": "high"}, {"tasks": "reach"},
+    {"encoder_widths": 64},
+])
+def test_library_use_refuses_what_yaml_refuses(values):
+    with pytest.raises(ConfigError) as by_yaml:
+        RunConfig.from_dict(values)
+    with pytest.raises(ConfigError) as by_library:
+        RunConfig(**values)
+    assert str(by_library.value) == str(by_yaml.value)
+    assert str(by_yaml.value).startswith(f"{next(iter(values))}: expected ")
+
+
+def test_library_use_reads_numbers_as_yaml_does():
+    # an integer in a float field becomes a float either way, so both hash alike
+    cfg = RunConfig(gamma=1, lr=1)
+    assert type(cfg.gamma) is float and type(cfg.lr) is float
+    assert cfg.compat_hash() == RunConfig.from_dict({"gamma": 1, "lr": 1}).compat_hash()
 
 
 def test_capacity_check_gives_one_message():

@@ -9,6 +9,7 @@ state. An untrained actor never succeeds, so there the tasks succeed by a
 rule of the agent's position and step that ends some episodes early.
 """
 
+import signal
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,6 +113,30 @@ def test_negative_episode_count_is_refused():
     tr = _trainer()
     with pytest.raises(ValueError, match="episodes_per_task must be >= 0"):
         tr.evaluate(-1)
+
+
+@pytest.mark.parametrize("episodes", [1.5, 2.0, "2", np.float64(1.0)])
+def test_non_integer_episode_count_is_refused(episodes):
+    # a count that never equals a whole number of episodes rolled out forever
+    tr = _trainer()
+
+    def timeout(signum, frame):
+        raise TimeoutError(f"evaluate({episodes!r}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ValueError, match="episodes_per_task must be an integer"):
+            tr.evaluate(episodes)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_sparsity_without_samples_is_refused(samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        sparsity_distribution(_trainer(), samples)
 
 
 @pytest.mark.parametrize("samples", [0, -2])

@@ -407,6 +407,19 @@ class TestLosses:
 
 
 class TestTrainer:
+    @pytest.mark.parametrize("tasks", [5, 2])
+    def test_suite_must_match_the_network_task_count(self, tasks):
+        # more tasks than embedding rows failed at the first rollout; fewer
+        # trained with an unused row
+        suite = RunConfig(tasks=[{"kind": "reach"}] * tasks).suite()
+        cfg = desk_cfg(num_tasks=3)
+        want = f"the suite has {tasks} tasks, policy_cfg.num_tasks is 3"
+        with pytest.raises(ValueError, match=want):
+            Trainer(suite, cfg, quick_settings(), 0)
+        with pytest.raises(ValueError, match=want):
+            modroute.sac.Agent(suite, cfg, quick_settings(), 0, ModulePolicy.init(
+                cfg, np.random.default_rng(0)))
+
     def test_collect_counts_and_mask_invariants(self):
         tr = make_trainer(seed=9)
         taken = tr.collect_rollouts(25)
