@@ -35,51 +35,15 @@ all members in one call. An input the members share (the critics' state and
 action) has no member axis; its adjoint is summed over the members.
 
 A backward writes each weight gradient into an array the caller passes
-(views of a flat gradient vector), and takes its intermediate adjoints from
-a ``Workspace``.
+(views of a flat gradient vector). Its intermediate adjoints are fresh
+arrays, as the forward's activations are.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
-
-
-class Workspace:
-    """Work arrays for intermediate adjoints, reused from step to step.
-
-    ``take(slot, shape, dtype)`` returns a view of the slot's buffer of
-    that dtype (the adjoint's), which is allocated at the first request and
-    grows only to a larger one: a train step's shapes are fixed, so its
-    buffers are sized by the first step.
-    Fresh large temporaries would cost page faults on every step. A slot's
-    contents live until the next ``take`` of the same slot.
-
-    A train step also frees several MB of pass arrays between its phases.
-    glibc serves an allocation above its mmap threshold (128 KiB at start)
-    by a fresh mmap, and hands the top of its heap back to the system once
-    more than twice that threshold is free there; freeing an mmapped block
-    raises the threshold to the block's size. So the first request of a
-    workspace frees one 16 MiB block first: at the start thresholds every
-    phase of a step would fault its arrays in again (~5,000 minor faults
-    per step at the default config). A network that runs no backward
-    (evaluation) never does.
-    """
-
-    def __init__(self):
-        self.bufs: dict[tuple, np.ndarray] = {}
-
-    def take(self, slot, shape: tuple, dtype) -> np.ndarray:
-        if not self.bufs:
-            np.empty(2 << 20)
-        size = math.prod(shape)
-        key = (slot, np.dtype(dtype))
-        buf = self.bufs.get(key)
-        if buf is None or buf.size < size:
-            buf = self.bufs[key] = np.empty(size, dtype)
-        return buf[:size].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -245,59 +209,49 @@ def squashed_gaussian(out: np.ndarray, act_dim: int, noise: np.ndarray):
 # ``grads`` (skipped where it is None) and returns the adjoint of its input
 
 
-def affine_chain_backward(g, acts, layers, grads, ws: Workspace, need_x=True, out=None):
+def affine_chain_backward(g, acts, layers, grads, need_x=True, out=None):
     """Adjoints of an ``affine_chain``'s layers, into ``grads``, and of its
     input (None unless ``need_x``; with the member axis of a stacked chain,
     for the caller to sum away if the input was shared), written to ``out``
-    or to a workspace array. ``g`` may not be a workspace array of this
-    kernel."""
+    if given."""
     for l in range(len(acts) - 1, -1, -1):
-        a = acts[l]
         if grads[2 * l] is not None:
-            np.matmul(a.swapaxes(-1, -2), g, out=grads[2 * l])
+            np.matmul(acts[l].swapaxes(-1, -2), g, out=grads[2 * l])
         if grads[2 * l + 1] is not None:
             np.sum(g, axis=-2, out=grads[2 * l + 1])
-        if l == 0 and not need_x:
-            return None
-        shape = g.shape[:-1] + layers[2 * l].shape[-2:-1]
         if l == 0:
-            return np.matmul(g, layers[0].swapaxes(-1, -2),
-                             out=ws.take("chain_x", shape, g.dtype) if out is None else out)
-        # layers alternate between two slots: g is in the other one
-        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2),
-                      out=ws.take(("chain", l % 2), shape, g.dtype))
+            return np.matmul(g, layers[0].swapaxes(-1, -2), out=out) if need_x else None
+        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2))
         # a layer input > 0 iff its relu was active
-        g *= np.greater(a, 0.0, out=ws.take("relu", a.shape, bool))
+        g *= acts[l] > 0.0
 
 
-def route_mlps_backward(gz, acts, layers, grads, ws: Workspace):
+def route_mlps_backward(gz, acts, layers, grads):
     """Adjoints of ``route_mlps``'s layers, into ``grads``, and of its input,
-    in a workspace array, from the adjoint ``gz`` of its padded logits.
-    Overwrites ``gz``."""
+    from the adjoint ``gz`` of its padded logits. Overwrites ``gz``."""
     # the padding is constant: its adjoint reaches no weight
     np.copyto(gz, 0.0, where=~route_valid(gz.shape[-1]))
     g = gz
     if len(layers) > 2:
-        g = affine_chain_backward(gz.swapaxes(-3, -2), acts[1:], layers[2:], grads[2:], ws)
+        g = affine_chain_backward(gz.swapaxes(-3, -2), acts[1:], layers[2:], grads[2:])
         # through the first layer's relu (its output > 0 iff active), into
         # one contiguous (B, R, h0) copy, which the first layer reads as
         # (B, R*h0)
         g = np.multiply(g.swapaxes(-3, -2), acts[1].swapaxes(-3, -2) > 0.0, order="C")
     return affine_chain_backward(g.reshape(g.shape[:-2] + (-1,)), acts[:1], _merged(layers),
-                                 _merged(grads), ws)
+                                 _merged(grads))
 
 
-def masked_softmax_backward(gp, p, ws: Workspace):
+def masked_softmax_backward(gp, p):
     """The adjoint of ``masked_softmax``'s logits from that of its output
-    ``p``, in a workspace array."""
-    gz = np.multiply(gp, p, out=ws.take("softmax", p.shape, gp.dtype))
+    ``p``."""
+    gz = np.multiply(gp, p, order="C")
     s = gz.sum(axis=-1, keepdims=True)
     np.subtract(gp, s, out=gz)
     return np.multiply(p, gz, out=gz)
 
 
-def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: Workspace,
-                     need_p=True):
+def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_p=True):
     """Adjoints of a ``modules`` stack that evaluated every module, from its
     output adjoint ``g``: each module's weights into ``grads`` (four entries
     per module, in module order), and returns those of ``probs`` (None
@@ -310,42 +264,37 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, ws: W
     # row r of q_ok, q_bad and gu_rev (the module input adjoints) is module
     # n - r's, so module i's readers n, n-1, ..., i+1, in the order the sweep
     # reaches them, are their first n - i rows, running forward in memory
-    # (_MIX). ResRouting's gate is folded into the weights: an unsuitable
-    # source's adjoint skips its module transform, to the source module's
-    # own input (the residual shortcut, rsg) or nowhere (sg)
+    # (_MIX; so q_ok and q_bad are C-order copies of the reversed rows).
+    # ResRouting's gate is folded into the weights: an unsuitable source's
+    # adjoint skips its module transform, to the source module's own input
+    # (the residual shortcut, rsg) or nowhere (sg)
     q = probs[..., ::-1, :]
     dt = g.dtype
-    q_ok = ws.take("q_ok", q.shape, dt)
+    q_bad = None
     if suit is None:
-        np.copyto(q_ok, q)
-        q_bad = None
+        q_ok = np.ascontiguousarray(q, dt)
     else:
-        np.multiply(q, suit[..., ::-1, :], out=q_ok)
-        q_bad = None
+        q_ok = np.multiply(q, suit[..., ::-1, :], order="C", dtype=dt)
         if rsg:
-            q_bad = np.multiply(q, ~suit[..., ::-1, :], out=ws.take("q_bad", q.shape, dt))
-    gu_rev = ws.take("gu_rev", slab.shape, dt)
+            q_bad = np.multiply(q, ~suit[..., ::-1, :], order="C", dtype=dt)
+    gu_rev = np.empty(slab.shape, dt)
     gp = None
     if need_p:
-        gp = ws.take("gp", probs.shape, dt)
-        gp.fill(0.0)
+        gp = np.zeros(probs.shape, dt)
         gp_src = np.moveaxis(gp, -1, 0)
     for i in range(n, 0, -1):
         w = slice(4 * i - 4, 4 * i)  # module i's layers
-        gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i],
-                                        out=ws.take("gm", slab.shape[1:], dt))
-        out = ws.take("gh", slab.shape[1:], dt) if i == 1 else gu_rev[n - i]
-        gu = affine_chain_backward(gm, acts[i], layers[w], grads[w], ws, out=out)
+        gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i])
+        gu = affine_chain_backward(gm, acts[i], layers[w], grads[w],
+                                   out=None if i == 1 else gu_rev[n - i])
         if i == 1:
             return gp, gu
         if i < n:
             gu += gm  # the residual
             if q_bad is not None:
-                gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i],
-                                out=ws.take("gbad", gu.shape, dt))
+                gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i])
         if gp is not None:
-            prod = ws.take("prod", (i - 1,) + gu.shape, dt)
-            gp_src[:i - 1, ..., i - 2] = np.multiply(slab[:i - 1], gu, out=prod).sum(axis=-1)
+            gp_src[:i - 1, ..., i - 2] = np.multiply(slab[:i - 1], gu).sum(axis=-1)
 
 
 def squashed_gaussian_backward(ga, gl, a, noise, saved):

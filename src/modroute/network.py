@@ -80,7 +80,9 @@ are needed. The pass keeps what its kernels saved, and
 ``ModulePolicy.backward`` runs their backward kernels on it, last to first:
 the module stack, the masked softmax, the routing MLPs, the routing input
 and gather, the encoder. It writes each weight gradient straight into a
-view of a flat gradient vector over the network's layout.
+view of a flat gradient vector over the network's layout. Every other array
+of a pass and of its backward (activation, routing array, adjoint) is
+fresh; ``sac.Trainer`` keeps glibc from faulting them in on every step.
 """
 
 from __future__ import annotations
@@ -419,7 +421,6 @@ class ModulePolicy:
                           for k in _layer_keys(f"mod{i}", 2)]
         self._dense_plan = (True,) * cfg.n_modules  # a pass evaluating every module
         self._route_names = _route_names(cfg)
-        self._work = ad.Workspace()  # the backward's intermediate adjoints
 
     @classmethod
     def init(cls, cfg: PolicyConfig, *rngs: np.random.Generator) -> "ModulePolicy":
@@ -566,7 +567,7 @@ class ModulePolicy:
             raise ValueError(f"unknown chi_mode {chi_mode!r}")
         if not all(res._plan):
             raise ValueError("backward of a pass that skipped modules (skip_unused)")
-        cfg, r, ws = self.cfg, res._routing, self._work
+        cfg, r = self.cfg, res._routing
         p = self.params.tensors
         g = np.asarray(g, dtype=self.params.flat.dtype)
 
@@ -582,21 +583,20 @@ class ModulePolicy:
         suit = None if chi_mode == "off" else self.suitable(res.padded_logits)
         gp, gh = ad.modules_backward(
             g, res.padded_probs, weights(self._mod_keys), res._slab, res._acts,
-            suit, chi_mode == "rsg", grads(self._mod_keys), ws, need_p=routed)
+            suit, chi_mode == "rsg", grads(self._mod_keys), need_p=routed)
         if routed:
-            gz = ad.masked_softmax_backward(gp, res.padded_probs, ws)
+            gz = ad.masked_softmax_backward(gp, res.padded_probs)
             gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
-                                        grads(self._route_names), ws)
+                                        grads(self._route_names))
             if cfg.state_routing:
-                gh += np.multiply(gg, r.emb, out=ws.take("gh_route", gg.shape, gg.dtype))
+                gh += gg * r.emb
             if grad is not None:
-                gemb = (np.multiply(gg, r.encoded, out=ws.take("gemb", gg.shape, gg.dtype))
-                        if cfg.state_routing else gg)
+                gemb = gg * r.encoded if cfg.state_routing else gg
                 gt = grad.tensors["temb"]
                 gt.fill(0.0)
                 np.add.at(gt.swapaxes(0, -2), r.task_ids, gemb.swapaxes(0, -2))
         gx = ad.affine_chain_backward(gh, r.enc_acts, weights(self._enc_keys),
-                                      grads(self._enc_keys), ws, need_x=input_grad)
+                                      grads(self._enc_keys), need_x=input_grad)
         if input_grad:
             if gx.ndim == 3:  # the members share the input
                 gx = gx.sum(axis=0)
@@ -637,7 +637,7 @@ def sample_k_mask_rows(
     module) and within a row as a (B, valid width) block in C order.
     """
     taus = np.asarray(taus, dtype=np.float64).reshape(-1, 1, 1)
-    if np.any(taus <= 0.0):
+    if not np.all(taus > 0.0):
         raise ValueError("sample_k_mask_rows: tau must be positive")
     valid = ~np.isneginf(z)
     drawn = valid[0] & (valid[0].sum(axis=-1, keepdims=True) > k)

@@ -21,7 +21,7 @@ def route_balance_temperatures(alphas: np.ndarray) -> np.ndarray:
     Sums to 1 and is invariant to rescaling all alphas by a common factor.
     """
     alphas = np.asarray(alphas, dtype=np.float64)
-    if np.any(alphas <= 0.0):
+    if not np.all(alphas > 0.0):
         raise ValueError("route_balance_temperatures: alphas must be positive")
     inv = 1.0 / alphas
     return inv / inv.sum()

@@ -145,7 +145,7 @@ def task_loss_weights(alphas: np.ndarray) -> np.ndarray:
 def loss_maskout(per_task_losses: np.ndarray, threshold: float) -> np.ndarray:
     """Boolean include-flags; a task is dropped if its loss strictly
     exceeds the threshold or is not finite (NaN or infinite)."""
-    if threshold <= 0.0:
+    if not threshold > 0.0:
         raise ValueError("maskout threshold must be positive")
     losses = np.asarray(per_task_losses, dtype=np.float64)
     finite = np.isfinite(losses)
@@ -390,8 +390,8 @@ class Trainer(Agent):
         self.opt_critics = Adam(settings.lr, self.critics.params.layout, dtype=dtype)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
         # per network (critics, actor): its gradient in a train step, then
-        # the scratch of the critics' Polyak update. Reused, because large
-        # fresh arrays cost page faults on every step
+        # the scratch of the critics' Polyak update. Built once: every
+        # backward overwrites all of it, and a Params builds a view per key
         self._grads = [Params(net.params.layout, np.zeros_like(net.params.flat))
                        for net in (self.critics, self.actor)]
 
@@ -410,6 +410,18 @@ class Trainer(Agent):
         self.env_steps = 0
         self.train_steps = 0
         self.success_ema = np.zeros(self.num_tasks)
+
+        # A train step frees several MB of pass arrays between its phases.
+        # glibc serves an allocation above its mmap threshold (128 KiB at
+        # start) by a fresh mmap, and hands the top of its heap back to the
+        # system once more than twice that threshold is free there; freeing
+        # an mmapped block raises the threshold to the block's size. So a
+        # trainer frees one 16 MiB block: at the start thresholds every
+        # phase of a step would fault its arrays in again (over 1,000 minor
+        # faults per step at the default config). Last, so that the float64
+        # networks drawn above go back to the system when they are freed.
+        # An ``Agent`` loaded for evaluation never does it.
+        np.empty(2 << 20)
 
     # ------------------------------------------------------------------
     # per-task coefficients

@@ -39,11 +39,6 @@ from modroute import autodiff
 from modroute.autodiff import LOG_STD_MAX, LOG_STD_MIN
 from modroute.network import ForwardResult
 
-# the fused ops' intermediate adjoints; what a backward returns to the tape
-# is copied out of it
-WORK = autodiff.Workspace()
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce a gradient back to the shape of a broadcast operand."""
     if grad.shape == shape:
@@ -306,9 +301,9 @@ def _fwd_mlp(vals, aux):
 
 def _bwd_mlp(g, out, vals, aux, need):
     grads = _fresh(vals[1:], need[1:])
-    gx = autodiff.affine_chain_backward(g, aux["acts"], vals[1:], grads, WORK, need[0])
+    gx = autodiff.affine_chain_backward(g, aux["acts"], vals[1:], grads, need[0])
     if gx is not None:
-        gx = _unbroadcast(gx + g if aux["residual"] else gx.copy(), vals[0].shape)
+        gx = _unbroadcast(gx + g if aux["residual"] else gx, vals[0].shape)
     return (gx, *grads)
 
 
@@ -321,8 +316,8 @@ def _fwd_route_mlps(vals, aux):
 
 def _bwd_route_mlps(g, out, vals, aux, need):
     grads = _fresh(vals[1:], need[1:])
-    gx = autodiff.route_mlps_backward(g.copy(), aux["acts"], vals[1:], grads, WORK)
-    return (_unbroadcast(gx.copy(), vals[0].shape) if need[0] else None, *grads)
+    gx = autodiff.route_mlps_backward(g.copy(), aux["acts"], vals[1:], grads)
+    return (_unbroadcast(gx, vals[0].shape) if need[0] else None, *grads)
 
 
 def masked_softmax(z, d):
@@ -358,9 +353,8 @@ def _bwd_modules(g, out, vals, aux, need):
     grads = _fresh(vals[2:], need[2:])
     gp, gh = autodiff.modules_backward(
         g, vals[0], vals[2:], aux["slab"], aux["acts"], aux["suit"], aux["rsg"], grads,
-        WORK, need_p=need[0])
-    return (None if gp is None else gp.copy(),
-            _unbroadcast(gh.copy(), vals[1].shape) if need[1] else None, *grads)
+        need_p=need[0])
+    return (gp, _unbroadcast(gh, vals[1].shape) if need[1] else None, *grads)
 
 
 def _fwd_squashed_gaussian(vals, aux):

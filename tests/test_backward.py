@@ -81,6 +81,36 @@ def test_backward_matches_the_tape(members, routing_widths, skip, chi_mode):
         assert _same_bits(grad.tensors[name], g), name
 
 
+@pytest.mark.parametrize("chi_mode", ["rsg", "sg", "off"])
+@pytest.mark.parametrize("members", [1, 2], ids=["single", "stacked"])
+def test_backward_reads_only_what_it_wrote(members, chi_mode, poison_empty):
+    # a forward and backward whose ``np.empty`` arrays start full of NaN give
+    # the bits of an unpoisoned run
+    cfg = PolicyConfig(obs_dim=5, act_dim=2, num_tasks=3, head="critic", n_modules=6,
+                       module_dim=6, module_hidden=7, encoder_widths=(8, 5),
+                       routing_widths=(8, 6), k=2)
+    rng = np.random.default_rng([members, len(chi_mode)])
+    net = ModulePolicy.init(cfg, *[rng] * members)
+    net.params.flat[:] = rng.normal(size=net.params.flat.shape)
+    B = 4
+    obs, act = rng.normal(size=(B, 5)), rng.normal(size=(B, 2))
+    tasks = rng.integers(0, 3, size=B)
+    c = rng.normal(size=(members, B, 1) if members > 1 else (B, 1))
+
+    def run():
+        res = net.forward(obs, tasks, action=act, mask_fn=lambda z: topk_mask_rows(z, 2))
+        grad = Params(net.params.layout)
+        ga = net.backward(res, c, grad, input_grad=True, chi_mode=chi_mode)
+        return res, grad.flat, ga
+
+    res, *want = run()
+    assert chi_mode == "off" or not net.suitable(res.padded_logits).all()  # the gate is live
+    poison_empty()
+    _, *got = run()
+    for g, w in zip(got, want):
+        assert np.isfinite(g).all() and _same_bits(g, w)
+
+
 def _trainer(config, resrouting):
     """A trainer at a benchmark config whose routing output layers are drawn
     at random, so that stored sources fall below the rsg threshold, with a

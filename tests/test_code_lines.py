@@ -33,6 +33,20 @@ def test_script_prints_each_file_and_the_total(tmp_path, capsys):
     assert lines == ["a.py 12 5", "sub/b.py 2 1", "total 14 6"]
 
 
+def test_two_directories_print_before_and_after(tmp_path, capsys):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+    (old / "a.py").write_text(SOURCE)
+    (old / "gone.py").write_text("x = 1\n")
+    (new / "a.py").write_text(SOURCE + "y = 2\n")
+    (new / "added.py").write_text("# a comment\nz = 3\n")
+    assert main([str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["a.py 12 5 -> 13 6", "added.py 0 0 -> 2 1", "gone.py 1 1 -> 0 0",
+                     "total 13 6 -> 15 7"]
+
+
 def test_default_is_the_package(capsys):
     assert main([]) == 0
     lines = capsys.readouterr().out.splitlines()

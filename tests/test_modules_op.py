@@ -12,7 +12,7 @@ import pytest
 from modroute import autodiff as ad
 from modroute.network import effective_rows, topk_mask_rows
 from routing_oracles import padded
-from tape_oracles import WORK, Tape, gradient_check, module_chain
+from tape_oracles import Tape, gradient_check, module_chain
 
 N, WIDTH, HIDDEN, HEAD = 5, 4, 6, 3
 
@@ -157,17 +157,16 @@ def test_modules_op_gradient_check():
 
 
 @pytest.mark.parametrize("skip", [False, True], ids=["dense", "skip_unused"])
-def test_slab_and_scratch_full_of_nan_give_the_chain_values(skip):
+def test_slab_and_scratch_full_of_nan_give_the_chain_values(skip, poison_empty):
     # the op writes or zeroes every slab row and backward scratch row it
     # reads: a module left out is mixed with the weights its readers' rows
-    # give it, which would turn NaN into NaN
+    # give it, which would turn NaN into NaN. Every array the kernels
+    # allocate by ``np.empty`` starts full of NaN
+    poison_empty()
     rng = np.random.default_rng(14)
     probs, d, suit, h, ws = _inputs(rng, (2,), 3, k=2)
     plan = (True, True, False, True, True) if skip else _plan(d, False)
     c = rng.normal(size=(2, 3, HEAD))
     for chi_mode in ("off", "sg", "rsg"):
-        _run(True, probs, h, ws, plan, suit, chi_mode, c)  # sizes the scratch
-        for buf in WORK.bufs.values():
-            buf.fill(np.nan)
         grads = _assert_matches_chain(probs, h, ws, plan, suit, chi_mode, c, fill=np.nan)
         assert skip or all(np.isfinite(g).all() for g in grads.values())

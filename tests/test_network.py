@@ -435,6 +435,13 @@ def test_sample_rows_first_order_frequencies():
         assert abs(counts[j] - draws * probs[j]) < 3 * sigma
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_sample_rows_reject_a_temperature_that_is_not_positive(bad):
+    z = np.tile(np.array([0.0, 0.35, 0.1, 0.6, -0.2]), (2, 1, 1))
+    with pytest.raises(ValueError, match="tau must be positive"):
+        sample_k_mask_rows(z, 2, np.array([1.0, bad]), np.random.default_rng(0))
+
+
 def test_state_routing_flag():
     rng = np.random.default_rng(19)
     cfg = small_cfg(state_routing=False)

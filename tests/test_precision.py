@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import modroute.autodiff as ad
 import modroute.sac as sac
 from modroute.config import RunConfig
 from modroute.network import ModulePolicy
@@ -49,30 +50,38 @@ def test_train_step_arrays_are_float32(monkeypatch):
     tr = _trainer(cfg)
     while not tr.buffer.can_sample(cfg.batch_per_task):
         tr.collect_rollouts(1)
-    passes = []
-    forward = ModulePolicy.forward
+    passes, adjoints = [], []
 
-    def recorded(self, *args, **kw):
-        res = forward(self, *args, **kw)
-        passes.append(res)
-        return res
+    def recorded(fn, into):
+        def run(*args, **kw):
+            out = fn(*args, **kw)
+            into.append(out)
+            return out
+        return run
 
     metrics = []
     for _ in range(3):
         tr.collect_rollouts(1)
-        monkeypatch.setattr(ModulePolicy, "forward", recorded)
+        monkeypatch.setattr(ModulePolicy, "forward", recorded(ModulePolicy.forward, passes))
+        # and every adjoint a backward kernel returns
+        for name in ("affine_chain_backward", "route_mlps_backward",
+                     "masked_softmax_backward", "modules_backward"):
+            monkeypatch.setattr(ad, name, recorded(getattr(ad, name), adjoints))
         metrics.append(tr.train_step())
         monkeypatch.undo()
     # the Bellman targets' actor and target critics, the critics, the actor
     # and the frozen critics, per step
     assert len(passes) == 15
+    # per step three backwards (the critics, the actor, the frozen critics),
+    # each 14 kernel calls: the module stack and its 8 module chains, the
+    # masked softmax, the routing MLPs and their 2 chains, the encoder
+    assert len(adjoints) == 3 * 3 * 14
     float32 = [tr.actor.params.flat, tr.critics.params.flat, tr.critics_target.params.flat]
     float32 += [g.flat for g in tr._grads]
     for opt in (tr.opt_actor, tr.opt_critics):
         float32 += [opt.m.flat, opt.v.flat, opt._tmp]
     float32 += [tr.buffer.fields[key] for key in ("state", "next_state", "action")]
-    for net in (tr.actor, tr.critics):
-        float32 += [b for b in net._work.bufs.values() if b.dtype.kind == "f"]
+    float32 += _floats(adjoints)
     float32 += _floats(passes)  # with each pass's routing, slab and layer inputs
     assert len(float32) > 200
     assert all(a.dtype == np.float32 for a in float32)

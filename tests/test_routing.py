@@ -170,3 +170,7 @@ class TestRouteBalanceTemperatures:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             route_balance_temperatures([1.0, 0.0])
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            route_balance_temperatures([np.nan, 1.0])
