@@ -75,7 +75,7 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
         arrays[f"{name}/t"] = np.array(opt.t)
         if opt.t:
             arrays[f"{name}/m"], arrays[f"{name}/v"] = (p.flat for p in opt.moments())
-    arrays["log_alpha"] = trainer.temps.log_alpha
+    arrays["log_alpha"] = trainer.log_alpha
     arrays["success_ema"] = trainer.success_ema
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
@@ -200,12 +200,12 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
             if opt.t:
                 for part, moment in zip("mv", opt.moments()):
                     _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
-        for name, owner in (("log_alpha", trainer.temps), ("success_ema", trainer)):
+        for name in ("log_alpha", "success_ema"):
             value = _read(data, name, (trainer.num_tasks,), np.float64)
             # a non-finite temperature would make every train step skip its update
             if not np.isfinite(value).all():
                 raise CheckpointError(f"checkpoint array {name} is not finite: {value}")
-            setattr(owner, name, value.copy())
+            setattr(trainer, name, value.copy())
     trainer.env_steps = manifest["env_steps"]
     trainer.train_steps = manifest["train_steps"]
     return trainer, run_cfg

@@ -18,12 +18,11 @@ import numpy as np
 from .analysis import export_dot, sparsity_distribution, usage_table
 from .checkpoint import CheckpointError, load_checkpoint, load_trainer, save_checkpoint
 from .config import ConfigError, RunConfig
-from .sac import Agent, Trainer
+from .sac import EVAL_FIELDS, Agent, Trainer
 
 log = logging.getLogger(__name__)
 
-METRICS_COLUMNS = ["step", "task-id", "success-rate", "actor-loss",
-                   "critic-loss", "alpha", "tau", "w", "mean-effective-modules"]
+METRICS_COLUMNS = [f.replace("_", "-") for f in EVAL_FIELDS]
 
 
 class UserError(Exception):
@@ -67,12 +66,8 @@ def cmd_train(args) -> int:
         def on_eval(rows):
             nonlocal next_ckpt
             for r in rows:
-                writer.writerow([
-                    r["step"], r["task_id"], f"{r['success_rate']:.6g}",
-                    f"{r['actor_loss']:.6g}", f"{r['critic_loss']:.6g}",
-                    f"{r['alpha']:.6g}", f"{r['tau']:.6g}", f"{r['w']:.6g}",
-                    f"{r['mean_effective_modules']:.6g}",
-                ])
+                writer.writerow([f"{r[f]:.6g}" if isinstance(r[f], float) else r[f]
+                                 for f in EVAL_FIELDS])
             fh.flush()
             if rows:
                 mean = np.mean([r["success_rate"] for r in rows])

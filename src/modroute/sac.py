@@ -10,6 +10,12 @@ fresh masks with per-task temperature.
 needs; ``Trainer``, an ``Agent``, adds the critics, temperatures,
 optimizers, replay buffer and environments, and trains.
 
+Each task has a learned SAC temperature alpha (``Trainer.log_alpha``), and
+from it a routing temperature tau, which its rollout and Bellman-target
+masks are sampled at (route balancing), and a loss weight w (loss
+rescaling). ``Trainer.task_coefficients`` computes all three: train steps,
+rollouts and evaluation rows read them there.
+
 The twin critics are one stacked network of two members (``Trainer.critics``,
 its Polyak average ``Trainer.critics_target``; see ``network``): each use of
 the critics, their loss, the frozen critics under the actor loss, the
@@ -158,24 +164,6 @@ def loss_maskout(per_task_losses: np.ndarray, threshold: float) -> np.ndarray:
     return included
 
 
-class TaskTemperatures:
-    """Per-task learned SAC temperature plus derived routing/loss weights."""
-
-    def __init__(self, num_tasks: int, target_entropy: float, alpha_init: float):
-        self.log_alpha = np.full(num_tasks, np.log(alpha_init))
-        self.target_entropy = target_entropy
-
-    @property
-    def alphas(self) -> np.ndarray:
-        return np.exp(self.log_alpha)
-
-    def taus(self) -> np.ndarray:
-        return route_balance_temperatures(self.alphas)
-
-    def weights(self) -> np.ndarray:
-        return task_loss_weights(self.alphas)
-
-
 def _per_task_mean(values: np.ndarray, task_ids: np.ndarray, num_tasks: int):
     """Each task's mean of ``values`` (..., B) over the batch axis, 0 for a
     task with no rows. The batch must be task-major with equal rows per task
@@ -212,19 +200,18 @@ def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gx
 
 
-def alpha_loss(logp: np.ndarray, task_ids: np.ndarray,
-               temps: TaskTemperatures) -> tuple[float, np.ndarray]:
+def alpha_loss(logp: np.ndarray, task_ids: np.ndarray, alphas: np.ndarray,
+               target_entropy: float) -> tuple[float, np.ndarray]:
     """Temperature objective sum_T mean_T(-alpha_T * (log pi + target_entropy))
-    over the tasks present in the batch.
+    over the tasks present in the batch, ``alphas`` = exp(log_alpha) per task.
 
     Returns (loss value, gradient w.r.t. log_alpha). Only tasks present in
     the batch get a nonzero gradient. The batch is task-major with equal
     rows per task present (see ``_per_task_mean``).
     """
-    mean_neg = _per_task_mean(-(logp.ravel() + temps.target_entropy), task_ids,
-                              len(temps.log_alpha))
+    mean_neg = _per_task_mean(-(logp.ravel() + target_entropy), task_ids, len(alphas))
     # d/d log_alpha = alpha * mean(-(logp + H))
-    grad = temps.alphas * mean_neg
+    grad = alphas * mean_neg
     return float(grad.sum()), grad
 
 
@@ -238,6 +225,9 @@ def mean_std(total, total_sq, n):
 
 CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
 ROUTING_FNS = ("samplek", "topk", "hard", "soft")
+# the fields of an evaluation row (``Trainer.run``), in metrics.csv's order
+EVAL_FIELDS = ("step", "task_id", "success_rate", "actor_loss", "critic_loss",
+               "alpha", "tau", "w", "mean_effective_modules")
 
 
 @dataclass
@@ -276,8 +266,12 @@ class TrainSettings:
         for key in ("alpha_init", "maskout_threshold"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key}: must be > 0")
-        if not np.isfinite(self.reward_scale):
-            raise ValueError("reward_scale: must be finite")
+        # an infinite train_ratio never ends a run; an infinite lr or
+        # alpha_init gives temperatures that no rollout can sample at.
+        # maskout_threshold may be inf: that turns maskout off
+        for key in ("train_ratio", "lr", "alpha_init", "reward_scale"):
+            if not np.isfinite(getattr(self, key)):
+                raise ValueError(f"{key}: must be finite")
 
 
 class Agent:
@@ -382,10 +376,10 @@ class Trainer(Agent):
                                          stream(seed, "init/q2")).astype(dtype)
         self.critics_target = ModulePolicy(critic_cfg, self.critics.params.copy())
 
-        self.temps = TaskTemperatures(
-            self.num_tasks, target_entropy=-float(policy_cfg.act_dim),
-            alpha_init=settings.alpha_init,
-        )
+        # the per-task SAC temperatures, learned as log alpha against the
+        # entropy target (see ``task_coefficients``)
+        self.log_alpha = np.full(self.num_tasks, np.log(settings.alpha_init))
+        self.target_entropy = -float(policy_cfg.act_dim)
         self.opt_actor = Adam(settings.lr, self.actor.params.layout, dtype=dtype)
         self.opt_critics = Adam(settings.lr, self.critics.params.layout, dtype=dtype)
         self.opt_alpha = Adam(settings.lr, Layout([("log_alpha", (self.num_tasks,))]))
@@ -410,6 +404,8 @@ class Trainer(Agent):
         self.env_steps = 0
         self.train_steps = 0
         self.success_ema = np.zeros(self.num_tasks)
+        # the metrics of the last train step that returned any (evaluation rows)
+        self._last_metrics = None
 
         # A train step frees several MB of pass arrays between its phases.
         # glibc serves an allocation above its mmap threshold (128 KiB at
@@ -426,15 +422,18 @@ class Trainer(Agent):
     # ------------------------------------------------------------------
     # per-task coefficients
 
-    def _taus(self) -> np.ndarray:
-        if self.s.route_balancing:
-            return self.temps.taus()
-        return np.ones(self.num_tasks)
-
-    def _loss_weights(self) -> np.ndarray:
-        if self.s.loss_rescaling:
-            return self.temps.weights()
-        return np.full(self.num_tasks, 1.0 / self.num_tasks)
+    def task_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per task, as fresh float64 arrays: the SAC temperature
+        alpha = exp(log_alpha), the routing temperature tau that rollouts and
+        Bellman targets sample masks with, and the loss weight w. tau is
+        ``route_balance_temperatures(alpha)`` under ``route_balancing``, else
+        1; w is ``task_loss_weights(alpha)`` under ``loss_rescaling``, else
+        1/T. The one reader of those two flags."""
+        n = self.num_tasks
+        alphas = np.exp(self.log_alpha)
+        taus = route_balance_temperatures(alphas) if self.s.route_balancing else np.ones(n)
+        weights = task_loss_weights(alphas) if self.s.loss_rescaling else np.full(n, 1.0 / n)
+        return alphas, taus, weights
 
     # ------------------------------------------------------------------
     # rollout side
@@ -448,7 +447,7 @@ class Trainer(Agent):
         against those executed actions instead of the actor's own sample.
         Only their masks are kept, so the critics run their routing alone.
         """
-        mask_fn = self.routing_mask_fn(self._taus()[task_ids])
+        mask_fn = self.routing_mask_fn(self.task_coefficients()[1][task_ids])
         res = self.actor.forward(obs, task_ids, mask_fn=mask_fn, skip_unused=True)
         if actions is None:
             noise = self.rng_noise.normal(size=(len(obs), self.cfg.act_dim))
@@ -521,14 +520,14 @@ class Trainer(Agent):
         """Soft targets r + gamma (1-done)(min Q'[s',a'] - alpha log pi(a'|s')),
         with a' drawn from the current actor via freshly sampled routing."""
         ids = batch["task_id"]
-        mask_fn = self.routing_mask_fn(self._taus()[ids])
+        alphas, taus, _ = self.task_coefficients()
+        mask_fn = self.routing_mask_fn(taus[ids])
         res = self.actor.forward(batch["next_state"], ids, mask_fn=mask_fn)
         noise = self.rng_noise.normal(size=(len(ids), self.cfg.act_dim))
         a2, logp2 = squashed_gaussian(res.out, self.cfg.act_dim, noise)
         q = self.critics_target.forward(batch["next_state"], ids, action=a2,
                                         mask_fn=mask_fn).out
-        alphas = self.temps.alphas[ids].reshape(-1, 1)
-        soft_q = np.min(q, axis=0) - alphas * logp2
+        soft_q = np.min(q, axis=0) - alphas[ids].reshape(-1, 1) * logp2
         r = self.s.reward_scale * batch["reward"].reshape(-1, 1)
         not_done = 1.0 - batch["done"].reshape(-1, 1).astype(np.float64)
         return r + self.s.gamma * not_done * soft_q
@@ -555,7 +554,7 @@ class Trainer(Agent):
         res = self._forward_train(self.actor, batch, "masks_actor")
         a, logp, head = ad.squashed_gaussian(res.out, self.cfg.act_dim, noise)
         q = self._forward_train(self.critics, batch, "masks_critics", action=a)
-        alphas = self.temps.alphas[batch["task_id"]].reshape(-1, 1)
+        alphas = self.task_coefficients()[0][batch["task_id"]].reshape(-1, 1)
         per_sample = alphas * logp - np.min(q.out, axis=0)
 
         # the critics are frozen here: they hand the adjoint of min Q on to
@@ -585,7 +584,8 @@ class Trainer(Agent):
             return None
         batch = self.buffer.sample_stratified(self.s.batch_per_task, self.rng_batch)
         ids = batch["task_id"]
-        weights = self._loss_weights()
+        # taken before any optimizer step: the metrics report these
+        alphas, taus, weights = self.task_coefficients()
         coeff = _coefficients(ids, weights, np.ones(self.num_tasks, dtype=bool))
 
         targets = self.bellman_targets(batch)
@@ -603,13 +603,14 @@ class Trainer(Agent):
         metrics = {
             "critic_loss": per_task_critic,
             "actor_loss": per_task_actor,
-            "alpha": self.temps.alphas.copy(),
-            "tau": self._taus(),
+            "alpha": alphas,
+            "tau": taus,
             "w": weights,
             "included": included,
             "success_ema": self.success_ema.copy(),
             "skipped_updates": 0,
         }
+        self._last_metrics = metrics
         if not included.any():
             return metrics
         if not included.all():
@@ -633,9 +634,9 @@ class Trainer(Agent):
         for opt, net, grad in zip((self.opt_critics, self.opt_actor), nets, grads):
             opt.step(net.params.flat, grad)
 
-        _, alpha_grad = alpha_loss(logp, ids, self.temps)
+        _, alpha_grad = alpha_loss(logp, ids, alphas, self.target_entropy)
         # mirror the task weighting scheme: only included tasks update
-        self.opt_alpha.step(self.temps.log_alpha, alpha_grad * included)
+        self.opt_alpha.step(self.log_alpha, alpha_grad * included)
 
         rho = self.s.polyak
         target = self.critics_target.params.flat
@@ -643,7 +644,6 @@ class Trainer(Agent):
         target += np.multiply(self.critics.params.flat, 1 - rho, out=self._grads[0].flat)
 
         self.train_steps += 1
-        self._last_metrics = metrics
         return metrics
 
     # ------------------------------------------------------------------
@@ -685,22 +685,21 @@ class Trainer(Agent):
         return rows
 
     def _eval_rows(self, eval_episodes: int, on_eval) -> list[dict]:
+        """One row of ``EVAL_FIELDS`` per task: this evaluation's success
+        and mean usage, the losses of the last train step (0 before the
+        first) and the task's coefficients now."""
         success, usage_mean, _ = self.evaluate(eval_episodes)
-        weights, taus = self._loss_weights(), self._taus()
-        last = getattr(self, "_last_metrics", None)
-        rows = []
-        for t in range(self.num_tasks):
-            rows.append({
-                "step": self.env_steps,
-                "task_id": t,
-                "success_rate": float(success[t]),
-                "actor_loss": float(last["actor_loss"][t]) if last else 0.0,
-                "critic_loss": float(last["critic_loss"][t]) if last else 0.0,
-                "alpha": float(self.temps.alphas[t]),
-                "tau": float(taus[t]),
-                "w": float(weights[t]),
-                "mean_effective_modules": float(usage_mean[t]),
-            })
+        alphas, taus, weights = self.task_coefficients()
+        n = self.num_tasks
+        last = self._last_metrics or dict.fromkeys(("actor_loss", "critic_loss"), np.zeros(n))
+        columns = {
+            "step": np.full(n, self.env_steps), "task_id": np.arange(n),
+            "success_rate": success, "actor_loss": last["actor_loss"],
+            "critic_loss": last["critic_loss"], "alpha": alphas, "tau": taus,
+            "w": weights, "mean_effective_modules": usage_mean,
+        }
+        rows = [dict(zip(EVAL_FIELDS, cells))
+                for cells in zip(*(columns[f].tolist() for f in EVAL_FIELDS))]
         if on_eval is not None:
             on_eval(rows)
         return rows

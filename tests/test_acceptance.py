@@ -129,7 +129,7 @@ def test_criterion_1_gradient_correctness(float64_training):
         rng = np.random.default_rng(n)
         _randomize(tr.actor, rng)
         _randomize(tr.critics, rng)
-        tr.temps.log_alpha = rng.normal(size=2) - 2.0
+        tr.log_alpha = rng.normal(size=2) - 2.0
         B = 3
         ids = np.array([0, 1, 0])
         amasks = random_masks(cfg, rng, B)
@@ -141,7 +141,7 @@ def test_criterion_1_gradient_correctness(float64_training):
         targets = rng.normal(size=(B, 1))
         coeff = rng.uniform(0.1, 1.0, size=(B, 1))
         noise = rng.normal(size=(B, ACT_DIM))
-        alphas = tr.temps.alphas[ids].reshape(-1, 1)
+        alphas = tr.task_coefficients()[0][ids].reshape(-1, 1)
 
         # the twin critics' regression loss, both members in one stacked
         # pass, each with its own masks
@@ -165,22 +165,18 @@ def test_criterion_1_gradient_correctness(float64_training):
 
         worst = max(worst, _fd_worst(actor_loss, tr.actor.params.flat, analytic))
 
-        # temperature loss: analytic gradient vs central differences
-        from modroute.sac import TaskTemperatures
-        temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.1)
-        temps.log_alpha = rng.normal(size=2) * 0.3
+        # temperature loss: analytic gradient vs central differences in
+        # log alpha
+        log_alpha = rng.normal(size=2) * 0.3
         # the task-major batch of equal rows per task that train_step gives it
         logp_vals = rng.normal(size=(4, 1))
         ids = np.array([0, 0, 1, 1])
-        _, grad = alpha_loss(logp_vals, ids, temps)
+        _, grad = alpha_loss(logp_vals, ids, np.exp(log_alpha), -2.0)
         eps = 1e-6
         for t in range(2):
-            saved = temps.log_alpha[t]
-            temps.log_alpha[t] = saved + eps
-            fp, _ = alpha_loss(logp_vals, ids, temps)
-            temps.log_alpha[t] = saved - eps
-            fm, _ = alpha_loss(logp_vals, ids, temps)
-            temps.log_alpha[t] = saved
+            step = np.eye(2)[t] * eps
+            fp, _ = alpha_loss(logp_vals, ids, np.exp(log_alpha + step), -2.0)
+            fm, _ = alpha_loss(logp_vals, ids, np.exp(log_alpha - step), -2.0)
             fd = (fp - fm) / (2 * eps)
             worst = max(worst, abs(grad[t] - fd) / max(1.0, abs(fd)))
 

@@ -126,7 +126,7 @@ def _trainer(config, resrouting):
             net.params[key] = rng.normal(size=net.params[key].shape)
     while not tr.buffer.can_sample(cfg.batch_per_task):
         tr.collect_rollouts(1)
-    tr.temps.log_alpha = rng.normal(size=tr.num_tasks) - 2.0
+    tr.log_alpha = rng.normal(size=tr.num_tasks) - 2.0
     return tr, rng
 
 
@@ -151,7 +151,7 @@ def _taped_losses(tr, batch, targets, noise, coeff, chi_mode):
     a, logp = taped_squashed_gaussian(res.out, tr.cfg.act_dim, noise)
     q = taped_forward(tr.critics, batch["state"], ids, action=a,
                       masks=masks["masks_critics"], chi_mode=chi_mode).out
-    alphas = tr.temps.alphas[ids].reshape(-1, 1)
+    alphas = tr.task_coefficients()[0][ids].reshape(-1, 1)
     actor_per_sample = alphas * logp - member_min(q)
     actor_grad = tape.backward((actor_per_sample * coeff).sum())
     return ((critic_per_sample.value, flatten(tr.critics.params.layout, critic_grad)),
@@ -167,7 +167,7 @@ def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode, float
     ids = batch["task_id"]
     targets = tr.bellman_targets(batch)
     noise = rng.normal(size=(len(ids), tr.cfg.act_dim))
-    weights = tr._loss_weights()
+    weights = tr.task_coefficients()[2]
     dropped = np.array([True, False, True, True])  # a maskout keeps the other rows
     for included in (np.ones(tr.num_tasks, dtype=bool), dropped):
         rows = np.flatnonzero(included[ids])

@@ -85,7 +85,7 @@ def test_round_trip_is_bitwise(tmp_path, steps):
             np.testing.assert_array_equal(b.v.flat, a.v.flat, err_msg=name)
         else:  # never stepped: no moments to store, none allocated
             assert a.m is None and b.m is None, name
-    np.testing.assert_array_equal(tr2.temps.log_alpha, tr.temps.log_alpha)
+    np.testing.assert_array_equal(tr2.log_alpha, tr.log_alpha)
     np.testing.assert_array_equal(tr2.success_ema, tr.success_ema)
     assert (tr2.env_steps, tr2.train_steps) == (tr.env_steps, tr.train_steps)
 
@@ -120,7 +120,7 @@ def test_agent_load_builds_no_training_state(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6, peak
-    for name in ("critics", "buffer", "envs", "opt_actor", "temps"):
+    for name in ("critics", "buffer", "envs", "opt_actor", "log_alpha"):
         assert not hasattr(agent, name), name
 
 

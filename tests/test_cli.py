@@ -151,6 +151,11 @@ class TestTrainCommand:
         ("stop_at_success: 1.5\n", "stop_at_success"),
         # a run that accepted it would train the default 200,000 steps
         ("reward_scale: .nan\ntotal_env_steps: 0\n", "reward_scale"),
+        # accepted, these ended in a run that never returns (train_ratio)
+        # or in an internal error at a rollout (lr, alpha_init)
+        ("train_ratio: .inf\ntotal_env_steps: 0\n", "train_ratio"),
+        ("lr: .inf\ntotal_env_steps: 0\n", "lr"),
+        ("alpha_init: .inf\ntotal_env_steps: 0\n", "alpha_init"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):

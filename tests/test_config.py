@@ -22,7 +22,7 @@ from modroute.checkpoint import (
 from modroute.config import ConfigError, RunConfig
 from modroute.envs import ACT_DIM, OBS_DIM, TaskSpec
 from modroute.network import PolicyConfig
-from modroute.sac import Trainer, TrainSettings
+from modroute.sac import Trainer, TrainSettings, loss_maskout
 
 
 def small_config(tmp_path, **overrides) -> RunConfig:
@@ -138,6 +138,9 @@ class TestRunConfig:
         ({"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
         ({"reward_scale": float("nan")}, "reward_scale: must be finite"),
         ({"reward_scale": float("-inf")}, "reward_scale: must be finite"),
+        ({"train_ratio": float("inf")}, "train_ratio: must be finite"),
+        ({"lr": float("inf")}, "lr: must be finite"),
+        ({"alpha_init": float("inf")}, "alpha_init: must be finite"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):
@@ -150,6 +153,11 @@ class TestRunConfig:
             "eval_interval": 1, "checkpoint_interval": 1, "eval_episodes": 0,
             "start_steps": 0, "total_env_steps": 0})
         assert cfg.lr == 0.0 and cfg.polyak == 1.0
+
+    def test_infinite_maskout_threshold_turns_maskout_off(self):
+        # the one setting that may be infinite: no finite loss exceeds it
+        cfg = RunConfig.from_dict({"maskout_threshold": float("inf")})
+        assert loss_maskout([1e300, 5.0], cfg.maskout_threshold).all()
 
     def test_smallest_sizes_accepted(self):
         # one slot per task, width-1 layers, no hidden routing layer, no training
@@ -254,6 +262,9 @@ def push_task(**values) -> TaskSpec:
     (sized_policy, {"module_dim": True}, "module_dim: expected an integer, got True"),
     (sized_policy, {"state_routing": 1}, "state_routing: expected true/false, got 1"),
     (TaskSpec, {"task_id": "0", "kind": "push"}, "task_id: expected an integer, got '0'"),
+    (TrainSettings, {"train_ratio": float("inf")}, "train_ratio: must be finite"),
+    (TrainSettings, {"lr": float("inf")}, "lr: must be finite"),
+    (TrainSettings, {"alpha_init": float("inf")}, "alpha_init: must be finite"),
 ])
 def test_parts_reject_what_the_run_config_rejects(build, values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
@@ -338,7 +349,7 @@ class TestCheckpoint:
             assert set(a) == set(b)
             for k in a:
                 assert np.array_equal(a[k], b[k]), (name, k)
-        assert np.array_equal(tr.temps.log_alpha, tr2.temps.log_alpha)
+        assert np.array_equal(tr.log_alpha, tr2.log_alpha)
         assert tr2.opt_actor.t == tr.opt_actor.t
         for k in tr.opt_actor.m:
             assert np.array_equal(tr.opt_actor.m[k], tr2.opt_actor.m[k])

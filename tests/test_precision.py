@@ -85,7 +85,7 @@ def test_train_step_arrays_are_float32(monkeypatch):
     float32 += _floats(passes)  # with each pass's routing, slab and layer inputs
     assert len(float32) > 200
     assert all(a.dtype == np.float32 for a in float32)
-    float64 = [tr.temps.log_alpha, tr.opt_alpha.m.flat, tr.opt_alpha.v.flat,
+    float64 = [tr.log_alpha, tr.opt_alpha.m.flat, tr.opt_alpha.v.flat,
                tr.buffer.fields["reward"], tr.success_ema] + _floats(metrics)
     assert all(a.dtype == np.float64 for a in float64)
 
@@ -111,14 +111,14 @@ def test_float32_gradients_agree_with_float64(config, resrouting, monkeypatch):
     # the same networks and temperatures, cast to float64
     for name in ("actor", "critics"):
         getattr(ref, name).params.flat[...] = getattr(tr, name).params.flat
-    tr.temps.log_alpha = ref.temps.log_alpha = rng.normal(size=tr.num_tasks) - 2.0
+    tr.log_alpha = ref.log_alpha = rng.normal(size=tr.num_tasks) - 2.0
     assert ref.actor.params.flat.dtype == np.float64
 
     batch = tr.buffer.sample_stratified(cfg.batch_per_task, rng)
     ids = batch["task_id"]
     targets = tr.bellman_targets(batch)
     noise = rng.normal(size=(len(ids), tr.cfg.act_dim))
-    coeff = _coefficients(ids, tr._loss_weights(), np.ones(tr.num_tasks, dtype=bool))
+    coeff = _coefficients(ids, tr.task_coefficients()[2], np.ones(tr.num_tasks, dtype=bool))
     for loss, args in (("critic_losses", (targets, coeff)), ("actor_losses", (noise, coeff))):
         got = getattr(tr, loss)(batch, *args)[1].flat
         want = getattr(ref, loss)(batch, *args)[1].flat

@@ -22,7 +22,6 @@ from modroute.replay import ReplayBuffer
 from modroute.sac import (
     ADAM_BLOCK,
     Adam,
-    TaskTemperatures,
     Trainer,
     TrainSettings,
     _coefficients,
@@ -100,21 +99,18 @@ class TestLossMaskout:
 
 class TestAlphaLoss:
     def test_zero_gradient_at_target_entropy(self):
-        temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.5)
         logp = np.full((6, 1), 2.0)  # log pi = -H_bar
-        _, grad = alpha_loss(logp, np.array([0, 0, 0, 1, 1, 1]), temps)
+        _, grad = alpha_loss(logp, np.array([0, 0, 0, 1, 1, 1]), np.full(2, 0.5), -2.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_low_entropy_drives_alpha_up(self):
-        temps = TaskTemperatures(1, target_entropy=-2.0, alpha_init=0.5)
         logp = np.full((4, 1), 5.0)  # entropy far below target
-        loss, grad = alpha_loss(logp, np.zeros(4, dtype=int), temps)
+        loss, grad = alpha_loss(logp, np.zeros(4, dtype=int), np.full(1, 0.5), -2.0)
         assert grad[0] < 0.0  # descending on log_alpha increases alpha
 
     def test_only_present_tasks_update(self):
-        temps = TaskTemperatures(3, target_entropy=-2.0, alpha_init=0.5)
         logp = np.full((4, 1), 1.0)
-        _, grad = alpha_loss(logp, np.array([0, 0, 2, 2]), temps)
+        _, grad = alpha_loss(logp, np.array([0, 0, 2, 2]), np.full(3, 0.5), -2.0)
         assert grad[1] == 0.0
         assert grad[0] != 0.0 and grad[2] != 0.0
 
@@ -243,14 +239,13 @@ def _coefficients_loop(task_ids, weights, included):
     return c.reshape(-1, 1)
 
 
-def _alpha_grad_loop(logp, task_ids, temps):
-    num_tasks = len(temps.log_alpha)
-    alphas = temps.alphas
+def _alpha_grad_loop(logp, task_ids, alphas, target_entropy):
+    num_tasks = len(alphas)
     grad = np.zeros(num_tasks)
     for t in range(num_tasks):
         sel = task_ids == t
         if sel.any():
-            grad[t] = alphas[t] * np.mean(-(logp.ravel()[sel] + temps.target_entropy))
+            grad[t] = alphas[t] * np.mean(-(logp.ravel()[sel] + target_entropy))
     return grad
 
 
@@ -278,9 +273,8 @@ class TestPerTaskReductions:
         critic = rng.normal(size=(2, len(ids), 1)) ** 2 * 1e3
         actor = rng.normal(size=(len(ids), 1)) * 10
         logp = rng.normal(size=(len(ids), 1)) * 3
-        temps = TaskTemperatures(4, target_entropy=-2.0, alpha_init=0.1)
-        temps.log_alpha = rng.normal(size=4)
-        weights = task_loss_weights(temps.alphas)
+        alphas = np.exp(rng.normal(size=4))
+        weights = task_loss_weights(alphas)
 
         assert_same_bits(_per_task_mean(actor[:, 0], ids, 4),
                          _per_task_mean_loop(actor.ravel(), ids, 4))
@@ -288,14 +282,13 @@ class TestPerTaskReductions:
                          sum(_per_task_mean_loop(m.ravel(), ids, 4) for m in critic))
         assert_same_bits(_coefficients(ids, weights, included),
                          _coefficients_loop(ids, weights, included))
-        assert_same_bits(alpha_loss(logp, ids, temps)[1],
-                         _alpha_grad_loop(logp, ids, temps))
+        assert_same_bits(alpha_loss(logp, ids, alphas, -2.0)[1],
+                         _alpha_grad_loop(logp, ids, alphas, -2.0))
 
     @pytest.mark.parametrize("ids", [[0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0]])
     def test_other_batch_layouts_are_refused(self, ids):
-        temps = TaskTemperatures(2, target_entropy=-2.0, alpha_init=0.1)
         with pytest.raises(ValueError, match="task-major"):
-            alpha_loss(np.zeros((len(ids), 1)), np.array(ids), temps)
+            alpha_loss(np.zeros((len(ids), 1)), np.array(ids), np.full(2, 0.1), -2.0)
 
 
 def _adam(lr, **shapes):
@@ -389,7 +382,7 @@ class TestLosses:
         assert logp.shape == (16, 1)
         assert grad.flat.shape == tr.actor.params.flat.shape
         # with alpha -> 0 the entropy term vanishes: loss = -min Q
-        tr.temps.log_alpha[:] = np.log(1e-300)
+        tr.log_alpha[:] = np.log(1e-300)
         rng = __import__("modroute.seeding", fromlist=["stream"]).stream(7, "noise-replay")
         ps0, grad, _ = tr.actor_losses(batch, rng.normal(size=(16, tr.cfg.act_dim)), coeff)
         assert np.all(np.isfinite(ps0)) and np.all(np.isfinite(grad.flat))
@@ -441,8 +434,8 @@ class TestTrainer:
         # a task whose relative temperature is driven near zero should route
         # through the same sources deterministic top-k selection would pick
         tr = make_trainer(seed=20, start_steps=0)
-        tr.temps.log_alpha[:] = np.log([50.0, 1e-3, 1e-3, 1e-3])
-        assert tr._taus()[0] < 1e-3
+        tr.log_alpha[:] = np.log([50.0, 1e-3, 1e-3, 1e-3])
+        assert tr.task_coefficients()[1][0] < 1e-3
         # perturb routing params so logits are non-degenerate
         rng = np.random.default_rng(21)
         for key, v in tr.actor.params.items():
@@ -486,11 +479,12 @@ class TestTrainer:
         tr = make_trainer(seed=13)
         tr.collect_rollouts(20)
         logp = np.full((4, 1), 3.0)
-        before = tr.temps.log_alpha.copy()
-        _, grad = alpha_loss(logp, np.array([0, 0, 1, 1]), tr.temps)
-        tr.opt_alpha.step(tr.temps.log_alpha, grad)
-        assert np.all(tr.temps.log_alpha[2:] == before[2:])
-        assert np.all(tr.temps.log_alpha[:2] != before[:2])
+        before = tr.log_alpha.copy()
+        _, grad = alpha_loss(logp, np.array([0, 0, 1, 1]), tr.task_coefficients()[0],
+                             tr.target_entropy)
+        tr.opt_alpha.step(tr.log_alpha, grad)
+        assert np.all(tr.log_alpha[2:] == before[2:])
+        assert np.all(tr.log_alpha[:2] != before[:2])
 
     def test_each_critic_routes_and_replays_its_own_masks(self):
         # under topk routing a stored mask is the critic's own greedy choice:
@@ -568,6 +562,80 @@ class TestTrainer:
                 tr.run(16, eval_interval=interval, eval_episodes=0)
         assert tr.env_steps == 8
 
+    def test_run_stops_at_the_first_evaluation_that_reaches_the_bar(self):
+        tr = make_trainer(seed=2)
+        rows = tr.run(40, eval_interval=4, eval_episodes=1, stop_at_success=0.0)
+        assert tr.env_steps == 0
+        assert [(r["step"], r["task_id"]) for r in rows] == [(0, t) for t in range(4)]
+        assert all(0.0 <= r["success_rate"] <= 1.0 for r in rows)
+
+    @pytest.mark.parametrize("route_balancing", [True, False])
+    @pytest.mark.parametrize("loss_rescaling", [True, False])
+    def test_task_coefficients_follow_the_two_flags(self, route_balancing,
+                                                    loss_rescaling):
+        tr = make_trainer(seed=3, route_balancing=route_balancing,
+                          loss_rescaling=loss_rescaling)
+        tr.log_alpha[:] = np.log([0.5, 0.1, 0.02, 0.1])
+        alphas, taus, weights = tr.task_coefficients()
+        np.testing.assert_array_equal(alphas, np.exp(tr.log_alpha))
+        if route_balancing:  # tau proportional to 1/alpha, summing to 1
+            np.testing.assert_allclose(taus, (1 / alphas) / (1 / alphas).sum(), rtol=1e-12)
+            assert taus.argmin() == 0 and taus.argmax() == 2
+        else:
+            np.testing.assert_array_equal(taus, np.ones(4))
+        if loss_rescaling:  # w = softmax(-alpha)
+            np.testing.assert_allclose(weights, np.exp(-alphas) / np.exp(-alphas).sum(),
+                                       rtol=1e-12)
+        else:
+            np.testing.assert_array_equal(weights, np.full(4, 0.25))
+        for got in (alphas, taus, weights):
+            assert got.dtype == np.float64 and not np.shares_memory(got, tr.log_alpha)
+
+    def test_step_metrics_hold_the_coefficients_before_its_update(self):
+        tr = make_trainer(seed=15)
+        tr.collect_rollouts(20)
+        before = tr.task_coefficients()
+        m = tr.train_step()
+        assert m["skipped_updates"] == 0
+        for key, want in zip(("alpha", "tau", "w"), before):
+            assert_same_bits(m[key], want)
+            assert not np.shares_memory(m[key], tr.log_alpha)
+        assert np.all(np.exp(tr.log_alpha) != m["alpha"])  # the update moved alpha
+
+    @pytest.mark.parametrize("fault", ["masked-out", "skipped"])
+    def test_eval_rows_report_the_losses_of_the_last_step(self, fault, monkeypatch):
+        # a step that masks out every task, or that skips its update, still
+        # returns metrics: the evaluation rows report its losses, not those
+        # of the last applied step
+        tr = make_trainer(seed=17)
+        tr.collect_rollouts(20)
+        assert tr.train_step()["included"].all()
+        tr.collect_rollouts(1)
+        before = tr.actor.params.flat.copy()
+        if fault == "masked-out":
+            tr.buffer.fields["reward"][:] = np.nan
+            with pytest.warns(UserWarning, match="all tasks masked out"):
+                m = tr.train_step()
+            assert not m["included"].any()
+            assert np.isnan(m["critic_loss"]).all()
+        else:
+            backward = ModulePolicy.backward
+
+            def poisoned(self, res, g, grad=None, input_grad=False, chi_mode="off"):
+                out = backward(self, res, g, grad, input_grad, chi_mode)
+                if grad is not None and self is tr.actor:
+                    grad.flat[0] = np.nan
+                return out
+
+            monkeypatch.setattr(ModulePolicy, "backward", poisoned)
+            m = tr.train_step()
+            assert m["skipped_updates"] == 1
+        assert tr.train_steps == 1
+        np.testing.assert_array_equal(tr.actor.params.flat, before)
+        rows = tr._eval_rows(0, None)
+        for key in ("actor_loss", "critic_loss"):
+            assert_same_bits(np.array([r[key] for r in rows]), m[key])
+
     def test_metrics_fields(self):
         tr = make_trainer(seed=15)
         tr.collect_rollouts(20)
@@ -596,7 +664,7 @@ class TestTrainer:
         nets = {name: getattr(tr, name)
                 for name in ("actor", "critics", "critics_target")}
         before = {name: pol.params.flat.copy() for name, pol in nets.items()}
-        alpha = tr.temps.log_alpha.copy()
+        alpha = tr.log_alpha.copy()
         with caplog.at_level("WARNING", logger="modroute.sac"):
             m = tr.train_step()
         assert m["included"].all()
@@ -604,7 +672,7 @@ class TestTrainer:
         assert "non-finite gradients" in caplog.text
         for name, flat in before.items():
             np.testing.assert_array_equal(nets[name].params.flat, flat, err_msg=name)
-        np.testing.assert_array_equal(tr.temps.log_alpha, alpha)
+        np.testing.assert_array_equal(tr.log_alpha, alpha)
         assert tr.train_steps == 0 and tr.opt_actor.t == 0
 
     def test_nan_state_task_is_dropped_and_the_others_train(self):
@@ -622,7 +690,7 @@ class TestTrainer:
         assert tr.train_steps == 5
         for name in ("actor", "critics", "critics_target"):
             assert np.all(np.isfinite(getattr(tr, name).params.flat)), name
-        assert np.all(np.isfinite(tr.temps.log_alpha))
+        assert np.all(np.isfinite(tr.log_alpha))
 
     def test_dropping_a_task_draws_no_extra_random_numbers(self):
         # the rebuilt graphs reuse the batch's noise rows: the generators

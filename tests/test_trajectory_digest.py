@@ -46,12 +46,16 @@ def test_all_prints_one_labelled_line_per_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     labels = [line.rsplit(" ", 1)[0] for line in lines]
     assert labels[:2] == ["train-accept", "train-default"]
-    assert len(labels) == len(set(labels)) == 18
+    assert len(labels) == len(set(labels)) == 20
+    assert labels[-2:] == ["tiny route_balancing=false", "tiny loss_rescaling=false"]
     # each line digests the lines its configuration prints alone
-    assert main(["tiny", "1", "resrouting=off", "routing_fn=soft", "--episodes", "0"]) == 0
-    alone = capsys.readouterr().out
-    line = lines[labels.index("tiny resrouting=off routing_fn=soft")]
-    assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()
+    for label in ("tiny resrouting=off routing_fn=soft", "tiny route_balancing=false",
+                  "tiny loss_rescaling=false"):
+        config, *overrides = label.split()
+        assert main([config, "1", *overrides, "--episodes", "0"]) == 0
+        alone = capsys.readouterr().out
+        line = lines[labels.index(label)]
+        assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()
 
 
 def test_digests_do_not_depend_on_the_blas_thread_count():

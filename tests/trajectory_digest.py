@@ -25,8 +25,9 @@ sits in) and compare the output.
     python3 tests/trajectory_digest.py all STEPS [--seed S] [--episodes E]
 
 runs every configuration a change that keeps every bit compares
-(``all_runs``: the two train configs, and tiny under each ``resrouting`` x
-``routing_fn`` pair) and prints one line per run: its label and one sha256
+(``all_runs``: the two train configs, tiny under each ``resrouting`` x
+``routing_fn`` pair, and tiny with ``route_balancing`` and with
+``loss_rescaling`` off) and prints one line per run: its label and one sha256
 over its five digests. One ``diff`` of two checkouts' outputs is the check;
 run a differing configuration alone to see which digest moved.
 """
@@ -87,7 +88,7 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
         for moment in opt.moments():
             _update(params, moment.flat)
     log_alpha = hashlib.sha256()
-    _update(log_alpha, trainer.temps.log_alpha)
+    _update(log_alpha, trainer.log_alpha)
     metrics = hashlib.sha256()
     for row in rows:
         for key in sorted(row):
@@ -115,6 +116,8 @@ def all_runs() -> list[tuple[str, str, dict]]:
     runs += [(f"tiny resrouting={mode} routing_fn={fn}", "tiny",
               {"resrouting": mode, "routing_fn": fn})
              for mode in CHI_BY_MODE for fn in ROUTING_FNS]
+    runs += [(f"tiny {flag}=false", "tiny", {flag: False})
+             for flag in ("route_balancing", "loss_rescaling")]
     return runs
 
 
