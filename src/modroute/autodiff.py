@@ -26,7 +26,8 @@ to first, on what the forward saved:
   that read it, and implements ResRouting's gate in those weights: where a
   source is marked unsuitable its adjoint skips the source's module
   transform and goes to that module's own input (the residual shortcut), or
-  nowhere.
+  nowhere. The adjoint of a module's source weights is one ``einsum`` dot
+  product per source and row over the width.
 * ``squashed_gaussian``: SAC's tanh-squashed Gaussian head.
 
 The same kernels run a stacked ensemble (the twin critics): every weight,
@@ -36,7 +37,11 @@ action) has no member axis; its adjoint is summed over the members.
 
 A backward writes each weight gradient into an array the caller passes
 (views of a flat gradient vector). Its intermediate adjoints are fresh
-arrays, as the forward's activations are.
+arrays, as the forward's activations are. Its sums over the batch run as
+BLAS products, not numpy reductions: a bias gradient is a row of ones times
+the adjoint, and ``network`` forms the task-embedding gradient as a one-hot
+(T, B) product. An input adjoint multiplies by a contiguous copy of the
+transposed weight, which OpenBLAS runs faster than the transposed view.
 """
 
 from __future__ import annotations
@@ -209,6 +214,15 @@ def squashed_gaussian(out: np.ndarray, act_dim: int, noise: np.ndarray):
 # ``grads`` (skipped where it is None) and returns the adjoint of its input
 
 
+@lru_cache(maxsize=None)
+def _ones_row(count: int, dtype) -> np.ndarray:
+    """A (1, count) row of ones: its product with a (count, k) matrix is the
+    matrix's column sums, one BLAS call. Read-only, shared."""
+    ones = np.ones((1, count), dtype)
+    ones.flags.writeable = False
+    return ones
+
+
 def affine_chain_backward(g, acts, layers, grads, need_x=True, out=None):
     """Adjoints of an ``affine_chain``'s layers, into ``grads``, and of its
     input (None unless ``need_x``; with the member axis of a stacked chain,
@@ -218,10 +232,15 @@ def affine_chain_backward(g, acts, layers, grads, need_x=True, out=None):
         if grads[2 * l] is not None:
             np.matmul(acts[l].swapaxes(-1, -2), g, out=grads[2 * l])
         if grads[2 * l + 1] is not None:
-            np.sum(g, axis=-2, out=grads[2 * l + 1])
+            np.matmul(_ones_row(g.shape[-2], g.dtype), g, out=grads[2 * l + 1][..., None, :])
+        if l == 0 and not need_x:
+            return None
+        # OpenBLAS multiplies by a contiguous transposed weight faster than
+        # by the transposed view
+        w_t = np.ascontiguousarray(layers[2 * l].swapaxes(-1, -2))
         if l == 0:
-            return np.matmul(g, layers[0].swapaxes(-1, -2), out=out) if need_x else None
-        g = np.matmul(g, layers[2 * l].swapaxes(-1, -2))
+            return np.matmul(g, w_t, out=out)
+        g = np.matmul(g, w_t)
         # a layer input > 0 iff its relu was active
         g *= acts[l] > 0.0
 
@@ -249,6 +268,11 @@ def masked_softmax_backward(gp, p):
     s = gz.sum(axis=-1, keepdims=True)
     np.subtract(gp, s, out=gz)
     return np.multiply(p, gz, out=gz)
+
+
+# the adjoint of module i's source weights: per source and row, the dot
+# product of the source's output with the module's input adjoint
+_DOT = "s...bw,...bw->s...b"
 
 
 def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_p=True):
@@ -294,7 +318,7 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_
             if q_bad is not None:
                 gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i])
         if gp is not None:
-            gp_src[:i - 1, ..., i - 2] = np.multiply(slab[:i - 1], gu).sum(axis=-1)
+            np.einsum(_DOT, slab[:i - 1], gu, out=gp_src[:i - 1, ..., i - 2])
 
 
 def squashed_gaussian_backward(ga, gl, a, noise, saved):

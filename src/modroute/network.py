@@ -592,9 +592,10 @@ class ModulePolicy:
                 gh += gg * r.emb
             if grad is not None:
                 gemb = gg * r.encoded if cfg.state_routing else gg
-                gt = grad.tensors["temb"]
-                gt.fill(0.0)
-                np.add.at(gt.swapaxes(0, -2), r.task_ids, gemb.swapaxes(0, -2))
+                # each task's row sums its rows' adjoints: a one-hot (T, B)
+                # product, 0 for a task with no row
+                onehot = r.task_ids == np.arange(cfg.num_tasks)[:, None]
+                np.matmul(onehot.astype(gemb.dtype), gemb, out=grad.tensors["temb"])
         gx = ad.affine_chain_backward(gh, r.enc_acts, weights(self._enc_keys),
                                       grads(self._enc_keys), need_x=input_grad)
         if input_grad:

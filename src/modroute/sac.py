@@ -39,6 +39,7 @@ adjoints the losses build are cast by ``ModulePolicy.backward``.
 
 from __future__ import annotations
 
+import copy
 import logging
 import warnings
 from dataclasses import dataclass, replace
@@ -111,6 +112,14 @@ class Adam:
             self._tmp = np.empty(min(self.layout.size, ADAM_BLOCK), self.dtype)
         return self.m, self.v
 
+    def copy(self) -> "Adam":
+        """A copy that steps on its own moments (the work buffer, scratch,
+        is shared)."""
+        twin = copy.copy(self)
+        if self.m is not None:
+            twin.m, twin.v = self.m.copy(), self.v.copy()
+        return twin
+
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.lr == 0.0:
             return
@@ -164,16 +173,27 @@ def loss_maskout(per_task_losses: np.ndarray, threshold: float) -> np.ndarray:
     return included
 
 
-def _per_task_mean(values: np.ndarray, task_ids: np.ndarray, num_tasks: int):
-    """Each task's mean of ``values`` (..., B) over the batch axis, 0 for a
-    task with no rows. The batch must be task-major with equal rows per task
-    present, as ``sample_stratified`` and its maskout subsets are."""
+def task_layout(task_ids: np.ndarray) -> np.ndarray:
+    """The tasks of a batch, in batch order, which must be task-major with
+    equal rows per task present, as ``sample_stratified`` and its maskout
+    subsets are; refuses any other batch. The per-task means read it."""
     tasks, counts = np.unique(task_ids, return_counts=True)
     if not np.array_equal(task_ids, np.repeat(tasks, counts[:1])):
         raise ValueError("per-task means need a task-major batch, equal rows per task")
+    return tasks
+
+
+def _per_task_mean(values: np.ndarray, tasks: np.ndarray, num_tasks: int):
+    """Each task's mean of ``values`` (..., B) over the batch axis, 0 for a
+    task with no rows, on a batch of ``task_layout`` ``tasks``."""
     out = np.zeros(values.shape[:-1] + (num_tasks,))
     out[..., tasks] = values.reshape(*values.shape[:-1], len(tasks), -1).mean(axis=-1)
     return out
+
+
+def _positive(*arrays) -> bool:
+    """Whether every entry of ``arrays`` is finite and positive."""
+    return all(bool(np.all(np.isfinite(a) & (a > 0.0))) for a in arrays)
 
 
 def _coefficients(task_ids: np.ndarray, weights: np.ndarray,
@@ -200,16 +220,16 @@ def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
     return gx
 
 
-def alpha_loss(logp: np.ndarray, task_ids: np.ndarray, alphas: np.ndarray,
+def alpha_loss(logp: np.ndarray, tasks: np.ndarray, alphas: np.ndarray,
                target_entropy: float) -> tuple[float, np.ndarray]:
     """Temperature objective sum_T mean_T(-alpha_T * (log pi + target_entropy))
     over the tasks present in the batch, ``alphas`` = exp(log_alpha) per task.
 
     Returns (loss value, gradient w.r.t. log_alpha). Only tasks present in
-    the batch get a nonzero gradient. The batch is task-major with equal
-    rows per task present (see ``_per_task_mean``).
+    the batch get a nonzero gradient. ``tasks`` is the batch's
+    ``task_layout``.
     """
-    mean_neg = _per_task_mean(-(logp.ravel() + target_entropy), task_ids, len(alphas))
+    mean_neg = _per_task_mean(-(logp.ravel() + target_entropy), tasks, len(alphas))
     # d/d log_alpha = alpha * mean(-(logp + H))
     grad = alphas * mean_neg
     return float(grad.sum()), grad
@@ -422,15 +442,17 @@ class Trainer(Agent):
     # ------------------------------------------------------------------
     # per-task coefficients
 
-    def task_coefficients(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def task_coefficients(self, log_alpha: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per task, as fresh float64 arrays: the SAC temperature
         alpha = exp(log_alpha), the routing temperature tau that rollouts and
         Bellman targets sample masks with, and the loss weight w. tau is
         ``route_balance_temperatures(alpha)`` under ``route_balancing``, else
         1; w is ``task_loss_weights(alpha)`` under ``loss_rescaling``, else
-        1/T. The one reader of those two flags."""
+        1/T. The one reader of those two flags. ``log_alpha`` defaults to
+        the trainer's."""
         n = self.num_tasks
-        alphas = np.exp(self.log_alpha)
+        alphas = np.exp(self.log_alpha if log_alpha is None else log_alpha)
         taus = route_balance_temperatures(alphas) if self.s.route_balancing else np.ones(n)
         weights = task_loss_weights(alphas) if self.s.loss_rescaling else np.full(n, 1.0 / n)
         return alphas, taus, weights
@@ -578,12 +600,17 @@ class Trainer(Agent):
         update (every optimizer, Polyak) is skipped, with a warning and
         ``skipped_updates`` 1 in the metrics.
 
+        The temperatures step first, on copies: a step that would leave any
+        alpha, tau or w not finite or not positive skips the whole update in
+        the same way.
+
         Returns per-task metrics, or None when the buffer is too small."""
         if not self.buffer.can_sample(self.s.batch_per_task):
             log.info("buffer too small for a training step")
             return None
         batch = self.buffer.sample_stratified(self.s.batch_per_task, self.rng_batch)
         ids = batch["task_id"]
+        tasks = task_layout(ids)
         # taken before any optimizer step: the metrics report these
         alphas, taus, weights = self.task_coefficients()
         coeff = _coefficients(ids, weights, np.ones(self.num_tasks, dtype=bool))
@@ -594,9 +621,9 @@ class Trainer(Agent):
         actor_per_sample, actor_grad, logp = self.actor_losses(batch, noise, coeff)
 
         # summed over the two critics
-        per_task_critic = _per_task_mean(critic_per_sample[..., 0], ids,
+        per_task_critic = _per_task_mean(critic_per_sample[..., 0], tasks,
                                          self.num_tasks).sum(axis=0)
-        per_task_actor = _per_task_mean(actor_per_sample[:, 0], ids, self.num_tasks)
+        per_task_actor = _per_task_mean(actor_per_sample[:, 0], tasks, self.num_tasks)
         included = loss_maskout(per_task_critic + per_task_actor,
                                 self.s.maskout_threshold)
 
@@ -617,6 +644,7 @@ class Trainer(Agent):
             rows = np.flatnonzero(included[ids])
             batch = {k: v[rows] for k, v in batch.items()}
             ids = batch["task_id"]
+            tasks = tasks[included[tasks]]  # whole tasks leave: still task-major
             coeff = _coefficients(ids, weights, included)
             _, critic_grad = self.critic_losses(batch, targets[rows], coeff)
             _, actor_grad, logp = self.actor_losses(batch, noise[rows], coeff)
@@ -631,12 +659,21 @@ class Trainer(Agent):
             log.warning("non-finite gradients (critics, actor finite: %s); "
                         "update skipped", finite)
             return metrics
+        _, alpha_grad = alpha_loss(logp, tasks, alphas, self.target_entropy)
+        opt_alpha, log_alpha = self.opt_alpha.copy(), self.log_alpha.copy()
+        # mirror the task weighting scheme: only included tasks update
+        opt_alpha.step(log_alpha, alpha_grad * included)
+        with np.errstate(over="ignore", under="ignore"):
+            valid = _positive(np.exp(log_alpha)) and _positive(*self.task_coefficients(log_alpha))
+        if not valid:
+            metrics["skipped_updates"] = 1
+            log.warning("temperature step leaves alpha, tau or w not finite or not "
+                        "positive (log_alpha %s); update skipped", log_alpha.tolist())
+            return metrics
+
         for opt, net, grad in zip((self.opt_critics, self.opt_actor), nets, grads):
             opt.step(net.params.flat, grad)
-
-        _, alpha_grad = alpha_loss(logp, ids, alphas, self.target_entropy)
-        # mirror the task weighting scheme: only included tasks update
-        self.opt_alpha.step(self.log_alpha, alpha_grad * included)
+        self.opt_alpha, self.log_alpha = opt_alpha, log_alpha
 
         rho = self.s.polyak
         target = self.critics_target.params.flat
@@ -686,12 +723,14 @@ class Trainer(Agent):
 
     def _eval_rows(self, eval_episodes: int, on_eval) -> list[dict]:
         """One row of ``EVAL_FIELDS`` per task: this evaluation's success
-        and mean usage, the losses of the last train step (0 before the
-        first) and the task's coefficients now."""
+        and mean usage, the losses of the last train step (NaN before the
+        first, as the success over no episode is) and the task's
+        coefficients now."""
         success, usage_mean, _ = self.evaluate(eval_episodes)
         alphas, taus, weights = self.task_coefficients()
         n = self.num_tasks
-        last = self._last_metrics or dict.fromkeys(("actor_loss", "critic_loss"), np.zeros(n))
+        last = self._last_metrics or dict.fromkeys(("actor_loss", "critic_loss"),
+                                                   np.full(n, np.nan))
         columns = {
             "step": np.full(n, self.env_steps), "task_id": np.arange(n),
             "success_rate": success, "actor_loss": last["actor_loss"],

@@ -576,7 +576,7 @@ def _bwd_mix(g, out, vals, aux, need):
     if need[0]:
         gp = np.zeros_like(vals[0])
         for s, c in enumerate(cols):
-            gp[..., row, c] = (g * vals[1 + s]).sum(axis=-1)
+            gp[..., row, c] = np.einsum("...bw,...bw->...b", vals[1 + s], g)
         grads[0] = gp
     for s, c in enumerate(cols):
         gm = g * p[..., c:c + 1]

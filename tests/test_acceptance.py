@@ -29,7 +29,7 @@ from modroute.network import (
     unpack_masks,
 )
 from modroute.routing import route_balance_temperatures
-from modroute.sac import Trainer, TrainSettings, alpha_loss, task_loss_weights
+from modroute.sac import Trainer, TrainSettings, alpha_loss, task_layout, task_loss_weights
 from routing_oracles import (
     effective_modules,
     mask_softmax,
@@ -170,13 +170,13 @@ def test_criterion_1_gradient_correctness(float64_training):
         log_alpha = rng.normal(size=2) * 0.3
         # the task-major batch of equal rows per task that train_step gives it
         logp_vals = rng.normal(size=(4, 1))
-        ids = np.array([0, 0, 1, 1])
-        _, grad = alpha_loss(logp_vals, ids, np.exp(log_alpha), -2.0)
+        tasks = task_layout(np.array([0, 0, 1, 1]))
+        _, grad = alpha_loss(logp_vals, tasks, np.exp(log_alpha), -2.0)
         eps = 1e-6
         for t in range(2):
             step = np.eye(2)[t] * eps
-            fp, _ = alpha_loss(logp_vals, ids, np.exp(log_alpha + step), -2.0)
-            fm, _ = alpha_loss(logp_vals, ids, np.exp(log_alpha - step), -2.0)
+            fp, _ = alpha_loss(logp_vals, tasks, np.exp(log_alpha + step), -2.0)
+            fm, _ = alpha_loss(logp_vals, tasks, np.exp(log_alpha - step), -2.0)
             fd = (fp - fm) / (2 * eps)
             worst = max(worst, abs(grad[t] - fd) / max(1.0, abs(fd)))
 
@@ -615,7 +615,9 @@ def test_criterion_9_serialization_determinism(tmp_path):
 
     rows_a = short_run("a")
     rows_b = short_run("b")
-    runs_ok = rows_a == rows_b
+    # compared by repr, exact for floats: the losses before the first train
+    # step are NaN, which == never equals
+    runs_ok = repr(rows_a) == repr(rows_b)
 
     ok = fields_ok and ckpt_ok and runs_ok
     _report(9, ok, f"transition fields identical={fields_ok}, checkpoint "

@@ -84,6 +84,28 @@ class TestTrainCommand:
             float(parts[0])  # every cell numeric
             assert int(parts[1]) in (0, 1)
 
+    def test_losses_read_nan_before_the_first_train_step(self, tmp_path):
+        # no loss is computed before the first train step: NaN, as the
+        # success rate over no episode is
+        path, cfg = write_config(tmp_path, total_env_steps=150, eval_interval=150)
+        assert main(["train", "--config", path]) == 0
+        lines = open(os.path.join(cfg.out_dir, "metrics.csv")).read().splitlines()
+        header = lines[0].split(",")
+        losses = [header.index("actor-loss"), header.index("critic-loss")]
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == ["0", "0", "150", "150"]
+        for row in rows[:2]:
+            assert [row[i] for i in losses] == ["nan", "nan"]
+        for row in rows[2:]:
+            assert all(np.isfinite(float(row[i])) for i in losses)
+
+    def test_huge_finite_learning_rate_is_no_internal_error(self, tmp_path, caplog):
+        # the first temperature step overflows exp(log_alpha): every such
+        # step skips its update with a warning, and the run ends normally
+        path, cfg = write_config(tmp_path, total_env_steps=60, eval_interval=60, lr=1.0e10)
+        assert main(["train", "--config", path]) in (0, 1)
+        assert "temperature step" in caplog.text
+
     def test_resume_continues_and_appends(self, tmp_path):
         path, cfg = write_config(tmp_path, total_env_steps=120,
                                  eval_interval=60)

@@ -28,6 +28,7 @@ from modroute.sac import (
     _per_task_mean,
     alpha_loss,
     loss_maskout,
+    task_layout,
     task_loss_weights,
 )
 from routing_oracles import selector
@@ -100,17 +101,20 @@ class TestLossMaskout:
 class TestAlphaLoss:
     def test_zero_gradient_at_target_entropy(self):
         logp = np.full((6, 1), 2.0)  # log pi = -H_bar
-        _, grad = alpha_loss(logp, np.array([0, 0, 0, 1, 1, 1]), np.full(2, 0.5), -2.0)
+        tasks = task_layout(np.array([0, 0, 0, 1, 1, 1]))
+        _, grad = alpha_loss(logp, tasks, np.full(2, 0.5), -2.0)
         np.testing.assert_allclose(grad, 0.0, atol=1e-12)
 
     def test_low_entropy_drives_alpha_up(self):
         logp = np.full((4, 1), 5.0)  # entropy far below target
-        loss, grad = alpha_loss(logp, np.zeros(4, dtype=int), np.full(1, 0.5), -2.0)
+        tasks = task_layout(np.zeros(4, dtype=int))
+        loss, grad = alpha_loss(logp, tasks, np.full(1, 0.5), -2.0)
         assert grad[0] < 0.0  # descending on log_alpha increases alpha
 
     def test_only_present_tasks_update(self):
         logp = np.full((4, 1), 1.0)
-        _, grad = alpha_loss(logp, np.array([0, 0, 2, 2]), np.full(3, 0.5), -2.0)
+        tasks = task_layout(np.array([0, 0, 2, 2]))
+        _, grad = alpha_loss(logp, tasks, np.full(3, 0.5), -2.0)
         assert grad[1] == 0.0
         assert grad[0] != 0.0 and grad[2] != 0.0
 
@@ -276,19 +280,20 @@ class TestPerTaskReductions:
         alphas = np.exp(rng.normal(size=4))
         weights = task_loss_weights(alphas)
 
-        assert_same_bits(_per_task_mean(actor[:, 0], ids, 4),
+        tasks = task_layout(ids)
+        assert_same_bits(_per_task_mean(actor[:, 0], tasks, 4),
                          _per_task_mean_loop(actor.ravel(), ids, 4))
-        assert_same_bits(_per_task_mean(critic[..., 0], ids, 4).sum(axis=0),
+        assert_same_bits(_per_task_mean(critic[..., 0], tasks, 4).sum(axis=0),
                          sum(_per_task_mean_loop(m.ravel(), ids, 4) for m in critic))
         assert_same_bits(_coefficients(ids, weights, included),
                          _coefficients_loop(ids, weights, included))
-        assert_same_bits(alpha_loss(logp, ids, alphas, -2.0)[1],
+        assert_same_bits(alpha_loss(logp, tasks, alphas, -2.0)[1],
                          _alpha_grad_loop(logp, ids, alphas, -2.0))
 
     @pytest.mark.parametrize("ids", [[0, 1, 0, 1], [0, 0, 1], [1, 1, 0, 0]])
     def test_other_batch_layouts_are_refused(self, ids):
         with pytest.raises(ValueError, match="task-major"):
-            alpha_loss(np.zeros((len(ids), 1)), np.array(ids), np.full(2, 0.1), -2.0)
+            task_layout(np.array(ids))
 
 
 def _adam(lr, **shapes):
@@ -480,8 +485,8 @@ class TestTrainer:
         tr.collect_rollouts(20)
         logp = np.full((4, 1), 3.0)
         before = tr.log_alpha.copy()
-        _, grad = alpha_loss(logp, np.array([0, 0, 1, 1]), tr.task_coefficients()[0],
-                             tr.target_entropy)
+        _, grad = alpha_loss(logp, task_layout(np.array([0, 0, 1, 1])),
+                             tr.task_coefficients()[0], tr.target_entropy)
         tr.opt_alpha.step(tr.log_alpha, grad)
         assert np.all(tr.log_alpha[2:] == before[2:])
         assert np.all(tr.log_alpha[:2] != before[:2])
@@ -674,6 +679,32 @@ class TestTrainer:
             np.testing.assert_array_equal(nets[name].params.flat, flat, err_msg=name)
         np.testing.assert_array_equal(tr.log_alpha, alpha)
         assert tr.train_steps == 0 and tr.opt_actor.t == 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["lr+1e10", "lr-1e10"])
+    def test_diverging_temperature_step_leaves_every_parameter_unchanged(
+            self, caplog, sign):
+        # a temperature step to exp(+-1e10) (alpha inf or 0) is caught as a
+        # non-finite gradient is: no optimizer step, no Polyak update
+        tr = make_trainer(seed=18)
+        tr.collect_rollouts(20)
+        tr.opt_alpha.lr = sign * 1.0e10
+        nets = {name: getattr(tr, name)
+                for name in ("actor", "critics", "critics_target")}
+        before = {name: pol.params.flat.copy() for name, pol in nets.items()}
+        alpha = tr.log_alpha.copy()
+        with caplog.at_level("WARNING", logger="modroute.sac"):
+            m = tr.train_step()
+        assert m["included"].all()
+        assert m["skipped_updates"] == 1
+        assert "temperature step" in caplog.text
+        for name, flat in before.items():
+            np.testing.assert_array_equal(nets[name].params.flat, flat, err_msg=name)
+        np.testing.assert_array_equal(tr.log_alpha, alpha)
+        assert tr.train_steps == 0 and tr.opt_actor.t == tr.opt_alpha.t == 0
+        # a step that keeps them finite and positive applies
+        tr.opt_alpha.lr = 1e-3
+        assert tr.train_step()["skipped_updates"] == 0
+        assert tr.train_steps == 1 and tr.opt_alpha.t == 1
 
     def test_nan_state_task_is_dropped_and_the_others_train(self):
         # task 1's stored states are NaN: its loss is masked out and its rows

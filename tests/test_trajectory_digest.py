@@ -58,15 +58,28 @@ def test_all_prints_one_labelled_line_per_run(capsys):
         assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()
 
 
-def test_digests_do_not_depend_on_the_blas_thread_count():
-    # the same seed gives the same bits whether OpenBLAS runs on one thread
-    # or two
+def _outputs_under_one_and_two_blas_threads(config: str, steps: str) -> list[str]:
     script = Path(__file__).with_name("trajectory_digest.py")
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
         outputs.append(subprocess.run(
-            [sys.executable, str(script), "train-default", "20"], env=env,
+            [sys.executable, str(script), config, steps], env=env,
             capture_output=True, text=True, check=True, timeout=300).stdout)
+    return outputs
+
+
+def test_digests_do_not_depend_on_the_blas_thread_count():
+    # the same seed gives the same bits whether OpenBLAS runs on one thread
+    # or two
+    outputs = _outputs_under_one_and_two_blas_threads("train-default", "20")
+    assert len(outputs[0].splitlines()) == 5
+    assert outputs[0] == outputs[1]
+
+
+def test_tiny_digests_do_not_depend_on_the_blas_thread_count():
+    # the tiny config's sums (bias and task-embedding gradients, probability
+    # adjoints) are BLAS products too: one thread or two, the same bits
+    outputs = _outputs_under_one_and_two_blas_threads("tiny", "5")
     assert len(outputs[0].splitlines()) == 5
     assert outputs[0] == outputs[1]
