@@ -139,11 +139,6 @@ def _manifest(data, versions: tuple = (FORMAT_VERSION,)) -> dict:
     return manifest
 
 
-def read_manifest(path: str) -> dict:
-    with _open(path) as data:
-        return _manifest(data, AGENT_VERSIONS)
-
-
 def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     """Rebuild the Agent of a checkpoint: its actor alone, restored
     bit-exactly in the dtype it was saved in. No other network, optimizer,

@@ -1,8 +1,9 @@
 """Command-line entry points: train, eval, analyze, export-dot.
 
 Exit codes: 0 success, 1 user error (bad config, bad checkpoint, bad
-arguments), 2 internal error. Set MODROUTE_LOG=DEBUG (or INFO/WARNING)
-to control log verbosity.
+arguments, a training run that stalled), 2 internal error. A stalled run
+leaves the checkpoint it last saved as it was. Set MODROUTE_LOG=DEBUG (or
+INFO/WARNING) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .analysis import export_dot, sparsity_distribution, usage_table
 from .checkpoint import CheckpointError, load_checkpoint, load_trainer, save_checkpoint
 from .config import ConfigError, RunConfig
-from .sac import EVAL_FIELDS, Agent, Trainer
+from .sac import EVAL_FIELDS, Agent, Trainer, TrainingStalled
 
 log = logging.getLogger(__name__)
 
@@ -185,7 +186,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UserError, ConfigError, CheckpointError, FileNotFoundError) as exc:
+    except (UserError, ConfigError, CheckpointError, TrainingStalled, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -29,7 +29,7 @@ class RunConfig(TrainSettings, NetworkSizes):
     (``TrainSettings``) of a run, which define and check those fields, plus
     its task suite and run control. A bad value raises ``ConfigError``."""
 
-    # task suite: list of {kind, goal_rule, difficulty, horizon} dicts
+    # task suite: list of {kind, goal_rule, horizon} dicts
     tasks: list = field(default_factory=lambda: [
         {"kind": "reach", "goal_rule": "fixed"},
         {"kind": "reach", "goal_rule": "random"},

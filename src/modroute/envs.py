@@ -43,7 +43,6 @@ class TaskSpec:
     task_id: int
     kind: str
     goal_rule: str = "fixed"  # "fixed" | "random"
-    difficulty: int = 0
     horizon: int = 200
 
     def __post_init__(self):
@@ -173,8 +172,8 @@ class ToyEnv:
 
 def make_suite(entries: list[dict]) -> list[TaskSpec]:
     """TaskSpecs from config mappings of ``TaskSpec`` fields; task ids follow
-    list order and a task's difficulty defaults to its id. A bad entry
-    raises ``ValueError`` naming its key path, ``tasks[i].key``."""
+    list order. A bad entry raises ``ValueError`` naming its key path,
+    ``tasks[i].key``."""
     if not entries:
         raise ValueError("tasks: at least one task is required")
     specs = []
@@ -185,9 +184,8 @@ def make_suite(entries: list[dict]) -> list[TaskSpec]:
             if key == "task_id" or key not in TaskSpec.__dataclass_fields__:
                 raise ValueError(f"tasks[{i}].{key}: unknown key")
         # a missing kind is reported as None, as any other unknown kind
-        values = {"difficulty": i, **entry, "kind": entry.get("kind")}
         try:
-            specs.append(TaskSpec(task_id=i, **values))
+            specs.append(TaskSpec(task_id=i, **{**entry, "kind": entry.get("kind")}))
         except ValueError as exc:
             raise ValueError(f"tasks[{i}].{exc}") from None
     return specs

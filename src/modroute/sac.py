@@ -244,10 +244,17 @@ def mean_std(total, total_sq, n):
 
 
 CHI_BY_MODE = {"rsg": "rsg", "sg-only": "sg", "off": "off", "target-routing": "off"}
-ROUTING_FNS = ("samplek", "topk", "hard", "soft")
+ROUTING_FNS = ("samplek", "topk")
 # the fields of an evaluation row (``Trainer.run``), in metrics.csv's order
 EVAL_FIELDS = ("step", "task_id", "success_rate", "actor_loss", "critic_loss",
                "alpha", "tau", "w", "mean_effective_modules")
+# Trainer.run stops a run once this many train steps in a row have skipped
+# their update: its weights and temperatures have not moved since
+MAX_SKIPPED_IN_A_ROW = 100
+
+
+class TrainingStalled(RuntimeError):
+    """``Trainer.run`` stopped a run whose updates all skip."""
 
 
 @dataclass
@@ -268,7 +275,7 @@ class TrainSettings:
     route_balancing: bool = True
     loss_rescaling: bool = True
     resrouting: str = "rsg"            # rsg | sg-only | target-routing | off
-    routing_fn: str = "samplek"        # samplek | topk | hard | soft
+    routing_fn: str = "samplek"        # samplek | topk
 
     def __post_init__(self):
         check_types(self, TrainSettings)
@@ -320,16 +327,13 @@ class Agent:
         """The mask selector ``routing_fn`` prescribes for fresh routing.
 
         With per-row ``taus`` it is behavior routing (rollouts, Bellman
-        targets): k_eff sources sampled at temperature tau under samplek
-        and hard, the top k under topk. Without, it is greedy top-k_eff
-        routing (evaluation, analysis, target-routing). Under soft it
-        selects every source either way. k_eff is 1 under hard, else k.
+        targets): k sources sampled at temperature tau under samplek, the
+        top k under topk. Without, it is greedy top-k routing (evaluation,
+        analysis, target-routing). A module with at most k sources takes
+        every one either way.
         """
-        fn, rng = self.s.routing_fn, self.rng_routing
-        k = 1 if fn == "hard" else self.cfg.k
-        if fn == "soft":
-            return lambda z: (~np.isneginf(z)).astype(z.dtype)
-        if taus is not None and fn != "topk":
+        k, rng = self.cfg.k, self.rng_routing
+        if taus is not None and self.s.routing_fn == "samplek":
             return lambda z: sample_k_mask_rows(z, k, taus, rng)
         return lambda z: topk_mask_rows(z, k)
 
@@ -692,7 +696,9 @@ class Trainer(Agent):
         multiple above its step count on one that has stepped (a resumed
         run). Returns the recorded evaluation rows: none from a trainer that
         already stands at ``total_env_steps``. A replay buffer that cannot
-        hold a batch per task raises ``ValueError``: it would never train."""
+        hold a batch per task raises ``ValueError``: it would never train.
+        ``MAX_SKIPPED_IN_A_ROW`` train steps in a row that skip their update
+        raise ``TrainingStalled``."""
         if eval_interval < 1:
             raise ValueError("eval_interval: must be >= 1")
         check_capacity(self.s.buffer_capacity, self.num_tasks, self.s.batch_per_task)
@@ -701,7 +707,7 @@ class Trainer(Agent):
         rows = []
         steps = self.env_steps
         next_eval = (steps // eval_interval + 1) * eval_interval if steps else 0
-        train_debt = 0.0
+        train_debt, skipped = 0.0, 0
         last_eval_step = -1
         while self.env_steps < total_env_steps:
             if self.env_steps >= next_eval:
@@ -715,7 +721,13 @@ class Trainer(Agent):
             self.collect_rollouts(1)
             train_debt += self.s.train_ratio
             while train_debt >= 1.0:
-                self.train_step()
+                # a train step returns None while the buffer cannot fill a batch
+                skipped = skipped + 1 if (self.train_step() or {}).get("skipped_updates") else 0
+                if skipped == MAX_SKIPPED_IN_A_ROW:
+                    raise TrainingStalled(
+                        f"training stalled at env step {self.env_steps}: the last {skipped} "
+                        "train steps each skipped their update, as a gradient or temperature "
+                        "was not finite or not positive (the warnings name which)")
                 train_debt -= 1.0
         if self.env_steps != last_eval_step:
             rows.extend(self._eval_rows(eval_episodes, on_eval))

@@ -18,17 +18,21 @@ import numpy as np
 from modroute import network
 from modroute.autodiff import affine_chain
 
+# run-config overrides of the routings the agent tests cover, by id, for a
+# network of 5 modules: hard routing takes one source per module (k: 1),
+# soft routing every source (k: n_modules - 1)
+ROUTINGS = {"samplek": {"routing_fn": "samplek"}, "topk": {"routing_fn": "topk"},
+            "hard": {"k": 1}, "soft": {"k": 4}}
+
 
 def selector(mode: str, k: int, taus=None, rng=None):
-    """A ``mask_fn`` over padded logits: "topk" (deterministic), "samplek"
-    (per-row ``taus`` and ``rng``) or "soft" (every valid source), the
-    selectors ``sac.Agent.routing_mask_fn`` builds."""
+    """A ``mask_fn`` over padded logits: "topk" (deterministic) or
+    "samplek" (per-row ``taus`` and ``rng``), the selectors
+    ``sac.Agent.routing_mask_fn`` builds."""
     if mode == "topk":
         return lambda z: network.topk_mask_rows(z, k)
     if mode == "samplek":
         return lambda z: network.sample_k_mask_rows(z, k, taus, rng)
-    if mode == "soft":
-        return lambda z: (~np.isneginf(z)).astype(z.dtype)
     raise ValueError(f"unknown routing mode {mode!r}")
 
 

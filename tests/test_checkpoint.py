@@ -24,7 +24,6 @@ from modroute.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_trainer,
-    read_manifest,
     save_checkpoint,
 )
 from modroute.cli import main
@@ -90,9 +89,13 @@ def test_round_trip_is_bitwise(tmp_path, steps):
     assert (tr2.env_steps, tr2.train_steps) == (tr.env_steps, tr.train_steps)
 
 
-@pytest.mark.parametrize("routing_fn", ["samplek", "topk", "hard", "soft"])
-def test_agent_evaluates_as_the_saving_trainer(tmp_path, routing_fn):
-    cfg, tr = _trainer(tmp_path, 3, routing_fn=routing_fn)
+# hard routing takes one source per module (k: 1), soft routing every
+# source (k: n_modules - 1)
+@pytest.mark.parametrize("overrides", [
+    {"routing_fn": "samplek"}, {"routing_fn": "topk"}, {"k": 1}, {"k": 3},
+], ids=["samplek", "topk", "hard", "soft"])
+def test_agent_evaluates_as_the_saving_trainer(tmp_path, overrides):
+    cfg, tr = _trainer(tmp_path, 3, **overrides)
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(path, tr, cfg)
     agent, cfg2 = load_checkpoint(path)
@@ -222,7 +225,7 @@ def test_step_counter_that_is_not_an_integer_is_named(tmp_path, capsys, key, val
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays["manifest"].__setitem__(key, value))
     phrase = f"manifest {key} is not a non-negative integer"
-    for load in (read_manifest, *LOADERS):
+    for load in LOADERS:
         with pytest.raises(CheckpointError, match=phrase):
             load(path)
     if value == "many":
@@ -236,9 +239,24 @@ def test_layouts_that_are_not_an_object_are_named(tmp_path, capsys, layouts):
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays["manifest"].__setitem__("layouts", layouts))
     phrase = "manifest layouts is not a JSON object"
-    for load in (read_manifest, *LOADERS):
+    for load in LOADERS:
         with pytest.raises(CheckpointError, match=phrase):
             load(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and phrase in err, err
+
+
+@pytest.mark.parametrize("edit, phrase", [
+    (lambda config: config.update(routing_fn="soft"), "routing_fn: unknown mode 'soft'"),
+    (lambda config: config["tasks"][1].update(difficulty=1),
+     "tasks[1].difficulty: unknown key"),
+], ids=["routing_fn", "difficulty"])
+def test_config_with_a_removed_setting_is_a_user_error(tmp_path, capsys, edit, phrase):
+    # routing_fn soft and hard were second spellings of k; a task had a
+    # difficulty that nothing read
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, lambda arrays: edit(arrays["manifest"]["config"]))
     assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and phrase in err, err
@@ -327,7 +345,8 @@ def test_version_2_file_evaluates_but_does_not_resume(tmp_path):
                 arrays[name] = value.astype(np.float64)
 
     _rewrite(path, as_version_2)
-    assert read_manifest(path)["format_version"] == 2
+    with np.load(path) as data:
+        assert json.loads(str(data["manifest"]))["format_version"] == 2
     agent, _ = load_checkpoint(path)
     assert agent.actor.params.flat.dtype == np.float64
     np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
@@ -396,7 +415,7 @@ def _unreadable_files(tmp_path):
 
 def test_unreadable_file_is_a_checkpoint_error(tmp_path):
     for path, phrase in _unreadable_files(tmp_path):
-        for load in (read_manifest, *LOADERS):
+        for load in LOADERS:
             with pytest.raises(CheckpointError, match=phrase):
                 load(path)
 

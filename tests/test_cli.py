@@ -16,10 +16,8 @@ from modroute.analysis import (
 )
 from modroute.cli import METRICS_COLUMNS, main
 from modroute.config import RunConfig
-from modroute.sac import Trainer
-from routing_oracles import unpadded
-
-ROUTING_FNS = ("samplek", "hard", "soft", "topk")
+from modroute.sac import MAX_SKIPPED_IN_A_ROW, Trainer
+from routing_oracles import ROUTINGS, unpadded
 
 EDGE_RE = re.compile(r"m(\d+)\s*->\s*m(\d+)\s*\[weight=\"([0-9.]+)\"")
 NODE_RE = re.compile(r"^\s*m(\d+)\s*\[([^\]]*)\];", re.MULTILINE)
@@ -105,6 +103,24 @@ class TestTrainCommand:
         path, cfg = write_config(tmp_path, total_env_steps=60, eval_interval=60, lr=1.0e10)
         assert main(["train", "--config", path]) in (0, 1)
         assert "temperature step" in caplog.text
+
+    def test_stalled_run_exits_1_and_keeps_its_last_checkpoint(self, tmp_path, capsys):
+        # with lr 1e10 every temperature step is caught as divergent and
+        # skips its update: the run stops after MAX_SKIPPED_IN_A_ROW of them,
+        # before its 400 env steps, and saves nothing over the checkpoint
+        path, cfg = write_config(tmp_path, lr=1.0e10)
+        assert main(["train", "--config", path]) == 0
+        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        saved = open(ckpt, "rb").read()
+        longer, _ = write_config(tmp_path, lr=1.0e10, total_env_steps=400,
+                                 eval_interval=400, checkpoint_interval=400,
+                                 out_dir=cfg.out_dir)
+        capsys.readouterr()
+        assert main(["train", "--config", longer, "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training stalled at env step ")
+        assert f"the last {MAX_SKIPPED_IN_A_ROW} train steps each skipped" in err
+        assert open(ckpt, "rb").read() == saved
 
     def test_resume_continues_and_appends(self, tmp_path):
         path, cfg = write_config(tmp_path, total_env_steps=120,
@@ -238,7 +254,8 @@ class TestEvalCommand:
 
 class TestAnalysis:
     def test_soft_routing_uses_every_module(self, tmp_path):
-        _, cfg = write_config(tmp_path, routing_fn="soft")
+        # k: n_modules - 1 selects every source of every module
+        _, cfg = write_config(tmp_path, k=3, n_modules=4)
         tr = make_trainer(cfg)
         for row in usage_table(tr, samples_per_task=5):
             assert row["mean_modules"] == cfg.n_modules
@@ -254,27 +271,26 @@ class TestAnalysis:
                 assert r["percent"] == 0.0
 
     def test_sparsity_hard_single_source(self, tmp_path):
-        _, cfg = write_config(tmp_path, routing_fn="hard", n_modules=4)
+        _, cfg = write_config(tmp_path, k=1, n_modules=4)
         tr = make_trainer(cfg)
         rows = {r["num_sources"]: r["percent"] for r in
                 sparsity_distribution(tr, samples=12)}
         assert rows.get(1, 0.0) == pytest.approx(100.0, abs=0.1)
 
     # the float64 cases keep the ids they had when trainers trained in float64
-    @pytest.mark.parametrize("routing_fn, dtype", [
-        *((fn, np.float64) for fn in ROUTING_FNS),
-        *((fn, np.float32) for fn in ROUTING_FNS),
-    ], ids=[*ROUTING_FNS, *(f"{fn}-float32" for fn in ROUTING_FNS)])
-    def test_routing_traces_consistent(self, tmp_path, monkeypatch, routing_fn, dtype):
-        # analysis routes as the Trainer evaluates: greedy top-k_eff (one
-        # source under hard, min(k, i - 1) otherwise), every source under
-        # soft. Float64 probabilities sum to 1 within 1e-9, float32 ones
-        # within 1e-6 (~8 units of float32 rounding)
+    @pytest.mark.parametrize("routing, dtype", [
+        *((name, np.float64) for name in ROUTINGS),
+        *((name, np.float32) for name in ROUTINGS),
+    ], ids=[*ROUTINGS, *(f"{name}-float32" for name in ROUTINGS)])
+    def test_routing_traces_consistent(self, tmp_path, monkeypatch, routing, dtype):
+        # analysis routes as the Trainer evaluates: greedy top-k, that is
+        # min(k, i - 1) sources of module i. Float64 probabilities sum to 1
+        # within 1e-9, float32 ones within 1e-6 (~8 units of float32 rounding)
         monkeypatch.setattr(modroute.sac, "TRAIN_DTYPE", dtype)
-        _, cfg = write_config(tmp_path, n_modules=5, k=2, routing_fn=routing_fn)
+        _, cfg = write_config(tmp_path, n_modules=5, **{"k": 2, **ROUTINGS[routing]})
 
         def sources(i):
-            return {"hard": 1, "soft": i - 1}.get(routing_fn, min(cfg.k, i - 1))
+            return min(cfg.k, i - 1)
 
         tr = make_trainer(cfg)
         assert tr.actor.params.flat.dtype == dtype

@@ -16,7 +16,6 @@ from modroute.checkpoint import (
     CheckpointError,
     load_checkpoint,
     load_trainer,
-    read_manifest,
     save_checkpoint,
 )
 from modroute.config import ConfigError, RunConfig
@@ -105,8 +104,9 @@ class TestRunConfig:
         ({"horizon": -5}, r"tasks\[1\].horizon: must be >= 1"),
         ({"horizon": 2.5}, r"tasks\[1\].horizon: expected an integer"),
         ({"horizon": "long"}, r"tasks\[1\].horizon: expected an integer"),
-        ({"difficulty": 1.5}, r"tasks\[1\].difficulty: expected an integer"),
-        ({"difficulty": True}, r"tasks\[1\].difficulty: expected an integer"),
+        # a task entry has no difficulty: training measures it
+        ({"difficulty": 1.5}, r"tasks\[1\].difficulty: unknown key"),
+        ({"difficulty": True}, r"tasks\[1\].difficulty: unknown key"),
     ])
     def test_bad_task_fields_name_path(self, entry, path):
         tasks = [{"kind": "reach"}, {"kind": "push", **entry}]
@@ -141,6 +141,9 @@ class TestRunConfig:
         ({"train_ratio": float("inf")}, "train_ratio: must be finite"),
         ({"lr": float("inf")}, "lr: must be finite"),
         ({"alpha_init": float("inf")}, "alpha_init: must be finite"),
+        # spelled k: 1 and k: n_modules - 1
+        ({"routing_fn": "hard"}, "routing_fn: unknown mode 'hard'"),
+        ({"routing_fn": "soft"}, "routing_fn: unknown mode 'soft'"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):
@@ -172,14 +175,14 @@ class TestRunConfig:
 
     def test_valid_task_fields_accepted(self):
         cfg = RunConfig.from_dict({"tasks": [
-            {"kind": "reach", "goal_rule": "random", "difficulty": 0, "horizon": 1}]})
+            {"kind": "reach", "goal_rule": "random", "horizon": 1}]})
         assert cfg.suite()[0].horizon == 1
 
     def test_settings_mapping(self, tmp_path):
-        cfg = small_config(tmp_path, routing_fn="hard", route_balancing=False,
+        cfg = small_config(tmp_path, routing_fn="topk", route_balancing=False,
                            lr=1e-3)
         s = cfg.train_settings()
-        assert s.routing_fn == "hard"
+        assert s.routing_fn == "topk"
         assert s.route_balancing is False
         assert s.lr == 1e-3
         p = cfg.policy_config("critic")
@@ -251,8 +254,8 @@ def push_task(**values) -> TaskSpec:
     (push_task, {"horizon": -5}, "horizon: must be >= 1"),
     (push_task, {"horizon": 2.5}, "horizon: expected an integer"),
     (push_task, {"horizon": "long"}, "horizon: expected an integer"),
-    (push_task, {"difficulty": 1.5}, "difficulty: expected an integer"),
-    (push_task, {"difficulty": True}, "difficulty: expected an integer"),
+    (TrainSettings, {"routing_fn": "hard"}, "routing_fn: unknown mode 'hard'"),
+    (TrainSettings, {"routing_fn": "soft"}, "routing_fn: unknown mode 'soft'"),
     (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
     (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
     (TrainSettings, {"route_balancing": "no"}, "route_balancing: expected true/false, got 'no'"),
@@ -381,7 +384,8 @@ class TestCheckpoint:
         path = str(tmp_path / "ckpt.bin")
         save_checkpoint(path, make_trainer(cfg), cfg)
         assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["ckpt.bin"]
-        assert read_manifest(path)["format_version"] == FORMAT_VERSION
+        with np.load(path) as data:
+            assert json.loads(str(data["manifest"]))["format_version"] == FORMAT_VERSION
 
     def test_version_mismatch_refused(self, tmp_path):
         cfg = small_config(tmp_path)

@@ -3,7 +3,7 @@ routing analysis and DOT export.
 
 Each consumer is compared bit for bit against the reference loops in
 ``rollout_oracles`` (the loops each ran on its own before), per
-``routing_fn`` and training dtype, on a two-task trainer whose actor
+routing and training dtype, on a two-task trainer whose actor
 weights are redrawn large enough that the routing changes from state to
 state. An untrained actor never succeeds, so there the tasks succeed by a
 rule of the agent's position and step that ends some episodes early.
@@ -25,19 +25,20 @@ from modroute.analysis import (
 )
 from modroute.config import RunConfig
 from modroute.envs import ToyEnv
-from modroute.sac import ROUTING_FNS, Trainer
-from routing_oracles import unpadded
+from modroute.sac import Trainer
+from routing_oracles import ROUTINGS, unpadded
 
-CASES = [(fn, dtype) for dtype in (np.float64, np.float32) for fn in ROUTING_FNS]
-IDS = [f"{fn}-{np.dtype(dtype).name}" for fn, dtype in CASES]
+CASES = [(name, dtype) for dtype in (np.float64, np.float32) for name in ROUTINGS]
+IDS = [f"{name}-{np.dtype(dtype).name}" for name, dtype in CASES]
 
 
-def _trainer(routing_fn="topk"):
-    cfg = RunConfig(tasks=[{"kind": "reach", "goal_rule": "random", "horizon": 15},
+def _trainer(routing="topk"):
+    cfg = RunConfig(**{"k": 2, **ROUTINGS[routing]},
+                    tasks=[{"kind": "reach", "goal_rule": "random", "horizon": 15},
                            {"kind": "push", "goal_rule": "random", "horizon": 12}],
-                    n_modules=5, k=2, module_dim=8, module_hidden=8,
+                    n_modules=5, module_dim=8, module_hidden=8,
                     encoder_widths=[8], routing_widths=[8], batch_per_task=4,
-                    buffer_capacity=100, routing_fn=routing_fn, seed=3)
+                    buffer_capacity=100, seed=3)
     tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), cfg.seed)
     rng = np.random.default_rng(0)
     for key, v in tr.actor.params.items():
@@ -53,10 +54,10 @@ def _lucky(env) -> bool:
 
 @pytest.fixture(params=CASES, ids=IDS)
 def trainer(request, monkeypatch):
-    routing_fn, dtype = request.param
+    routing, dtype = request.param
     monkeypatch.setattr(modroute.sac, "TRAIN_DTYPE", dtype)
     monkeypatch.setattr(ToyEnv, "_success", _lucky)
-    tr = _trainer(routing_fn)
+    tr = _trainer(routing)
     assert tr.actor.params.flat.dtype == dtype
     return tr
 

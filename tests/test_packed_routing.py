@@ -31,8 +31,10 @@ from routing_oracles import (
     unpadded,
 )
 
+# samplek at k = 9 is soft routing for every n here (at most 10 modules):
+# every source of every module, and no draw
 MODES = [("topk", 1), ("topk", 2), ("topk", 3), ("topk", 8),
-         ("soft", 2), ("samplek", 1), ("samplek", 2), ("samplek", 4)]
+         ("samplek", 1), ("samplek", 2), ("samplek", 4), ("samplek", 9)]
 
 
 def _policy(n, seed, head="actor"):
@@ -101,11 +103,13 @@ def _run_modes(n, exact):
                     if mode == "samplek":
                         want = per_module_sample_k(logits, k, taus, oracle_rng)
                         assert fwd_rng.bit_generator.state == oracle_rng.bit_generator.state
-                    elif mode == "soft":
-                        want = [np.ones_like(z) for z in logits]
                     else:
                         want = [np.stack([topk_mask(row, k) for row in z])
                                 for z in logits]
+                    if k >= n - 1:
+                        assert all(np.all(w == 1.0) for w in want)
+                        fresh = np.random.default_rng(seed).bit_generator.state
+                        assert fwd_rng.bit_generator.state == fresh
                     _check_against_oracles(cfg, pol, res, x, tasks, want, exact)
                     outs.append(res)
                 if mode != "samplek":  # the two samplek passes draw apart
@@ -178,15 +182,15 @@ def test_each_routing_kernel_runs_once_per_forward(kernel_counts, mode):
         kwargs["masks"] = padded([np.stack([topk_mask(row, 2) for row in
                                             rng.normal(size=(4, i - 1))])
                                   for i in range(2, 9)])
-    else:  # hard routing is greedy top-1
-        fn, k = ("topk", 1) if mode == "hard" else (mode, 2)
+    else:  # hard routing is greedy top-1, soft routing samples all 7 sources
+        fn, k = {"hard": ("topk", 1), "soft": ("samplek", 7)}.get(mode, (mode, 2))
         kwargs["mask_fn"] = selector(fn, k, taus=np.ones(4), rng=rng)
     if mode == "taped":
         # a training pass: stored masks, every module
         kwargs.update(skip_unused=False)
     res = pol.forward(obs, tasks, **kwargs)
     kernel = {"topk": "topk_mask_rows", "hard": "topk_mask_rows",
-              "samplek": "sample_k_mask_rows"}.get(mode)
+              "samplek": "sample_k_mask_rows", "soft": "sample_k_mask_rows"}.get(mode)
     # a skipping pass runs reachability; another runs it at the first read
     # of ``effective``, and only once
     reach = int(kwargs["skip_unused"])

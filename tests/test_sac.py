@@ -520,14 +520,16 @@ class TestTrainer:
         assert np.all(res.padded_probs[stored == 0.0] == 0.0)
         assert np.all(res.padded_probs[stored == 1.0] > 0.0)
 
-    @pytest.mark.parametrize("routing_fn", ["soft", "topk", "hard"])
+    @pytest.mark.parametrize("routing, k, sources", [
+        ("samplek", 3, [1, 2, 3]), ("topk", 2, [1, 2, 2]), ("samplek", 1, [1, 1, 1]),
+    ], ids=["soft", "topk", "hard"])
     def test_target_routing_critics_route_alike_in_both_losses(self, monkeypatch,
-                                                                routing_fn):
+                                                                routing, k, sources):
         # under target-routing the training critics route greedily for
-        # themselves: every source under soft, the top k_eff otherwise, in
-        # critic_losses and in actor_losses alike (n = 4, k = 2)
-        sources = {"soft": [1, 2, 3], "topk": [1, 2, 2], "hard": [1, 1, 1]}[routing_fn]
-        tr = make_trainer(seed=23, routing_fn=routing_fn, resrouting="target-routing")
+        # themselves, the top k, in critic_losses and in actor_losses alike
+        # (n = 4): soft routing (k = 3) takes every source, hard routing one
+        tr = make_trainer(seed=23, cfg={"k": k}, routing_fn=routing,
+                          resrouting="target-routing")
         tr.collect_rollouts(20)
         batch = tr.buffer.sample_stratified(4, np.random.default_rng(4))
         counts = []

@@ -5,7 +5,7 @@ trained bit.
 
 builds a ``Trainer`` for the named config (``CONFIGS``), with any
 ``RunConfig`` fields overridden by ``KEY=VALUE`` (``resrouting=off``,
-``routing_fn=soft``, ``route_balancing=false``; the value is read as YAML,
+``k=1``, ``route_balancing=false``; the value is read as YAML,
 except for a string field), fills its replay
 buffer until a batch can be drawn, runs ``STEPS`` iterations of
 ``collect_rollouts(1)`` + ``train_step()`` and then ``evaluate(E)``, and
