@@ -27,7 +27,9 @@ to first, on what the forward saved:
   source is marked unsuitable its adjoint skips the source's module
   transform and goes to that module's own input (the residual shortcut), or
   nowhere. The adjoint of a module's source weights is one ``einsum`` dot
-  product per source and row over the width.
+  product per source and row over the width; ``modules_backward`` always
+  returns it, since every router reads F(s) and so every backward runs the
+  routing half.
 * ``squashed_gaussian``: SAC's tanh-squashed Gaussian head.
 
 The same kernels run a stacked ensemble (the twin critics): every weight,
@@ -275,11 +277,11 @@ def masked_softmax_backward(gp, p):
 _DOT = "s...bw,...bw->s...b"
 
 
-def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_p=True):
+def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads):
     """Adjoints of a ``modules`` stack that evaluated every module, from its
     output adjoint ``g``: each module's weights into ``grads`` (four entries
-    per module, in module order), and returns those of ``probs`` (None
-    unless ``need_p``) and of module 1's input.
+    per module, in module order), and returns those of ``probs`` and of
+    module 1's input.
 
     ``suit`` ((..., B, n-1, n-1) bool, or None: every source suitable)
     marks the sources the gate lets through; ``rsg`` says whether an
@@ -302,10 +304,8 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_
         if rsg:
             q_bad = np.multiply(q, ~suit[..., ::-1, :], order="C", dtype=dt)
     gu_rev = np.empty(slab.shape, dt)
-    gp = None
-    if need_p:
-        gp = np.zeros(probs.shape, dt)
-        gp_src = np.moveaxis(gp, -1, 0)
+    gp = np.zeros(probs.shape, dt)
+    gp_src = np.moveaxis(gp, -1, 0)
     for i in range(n, 0, -1):
         w = slice(4 * i - 4, 4 * i)  # module i's layers
         gm = g if i == n else np.einsum(_MIX, q_ok[..., :n - i, i - 1], gu_rev[:n - i])
@@ -317,8 +317,7 @@ def modules_backward(g, probs, layers, slab, acts, suit, rsg: bool, grads, need_
             gu += gm  # the residual
             if q_bad is not None:
                 gu += np.einsum(_MIX, q_bad[..., :n - i, i - 1], gu_rev[:n - i])
-        if gp is not None:
-            np.einsum(_DOT, slab[:i - 1], gu, out=gp_src[:i - 1, ..., i - 2])
+        np.einsum(_DOT, slab[:i - 1], gu, out=gp_src[:i - 1, ..., i - 2])
 
 
 def squashed_gaussian_backward(ga, gl, a, noise, saved):

@@ -1,25 +1,27 @@
 """Versioned training checkpoints.
 
 Everything lives in one ``.npz``: a JSON manifest (format version, run config,
-step counters, the layout of every flat vector) plus one array per flat
-vector: each network's parameters (``actor``, ``critics``,
-``critics_target``), each optimizer's step count ``t`` and, once it has
-stepped, its moments (``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...),
-``log_alpha`` and ``success_ema``. Each vector is stored in its own dtype: a
-trainer's networks and moments in float32 (``sac.TRAIN_DTYPE``), the
-temperatures and success averages in float64. Format 2 held the same arrays
-with the networks and moments in float64. A load refuses a file of another
-format version, and a vector whose recorded layout (tensor names and shapes,
-member count) or length differs from the run config's.
+step counters, the count of train steps in a row that skipped their update,
+the layout of every flat vector) plus one array per flat vector: each
+network's parameters (``actor``, ``critics``, ``critics_target``), each
+optimizer's step count ``t`` and, once it has stepped, its moments
+(``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...), ``log_alpha`` and
+``success_ema``: 9 arrays with the manifest before the optimizers first
+step, 15 after. Each vector is stored in its own dtype: a trainer's
+networks and moments in float32 (``sac.TRAIN_DTYPE``), the temperatures and
+success averages in float64. This is format 4. A load refuses a file of any
+other format version (every older manifest's config names a routing
+setting that format 4 no longer has), a manifest that lacks an entry, and a
+vector whose recorded layout (tensor names and shapes, member count),
+length or dtype differs from the run config's and the trainer's.
 
 ``load_checkpoint`` reads back the agent alone: it builds and restores the
 actor and reads no other array, so evaluation and analysis need neither the
-training state nor the memory it takes; the actor keeps the dtype it was
-saved in, so it also reads format 2, whose actor evaluates in float64.
-``load_trainer`` restores a whole ``Trainer`` to resume training. It reads
-format 3 alone, and refuses a vector saved in another dtype than the
-trainer's: a float32 trainer cannot resume float64 training state bit for
-bit.
+training state nor the memory it takes. ``load_trainer`` restores a whole
+``Trainer`` to resume training. Both read the networks and moments in the
+dtype a trainer trains in (``sac.TRAIN_DTYPE``), so an agent evaluates as
+the trainer that saved it, and no trainer takes training state of another
+precision, which it could not resume bit for bit.
 The replay buffer is not persisted; a resumed run refills it before training.
 A save writes a temporary file next to the target, syncs it to disk and
 renames it over the target, then syncs the directory, so neither a crash
@@ -36,16 +38,17 @@ import zipfile
 
 import numpy as np
 
+from . import sac
 from .config import RunConfig
 from .network import Layout, ModulePolicy, Params, policy_layout
 from .sac import Agent, Trainer
 
-FORMAT_VERSION = 3
-# the format versions an actor-only load reads
-AGENT_VERSIONS = (FORMAT_VERSION, 2)
+FORMAT_VERSION = 4
 # the trainer attributes whose flat vectors a checkpoint holds
 _NETWORKS = ("actor", "critics", "critics_target")
 _OPTIMIZERS = ("opt_actor", "opt_critics", "opt_alpha")
+# the trainer's counters, non-negative integers in the manifest
+_COUNTERS = ("env_steps", "train_steps", "skipped_in_a_row")
 
 
 class CheckpointError(RuntimeError):
@@ -64,8 +67,7 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": run_cfg.to_dict(),
-        "env_steps": trainer.env_steps,
-        "train_steps": trainer.train_steps,
+        **{key: getattr(trainer, key) for key in _COUNTERS},
         "layouts": {name: _layout_record(owner.layout)
                     for name, owner in {**nets, **opts}.items()},
     }
@@ -113,8 +115,8 @@ def _open(path: str):
     return data
 
 
-def _manifest(data, versions: tuple = (FORMAT_VERSION,)) -> dict:
-    """The manifest, if its format version is one of ``versions``."""
+def _manifest(data) -> dict:
+    """The manifest, if its format version is ``FORMAT_VERSION``."""
     text = str(_read(data, "manifest", ()))
     try:
         manifest = json.loads(text)
@@ -123,43 +125,41 @@ def _manifest(data, versions: tuple = (FORMAT_VERSION,)) -> dict:
     if not isinstance(manifest, dict):
         raise CheckpointError("checkpoint manifest is not a JSON object")
     version = manifest.get("format_version")
-    if version not in versions:
+    if version != FORMAT_VERSION:
         raise CheckpointError(f"checkpoint format version {version} != supported "
-                              f"{' or '.join(map(str, versions))}")
-    for key in ("config", "env_steps", "train_steps"):
+                              f"{FORMAT_VERSION}")
+    for key in ("config", *_COUNTERS, "layouts"):
         if key not in manifest:
             raise CheckpointError(f"checkpoint manifest lacks {key}")
-    for key in ("env_steps", "train_steps"):
+    for key in _COUNTERS:
         value = manifest[key]
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise CheckpointError(
                 f"checkpoint manifest {key} is not a non-negative integer: {value!r}")
-    if not isinstance(manifest.get("layouts", {}), dict):
+    if not isinstance(manifest["layouts"], dict):
         raise CheckpointError("checkpoint manifest layouts is not a JSON object")
     return manifest
 
 
 def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     """Rebuild the Agent of a checkpoint: its actor alone, restored
-    bit-exactly in the dtype it was saved in. No other network, optimizer,
-    replay buffer or environment is built, and no other array is read.
-    Reads format 3 and format 2.
+    bit-exactly. No other network, optimizer, replay buffer or environment
+    is built, and no other array is read.
 
     Raises CheckpointError when the file is no npz archive or its manifest
-    is unreadable, lacks an entry, holds a step counter that is not a
-    non-negative integer or layouts that are not a JSON object, and names
-    the ``actor`` array when it is missing, its shape does not match the run
-    config's or the manifest records a layout for it other than the run
+    is unreadable, of another format version, lacks an entry, holds a
+    counter that is not a non-negative integer or layouts that are not a
+    JSON object, and names the ``actor`` array when it is missing, its shape
+    does not match the run config's, it is stored in another dtype than a
+    trainer's or the manifest records a layout for it other than the run
     config's."""
     with _open(path) as data:
-        manifest = _manifest(data, AGENT_VERSIONS)
+        manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
         policy_cfg = run_cfg.policy_config("actor")
         layout = policy_layout(policy_cfg)
-        flat = _vector(data, manifest.get("layouts", {}), "actor", layout)
-        if flat.dtype not in (np.float32, np.float64):
-            raise CheckpointError(f"checkpoint array actor has dtype {flat.dtype}, "
-                                  f"expected float32 or float64")
+        # read at each load, not bound at import: it follows a change to it
+        flat = _vector(data, manifest["layouts"], "actor", layout, sac.TRAIN_DTYPE)
         actor = ModulePolicy(policy_cfg, Params(layout, flat))
     agent = Agent(run_cfg.suite(), policy_cfg, run_cfg.train_settings(),
                   run_cfg.seed, actor)
@@ -167,8 +167,9 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
 
 
 def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
-    """Rebuild a Trainer from a format-3 checkpoint; arrays are restored
-    bit-exactly, in place into each network's and optimizer's flat vectors.
+    """Rebuild a Trainer from a checkpoint; arrays are restored bit-exactly,
+    in place into each network's and optimizer's flat vectors, and the
+    counters into the trainer.
 
     Raises CheckpointError as ``load_checkpoint`` does, for every stored
     array, and names an optimizer whose step count is not an integer or is
@@ -179,7 +180,7 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
         run_cfg = RunConfig.from_dict(manifest["config"])
         trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
                           run_cfg.train_settings(), seed=run_cfg.seed)
-        layouts = manifest.get("layouts", {})
+        layouts = manifest["layouts"]
         for name in _NETWORKS:
             params = getattr(trainer, name).params
             _restore(data, layouts, name, params.layout, params.flat)
@@ -201,8 +202,8 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
             if not np.isfinite(value).all():
                 raise CheckpointError(f"checkpoint array {name} is not finite: {value}")
             setattr(trainer, name, value.copy())
-    trainer.env_steps = manifest["env_steps"]
-    trainer.train_steps = manifest["train_steps"]
+    for key in _COUNTERS:
+        setattr(trainer, key, manifest[key])
     return trainer, run_cfg
 
 

@@ -11,8 +11,10 @@ last modules) adds the mix back as a residual:
     out = M^n(u^n)
 
 Routing probabilities come from a masked softmax over logits z^i = G^i(F(s)
-* H(task)), restricted to a binary top-k (or sampled) source mask. Modules
-not backward-reachable from module n can be skipped entirely.
+* H(task)), restricted to a binary top-k (or sampled) source mask. F(s) *
+H(task), the input of Soft Modularization (Yang et al. 2020), is the one
+routing input: every router reads the state and the task. Modules not
+backward-reachable from module n can be skipped entirely.
 
 All routing of a forward pass lives in padded ``(B, n-1, n-1)`` arrays of
 logits, masks and probabilities: row ``r`` is module ``r + 2`` and only its
@@ -109,7 +111,6 @@ class NetworkSizes:
     encoder_widths: tuple = (64, 64)
     routing_widths: tuple = (64, 64)
     k: int = 2
-    state_routing: bool = True    # feed F(s) * H(T) to routing (vs H(T) alone)
 
     def __post_init__(self):
         check_types(self, NetworkSizes)
@@ -473,8 +474,7 @@ class ModulePolicy:
         # encoder, routing input and the padded logits of modules 2..n
         h, enc_acts = ad.affine_chain(x, [p[k] for k in self._enc_keys])
         emb = p["temb"][..., task_ids, :]
-        g = h * emb if cfg.state_routing else emb
-        z, route_acts = ad.route_mlps(g, [p[t] for t in self._route_names])
+        z, route_acts = ad.route_mlps(h * emb, [p[t] for t in self._route_names])
 
         if masks is not None:
             d = np.asarray(masks, dtype=dt)
@@ -577,25 +577,20 @@ class ModulePolicy:
         def grads(keys):
             return [None] * len(keys) if grad is None else [grad.tensors[k] for k in keys]
 
-        # without weights to train and without state routing the routing
-        # half reads nothing differentiable
-        routed = grad is not None or cfg.state_routing
         suit = None if chi_mode == "off" else self.suitable(res.padded_logits)
         gp, gh = ad.modules_backward(
             g, res.padded_probs, weights(self._mod_keys), res._slab, res._acts,
-            suit, chi_mode == "rsg", grads(self._mod_keys), need_p=routed)
-        if routed:
-            gz = ad.masked_softmax_backward(gp, res.padded_probs)
-            gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
-                                        grads(self._route_names))
-            if cfg.state_routing:
-                gh += gg * r.emb
-            if grad is not None:
-                gemb = gg * r.encoded if cfg.state_routing else gg
-                # each task's row sums its rows' adjoints: a one-hot (T, B)
-                # product, 0 for a task with no row
-                onehot = r.task_ids == np.arange(cfg.num_tasks)[:, None]
-                np.matmul(onehot.astype(gemb.dtype), gemb, out=grad.tensors["temb"])
+            suit, chi_mode == "rsg", grads(self._mod_keys))
+        gz = ad.masked_softmax_backward(gp, res.padded_probs)
+        gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
+                                    grads(self._route_names))
+        gh += gg * r.emb
+        if grad is not None:
+            # each task's row sums its rows' adjoints: a one-hot (T, B)
+            # product, 0 for a task with no row
+            onehot = r.task_ids == np.arange(cfg.num_tasks)[:, None]
+            gemb = gg * r.encoded
+            np.matmul(onehot.astype(gemb.dtype), gemb, out=grad.tensors["temb"])
         gx = ad.affine_chain_backward(gh, r.enc_acts, weights(self._enc_keys),
                                       grads(self._enc_keys), need_x=input_grad)
         if input_grad:

@@ -427,6 +427,9 @@ class Trainer(Agent):
         self._cur_obs = np.stack([env.reset() for env in self.envs])
         self.env_steps = 0
         self.train_steps = 0
+        # train steps in a row that skipped their update (``run``), kept
+        # across a resume
+        self.skipped_in_a_row = 0
         self.success_ema = np.zeros(self.num_tasks)
         # the metrics of the last train step that returned any (evaluation rows)
         self._last_metrics = None
@@ -698,7 +701,9 @@ class Trainer(Agent):
         already stands at ``total_env_steps``. A replay buffer that cannot
         hold a batch per task raises ``ValueError``: it would never train.
         ``MAX_SKIPPED_IN_A_ROW`` train steps in a row that skip their update
-        raise ``TrainingStalled``."""
+        raise ``TrainingStalled``; the count (``skipped_in_a_row``) runs on
+        from where a resumed trainer left it, and a train step that draws
+        no batch leaves it as it is."""
         if eval_interval < 1:
             raise ValueError("eval_interval: must be >= 1")
         check_capacity(self.s.buffer_capacity, self.num_tasks, self.s.batch_per_task)
@@ -707,7 +712,7 @@ class Trainer(Agent):
         rows = []
         steps = self.env_steps
         next_eval = (steps // eval_interval + 1) * eval_interval if steps else 0
-        train_debt, skipped = 0.0, 0
+        train_debt = 0.0
         last_eval_step = -1
         while self.env_steps < total_env_steps:
             if self.env_steps >= next_eval:
@@ -721,13 +726,17 @@ class Trainer(Agent):
             self.collect_rollouts(1)
             train_debt += self.s.train_ratio
             while train_debt >= 1.0:
-                # a train step returns None while the buffer cannot fill a batch
-                skipped = skipped + 1 if (self.train_step() or {}).get("skipped_updates") else 0
-                if skipped == MAX_SKIPPED_IN_A_ROW:
+                metrics = self.train_step()
+                # None: the buffer cannot fill a batch yet, and nothing was tried
+                if metrics is not None:
+                    self.skipped_in_a_row = (self.skipped_in_a_row + 1
+                                             if metrics["skipped_updates"] else 0)
+                if self.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
                     raise TrainingStalled(
-                        f"training stalled at env step {self.env_steps}: the last {skipped} "
-                        "train steps each skipped their update, as a gradient or temperature "
-                        "was not finite or not positive (the warnings name which)")
+                        f"training stalled at env step {self.env_steps}: the last "
+                        f"{MAX_SKIPPED_IN_A_ROW} train steps each skipped their update, "
+                        "as a gradient or temperature was not finite or not positive "
+                        "(the warnings name which)")
                 train_debt -= 1.0
         if self.env_steps != last_eval_step:
             rows.extend(self._eval_rows(eval_episodes, on_eval))

@@ -352,9 +352,8 @@ def _bwd_modules(g, out, vals, aux, need):
         raise TapeError("modules: a plan that skips modules has no backward")
     grads = _fresh(vals[2:], need[2:])
     gp, gh = autodiff.modules_backward(
-        g, vals[0], vals[2:], aux["slab"], aux["acts"], aux["suit"], aux["rsg"], grads,
-        need_p=need[0])
-    return (gp, _unbroadcast(gh, vals[1].shape) if need[1] else None, *grads)
+        g, vals[0], vals[2:], aux["slab"], aux["acts"], aux["suit"], aux["rsg"], grads)
+    return (gp if need[0] else None, _unbroadcast(gh, vals[1].shape) if need[1] else None, *grads)
 
 
 def _fwd_squashed_gaussian(vals, aux):
@@ -498,8 +497,7 @@ def forward(policy, obs, task_ids, *, params=None, action=None, masks=None,
         x = tape.constant(obs)
     h = tape.record("mlp", x, *[params[k] for k in policy._enc_keys], residual=False)
     emb = tape.record("gather_rows", params["temb"], idx=task_ids)
-    g = h * emb if cfg.state_routing else emb
-    z = tape.record("route_mlps", g, *[params[t] for t in policy._route_names])
+    z = tape.record("route_mlps", h * emb, *[params[t] for t in policy._route_names])
     zv = z.value
     if masks is not None:
         d = np.asarray(masks, dtype=np.float64)

@@ -1,14 +1,12 @@
-"""Checkpoint format 3: one array per flat vector, in its own dtype,
-layouts in the manifest.
+"""Checkpoint format 4: one array per flat vector, in its own dtype,
+layouts and counters in the manifest.
 
 A save stores each network's flat vector and each optimizer's ``t``, ``m``
 and ``v`` whole; ``load_trainer`` checks every array against the trainer's
 layout and dtype and copies it back bit for bit, ``load_checkpoint`` the
-actor's alone, in the dtype it was saved in, into an ``Agent`` that builds
-no training state. Damaged files are refused with the name of the array or
-manifest entry at fault; version-1 files (one array per parameter key) are
-refused. A version-2 file (float64 vectors) loads as a float64 agent and is
-refused for resuming.
+actor's alone, by the same rule, into an ``Agent`` that builds no training
+state. Damaged files are refused with the name of the array or manifest
+entry at fault, and files of every older format are refused.
 """
 
 import json
@@ -47,6 +45,7 @@ def _trainer(tmp_path, steps, seed=4, **overrides):
         tr.train_step()
     # values no short run reaches, so a restore that drops them shows
     tr.success_ema[:] = np.random.default_rng(seed).uniform(size=tr.num_tasks)
+    tr.skipped_in_a_row = 7
     return cfg, tr
 
 
@@ -86,7 +85,8 @@ def test_round_trip_is_bitwise(tmp_path, steps):
             assert a.m is None and b.m is None, name
     np.testing.assert_array_equal(tr2.log_alpha, tr.log_alpha)
     np.testing.assert_array_equal(tr2.success_ema, tr.success_ema)
-    assert (tr2.env_steps, tr2.train_steps) == (tr.env_steps, tr.train_steps)
+    assert ((tr2.env_steps, tr2.train_steps, tr2.skipped_in_a_row)
+            == (tr.env_steps, tr.train_steps, 7))
 
 
 # hard routing takes one source per module (k: 1), soft routing every
@@ -168,7 +168,7 @@ def test_eval_needs_only_the_actor_array(tmp_path, capsys):
 
 @pytest.mark.parametrize("load", LOADERS)
 def test_manifest_with_a_config_hash_still_loads(tmp_path, load):
-    # format-2 files written before the entry was dropped carry it
+    # a manifest entry that no loader reads is ignored
     path, tr = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: arrays["manifest"].__setitem__("config_hash", "0" * 64))
     loaded, _ = load(path)
@@ -219,7 +219,7 @@ def test_negative_step_count_is_named(tmp_path, name):
         load_trainer(path)
 
 
-@pytest.mark.parametrize("key", ["env_steps", "train_steps"])
+@pytest.mark.parametrize("key", ["env_steps", "train_steps", "skipped_in_a_row"])
 @pytest.mark.parametrize("value", ["many", -5, 2.7, True, None])
 def test_step_counter_that_is_not_an_integer_is_named(tmp_path, capsys, key, value):
     path, _ = _saved(tmp_path, 2)
@@ -251,10 +251,11 @@ def test_layouts_that_are_not_an_object_are_named(tmp_path, capsys, layouts):
     (lambda config: config.update(routing_fn="soft"), "routing_fn: unknown mode 'soft'"),
     (lambda config: config["tasks"][1].update(difficulty=1),
      "tasks[1].difficulty: unknown key"),
-], ids=["routing_fn", "difficulty"])
+    (lambda config: config.update(state_routing=False), "state_routing: unknown config key"),
+], ids=["routing_fn", "difficulty", "state_routing"])
 def test_config_with_a_removed_setting_is_a_user_error(tmp_path, capsys, edit, phrase):
     # routing_fn soft and hard were second spellings of k; a task had a
-    # difficulty that nothing read
+    # difficulty that nothing read; every router reads the state
     path, _ = _saved(tmp_path, 2)
     _rewrite(path, lambda arrays: edit(arrays["manifest"]["config"]))
     assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
@@ -315,7 +316,7 @@ def test_edited_layout_record_is_named(tmp_path, owner, edit, array):
         load_trainer(path)
 
 
-def test_version_1_file_is_refused(tmp_path):
+def _version_1_file(tmp_path):
     cfg, tr = _trainer(tmp_path, 0)
     manifest = {"format_version": 1, "config": cfg.to_dict(),
                 "env_steps": 0, "train_steps": 0}
@@ -326,32 +327,39 @@ def test_version_1_file_is_refused(tmp_path):
               "q1/temb": tr.critics.params.members[0]["temb"],
               "opt_q1/t": np.array(0)}
     path = str(tmp_path / "v1.npz")
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    for load in LOADERS:
-        with pytest.raises(CheckpointError,
-                           match=f"version 1 != supported {FORMAT_VERSION}"):
-            load(path)
+    _write_npz(path, **arrays)
+    return path
 
 
-def test_version_2_file_evaluates_but_does_not_resume(tmp_path):
-    path, tr = _saved(tmp_path, 2)
+def _older_file(tmp_path, version):
+    """A file as format ``version`` (2 or 3) stored it: the arrays of format
+    4, the networks and moments in float64 for format 2, and a manifest
+    without ``skipped_in_a_row`` whose config names ``state_routing``."""
+    path, _ = _saved(tmp_path, 2)
 
-    def as_version_2(arrays):
-        # format 2 held the same arrays, the networks and moments in float64
-        arrays["manifest"]["format_version"] = 2
+    def as_older(arrays):
+        manifest = arrays["manifest"]
+        manifest["format_version"] = version
+        del manifest["skipped_in_a_row"]
+        manifest["config"]["state_routing"] = True
         for name, value in arrays.items():
-            if name != "manifest" and value.dtype == np.float32:
+            if version == 2 and name != "manifest" and value.dtype == np.float32:
                 arrays[name] = value.astype(np.float64)
 
-    _rewrite(path, as_version_2)
-    with np.load(path) as data:
-        assert json.loads(str(data["manifest"]))["format_version"] == 2
-    agent, _ = load_checkpoint(path)
-    assert agent.actor.params.flat.dtype == np.float64
-    np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
-    with pytest.raises(CheckpointError, match=f"version 2 != supported {FORMAT_VERSION}$"):
-        load_trainer(path)
+    _rewrite(path, as_older)
+    return path
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_file_of_an_older_format_is_refused(tmp_path, capsys, version):
+    path = _version_1_file(tmp_path) if version == 1 else _older_file(tmp_path, version)
+    phrase = f"checkpoint format version {version} != supported {FORMAT_VERSION}"
+    for load in LOADERS:
+        with pytest.raises(CheckpointError, match=f"^{phrase}$"):
+            load(path)
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and phrase in err, err
 
 
 def test_vectors_are_stored_in_their_own_dtype(tmp_path):
@@ -367,7 +375,8 @@ def test_vectors_are_stored_in_their_own_dtype(tmp_path):
 
 
 def test_float64_agent_loads_as_float64(tmp_path, monkeypatch, float64_training):
-    # a float64 trainer's file: its agent evaluates in float64, as its writer
+    # a float64 trainer's file: its agent evaluates in float64, as its writer,
+    # while trainers train in float64
     cfg, tr = _trainer(tmp_path, 2)
     path = str(tmp_path / "ckpt.npz")
     save_checkpoint(path, tr, cfg)
@@ -376,10 +385,12 @@ def test_float64_agent_loads_as_float64(tmp_path, monkeypatch, float64_training)
     np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
     for a, b in zip(agent.evaluate(2), tr.evaluate(2)):
         assert a.tobytes() == b.tobytes()
-    # a float32 trainer does not resume from it
+    # once trainers train in float32 again, neither loader reads it
     monkeypatch.undo()
-    with pytest.raises(CheckpointError, match="array actor has dtype float64, expected float32"):
-        load_trainer(path)
+    for load in LOADERS:
+        with pytest.raises(CheckpointError,
+                           match="array actor has dtype float64, expected float32"):
+            load(path)
 
 
 def _write_npz(path, **arrays):
@@ -390,7 +401,7 @@ def _write_npz(path, **arrays):
 def _unreadable_files(tmp_path):
     """(file, the phrase its CheckpointError names) per kind of damage."""
     full = {"format_version": FORMAT_VERSION, "config": RunConfig().to_dict(),
-            "env_steps": 0, "train_steps": 0}
+            "env_steps": 0, "train_steps": 0, "skipped_in_a_row": 0, "layouts": {}}
     text = tmp_path / "notes.txt"
     text.write_text("not a checkpoint\n")
     empty = tmp_path / "empty.npz"
@@ -405,7 +416,7 @@ def _unreadable_files(tmp_path):
     cases.append((str(tmp_path / "garbled.npz"), "manifest is not JSON"))
     _write_npz(tmp_path / "listed.npz", manifest=np.array("[2]"))
     cases.append((str(tmp_path / "listed.npz"), "manifest is not a JSON object"))
-    for key in ("config", "env_steps", "train_steps"):
+    for key in ("config", "env_steps", "train_steps", "skipped_in_a_row", "layouts"):
         path = tmp_path / f"no-{key}.npz"
         manifest = {k: v for k, v in full.items() if k != key}
         _write_npz(path, manifest=np.array(json.dumps(manifest)))

@@ -122,6 +122,21 @@ class TestTrainCommand:
         assert f"the last {MAX_SKIPPED_IN_A_ROW} train steps each skipped" in err
         assert open(ckpt, "rb").read() == saved
 
+    def test_stalled_run_resumed_in_segments_still_stops(self, tmp_path, capsys):
+        # the count of updates skipped in a row is saved with the checkpoint
+        # and runs on after a resume, through the train steps that draw no
+        # batch while the buffer refills: the second segment stops, as an
+        # uninterrupted run would
+        path, cfg = write_config(tmp_path, lr=1.0e10, total_env_steps=200)
+        assert main(["train", "--config", path]) == 0
+        for total in (400, 600):
+            longer, _ = write_config(tmp_path, lr=1.0e10, total_env_steps=total,
+                                     out_dir=cfg.out_dir)
+            capsys.readouterr()
+            assert main(["train", "--config", longer, "--resume"]) == 1, total
+            err = capsys.readouterr().err
+            assert err.startswith("error: training stalled at env step "), err
+
     def test_resume_continues_and_appends(self, tmp_path):
         path, cfg = write_config(tmp_path, total_env_steps=120,
                                  eval_interval=60)
@@ -194,6 +209,8 @@ class TestTrainCommand:
         ("train_ratio: .inf\ntotal_env_steps: 0\n", "train_ratio"),
         ("lr: .inf\ntotal_env_steps: 0\n", "lr"),
         ("alpha_init: .inf\ntotal_env_steps: 0\n", "alpha_init"),
+        # every router reads F(s) * H(task); the setting that turned F(s) off is gone
+        ("state_routing: true\n", "state_routing: unknown config key"),
     ])
     def test_values_the_trainer_rejects_are_user_errors(self, tmp_path, capsys,
                                                          text, path):

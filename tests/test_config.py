@@ -263,7 +263,7 @@ def push_task(**values) -> TaskSpec:
     (TrainSettings, {"gamma": "high"}, "gamma: expected a number, got 'high'"),
     (sized_policy, {"k": 2.5}, "k: expected an integer, got 2.5"),
     (sized_policy, {"module_dim": True}, "module_dim: expected an integer, got True"),
-    (sized_policy, {"state_routing": 1}, "state_routing: expected true/false, got 1"),
+    (sized_policy, {"n_modules": 8.0}, "n_modules: expected an integer, got 8.0"),
     (TaskSpec, {"task_id": "0", "kind": "push"}, "task_id: expected an integer, got '0'"),
     (TrainSettings, {"train_ratio": float("inf")}, "train_ratio: must be finite"),
     (TrainSettings, {"lr": float("inf")}, "lr: must be finite"),
@@ -323,13 +323,15 @@ def test_capacity_below_a_batch_per_task_is_refused():
 
 def test_compat_hash_is_stable_across_versions():
     # the hashes earlier versions computed for these configs: a change to the
-    # hashed fields, their defaults or their encoding shows here
+    # hashed fields, their defaults or their encoding shows here. Pinned
+    # again when state_routing left the fields: they are the earlier
+    # encoding of the same configs without that field
     assert RunConfig().compat_hash() == (
-        "c18f26d5bdd0887ff8bb1e706eed85258e1d2b12b0d3ddebe9dfedaa99067dce")
+        "1c4fb9796fae0750651312ea46e272bf219b388bf36c7dd48479c069a12bf8a1")
     accept = RunConfig(n_modules=8, k=2, module_dim=32, module_hidden=32,
                        batch_per_task=16)
     assert accept.compat_hash() == (
-        "42177bcbca736cb29949e2140374334d2263de93020849270ae734c05b97c28c")
+        "b426a4a2a96312e77f409a8840c05b4fa5383dc5641024006c28eaaeebe28ba6")
 
 
 class TestCheckpoint:

@@ -440,17 +440,3 @@ def test_sample_rows_reject_a_temperature_that_is_not_positive(bad):
     z = np.tile(np.array([0.0, 0.35, 0.1, 0.6, -0.2]), (2, 1, 1))
     with pytest.raises(ValueError, match="tau must be positive"):
         sample_k_mask_rows(z, 2, np.array([1.0, bad]), np.random.default_rng(0))
-
-
-def test_state_routing_flag():
-    rng = np.random.default_rng(19)
-    cfg = small_cfg(state_routing=False)
-    pol = ModulePolicy.init(cfg, rng)
-    for key, v in pol.params.items():
-        if key.startswith("route"):
-            pol.params[key] = rng.normal(size=v.shape)
-    obs1, obs2 = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
-    r1 = pol.forward(obs1, [0], mask_fn=selector("topk", 2))
-    r2 = pol.forward(obs2, [0], mask_fn=selector("topk", 2))
-    for z1, z2 in zip(unpadded(r1.padded_logits), unpadded(r2.padded_logits)):
-        np.testing.assert_array_equal(z1, z2)  # routing ignores the state
