@@ -77,9 +77,6 @@ def cmd_train(args) -> int:
                 save_checkpoint(ckpt_path, trainer, cfg)
                 next_ckpt += cfg.checkpoint_interval
 
-        if cfg.total_env_steps <= 0 or trainer.env_steps >= cfg.total_env_steps:
-            save_checkpoint(ckpt_path, trainer, cfg)
-            return 0
         trainer.run(cfg.total_env_steps, cfg.eval_interval, cfg.eval_episodes,
                     on_eval=on_eval, stop_at_success=cfg.stop_at_success)
 

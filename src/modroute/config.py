@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, make_suite
-from .fieldtypes import check_types
+from .fieldtypes import check_fields, rule
 from .network import NetworkSizes, PolicyConfig
 from .replay import check_capacity
 from .sac import TrainSettings
@@ -26,8 +26,9 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig(TrainSettings, NetworkSizes):
     """The network sizes (``NetworkSizes``) and training settings
-    (``TrainSettings``) of a run, which define and check those fields, plus
-    its task suite and run control. A bad value raises ``ConfigError``."""
+    (``TrainSettings``) of a run, which define those fields with their
+    rules, plus its task suite and run control. A bad value raises
+    ``ConfigError``."""
 
     # task suite: list of {kind, goal_rule, horizon} dicts
     tasks: list = field(default_factory=lambda: [
@@ -39,30 +40,22 @@ class RunConfig(TrainSettings, NetworkSizes):
 
     # run control
     seed: int = 0
-    total_env_steps: int = 200_000
-    eval_interval: int = 10_000
-    eval_episodes: int = 10
-    checkpoint_interval: int = 50_000
-    stop_at_success: float | None = None
+    total_env_steps: int = rule(200_000, at_least=0)
+    eval_interval: int = rule(10_000, at_least=1)
+    eval_episodes: int = rule(10, at_least=0)
+    checkpoint_interval: int = rule(50_000, at_least=1)
+    stop_at_success: float | None = rule(None, within=(0, 1))
     out_dir: str = "runs/default"
 
     # ------------------------------------------------------------------
 
     def __post_init__(self):
         try:
-            check_types(self)
-            TrainSettings.__post_init__(self)
-            NetworkSizes.__post_init__(self)
+            check_fields(self)
             make_suite(self.tasks)
             check_capacity(self.buffer_capacity, len(self.tasks), self.batch_per_task)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        for key, low in (("eval_interval", 1), ("checkpoint_interval", 1),
-                         ("eval_episodes", 0), ("total_env_steps", 0)):
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key}: must be >= {low}")
-        if self.stop_at_success is not None and not 0 <= self.stop_at_success <= 1:
-            raise ConfigError("stop_at_success: must be in [0, 1]")
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldtypes import check_types
+from .fieldtypes import check_fields, rule
 
 DT = 0.05
 CONTACT_RADIUS = 0.1
@@ -41,19 +41,12 @@ ACT_DIM = 2
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: int
-    kind: str
-    goal_rule: str = "fixed"  # "fixed" | "random"
-    horizon: int = 200
+    kind: str = rule(one_of=KINDS)
+    goal_rule: str = rule("fixed", one_of=GOAL_RULES)
+    horizon: int = rule(200, at_least=1)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind: {self.kind!r} is not one of {sorted(KINDS)}")
-        if self.goal_rule not in GOAL_RULES:
-            raise ValueError(
-                f"goal_rule: {self.goal_rule!r} is not one of {list(GOAL_RULES)}")
-        check_types(self)
-        if self.horizon < 1:
-            raise ValueError("horizon: must be >= 1")
+        check_fields(self)
 
 
 @dataclass

@@ -97,7 +97,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autodiff as ad
-from .fieldtypes import check_types
+from .fieldtypes import check_fields, rule
 
 
 @dataclass
@@ -105,27 +105,15 @@ class NetworkSizes:
     """The sizes and routing of a module network: the fields of a
     ``PolicyConfig`` that a run config sets. A value out of range raises
     ``ValueError`` naming the field; the widths are kept as tuples."""
-    n_modules: int = 8
-    module_dim: int = 64          # shared residual-stream width
-    module_hidden: int = 64       # hidden width inside each module MLP
-    encoder_widths: tuple = (64, 64)
-    routing_widths: tuple = (64, 64)
-    k: int = 2
+    n_modules: int = rule(8, at_least=2)
+    module_dim: int = rule(64, at_least=1)     # shared residual-stream width
+    module_hidden: int = rule(64, at_least=1)  # hidden width inside each module MLP
+    encoder_widths: tuple = rule((64, 64), positive_items=True)
+    routing_widths: tuple = rule((64, 64), positive_items=True)
+    k: int = rule(2, at_least=1)
 
     def __post_init__(self):
-        check_types(self, NetworkSizes)
-        if self.n_modules < 2:
-            raise ValueError("n_modules: must be >= 2")
-        for key in ("k", "module_dim", "module_hidden"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key}: must be >= 1")
-        for key in ("encoder_widths", "routing_widths"):
-            widths = tuple(getattr(self, key))
-            for i, width in enumerate(widths):
-                if not isinstance(width, int) or isinstance(width, bool) or width < 1:
-                    raise ValueError(
-                        f"{key}[{i}]: expected a positive integer, got {width!r}")
-            setattr(self, key, widths)
+        check_fields(self)
 
 
 @dataclass(kw_only=True)
@@ -133,12 +121,7 @@ class PolicyConfig(NetworkSizes):
     obs_dim: int
     act_dim: int
     num_tasks: int
-    head: str = "actor"  # "actor" | "critic"
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.head not in ("actor", "critic"):
-            raise ValueError(f"head: unknown kind {self.head!r}")
+    head: str = rule("actor", one_of=("actor", "critic"))
 
     @property
     def input_dim(self) -> int:

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .envs import ACT_DIM, OBS_DIM, TaskSpec, ToyEnv
-from .fieldtypes import check_types
+from .fieldtypes import check_fields, rule
 from .network import (
     Layout,
     ModulePolicy,
@@ -259,46 +259,29 @@ class TrainingStalled(RuntimeError):
 
 @dataclass
 class TrainSettings:
-    """The training settings of a run. An unknown mode or a value out of
-    range raises ``ValueError`` naming the field. ``buffer_capacity`` is
-    checked against the task count by ``replay.check_capacity``."""
-    gamma: float = 0.99
-    polyak: float = 0.995
-    lr: float = 3e-4
-    reward_scale: float = 0.1
-    alpha_init: float = 0.1
-    batch_per_task: int = 32
+    """The training settings of a run. A value that breaks its field's rule
+    raises ``ValueError`` naming the field. ``buffer_capacity`` is checked
+    against the task count by ``replay.check_capacity``."""
+    # an infinite train_ratio never ends a run; an infinite lr or alpha_init
+    # gives temperatures that no rollout can sample at. maskout_threshold
+    # may be inf: that turns maskout off
+    gamma: float = rule(0.99, within=(0, 1))
+    polyak: float = rule(0.995, within=(0, 1))
+    lr: float = rule(3e-4, at_least=0, finite=True)
+    reward_scale: float = rule(0.1, finite=True)
+    alpha_init: float = rule(0.1, above=0, finite=True)
+    batch_per_task: int = rule(32, at_least=1)
     buffer_capacity: int = 100_000
-    start_steps: int = 1000            # random-action steps per task
-    train_ratio: float = 1.0           # training steps per vector env step
-    maskout_threshold: float = 3e3
+    start_steps: int = rule(1000, at_least=0)  # random-action steps per task
+    train_ratio: float = rule(1.0, at_least=0, finite=True)  # train steps per vector env step
+    maskout_threshold: float = rule(3e3, above=0)
     route_balancing: bool = True
     loss_rescaling: bool = True
-    resrouting: str = "rsg"            # rsg | sg-only | target-routing | off
-    routing_fn: str = "samplek"        # samplek | topk
+    resrouting: str = rule("rsg", one_of=tuple(CHI_BY_MODE))
+    routing_fn: str = rule("samplek", one_of=ROUTING_FNS)
 
     def __post_init__(self):
-        check_types(self, TrainSettings)
-        for key, modes in (("resrouting", CHI_BY_MODE), ("routing_fn", ROUTING_FNS)):
-            if getattr(self, key) not in modes:
-                raise ValueError(f"{key}: unknown mode {getattr(self, key)!r}")
-        # written so that NaN fails each test
-        for key, low in (("batch_per_task", 1), ("start_steps", 0),
-                         ("train_ratio", 0), ("lr", 0)):
-            if not getattr(self, key) >= low:
-                raise ValueError(f"{key}: must be >= {low}")
-        for key in ("gamma", "polyak"):
-            if not 0 <= getattr(self, key) <= 1:
-                raise ValueError(f"{key}: must be in [0, 1]")
-        for key in ("alpha_init", "maskout_threshold"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key}: must be > 0")
-        # an infinite train_ratio never ends a run; an infinite lr or
-        # alpha_init gives temperatures that no rollout can sample at.
-        # maskout_threshold may be inf: that turns maskout off
-        for key in ("train_ratio", "lr", "alpha_init", "reward_scale"):
-            if not np.isfinite(getattr(self, key)):
-                raise ValueError(f"{key}: must be finite")
+        check_fields(self)
 
 
 class Agent:
@@ -603,9 +586,9 @@ class Trainer(Agent):
         ``loss_maskout`` drops a task, the losses and their gradients are
         taken again on the included rows only (same targets and noise rows,
         no new random draws), so a task with non-finite rows does not stall
-        the others. If a network's gradient is still not finite, the whole
-        update (every optimizer, Polyak) is skipped, with a warning and
-        ``skipped_updates`` 1 in the metrics.
+        the others. If every task is masked out, or a network's gradient is
+        still not finite, the whole update (every optimizer, Polyak) is
+        skipped, with a warning and ``skipped_updates`` 1 in the metrics.
 
         The temperatures step first, on copies: a step that would leave any
         alpha, tau or w not finite or not positive skips the whole update in
@@ -646,6 +629,7 @@ class Trainer(Agent):
         }
         self._last_metrics = metrics
         if not included.any():
+            metrics["skipped_updates"] = 1
             return metrics
         if not included.all():
             rows = np.flatnonzero(included[ids])
@@ -670,6 +654,8 @@ class Trainer(Agent):
         opt_alpha, log_alpha = self.opt_alpha.copy(), self.log_alpha.copy()
         # mirror the task weighting scheme: only included tasks update
         opt_alpha.step(log_alpha, alpha_grad * included)
+        # alpha is checked before tau and w are taken from it:
+        # route_balance_temperatures refuses an alpha that underflowed to 0
         with np.errstate(over="ignore", under="ignore"):
             valid = _positive(np.exp(log_alpha)) and _positive(*self.task_coefficients(log_alpha))
         if not valid:
@@ -735,8 +721,8 @@ class Trainer(Agent):
                     raise TrainingStalled(
                         f"training stalled at env step {self.env_steps}: the last "
                         f"{MAX_SKIPPED_IN_A_ROW} train steps each skipped their update, "
-                        "as a gradient or temperature was not finite or not positive "
-                        "(the warnings name which)")
+                        "as every task was masked out or a gradient or temperature was "
+                        "not finite or not positive (the warnings name which)")
                 train_debt -= 1.0
         if self.env_steps != last_eval_step:
             rows.extend(self._eval_rows(eval_episodes, on_eval))

@@ -248,7 +248,7 @@ def test_layouts_that_are_not_an_object_are_named(tmp_path, capsys, layouts):
 
 
 @pytest.mark.parametrize("edit, phrase", [
-    (lambda config: config.update(routing_fn="soft"), "routing_fn: unknown mode 'soft'"),
+    (lambda config: config.update(routing_fn="soft"), "routing_fn: 'soft' is not one of"),
     (lambda config: config["tasks"][1].update(difficulty=1),
      "tasks[1].difficulty: unknown key"),
     (lambda config: config.update(state_routing=False), "state_routing: unknown config key"),

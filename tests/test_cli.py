@@ -40,6 +40,15 @@ def write_config(tmp_path, **overrides) -> tuple[str, RunConfig]:
     return str(path), cfg
 
 
+def untrained_checkpoint(tmp_path, capsys) -> tuple[str, RunConfig]:
+    """The checkpoint of a zero-step ``modroute train`` run, and its config;
+    the command's output is read off, so a test reads only its own."""
+    path, cfg = write_config(tmp_path)
+    assert main(["train", "--config", path]) == 0
+    capsys.readouterr()
+    return os.path.join(cfg.out_dir, "checkpoint.npz"), cfg
+
+
 def make_trainer(cfg: RunConfig) -> Trainer:
     return Trainer(cfg.suite(), cfg.policy_config("actor"),
                    cfg.train_settings(), seed=cfg.seed)
@@ -137,6 +146,20 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: training stalled at env step "), err
 
+    @pytest.mark.parametrize("setting", [{"reward_scale": 100.0},
+                                         {"maskout_threshold": 1e-9}],
+                             ids=["reward_scale", "maskout_threshold"])
+    def test_run_whose_steps_mask_out_every_task_stalls(self, tmp_path, capsys, setting):
+        # every loss exceeds the maskout threshold, so no train step updates
+        # anything: each counts as skipped, and the run stops as stalled
+        path, _ = write_config(tmp_path, total_env_steps=600, eval_interval=600,
+                               checkpoint_interval=600, **setting)
+        with pytest.warns(UserWarning, match="all tasks masked out"):
+            assert main(["train", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training stalled at env step "), err
+        assert "every task was masked out" in err
+
     def test_resume_continues_and_appends(self, tmp_path):
         path, cfg = write_config(tmp_path, total_env_steps=120,
                                  eval_interval=60)
@@ -223,17 +246,13 @@ class TestTrainCommand:
 
 class TestEvalCommand:
     def test_zero_episodes_empty_table(self, tmp_path, capsys):
-        path, cfg = write_config(tmp_path)
-        main(["train", "--config", path])
-        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        ckpt, cfg = untrained_checkpoint(tmp_path, capsys)
         assert main(["eval", "--ckpt", ckpt, "--episodes", "0"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out == ["task-id,kind,goal-rule,success-rate"]
 
     def test_rates_are_exact_fractions(self, tmp_path, capsys):
-        path, cfg = write_config(tmp_path)
-        main(["train", "--config", path])
-        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        ckpt, cfg = untrained_checkpoint(tmp_path, capsys)
         episodes = 4
         assert main(["eval", "--ckpt", ckpt, "--episodes", str(episodes)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[1:]
@@ -337,9 +356,7 @@ class TestAnalysis:
         assert len(edges) == sum(sources(i) for i in range(2, 6))
 
     def test_cli_analyze_outputs(self, tmp_path, capsys):
-        path, cfg = write_config(tmp_path)
-        main(["train", "--config", path])
-        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        ckpt, cfg = untrained_checkpoint(tmp_path, capsys)
         assert main(["analyze", "usage", "--ckpt", ckpt, "--samples", "5"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "task-id,kind,goal-rule,mean-modules,std-modules,samples"
@@ -362,9 +379,7 @@ class TestDotExport:
         assert [(int(a), int(b)) for a, b, _ in edges] == [(1, 2), (2, 3)]
 
     def test_cli_dot_parseable_acyclic_normalized(self, tmp_path, capsys):
-        path, cfg = write_config(tmp_path)
-        main(["train", "--config", path])
-        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        ckpt, cfg = untrained_checkpoint(tmp_path, capsys)
         assert main(["export-dot", "--ckpt", ckpt, "--task", "1"]) == 0
         dot = capsys.readouterr().out
         assert dot.startswith("digraph") and dot.rstrip().endswith("}")
@@ -378,9 +393,7 @@ class TestDotExport:
             assert total == pytest.approx(1.0, abs=0.01)
 
     def test_unknown_task_lists_valid_ids(self, tmp_path, capsys):
-        path, cfg = write_config(tmp_path)
-        main(["train", "--config", path])
-        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        ckpt, cfg = untrained_checkpoint(tmp_path, capsys)
         assert main(["export-dot", "--ckpt", ckpt, "--task", "42"]) == 1
         err = capsys.readouterr().err
         assert "42" in err and "0, 1" in err

@@ -142,8 +142,8 @@ class TestRunConfig:
         ({"lr": float("inf")}, "lr: must be finite"),
         ({"alpha_init": float("inf")}, "alpha_init: must be finite"),
         # spelled k: 1 and k: n_modules - 1
-        ({"routing_fn": "hard"}, "routing_fn: unknown mode 'hard'"),
-        ({"routing_fn": "soft"}, "routing_fn: unknown mode 'soft'"),
+        ({"routing_fn": "hard"}, "routing_fn: 'hard' is not one of"),
+        ({"routing_fn": "soft"}, "routing_fn: 'soft' is not one of"),
     ])
     def test_values_the_trainer_rejects_name_path(self, values, path):
         with pytest.raises(ConfigError, match=path):
@@ -238,8 +238,8 @@ def push_task(**values) -> TaskSpec:
     (TrainSettings, {"gamma": -2}, r"gamma: must be in \[0, 1\]"),
     (TrainSettings, {"polyak": 1.5}, r"polyak: must be in \[0, 1\]"),
     (TrainSettings, {"gamma": float("nan")}, r"gamma: must be in \[0, 1\]"),
-    (TrainSettings, {"resrouting": "residual"}, "resrouting: unknown mode"),
-    (TrainSettings, {"routing_fn": "dense"}, "routing_fn: unknown mode"),
+    (TrainSettings, {"resrouting": "residual"}, "resrouting: 'residual' is not one of"),
+    (TrainSettings, {"routing_fn": "dense"}, "routing_fn: 'dense' is not one of"),
     (sized_policy, {"n_modules": 1}, "n_modules: must be >= 2"),
     (sized_policy, {"k": 0}, "k: must be >= 1"),
     (sized_policy, {"module_dim": 0}, "module_dim: must be >= 1"),
@@ -254,8 +254,8 @@ def push_task(**values) -> TaskSpec:
     (push_task, {"horizon": -5}, "horizon: must be >= 1"),
     (push_task, {"horizon": 2.5}, "horizon: expected an integer"),
     (push_task, {"horizon": "long"}, "horizon: expected an integer"),
-    (TrainSettings, {"routing_fn": "hard"}, "routing_fn: unknown mode 'hard'"),
-    (TrainSettings, {"routing_fn": "soft"}, "routing_fn: unknown mode 'soft'"),
+    (TrainSettings, {"routing_fn": "hard"}, "routing_fn: 'hard' is not one of"),
+    (TrainSettings, {"routing_fn": "soft"}, "routing_fn: 'soft' is not one of"),
     (TrainSettings, {"reward_scale": float("nan")}, "reward_scale: must be finite"),
     (TrainSettings, {"reward_scale": float("inf")}, "reward_scale: must be finite"),
     (TrainSettings, {"route_balancing": "no"}, "route_balancing: expected true/false, got 'no'"),
@@ -272,6 +272,54 @@ def push_task(**values) -> TaskSpec:
 def test_parts_reject_what_the_run_config_rejects(build, values, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         build(**values)
+
+
+def outside_the_rule(f) -> list:
+    """Values just outside the rule of dataclass field ``f``: one per rule
+    it carries, and NaN for a float field with a range."""
+    rule = f.metadata
+    values = []
+    if "one_of" in rule:
+        values.append("none-of-" + "-".join(rule["one_of"]))
+    if "at_least" in rule:
+        values.append(rule["at_least"] - 1)
+    if "above" in rule:
+        values.append(rule["above"])
+    if "within" in rule:
+        values += [rule["within"][0] - 1, rule["within"][1] + 1]
+    if "finite" in rule:
+        values.append(float("inf"))
+    if "positive_items" in rule:
+        values.append([0])
+    if rule and f.type.startswith("float"):
+        values.append(float("nan"))
+    return values
+
+
+# every rule of the table, each broken alone: a rule added later is covered
+RULE_CASES = [
+    *((f.name, value) for f in fields(RunConfig) for value in outside_the_rule(f)),
+    *((f"tasks[0].{f.name}", value) for f in fields(TaskSpec) for value in outside_the_rule(f)),
+]
+
+
+@pytest.mark.parametrize("path, value", RULE_CASES,
+                         ids=[f"{path}={value!r}" for path, value in RULE_CASES])
+def test_every_rule_is_enforced(path, value):
+    name = path.removeprefix("tasks[0].")
+    values = {name: value} if name == path else {"tasks": [{"kind": "reach", name: value}]}
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}[:\[]"):
+        RunConfig(**values)
+
+
+def test_rule_table_covers_the_range_checks():
+    # the fields that carry a rule, so that a rule lost from the table shows
+    assert {path for path, _ in RULE_CASES} == {
+        "n_modules", "module_dim", "module_hidden", "encoder_widths", "routing_widths",
+        "k", "gamma", "polyak", "lr", "reward_scale", "alpha_init", "batch_per_task",
+        "start_steps", "train_ratio", "maskout_threshold", "resrouting", "routing_fn",
+        "total_env_steps", "eval_interval", "eval_episodes", "checkpoint_interval",
+        "stop_at_success", "tasks[0].kind", "tasks[0].goal_rule", "tasks[0].horizon"}
 
 
 @pytest.mark.parametrize("values", [
