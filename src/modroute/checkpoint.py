@@ -3,17 +3,20 @@
 Everything lives in one ``.npz``: a JSON manifest (format version, run config,
 step counters, the count of train steps in a row that skipped their update,
 the layout of every flat vector) plus one array per flat vector: each
-network's parameters (``actor``, ``critics``, ``critics_target``), each
-optimizer's step count ``t`` and, once it has stepped, its moments
-(``opt_actor/t``, ``opt_actor/m``, ``opt_actor/v``, ...), ``log_alpha`` and
-``success_ema``: 9 arrays with the manifest before the optimizers first
-step, 15 after. Each vector is stored in its own dtype: a trainer's
-networks and moments in float32 (``sac.TRAIN_DTYPE``), the temperatures and
-success averages in float64. This is format 4. A load refuses a file of any
-other format version (every older manifest's config names a routing
-setting that format 4 no longer has), a manifest that lacks an entry, and a
-vector whose recorded layout (tensor names and shapes, member count),
-length or dtype differs from the run config's and the trainer's.
+network's parameters (``actor``, ``critics``, ``critics_target``) and each
+optimizer's moments (``opt_actor/m``, ``opt_actor/v``, ...), each
+optimizer's step count ``t`` (``opt_actor/t``, ...), ``log_alpha`` and
+``success_ema``: 15 arrays with the manifest, zero moments included in a
+file saved before the first update. Each vector is stored in its own
+dtype: a trainer's networks and moments in float32 (``sac.TRAIN_DTYPE``),
+the temperatures and success averages in float64. This is format 4. A
+load refuses a file of any other format version (every older manifest's
+config names a routing setting that format 4 no longer has), a manifest
+that lacks an entry, and a vector whose recorded layout (tensor names and
+shapes, member count), length or dtype differs from the run config's and
+the trainer's. A format-4 file that an earlier writer saved before any
+update holds no moments: ``load_checkpoint`` reads it, ``load_trainer``
+refuses it, as it holds no training to resume.
 
 ``load_checkpoint`` reads back the agent alone: it builds and restores the
 actor and reads no other array, so evaluation and analysis need neither the
@@ -61,22 +64,29 @@ def _layout_record(layout: Layout) -> dict:
             "tensors": [[t, list(shape)] for t, shape in layout.shapes.items()]}
 
 
+def _vectors(trainer: Trainer) -> dict[str, Params]:
+    """Every flat vector a checkpoint holds, by its array name: the
+    networks' parameters and the optimizers' moments."""
+    vectors = {name: getattr(trainer, name).params for name in _NETWORKS}
+    for name in _OPTIMIZERS:
+        opt = getattr(trainer, name)
+        vectors.update({f"{name}/m": opt.m, f"{name}/v": opt.v})
+    return vectors
+
+
 def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
-    nets = {name: getattr(trainer, name).params for name in _NETWORKS}
-    opts = {name: getattr(trainer, name) for name in _OPTIMIZERS}
+    vectors = _vectors(trainer)
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": run_cfg.to_dict(),
         **{key: getattr(trainer, key) for key in _COUNTERS},
-        "layouts": {name: _layout_record(owner.layout)
-                    for name, owner in {**nets, **opts}.items()},
+        # an optimizer's moments share its one record
+        "layouts": {name.partition("/")[0]: _layout_record(p.layout)
+                    for name, p in vectors.items()},
     }
     arrays = {"manifest": np.array(json.dumps(manifest))}
-    arrays.update({name: p.flat for name, p in nets.items()})
-    for name, opt in opts.items():
-        arrays[f"{name}/t"] = np.array(opt.t)
-        if opt.t:
-            arrays[f"{name}/m"], arrays[f"{name}/v"] = (p.flat for p in opt.moments())
+    arrays.update({name: p.flat for name, p in vectors.items()})
+    arrays.update({f"{name}/t": np.array(getattr(trainer, name).t) for name in _OPTIMIZERS})
     arrays["log_alpha"] = trainer.log_alpha
     arrays["success_ema"] = trainer.success_ema
     tmp = f"{path}.tmp-{os.getpid()}"
@@ -180,22 +190,16 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
         run_cfg = RunConfig.from_dict(manifest["config"])
         trainer = Trainer(run_cfg.suite(), run_cfg.policy_config("actor"),
                           run_cfg.train_settings(), seed=run_cfg.seed)
-        layouts = manifest["layouts"]
-        for name in _NETWORKS:
-            params = getattr(trainer, name).params
-            _restore(data, layouts, name, params.layout, params.flat)
+        for name, params in _vectors(trainer).items():
+            _restore(data, manifest["layouts"], name, params.layout, params.flat)
         for name in _OPTIMIZERS:
-            opt = getattr(trainer, name)
             t = _read(data, f"{name}/t", ())
             if t.dtype.kind not in "iu":
                 raise CheckpointError(f"checkpoint array {name}/t has dtype {t.dtype}, "
                                       f"expected an integer")
-            opt.t = int(t)
-            if opt.t < 0:
-                raise CheckpointError(f"checkpoint array {name}/t is negative ({opt.t})")
-            if opt.t:
-                for part, moment in zip("mv", opt.moments()):
-                    _restore(data, layouts, f"{name}/{part}", opt.layout, moment.flat)
+            if t < 0:
+                raise CheckpointError(f"checkpoint array {name}/t is negative ({t})")
+            getattr(trainer, name).t = int(t)
         for name in ("log_alpha", "success_ema"):
             value = _read(data, name, (trainer.num_tasks,), np.float64)
             # a non-finite temperature would make every train step skip its update

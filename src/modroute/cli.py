@@ -81,7 +81,8 @@ def cmd_train(args) -> int:
                     on_eval=on_eval, stop_at_success=cfg.stop_at_success)
 
     save_checkpoint(ckpt_path, trainer, cfg)
-    print(f"training done at env step {trainer.env_steps}; "
+    print(f"training done at env step {trainer.env_steps} after "
+          f"{trainer.train_steps} train steps; "
           f"metrics: {csv_path}; checkpoint: {ckpt_path}")
     return 0
 

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import copy
 import logging
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +75,8 @@ TRAIN_DTYPE = np.float32
 # parameters, gradient, both moments and the work buffer) take 1.25 MB, of
 # float32 0.63 MB, so each block's 14 passes run in a 2 MB L2 cache
 ADAM_BLOCK = 32_768
+# Adam's moment decay rates and denominator offset (Kingma & Ba's defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
@@ -85,8 +86,7 @@ class Adam:
     the flat gradient ``grad``, both laid out by ``layout``, and overwrites
     ``grad`` (its step buffer once the moments have read it). The moments
     are flat vectors of the same layout (``m`` and ``v``, ``Params`` over
-    them). They are allocated by the first step (or ``moments``): a network
-    that is only evaluated needs none, and until then they are zero.
+    them), zero until the first step.
 
     The update runs over consecutive blocks of ``ADAM_BLOCK`` elements, each
     block through every operation in turn, with a work buffer of one block.
@@ -95,39 +95,28 @@ class Adam:
     ``dtype``, that of the parameters.
     """
 
-    def __init__(self, lr: float, layout: Layout, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, dtype=np.float64):
+    def __init__(self, lr: float, layout: Layout, dtype=np.float64):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.layout = layout
-        self.dtype = dtype
-        self.m = self.v = None
+        self.m, self.v = (Params(layout, np.zeros(layout.size, dtype)) for _ in "mv")
+        self._tmp = np.empty(min(layout.size, ADAM_BLOCK), dtype)
         self.t = 0
-
-    def moments(self) -> tuple[Params, Params]:
-        """``m`` and ``v``, allocated (as zeros) at the first call."""
-        if self.m is None:
-            self.m, self.v = (Params(self.layout, np.zeros(self.layout.size, self.dtype))
-                              for _ in "mv")
-            self._tmp = np.empty(min(self.layout.size, ADAM_BLOCK), self.dtype)
-        return self.m, self.v
 
     def copy(self) -> "Adam":
         """A copy that steps on its own moments (the work buffer, scratch,
         is shared)."""
         twin = copy.copy(self)
-        if self.m is not None:
-            twin.m, twin.v = self.m.copy(), self.v.copy()
+        twin.m, twin.v = self.m.copy(), self.v.copy()
         return twin
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> None:
         if self.lr == 0.0:
             return
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        m_all, v_all = (moment.flat for moment in self.moments())
+        m_all, v_all = self.m.flat, self.v.flat
         for lo in range(0, len(params), ADAM_BLOCK):
             block = slice(lo, lo + ADAM_BLOCK)
             p, g, m, v = params[block], grad[block], m_all[block], v_all[block]
@@ -143,7 +132,7 @@ class Adam:
             # step = lr (m / corr1) / (sqrt(v / corr2) + eps), formed in g
             np.divide(v, corr2, out=tmp)
             np.sqrt(tmp, out=tmp)
-            tmp += self.eps
+            tmp += ADAM_EPS
             np.divide(m, corr1, out=g)
             g *= self.lr
             g /= tmp
@@ -167,10 +156,7 @@ def loss_maskout(per_task_losses: np.ndarray, threshold: float) -> np.ndarray:
     if not finite.all():
         log.warning("non-finite loss for tasks %s; masked out",
                     np.flatnonzero(~finite).tolist())
-    included = finite & (losses <= threshold)
-    if not included.any():
-        warnings.warn("all tasks masked out; training step skipped")
-    return included
+    return finite & (losses <= threshold)
 
 
 def task_layout(task_ids: np.ndarray) -> np.ndarray:
@@ -630,6 +616,7 @@ class Trainer(Agent):
         self._last_metrics = metrics
         if not included.any():
             metrics["skipped_updates"] = 1
+            log.warning("all tasks masked out; update skipped")
             return metrics
         if not included.all():
             rows = np.flatnonzero(included[ids])
@@ -702,13 +689,13 @@ class Trainer(Agent):
         last_eval_step = -1
         while self.env_steps < total_env_steps:
             if self.env_steps >= next_eval:
-                rows.extend(self._eval_rows(eval_episodes, on_eval))
+                recent = self._eval_rows(eval_episodes, on_eval)
+                rows.extend(recent)
                 last_eval_step = self.env_steps
                 next_eval += eval_interval
-                if stop_at_success is not None and rows:
-                    recent = [r for r in rows if r["step"] == rows[-1]["step"]]
-                    if np.mean([r["success_rate"] for r in recent]) >= stop_at_success:
-                        break
+                if (stop_at_success is not None
+                        and np.mean([r["success_rate"] for r in recent]) >= stop_at_success):
+                    break
             self.collect_rollouts(1)
             train_debt += self.s.train_ratio
             while train_debt >= 1.0:

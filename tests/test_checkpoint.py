@@ -78,11 +78,10 @@ def test_round_trip_is_bitwise(tmp_path, steps):
     for name in OPTS:
         a, b = getattr(tr, name), getattr(tr2, name)
         assert b.t == a.t == steps, name
-        if steps:
-            np.testing.assert_array_equal(b.m.flat, a.m.flat, err_msg=name)
-            np.testing.assert_array_equal(b.v.flat, a.v.flat, err_msg=name)
-        else:  # never stepped: no moments to store, none allocated
-            assert a.m is None and b.m is None, name
+        for want, got in ((a.m, b.m), (a.v, b.v)):
+            np.testing.assert_array_equal(got.flat, want.flat, err_msg=name)
+            # never stepped: the moments are stored, and zero
+            assert bool(want.flat.any()) == bool(steps), name
     np.testing.assert_array_equal(tr2.log_alpha, tr.log_alpha)
     np.testing.assert_array_equal(tr2.success_ema, tr.success_ema)
     assert ((tr2.env_steps, tr2.train_steps, tr2.skipped_in_a_row)
@@ -180,14 +179,73 @@ def test_one_array_per_flat_vector(tmp_path, steps):
     path, tr = _saved(tmp_path, steps)
     with np.load(path) as data:
         shapes = {k: data[k].shape for k in data.files}
-    moments = {f"{o}/{p}" for o in OPTS for p in "mv"} if steps else set()
+    moments = {f"{o}/{p}" for o in OPTS for p in "mv"}
     assert set(shapes) == {"manifest", "log_alpha", "success_ema", *NETS,
                            *(f"{o}/t" for o in OPTS), *moments}
-    assert len(shapes) == (15 if steps else 9)
+    assert len(shapes) == 15
     for name in NETS:
         assert shapes[name] == (getattr(tr, name).params.layout.size,)
     for name in moments:
         assert shapes[name] == (getattr(tr, name.split("/")[0]).layout.size,)
+
+
+def _lazy_writer_file(tmp_path, steps):
+    """A format-4 file as the writer that allocated Adam's moments at the
+    first update stored it: its arrays in that writer's order, and no
+    moments before any update."""
+    path, tr = _saved(tmp_path, steps)
+
+    def as_lazy(arrays):
+        optimizers = {}
+        for name in OPTS:
+            optimizers[f"{name}/t"] = arrays.pop(f"{name}/t")
+            for part in "mv":
+                moment = arrays.pop(f"{name}/{part}")
+                if steps:
+                    optimizers[f"{name}/{part}"] = moment
+        nets = {name: arrays.pop(name) for name in ("manifest", *NETS)}
+        rest = dict(arrays)
+        arrays.clear()
+        arrays.update({**nets, **optimizers, **rest})
+
+    _rewrite(path, as_lazy)
+    return path, tr
+
+
+@pytest.mark.parametrize("load", LOADERS)
+def test_lazy_writer_file_saved_after_an_update_loads_bitwise(tmp_path, load):
+    path, tr = _lazy_writer_file(tmp_path, 3)
+    with np.load(path) as data:
+        assert len(data.files) == 15
+    loaded, _ = load(path)
+    np.testing.assert_array_equal(loaded.actor.params.flat, tr.actor.params.flat)
+    if load is load_trainer:
+        for name in NETS:
+            np.testing.assert_array_equal(getattr(loaded, name).params.flat,
+                                          getattr(tr, name).params.flat, err_msg=name)
+        for name in OPTS:
+            a, b = getattr(tr, name), getattr(loaded, name)
+            assert b.t == a.t == 3, name
+            np.testing.assert_array_equal(b.m.flat, a.m.flat, err_msg=name)
+            np.testing.assert_array_equal(b.v.flat, a.v.flat, err_msg=name)
+
+
+def test_lazy_writer_file_saved_before_any_update_evaluates_but_does_not_resume(
+        tmp_path, capsys):
+    # it holds no training to resume: 9 arrays, no moments
+    path, tr = _lazy_writer_file(tmp_path, 0)
+    with np.load(path) as data:
+        assert len(data.files) == 9
+    agent, cfg = load_checkpoint(path)
+    np.testing.assert_array_equal(agent.actor.params.flat, tr.actor.params.flat)
+    with pytest.raises(CheckpointError, match="^checkpoint lacks array opt_actor/m$"):
+        load_trainer(path)
+    os.replace(path, tmp_path / "checkpoint.npz")  # where train --resume looks
+    config = str(tmp_path / "run.yaml")
+    cfg.save(config)
+    assert main(["train", "--config", config, "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "lacks array opt_actor/m" in err, err
 
 
 @pytest.mark.parametrize("name", ["opt_actor/t", "opt_critics/v", "log_alpha",

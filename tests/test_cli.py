@@ -1,5 +1,6 @@
 """CLI commands, artifact schemas, and the routing-analysis tools."""
 
+import json
 import os
 import re
 
@@ -149,16 +150,29 @@ class TestTrainCommand:
     @pytest.mark.parametrize("setting", [{"reward_scale": 100.0},
                                          {"maskout_threshold": 1e-9}],
                              ids=["reward_scale", "maskout_threshold"])
-    def test_run_whose_steps_mask_out_every_task_stalls(self, tmp_path, capsys, setting):
+    def test_run_whose_steps_mask_out_every_task_stalls(self, tmp_path, capsys, caplog,
+                                                        setting):
         # every loss exceeds the maskout threshold, so no train step updates
-        # anything: each counts as skipped, and the run stops as stalled
+        # anything: each counts as skipped and logs so, and the run stops as
+        # stalled
         path, _ = write_config(tmp_path, total_env_steps=600, eval_interval=600,
                                checkpoint_interval=600, **setting)
-        with pytest.warns(UserWarning, match="all tasks masked out"):
-            assert main(["train", "--config", path]) == 1
+        assert main(["train", "--config", path]) == 1
+        skips = [r for r in caplog.records if "all tasks masked out" in r.getMessage()]
+        assert len(skips) == MAX_SKIPPED_IN_A_ROW
         err = capsys.readouterr().err
         assert err.startswith("error: training stalled at env step "), err
         assert "every task was masked out" in err
+
+    def test_last_line_names_the_train_steps_applied(self, tmp_path, capsys):
+        path, cfg = write_config(tmp_path, total_env_steps=120, eval_interval=120)
+        assert main(["train", "--config", path]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        with np.load(os.path.join(cfg.out_dir, "checkpoint.npz")) as data:
+            manifest = json.loads(str(data["manifest"]))
+        assert manifest["train_steps"] > 0
+        assert last.startswith(f"training done at env step {manifest['env_steps']} after "
+                               f"{manifest['train_steps']} train steps; "), last
 
     def test_resume_continues_and_appends(self, tmp_path):
         path, cfg = write_config(tmp_path, total_env_steps=120,

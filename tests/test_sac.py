@@ -83,10 +83,17 @@ class TestLossMaskout:
     def test_boundary_is_inclusive(self):
         assert loss_maskout([3000.0], 3000.0).all()
 
-    def test_all_masked_warns(self):
-        with pytest.warns(UserWarning):
-            inc = loss_maskout([5000.0, 6000.0], 3000.0)
-        assert not inc.any()
+    def test_all_masked_warns(self, caplog):
+        assert not loss_maskout([5000.0, 6000.0], 3000.0).any()
+        # the train step that masks out every task logs its skip, as it
+        # logs the other two, on each such step
+        tr = make_trainer(seed=16, maskout_threshold=1e-9)
+        tr.collect_rollouts(20)
+        with caplog.at_level("WARNING", logger="modroute.sac"):
+            for _ in range(2):
+                assert tr.train_step()["skipped_updates"] == 1
+        skips = [r for r in caplog.records if "all tasks masked out" in r.getMessage()]
+        assert len(skips) == 2 and tr.train_steps == 0
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0, np.nan])
     def test_threshold_must_be_positive(self, threshold):
@@ -610,7 +617,8 @@ class TestTrainer:
         assert np.all(np.exp(tr.log_alpha) != m["alpha"])  # the update moved alpha
 
     @pytest.mark.parametrize("fault", ["masked-out", "skipped"])
-    def test_eval_rows_report_the_losses_of_the_last_step(self, fault, monkeypatch):
+    def test_eval_rows_report_the_losses_of_the_last_step(self, fault, monkeypatch,
+                                                           caplog):
         # a step that masks out every task, or that skips its update, still
         # returns metrics: the evaluation rows report its losses, not those
         # of the last applied step
@@ -621,8 +629,9 @@ class TestTrainer:
         before = tr.actor.params.flat.copy()
         if fault == "masked-out":
             tr.buffer.fields["reward"][:] = np.nan
-            with pytest.warns(UserWarning, match="all tasks masked out"):
+            with caplog.at_level("WARNING", logger="modroute.sac"):
                 m = tr.train_step()
+            assert "all tasks masked out" in caplog.text
             assert not m["included"].any()
             assert np.isnan(m["critic_loss"]).all()
         else:
@@ -694,6 +703,7 @@ class TestTrainer:
                 for name in ("actor", "critics", "critics_target")}
         before = {name: pol.params.flat.copy() for name, pol in nets.items()}
         alpha = tr.log_alpha.copy()
+        opt_alpha = tr.opt_alpha
         with caplog.at_level("WARNING", logger="modroute.sac"):
             m = tr.train_step()
         assert m["included"].all()
@@ -703,6 +713,10 @@ class TestTrainer:
             np.testing.assert_array_equal(nets[name].params.flat, flat, err_msg=name)
         np.testing.assert_array_equal(tr.log_alpha, alpha)
         assert tr.train_steps == 0 and tr.opt_actor.t == tr.opt_alpha.t == 0
+        # the temperature optimizer stepped a copy: its moments are still zero
+        assert tr.opt_alpha is opt_alpha
+        for moment in (opt_alpha.m, opt_alpha.v):
+            np.testing.assert_array_equal(moment.flat, np.zeros(tr.num_tasks))
         # a step that keeps them finite and positive applies
         tr.opt_alpha.lr = 1e-3
         assert tr.train_step()["skipped_updates"] == 0

@@ -85,7 +85,7 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
         _update(params, net.params.flat)
     for opt in (trainer.opt_actor, trainer.opt_critics, trainer.opt_alpha):
         _update(params, opt.t)
-        for moment in opt.moments():
+        for moment in (opt.m, opt.v):
             _update(params, moment.flat)
     log_alpha = hashlib.sha256()
     _update(log_alpha, trainer.log_alpha)
