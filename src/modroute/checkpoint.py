@@ -12,11 +12,12 @@ dtype: a trainer's networks and moments in float32 (``sac.TRAIN_DTYPE``),
 the temperatures and success averages in float64. This is format 4. A
 load refuses a file of any other format version (every older manifest's
 config names a routing setting that format 4 no longer has), a manifest
-that lacks an entry, and a vector whose recorded layout (tensor names and
+that lacks an entry, a vector whose recorded layout (tensor names and
 shapes, member count), length or dtype differs from the run config's and
-the trainer's. A format-4 file that an earlier writer saved before any
-update holds no moments: ``load_checkpoint`` reads it, ``load_trainer``
-refuses it, as it holds no training to resume.
+the trainer's, and a network whose parameters are not all finite. A
+format-4 file that an earlier writer saved before any update holds no
+moments: ``load_checkpoint`` reads it, ``load_trainer`` refuses it, as it
+holds no training to resume.
 
 ``load_checkpoint`` reads back the agent alone: it builds and restores the
 actor and reads no other array, so evaluation and analysis need neither the
@@ -161,8 +162,8 @@ def load_checkpoint(path: str) -> tuple[Agent, RunConfig]:
     counter that is not a non-negative integer or layouts that are not a
     JSON object, and names the ``actor`` array when it is missing, its shape
     does not match the run config's, it is stored in another dtype than a
-    trainer's or the manifest records a layout for it other than the run
-    config's."""
+    trainer's, the manifest records a layout for it other than the run
+    config's or it holds a value that is not finite."""
     with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -182,9 +183,10 @@ def load_trainer(path: str) -> tuple[Trainer, RunConfig]:
     counters into the trainer.
 
     Raises CheckpointError as ``load_checkpoint`` does, for every stored
-    array, and names an optimizer whose step count is not an integer or is
-    negative, a vector stored in another dtype than the trainer's, and a
-    ``log_alpha`` or ``success_ema`` that is not finite."""
+    array (the finite check for every network, not for the moments), and
+    names an optimizer whose step count is not an integer or is negative, a
+    vector stored in another dtype than the trainer's, and a ``log_alpha``
+    or ``success_ema`` that is not finite."""
     with _open(path) as data:
         manifest = _manifest(data)
         run_cfg = RunConfig.from_dict(manifest["config"])
@@ -228,11 +230,17 @@ def _read(data, name: str, shape: tuple, dtype=None) -> np.ndarray:
 
 def _vector(data, layouts: dict, name: str, layout: Layout, dtype=None) -> np.ndarray:
     """The stored vector ``name`` (see ``_read``), if the layout recorded for
-    it (for an optimizer's moments, the optimizer's) is ``layout``."""
+    it (for an optimizer's moments, the optimizer's) is ``layout`` and, for
+    a network, every value is finite. A moment may be inf: a float32 second
+    moment overflows from a finite gradient, and the trainer steps on."""
     if layouts.get(name.partition("/")[0]) != _layout_record(layout):
         raise CheckpointError(f"checkpoint array {name} was saved with another "
                               f"layout than the run config's")
-    return _read(data, name, (layout.size,), dtype)
+    value = _read(data, name, (layout.size,), dtype)
+    if name in _NETWORKS and not np.isfinite(value).all():
+        raise CheckpointError(f"checkpoint array {name} is not finite "
+                              f"({np.count_nonzero(~np.isfinite(value))} of {value.size} values)")
+    return value
 
 
 def _restore(data, layouts: dict, name: str, layout: Layout, flat: np.ndarray) -> None:

@@ -73,7 +73,9 @@ def cmd_train(args) -> int:
             if rows:
                 mean = np.mean([r["success_rate"] for r in rows])
                 log.info("step %d: mean success %.3f", rows[0]["step"], mean)
-            if trainer.env_steps >= next_ckpt:
+            # a periodic save waits for a train step that applied its
+            # update: a stalling run keeps the checkpoint it last saved
+            if trainer.env_steps >= next_ckpt and trainer.skipped_in_a_row == 0:
                 save_checkpoint(ckpt_path, trainer, cfg)
                 next_ckpt += cfg.checkpoint_interval
 

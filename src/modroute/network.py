@@ -429,8 +429,9 @@ class ModulePolicy:
         a pass would route with at a fraction of the pass's cost. The inputs are
         cast to the network's dtype.
 
-        On a stacked ensemble ``mask_fn`` runs once per member, member 0
-        first, so a sampling selector draws what separate networks would.
+        ``mask_fn`` runs once per pass, on a stacked ensemble over the
+        (M, B, n-1, n-1) logits of all members: the selectors draw member 0's
+        numbers first, so they draw what separate networks would.
         """
         cfg = self.cfg
         if (masks is None) == (mask_fn is None):
@@ -465,10 +466,8 @@ class ModulePolicy:
                 raise ValueError(
                     f"stored masks have shape {d.shape}, expected {z.shape}"
                 )
-        elif z.ndim == 3:
-            d = np.asarray(mask_fn(z), dtype=dt)
         else:
-            d = np.asarray(np.stack([mask_fn(member) for member in z]), dtype=dt)
+            d = np.asarray(mask_fn(z), dtype=dt)
         return Routing(masks=d, logits=z, encoded=h, task_ids=task_ids,
                        enc_acts=enc_acts, emb=emb, route_acts=route_acts)
 
@@ -486,8 +485,8 @@ class ModulePolicy:
 
         Exactly one of ``masks`` (stored behavior masks, padded
         (B, n-1, n-1), or (M, B, n-1, n-1) on a stacked ensemble) or
-        ``mask_fn`` (callable padded (B, n-1, n-1) logits -> padded binary
-        masks) selects the routing.
+        ``mask_fn`` (callable padded logits, of the shape of ``masks``, ->
+        padded binary masks) selects the routing.
         ``skip_unused`` evaluates only the modules some row's masks reach
         (``effective_rows``); the output is the same bits, and the pass has
         no backward.
@@ -607,26 +606,29 @@ def sample_k_mask_rows(
     z: np.ndarray, k: int, taus: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Without-replacement sampling of k sources from softmax(z / tau) in
-    every row of padded (B, rows, width) logits, all batch rows padded
-    alike; ``taus`` has one entry per batch row.
+    every row of padded (..., B, rows, width) logits, all batch rows of all
+    members padded alike; ``taus`` has one entry per batch row.
 
     Uses the Gumbel-top-k equivalence of sequential renormalized categorical
     draws. A row with at most k valid entries selects them all and draws
-    nothing. The others share one Gumbel draw, taken row by row (module by
-    module) and within a row as a (B, valid width) block in C order.
+    nothing. The others share one Gumbel draw, member by member (member 0's
+    block first), within a member row by row (module by module) and within
+    a row as a (B, valid width) block in C order: the numbers that one call
+    per member would draw, in the order of the calls.
     """
     taus = np.asarray(taus, dtype=np.float64).reshape(-1, 1, 1)
     if not np.all(taus > 0.0):
         raise ValueError("sample_k_mask_rows: tau must be positive")
     valid = ~np.isneginf(z)
-    drawn = valid[0] & (valid[0].sum(axis=-1, keepdims=True) > k)
+    drawn = valid.reshape((-1,) + z.shape[-2:])[0]
+    drawn = drawn & (drawn.sum(axis=-1, keepdims=True) > k)
     keys = z / taus
-    count = int(drawn.sum()) * z.shape[0]
+    count = int(drawn.sum()) * (z.size // drawn.size)
     if count:
-        # (row, batch row, entry) in C order is the order of the draws
-        gumbel = np.zeros((z.shape[1], z.shape[0], z.shape[2]))
+        # per member, (row, batch row, entry) in C order is the order of the draws
+        gumbel = np.zeros(z.shape[:-3] + (z.shape[-2], z.shape[-3], z.shape[-1]))
         gumbel[np.broadcast_to(drawn[:, None], gumbel.shape)] = rng.gumbel(size=count)
-        keys += gumbel.transpose(1, 0, 2)
+        keys += np.swapaxes(gumbel, -3, -2)
     return _top_k(keys, k, valid)
 
 

@@ -346,6 +346,52 @@ def test_non_finite_temperatures_are_named(tmp_path, name, bad):
         load_trainer(path)
 
 
+def _spoil(name, index, bad=np.nan):
+    """An edit that sets entry ``index`` of array ``name`` to ``bad``."""
+    def edit(arrays):
+        arrays[name] = arrays[name].copy()
+        arrays[name][index] = bad
+    return edit
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("load", LOADERS)
+def test_non_finite_actor_is_named(tmp_path, load, bad):
+    # a NaN weight makes every action NaN, which the environment refuses
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, _spoil("actor", 3, bad))
+    with pytest.raises(CheckpointError, match=r"array actor is not finite \(1 of \d+ values\)"):
+        load(path)
+
+
+@pytest.mark.parametrize("name", ["critics", "critics_target"])
+def test_non_finite_critics_are_refused_by_load_trainer_only(tmp_path, name):
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, _spoil(name, 5))
+    with pytest.raises(CheckpointError, match=f"array {name} is not finite"):
+        load_trainer(path)
+    load_checkpoint(path)  # an agent reads no critic
+
+
+def test_eval_of_a_non_finite_actor_is_a_user_error(tmp_path, capsys):
+    path, _ = _saved(tmp_path, 2)
+    _rewrite(path, _spoil("actor", 0))
+    assert main(["eval", "--ckpt", path, "--episodes", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checkpoint array actor is not finite"), captured.err
+
+
+def test_infinite_second_moment_still_resumes(tmp_path):
+    # a float32 second moment overflows to inf from a finite gradient above
+    # ~6e20; the trainer steps on from it, so a resume does too
+    path, tr = _saved(tmp_path, 2)
+    _rewrite(path, _spoil("opt_critics/v", 1, np.inf))
+    resumed, _ = load_trainer(path)
+    assert resumed.opt_critics.v.flat[1] == np.inf
+    np.testing.assert_array_equal(resumed.critics.params.flat, tr.critics.params.flat)
+
+
 def _swap_first_two_tensors(record):
     record["tensors"][:2] = record["tensors"][1::-1]
 

@@ -132,6 +132,25 @@ class TestTrainCommand:
         assert f"the last {MAX_SKIPPED_IN_A_ROW} train steps each skipped" in err
         assert open(ckpt, "rb").read() == saved
 
+    def test_stalled_run_saves_no_periodic_checkpoint_inside_the_stall(self, tmp_path,
+                                                                        capsys):
+        # a checkpoint falls due at env step 200, while every train step
+        # skips its update: it waits for an applied update, which never
+        # comes, and the run stops with the checkpoint it resumed from
+        path, cfg = write_config(tmp_path, lr=1.0e10)
+        assert main(["train", "--config", path]) == 0
+        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        saved = open(ckpt, "rb").read()
+        longer, _ = write_config(tmp_path, lr=1.0e10, total_env_steps=400,
+                                 eval_interval=100, checkpoint_interval=100,
+                                 out_dir=cfg.out_dir)
+        capsys.readouterr()
+        assert main(["train", "--config", longer, "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training stalled at env step "), err
+        assert int(re.search(r"env step (\d+)", err).group(1)) > 200, err
+        assert open(ckpt, "rb").read() == saved
+
     def test_stalled_run_resumed_in_segments_still_stops(self, tmp_path, capsys):
         # the count of updates skipped in a row is saved with the checkpoint
         # and runs on after a resume, through the train steps that draw no

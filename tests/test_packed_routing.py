@@ -150,6 +150,28 @@ def test_samplek_one_draw_per_forward_keeps_the_per_module_stream():
     assert a.bit_generator.state == b.bit_generator.state
 
 
+@pytest.mark.parametrize("members", [2, 3])
+def test_one_stacked_selection_equals_the_per_member_selections(members):
+    # padded (M, B, rows, width) logits, n = 6: one call over every member
+    # draws, in member order, what one call per member draws
+    rng = np.random.default_rng(members)
+    z = np.full((members, 4, 5, 5), -np.inf)
+    for r in range(5):
+        z[..., r, :r + 1] = rng.normal(size=(members, 4, r + 1))
+    taus = np.array([0.3, 1.0, 2.5, 0.8])
+    for k in (1, 2, 5):  # k = 5, the widest row's width, draws nothing
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        got = network.sample_k_mask_rows(z, k, taus, a)
+        want = np.stack([network.sample_k_mask_rows(member, k, taus, b) for member in z])
+        np.testing.assert_array_equal(got, want)
+        if k == 5:
+            assert a.bit_generator.state == np.random.default_rng(11).bit_generator.state
+            np.testing.assert_array_equal(got, np.isfinite(z))
+        assert a.random() == b.random()
+        np.testing.assert_array_equal(network.topk_mask_rows(z, k), np.stack(
+            [network.topk_mask_rows(member, k) for member in z]))
+
+
 KERNELS = ("topk_mask_rows", "sample_k_mask_rows", "masked_softmax_rows",
            "effective_rows")
 
@@ -218,7 +240,7 @@ def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts)
     assert kernel_counts - before == Counter({"ModulePolicy.forward": 5,
                                               "ModulePolicy.route": 5,
                                               "masked_softmax_rows": 5,
-                                              "sample_k_mask_rows": 3})
+                                              "sample_k_mask_rows": 2})
     tr.evaluate(1)
     forwards = kernel_counts["ModulePolicy.forward"]
     routes = kernel_counts["ModulePolicy.route"]
@@ -229,10 +251,10 @@ def test_training_and_evaluation_run_each_kernel_once_per_forward(kernel_counts)
     # the rollout snapshots' actor passes and evaluation skip modules
     assert kernel_counts["effective_rows"] == forwards - 5
     # the three training passes (critics, actor, frozen critics) replay
-    # stored masks; every other route selects once per member: the stacked
-    # critics' routes (each snapshot, the Bellman targets) twice
+    # stored masks; every other route selects once, the stacked critics'
+    # routes (each snapshot, the Bellman targets) too
     assert kernel_counts["topk_mask_rows"] + kernel_counts["sample_k_mask_rows"] == \
-        routes - 3 + rollouts + 1
+        routes - 3
 
 
 @pytest.mark.parametrize("head, members", [("actor", 1), ("critic", 2)])
