@@ -1,9 +1,10 @@
 """Command-line entry points: train, eval, analyze, export-dot.
 
-Exit codes: 0 success, 1 user error (bad config, bad checkpoint, bad
-arguments, a training run that stalled), 2 internal error. A stalled run
-leaves the checkpoint it last saved as it was. Set MODROUTE_LOG=DEBUG (or
-INFO/WARNING) to control log verbosity.
+Exit codes: 0 success, 1 user error (bad config, bad checkpoint, a
+``train --resume`` without one, bad arguments, a training run that
+stalled), 2 internal error. A stalled run leaves the checkpoint it last
+saved as it was; a refused ``--resume`` writes nothing. Set
+MODROUTE_LOG=DEBUG (or INFO/WARNING) to control log verbosity.
 """
 
 from __future__ import annotations
@@ -36,11 +37,13 @@ class UserError(Exception):
 
 def cmd_train(args) -> int:
     cfg = RunConfig.load(args.config)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, "checkpoint.npz")
     csv_path = os.path.join(cfg.out_dir, "metrics.csv")
+    if args.resume and not os.path.exists(ckpt_path):
+        raise UserError(f"--resume: no checkpoint at {ckpt_path}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
 
-    if args.resume and os.path.exists(ckpt_path):
+    if args.resume:
         trainer, saved_cfg = load_trainer(ckpt_path)
         if saved_cfg.compat_hash() != cfg.compat_hash():
             raise UserError(
@@ -153,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="run the sample/train loop from a config")
     p.add_argument("--config", required=True, help="YAML run config path")
     p.add_argument("--resume", action="store_true",
-                   help="continue from the checkpoint in the output directory")
+                   help="continue from the output directory's checkpoint (exit 1 if none)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="success rates of a trained checkpoint")

@@ -77,8 +77,10 @@ the stacked routing MLPs for all logits, one masked softmax for all
 probabilities, and the module stack, which writes m^1..m^(n-1) into one
 (n-1, ..., B, width) slab and mixes from it by ``einsum``. A pass that
 skips unreachable modules evaluates only the modules some row reaches.
-Its routing half, ``ModulePolicy.route``, runs alone where only the masks
-are needed. The pass keeps what its kernels saved, and
+A pass is one record, a ``ForwardResult``. Its routing half,
+``ModulePolicy.route``, runs alone where only the masks are needed and
+returns the record with the routing filled in; ``forward`` completes that
+record with the modules. The record keeps what the kernels saved, and
 ``ModulePolicy.backward`` runs their backward kernels on it, last to first:
 the module stack, the masked softmax, the routing MLPs, the routing input
 and gather, the encoder. It writes each weight gradient straight into a
@@ -92,7 +94,6 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -342,36 +343,37 @@ def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
     return out
 
 
-class Routing(NamedTuple):
-    """The routing half of a pass (``ModulePolicy.route``), with what its
-    kernels saved for the backward."""
-    masks: np.ndarray     # padded binary source masks
-    logits: np.ndarray    # padded logits
-    encoded: np.ndarray   # the encoder output F(s)
-    task_ids: np.ndarray
-    enc_acts: list        # the encoder's layer inputs
-    emb: np.ndarray       # the task embeddings H(task)
-    route_acts: list      # the routing MLPs' layer inputs, the first F(s) * H(task)
-
-
 @dataclass
 class ForwardResult:
-    """A pass's head output and its routing.
+    """One routed pass: its routing, its head output and what its kernels
+    saved for ``ModulePolicy.backward``.
+
+    ``ModulePolicy.route`` fills the routing half: the masks, the logits
+    and what the routing backward reads (the fields from ``_encoded`` to
+    ``_route_acts``); ``out`` and ``padded_probs`` are then ``None``, and
+    ``backward`` refuses the record. ``ModulePolicy.forward`` completes the
+    same record: the probabilities, the module plan, the slab, the modules'
+    layer inputs and the head output.
 
     The routing arrays are padded (B, n-1, n-1) values (see the module
     docstring), (M, B, n-1, n-1) for a stacked ensemble of M members.
     ``effective`` has one row per batch row and member, members one after
-    another. The fields after them are what ``ModulePolicy.backward`` reads.
+    another.
     """
-    out: np.ndarray               # head output, (..., B, head_dim)
     padded_masks: np.ndarray      # binary source masks
-    padded_probs: np.ndarray      # routing probabilities
     padded_logits: np.ndarray     # routing logits
+    out: np.ndarray | None = None            # head output, (..., B, head_dim)
+    padded_probs: np.ndarray | None = None   # routing probabilities
+    _encoded: np.ndarray | None = field(default=None, repr=False)  # F(s)
+    _task_ids: np.ndarray | None = field(default=None, repr=False)
+    _enc_acts: list = field(default_factory=list, repr=False)  # the encoder's layer inputs
+    _emb: np.ndarray | None = field(default=None, repr=False)  # H(task)
+    # the routing MLPs' layer inputs, the first F(s) * H(task)
+    _route_acts: list = field(default_factory=list, repr=False)
     _slab: np.ndarray | None = field(default=None, repr=False)
     _plan: tuple = field(default=(), repr=False)  # per module: evaluated
     _effective: np.ndarray | None = field(default=None, repr=False)
-    _routing: Routing | None = field(default=None, repr=False)
-    _acts: dict | None = field(default=None, repr=False)  # module i's layer inputs
+    _acts: dict = field(default_factory=dict, repr=False)  # module i's layer inputs
 
     @property
     def module_outputs(self) -> dict:
@@ -423,11 +425,12 @@ class ModulePolicy:
         action=None,
         masks: np.ndarray | None = None,
         mask_fn=None,
-    ) -> Routing:
+    ) -> ForwardResult:
         """The routing half of ``forward`` (same arguments): the encoder,
         the routing MLPs and the masks, no module. Alone, it gives the masks
-        a pass would route with at a fraction of the pass's cost. The inputs are
-        cast to the network's dtype.
+        a pass would route with at a fraction of the pass's cost; its record
+        holds no output and has no backward (see ``ForwardResult``). The
+        inputs are cast to the network's dtype.
 
         ``mask_fn`` runs once per pass, on a stacked ensemble over the
         (M, B, n-1, n-1) logits of all members: the selectors draw member 0's
@@ -468,8 +471,8 @@ class ModulePolicy:
                 )
         else:
             d = np.asarray(mask_fn(z), dtype=dt)
-        return Routing(masks=d, logits=z, encoded=h, task_ids=task_ids,
-                       enc_acts=enc_acts, emb=emb, route_acts=route_acts)
+        return ForwardResult(padded_masks=d, padded_logits=z, _encoded=h, _task_ids=task_ids,
+                             _enc_acts=enc_acts, _emb=emb, _route_acts=route_acts)
 
     def forward(
         self,
@@ -494,25 +497,17 @@ class ModulePolicy:
         A stacked ensemble runs every member in the one pass on the same
         states and actions; its output and routing carry the member axis.
         """
-        r = self.route(obs, task_ids, action=action, masks=masks, mask_fn=mask_fn)
-        z, d = r.logits, r.masks
-        n = self.cfg.n_modules
-
-        probs = masked_softmax_rows(z, d)
-        eff, plan = None, self._dense_plan
-        if skip_unused:  # the modules some row reaches
-            eff = effective_rows(d.reshape((-1,) + d.shape[-2:]))
-            plan = tuple(eff.any(axis=0).tolist())
+        res = self.route(obs, task_ids, action=action, masks=masks, mask_fn=mask_fn)
+        h, n = res._encoded, self.cfg.n_modules
+        res.padded_probs = masked_softmax_rows(res.padded_logits, res.padded_masks)
+        # a skipping pass evaluates the modules some row reaches
+        res._plan = tuple(res.effective.any(axis=0).tolist()) if skip_unused else self._dense_plan
 
         # the module stack; m^1..m^(n-1) land in one slab
-        slab = np.empty((n - 1,) + r.encoded.shape, r.encoded.dtype)
-        acts = {}
-        out = ad.modules(r.encoded, probs, [self.params.tensors[k] for k in self._mod_keys],
-                         plan, slab, acts)
-        return ForwardResult(
-            out=out, padded_masks=d, padded_probs=probs, padded_logits=z,
-            _slab=slab, _plan=plan, _effective=eff, _routing=r, _acts=acts,
-        )
+        res._slab = np.empty((n - 1,) + h.shape, h.dtype)
+        res.out = ad.modules(h, res.padded_probs, [self.params.tensors[k] for k in self._mod_keys],
+                             res._plan, res._slab, res._acts)
+        return res
 
     def suitable(self, z: np.ndarray) -> np.ndarray:
         """The sources that ResRouting's gate lets through, bool, of the
@@ -538,8 +533,8 @@ class ModulePolicy:
         the pass did not reach get zeros. Returns, if ``input_grad``, the
         adjoint of a critic's action input, (B, act_dim), summed over the
         members of a stacked ensemble (they share the action). Only a pass
-        that evaluated every module is differentiated: the result of a
-        ``skip_unused`` pass raises ``ValueError``.
+        that evaluated every module is differentiated: the record of a
+        ``skip_unused`` pass or of ``route`` alone raises ``ValueError``.
 
         The adjoints of a value with two readers are added, as a reverse
         sweep over the pass would add them: F(s) feeds module 1 and the
@@ -547,9 +542,11 @@ class ModulePolicy:
         """
         if chi_mode not in ("off", "sg", "rsg"):
             raise ValueError(f"unknown chi_mode {chi_mode!r}")
+        if res.out is None:
+            raise ValueError("backward of a routing-only record (route)")
         if not all(res._plan):
             raise ValueError("backward of a pass that skipped modules (skip_unused)")
-        cfg, r = self.cfg, res._routing
+        cfg = self.cfg
         p = self.params.tensors
         g = np.asarray(g, dtype=self.params.flat.dtype)
 
@@ -564,16 +561,16 @@ class ModulePolicy:
             g, res.padded_probs, weights(self._mod_keys), res._slab, res._acts,
             suit, chi_mode == "rsg", grads(self._mod_keys))
         gz = ad.masked_softmax_backward(gp, res.padded_probs)
-        gg = ad.route_mlps_backward(gz, r.route_acts, weights(self._route_names),
+        gg = ad.route_mlps_backward(gz, res._route_acts, weights(self._route_names),
                                     grads(self._route_names))
-        gh += gg * r.emb
+        gh += gg * res._emb
         if grad is not None:
             # each task's row sums its rows' adjoints: a one-hot (T, B)
             # product, 0 for a task with no row
-            onehot = r.task_ids == np.arange(cfg.num_tasks)[:, None]
-            gemb = gg * r.encoded
+            onehot = res._task_ids == np.arange(cfg.num_tasks)[:, None]
+            gemb = gg * res._encoded
             np.matmul(onehot.astype(gemb.dtype), gemb, out=grad.tensors["temb"])
-        gx = ad.affine_chain_backward(gh, r.enc_acts, weights(self._enc_keys),
+        gx = ad.affine_chain_backward(gh, res._enc_acts, weights(self._enc_keys),
                                       grads(self._enc_keys), need_x=input_grad)
         if input_grad:
             if gx.ndim == 3:  # the members share the input

@@ -454,7 +454,7 @@ class Trainer(Agent):
         return (
             actions,
             pack_masks(res.padded_masks, self.cfg),
-            pack_masks(critics.masks, self.cfg).swapaxes(0, 1),
+            pack_masks(critics.padded_masks, self.cfg).swapaxes(0, 1),
         )
 
     def collect_rollouts(self, vector_steps: int) -> int:

@@ -228,6 +228,21 @@ class TestTrainCommand:
         assert len(set(resumed)) == len(resumed)
         assert resumed == eval_rows(whole_cfg.out_dir)
 
+    def test_resume_without_a_checkpoint_leaves_the_run_directory_alone(self, tmp_path,
+                                                                         capsys):
+        path, cfg = write_config(tmp_path, total_env_steps=120, eval_interval=60)
+        assert main(["train", "--config", path]) == 0
+        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        os.remove(ckpt)
+        before = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
+                  for name in os.listdir(cfg.out_dir)}
+        capsys.readouterr()
+        assert main(["train", "--config", path, "--resume"]) == 1
+        assert ckpt in capsys.readouterr().err
+        after = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
+                 for name in os.listdir(cfg.out_dir)}
+        assert after == before and "metrics.csv" in after
+
     def test_resume_refuses_incompatible_config(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, total_env_steps=0)
         assert main(["train", "--config", path]) == 0

@@ -120,8 +120,8 @@ def test_a_sampling_selector_runs_once_per_member_in_order():
     for i, net in enumerate(members):
         alone = net.forward(obs, tasks, action=act,
                             mask_fn=selector("samplek", 2, taus=taus, rng=rng_alone))
-        np.testing.assert_array_equal(stacked.masks[i], alone.padded_masks)
-        np.testing.assert_array_equal(stacked.logits[i], alone.padded_logits)
+        np.testing.assert_array_equal(stacked.padded_masks[i], alone.padded_masks)
+        np.testing.assert_array_equal(stacked.padded_logits[i], alone.padded_logits)
 
 
 def test_route_gives_the_masks_of_the_full_pass_without_modules():
@@ -130,8 +130,20 @@ def test_route_gives_the_masks_of_the_full_pass_without_modules():
     fn = selector("topk", 2)
     routed = critics.route(obs, tasks, action=act, mask_fn=fn)
     full = critics.forward(obs, tasks, action=act, mask_fn=fn)
-    np.testing.assert_array_equal(routed.masks, full.padded_masks)
-    np.testing.assert_array_equal(routed.logits, full.padded_logits)
+    np.testing.assert_array_equal(routed.padded_masks, full.padded_masks)
+    np.testing.assert_array_equal(routed.padded_logits, full.padded_logits)
+    assert routed.out is None and routed.padded_probs is None
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+def test_backward_refuses_a_routing_only_record(stacked):
+    cfg, critics, members, rng = _critics(seed=8)
+    net = critics if stacked else members[0]
+    obs, act, tasks = rng.normal(size=(3, 5)), rng.normal(size=(3, 2)), [1, 2, 0]
+    routed = net.route(obs, tasks, action=act, mask_fn=selector("topk", 2))
+    g = np.ones(((2,) if stacked else ()) + (3, 1))
+    with pytest.raises(ValueError, match="routing-only"):
+        net.backward(routed, g, Params(net.params.layout), input_grad=True)
 
 
 def test_member_min_breaks_ties_toward_member_0():

@@ -60,21 +60,33 @@ def _update(h, value) -> None:
     h.update(a.tobytes())
 
 
+def build_trainer(config: str, seed: int = 0, overrides: dict | None = None,
+                  package=None):
+    """The ``Trainer`` of the named config, its replay buffer filled until a
+    batch can be drawn, and its ``RunConfig``. ``overrides`` maps
+    ``RunConfig`` fields to values that replace the config's; ``package``
+    is the ``modroute`` package (or a copy of it under another name) that
+    builds them, by default ``modroute``."""
+    if package is None:
+        # imported here: run as a script, the checkout's src joins sys.path first
+        import modroute as package
+
+    kw = {**CONFIGS[config], **(overrides or {})}
+    # warm-up ends with the replay pre-fill, so every step trains the policy
+    kw["start_steps"] = kw.get("batch_per_task", package.RunConfig.batch_per_task)
+    cfg = package.RunConfig.from_dict({**kw, "seed": seed})
+    trainer = package.Trainer(cfg.suite(), cfg.policy_config("actor"),
+                              cfg.train_settings(), seed=cfg.seed)
+    while not trainer.buffer.can_sample(cfg.batch_per_task):
+        trainer.collect_rollouts(1)
+    return trainer, cfg
+
+
 def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1,
                        overrides: dict | None = None) -> dict[str, str]:
     """The digests named in the module docstring, by name; ``overrides``
     maps ``RunConfig`` fields to values that replace the config's."""
-    # imported here: run as a script, the checkout's src joins sys.path first
-    from modroute import RunConfig, Trainer
-
-    kw = {**CONFIGS[config], **(overrides or {})}
-    # warm-up ends with the replay pre-fill, so every step trains the policy
-    kw["start_steps"] = kw.get("batch_per_task", RunConfig.batch_per_task)
-    cfg = RunConfig.from_dict({**kw, "seed": seed})
-    trainer = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(),
-                      seed=cfg.seed)
-    while not trainer.buffer.can_sample(cfg.batch_per_task):
-        trainer.collect_rollouts(1)
+    trainer, cfg = build_trainer(config, seed, overrides)
     rows = []
     for _ in range(steps):
         trainer.collect_rollouts(1)
