@@ -90,25 +90,30 @@ def save_checkpoint(path: str, trainer: Trainer, run_cfg: RunConfig):
     arrays.update({f"{name}/t": np.array(getattr(trainer, name).t) for name in _OPTIMIZERS})
     arrays["log_alpha"] = trainer.log_alpha
     arrays["success_ema"] = trainer.success_ema
+    # a file handle, because np.savez appends ".npz" to a path string
+    with replacing(path) as fh:
+        np.savez(fh, **arrays)
+
+
+@contextlib.contextmanager
+def replacing(path: str):
+    """A binary handle on a temporary file next to ``path`` that replaces
+    ``path`` once the block ends without an error: the file is synced to
+    disk and renamed over ``path``, then the directory is synced where the
+    OS lets a directory be opened and synced. A crash leaves the old file
+    or the new one, never a part of either."""
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        # a file handle, because np.savez appends ".npz" to a path string
         with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
-        if os.path.exists(tmp):  # the save failed before the rename
+        if os.path.exists(tmp):  # the write failed before the rename
             os.remove(tmp)
-    _fsync_dir(os.path.dirname(path) or ".")
-
-
-def _fsync_dir(path: str) -> None:
-    """Sync a directory's entries (a rename in it) to disk, where the OS
-    lets a directory be opened and synced."""
     with contextlib.suppress(OSError):
-        fd = os.open(path, os.O_RDONLY)
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
         try:
             os.fsync(fd)
         finally:

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 user error (bad config, bad checkpoint, a
 ``train --resume`` without one, bad arguments, a training run that
 stalled), 2 internal error. A stalled run leaves the checkpoint it last
-saved as it was; a refused ``--resume`` writes nothing. Set
+saved as it was; a refused ``--resume`` writes nothing, an accepted one
+first drops the rows of ``metrics.csv`` past its checkpoint. Set
 MODROUTE_LOG=DEBUG (or INFO/WARNING) to control log verbosity.
 """
 
@@ -18,7 +19,8 @@ import sys
 import numpy as np
 
 from .analysis import export_dot, sparsity_distribution, usage_table
-from .checkpoint import CheckpointError, load_checkpoint, load_trainer, save_checkpoint
+from .checkpoint import (CheckpointError, load_checkpoint, load_trainer, replacing,
+                         save_checkpoint)
 from .config import ConfigError, RunConfig
 from .sac import EVAL_FIELDS, Agent, Trainer, TrainingStalled
 
@@ -52,11 +54,12 @@ def cmd_train(args) -> int:
                 f"{cfg.compat_hash()[:12]})"
             )
         log.info("resumed from %s at env step %d", ckpt_path, trainer.env_steps)
-        csv_mode = "a" if os.path.exists(csv_path) else "w"
     else:
         trainer = Trainer(cfg.suite(), cfg.policy_config("actor"),
                           cfg.train_settings(), seed=cfg.seed)
-        csv_mode = "w"
+    csv_mode = "a" if args.resume and os.path.exists(csv_path) else "w"
+    if csv_mode == "a":
+        _drop_rows_after(csv_path, trainer.env_steps)
 
     cfg.save(os.path.join(cfg.out_dir, "config.yaml"))
     next_ckpt = trainer.env_steps + cfg.checkpoint_interval
@@ -90,6 +93,18 @@ def cmd_train(args) -> int:
           f"{trainer.train_steps} train steps; "
           f"metrics: {csv_path}; checkpoint: {ckpt_path}")
     return 0
+
+
+def _drop_rows_after(csv_path: str, step: int) -> None:
+    """Drop the rows of ``metrics.csv`` past env step ``step``, the
+    checkpoint's, which a resumed run writes again: a run that stalled, or
+    crashed between an evaluation and the next save, wrote them after its
+    last checkpoint. The file is replaced as a checkpoint is."""
+    with open(csv_path, "rb") as fh:
+        lines = fh.readlines()
+    keep = lines[:1] + [line for line in lines[1:] if int(line.split(b",")[0]) <= step]
+    with replacing(csv_path) as fh:
+        fh.writelines(keep)
 
 
 # ----------------------------------------------------------------------

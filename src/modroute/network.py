@@ -21,9 +21,10 @@ logits, masks and probabilities: row ``r`` is module ``r + 2`` and only its
 first ``r + 1`` columns (the sources 1..r+1) are valid. Padded logits are
 ``-inf``, padded mask and probability entries 0. So mask selection, the
 masked softmax and reachability (where needed) run once per pass.
-The row-major lower triangle of a padded array is the packed
-``(B, n(n-1)/2)`` layout replay stores (``pack_masks``/``unpack_masks``,
-which keep any leading axes).
+Replay stores the padded masks too, as bits: ``pack_masks`` packs the
+``(n-1)**2`` entries of each padded array into ``PolicyConfig.mask_len``
+uint8, padding included, and ``unpack_masks`` restores the padded array
+(both keep any leading axes).
 
 During off-policy training the stored behavior masks may disagree with what
 the current network would pick. Sources whose current (unmasked) softmax
@@ -93,7 +94,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -134,9 +134,8 @@ class PolicyConfig(NetworkSizes):
 
     @property
     def mask_len(self) -> int:
-        """Total length of all per-module source masks, flattened."""
-        n = self.n_modules
-        return n * (n - 1) // 2
+        """The bytes of one network's packed masks (``pack_masks``)."""
+        return ((self.n_modules - 1) ** 2 + 7) // 8
 
 
 def _layer_sizes(cfg: PolicyConfig):
@@ -319,28 +318,17 @@ def effective_rows(masks: np.ndarray) -> np.ndarray:
     return need
 
 
-@lru_cache(maxsize=None)
-def _tril(n: int):
-    """Row-major index of the valid entries of a padded (n-1, n-1) routing
-    array: the packed order of the per-module masks. Read-only, shared."""
-    rows, cols = np.nonzero(ad.route_valid(n - 1))
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
+def pack_masks(masks: np.ndarray) -> np.ndarray:
+    """Padded (..., n-1, n-1) binary masks as (..., mask_len) uint8 bits:
+    the flattened entries, padding included, in ``np.packbits`` order."""
+    return np.packbits(masks.reshape(masks.shape[:-2] + (-1,)) != 0, axis=-1)
 
 
-def pack_masks(masks: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Padded (..., n-1, n-1) masks as packed (..., n(n-1)/2) uint8 rows."""
-    rows, cols = _tril(cfg.n_modules)
-    return masks[..., rows, cols].astype(np.uint8)
-
-
-def unpack_masks(flat: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
-    """Packed (..., n(n-1)/2) mask rows as padded (..., n-1, n-1) float masks."""
+def unpack_masks(bits: np.ndarray, cfg: PolicyConfig) -> np.ndarray:
+    """``pack_masks``'s (..., mask_len) bits as padded (..., n-1, n-1)
+    uint8 masks."""
     w = cfg.n_modules - 1
-    rows, cols = _tril(cfg.n_modules)
-    out = np.zeros(flat.shape[:-1] + (w, w))
-    out[..., rows, cols] = flat
-    return out
+    return np.unpackbits(bits, axis=-1, count=w * w).reshape(bits.shape[:-1] + (w, w))
 
 
 @dataclass

@@ -4,11 +4,10 @@ Each transition keeps the behavior policy's routing masks for all three
 networks (actor and both critics) at the state, so off-policy training can
 reuse the exact paths that produced the data. Next states are routed afresh
 by the Bellman targets, so no masks are kept for them. Masks are stored
-packed: one flat uint8 row of n(n-1)/2 entries per network, the row-major
-lower triangle of the forward pass's padded (n-1, n-1) mask array, module
-2's source first (see ``network.pack_masks``). The twin critics' rows are
-one (2, n(n-1)/2) field, member 0 first, as the stacked critic pass reads
-them.
+as bits: one row of ``mask_len`` uint8 per network, the forward pass's
+padded (n-1, n-1) mask array flattened and packed (``network.pack_masks``;
+7 bytes at 8 modules). The twin critics' rows are one (2, mask_len) field,
+member 0 first, as the stacked critic pass reads them.
 
 The buffer takes and returns batches: dicts of row arrays keyed
 ``state``, ``action``, ``reward``, ``next_state``, ``done``, ``task_id``,

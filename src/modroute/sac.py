@@ -438,8 +438,9 @@ class Trainer(Agent):
 
     def _routing_snapshot(self, obs: np.ndarray, task_ids: np.ndarray,
                           actions: np.ndarray | None = None):
-        """Actions plus packed routing masks of the actor, (B, L), and of
-        the critics, (B, 2, L), at obs.
+        """Actions plus the routing masks of the actor, (B, L), and of the
+        critics, (B, 2, L), at obs, packed to bits (``pack_masks``: L is
+        ``mask_len`` bytes).
 
         When ``actions`` is given (e.g. warmup exploration) the critics route
         against those executed actions instead of the actor's own sample.
@@ -453,8 +454,8 @@ class Trainer(Agent):
         critics = self.critics.route(obs, task_ids, action=actions, mask_fn=mask_fn)
         return (
             actions,
-            pack_masks(res.padded_masks, self.cfg),
-            pack_masks(critics.padded_masks, self.cfg).swapaxes(0, 1),
+            pack_masks(res.padded_masks),
+            pack_masks(critics.padded_masks).swapaxes(0, 1),
         )
 
     def collect_rollouts(self, vector_steps: int) -> int:

@@ -6,9 +6,10 @@
 prints, for every ``.py`` file under ``DIR`` (default ``src/modroute`` of the
 checkout it sits in), its path, its line count as ``wc -l`` gives it and its
 code lines: the lines left without docstrings, comments and blank lines. A
-last line ``total`` sums both. Given two directories (two checkouts'
-packages), it prints each file's and the total's counts before and after:
-``path lines code -> lines code``, a file that only one has counting
+last line ``total`` sums both; a ``DIR`` that holds ``src/modroute`` (a
+checkout's root) counts that package. Given two directories (two checkouts
+or their packages), it prints each file's and the total's counts before and
+after: ``path lines code -> lines code``, a file that only one has counting
 ``0 0`` in the other.
 """
 
@@ -48,8 +49,12 @@ def count(text: str) -> tuple[int, int]:
 
 
 def counts(directory: str) -> dict[str, tuple[int, int]]:
-    """(lines, code lines) of every ``.py`` file under ``directory``, by its
-    path relative to it, sorted, then ``total``."""
+    """(lines, code lines) of every ``.py`` file under ``directory``, or
+    under its ``src/modroute`` if it has one, by its path relative to it,
+    sorted, then ``total``."""
+    package = os.path.join(directory, "src", "modroute")
+    if os.path.isdir(package):
+        directory = package
     paths = sorted(os.path.join(root, name) for root, _, names in os.walk(directory)
                    for name in names if name.endswith(".py"))
     table = {}
@@ -62,11 +67,11 @@ def counts(directory: str) -> dict[str, tuple[int, int]]:
 
 
 def main(argv=None) -> int:
-    default = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                           "src", "modroute")
+    default = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))  # the checkout
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("dir", nargs="?", default=default)
-    ap.add_argument("new_dir", nargs="?", help="a second package: print DIR's counts -> its")
+    ap.add_argument("new_dir", nargs="?",
+                    help="a second checkout or package: print DIR's counts -> its")
     args = ap.parse_args(argv)
     before = counts(args.dir)
     if args.new_dir is None:

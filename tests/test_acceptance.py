@@ -136,8 +136,8 @@ def test_criterion_1_gradient_correctness(float64_training):
         cmasks = np.stack([amasks, random_masks(cfg, rng, B)])  # per critic
         batch = {"state": rng.normal(size=(B, OBS_DIM)), "task_id": ids,
                  "action": rng.normal(size=(B, ACT_DIM)),
-                 "masks_actor": pack_masks(amasks, cfg),
-                 "masks_critics": pack_masks(cmasks, cfg).swapaxes(0, 1)}
+                 "masks_actor": pack_masks(amasks),
+                 "masks_critics": pack_masks(cmasks).swapaxes(0, 1)}
         targets = rng.normal(size=(B, 1))
         coeff = rng.uniform(0.1, 1.0, size=(B, 1))
         noise = rng.normal(size=(B, ACT_DIM))

@@ -208,6 +208,29 @@ class TestTrainCommand:
         assert max(steps) >= 240
         assert steps == sorted(steps)
 
+    def test_resume_from_an_older_checkpoint_lists_each_row_once(self, tmp_path):
+        # the rows written after the checkpoint (here by a run whose own
+        # checkpoint is then lost) are dropped before the resumed run writes
+        # them again
+        path, cfg = write_config(tmp_path, total_env_steps=200)
+        assert main(["train", "--config", path]) == 0
+        ckpt = os.path.join(cfg.out_dir, "checkpoint.npz")
+        csv_path = os.path.join(cfg.out_dir, "metrics.csv")
+        saved = open(ckpt, "rb").read()
+        longer, _ = write_config(tmp_path, total_env_steps=400, out_dir=cfg.out_dir)
+        assert main(["train", "--config", longer, "--resume"]) == 0
+        once = open(csv_path).read()
+        with open(ckpt, "wb") as fh:
+            fh.write(saved)
+        assert main(["train", "--config", longer, "--resume"]) == 0
+        text = open(csv_path).read()
+        rows = [tuple(line.split(",")[:2]) for line in text.splitlines()[1:]]
+        assert len(set(rows)) == len(rows)
+        assert {step for step, _ in rows} == {"0", "100", "200", "300", "400"}
+        assert text == once
+        assert sorted(os.listdir(cfg.out_dir)) == ["checkpoint.npz", "config.yaml",
+                                                   "metrics.csv"]
+
     def test_resumed_run_evaluates_where_an_uninterrupted_one_does(self, tmp_path):
         # a resumed trainer's first evaluation is the first multiple of the
         # interval above its step count, not one per vector step until a

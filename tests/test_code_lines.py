@@ -47,6 +47,21 @@ def test_two_directories_print_before_and_after(tmp_path, capsys):
                      "total 13 6 -> 15 7"]
 
 
+def test_a_checkout_root_counts_its_package(tmp_path, capsys):
+    # a checkout's other .py files (tests, tools) are not the package's
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "src" / "modroute").mkdir(parents=True)
+        (root / "tests").mkdir()
+        (root / "tests" / "test_a.py").write_text("x = 1\n")
+        (root / "setup.py").write_text("x = 1\n")
+    (old / "src" / "modroute" / "a.py").write_text(SOURCE)
+    (new / "src" / "modroute" / "a.py").write_text(SOURCE + "y = 2\n")
+    assert main([str(old), str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["a.py 12 5 -> 13 6", "total 12 5 -> 13 6"]
+
+
 def test_default_is_the_package(capsys):
     assert main([]) == 0
     lines = capsys.readouterr().out.splitlines()

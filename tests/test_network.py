@@ -397,17 +397,21 @@ def test_twin_critics_are_independent():
 
 
 def test_mask_pack_roundtrip():
+    # (n-1)**2 bits fill whole bytes at n = 9 and 17, not at the others;
+    # the leading axes are (B,) and a stacked ensemble's (M, B)
     rng = np.random.default_rng(16)
-    cfg = small_cfg(n=5)
-    masks = random_masks(cfg, rng, B=3)
-    flat = pack_masks(masks, cfg)
-    assert flat.shape == (3, cfg.mask_len)
-    np.testing.assert_array_equal(unpack_masks(flat, cfg), masks)
-    # packed order: module 2's source, then module 3's two, ...
-    col = 0
-    for i in range(2, cfg.n_modules + 1):
-        np.testing.assert_array_equal(flat[:, col:col + i - 1], masks[:, i - 2, :i - 1])
-        col += i - 1
+    assert small_cfg(n=8).mask_len == 7
+    for n in (2, 3, 4, 8, 9, 10, 17):
+        cfg = small_cfg(n=n)
+        w = n - 1
+        assert cfg.mask_len == -(-w * w // 8)
+        for lead in ((3,), (2, 3)):
+            masks = np.tril(rng.integers(0, 2, size=lead + (w, w))).astype(np.float32)
+            bits = pack_masks(masks)
+            assert bits.dtype == np.uint8 and bits.shape == lead + (cfg.mask_len,)
+            back = unpack_masks(bits, cfg)
+            assert back.dtype == np.uint8 and back.shape == masks.shape
+            np.testing.assert_array_equal(back, masks)
 
 
 def test_sample_rows_low_temperature_matches_topk():

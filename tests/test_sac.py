@@ -442,6 +442,14 @@ class TestTrainer:
             for r in range(masks.shape[-2]):  # module r + 2, of every network
                 assert np.all(masks[..., r, :].sum(axis=-1) == min(tr.cfg.k, r + 1))
 
+    def test_default_config_transition_takes_110_bytes(self):
+        # float32 states and actions, float64 reward, one done byte and 7
+        # bytes of packed masks for each of the three networks
+        cfg = RunConfig()
+        tr = Trainer(cfg.suite(), cfg.policy_config("actor"), cfg.train_settings(), 0)
+        assert tr.cfg.mask_len == 7
+        assert sum(store[0, 0].nbytes for store in tr.buffer.fields.values()) == 110
+
     def test_tiny_tau_rollout_masks_match_topk(self):
         # a task whose relative temperature is driven near zero should route
         # through the same sources deterministic top-k selection would pick

@@ -17,7 +17,9 @@ prints one sha256 per line over:
 * ``metrics``: every train step's metrics row;
 * ``evaluate``: the per-task success and module-usage results;
 * ``replay``: the final buffer's length and a stratified batch drawn from it
-  with a generator of the tool's own (so no trainer stream is consumed).
+  with a generator of the tool's own (so no trainer stream is consumed); its
+  masks as the padded bool arrays they unpack to, so that the digest sees
+  which sources were stored, not how replay stores them.
 
 Run it in two checkouts (it imports the ``modroute`` of the checkout it
 sits in) and compare the output.
@@ -86,6 +88,8 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
                        overrides: dict | None = None) -> dict[str, str]:
     """The digests named in the module docstring, by name; ``overrides``
     maps ``RunConfig`` fields to values that replace the config's."""
+    from modroute.network import unpack_masks
+
     trainer, cfg = build_trainer(config, seed, overrides)
     rows = []
     for _ in range(steps):
@@ -114,7 +118,10 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
     batch = trainer.buffer.sample_stratified(cfg.batch_per_task, np.random.default_rng(0))
     for key in sorted(batch):
         replay.update(key.encode())
-        _update(replay, batch[key])
+        value = batch[key]
+        if key.startswith("masks_"):
+            value = unpack_masks(value, trainer.cfg) > 0
+        _update(replay, value)
     return {name: h.hexdigest() for name, h in (
         ("params", params), ("log_alpha", log_alpha), ("metrics", metrics),
         ("evaluate", evaluate), ("replay", replay))}
