@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 user error (bad config, bad checkpoint, a
 ``train --resume`` without one, bad arguments, a training run that
-stalled), 2 internal error. A stalled run leaves the checkpoint it last
-saved as it was; a refused ``--resume`` writes nothing, an accepted one
+stalled, a path that cannot be read or written: any ``OSError``, such as
+a missing file, a directory given as the config, an ``out_dir`` under a
+regular file or a full disk), 2 internal error. A stalled run leaves the
+checkpoint it last saved as it was, as does a save that fails; a refused
+``--resume`` writes nothing, an accepted one
 first drops the rows of ``metrics.csv`` past its checkpoint. Set
 MODROUTE_LOG=DEBUG (or INFO/WARNING) to control log verbosity.
 """
@@ -204,7 +207,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UserError, ConfigError, CheckpointError, TrainingStalled, FileNotFoundError) as exc:
+    except (UserError, ConfigError, CheckpointError, TrainingStalled, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

@@ -182,13 +182,13 @@ def _positive(*arrays) -> bool:
     return all(bool(np.all(np.isfinite(a) & (a > 0.0))) for a in arrays)
 
 
-def _coefficients(task_ids: np.ndarray, weights: np.ndarray,
-                  included: np.ndarray) -> np.ndarray:
-    """Per-sample weights implementing sum_T w_T * mean_T(loss_T) with
-    masked-out tasks removed; a column vector, one row per sample."""
+def _coefficients(task_ids: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-sample weights implementing sum_T w_T * mean_T(loss_T); a column
+    vector, one row per sample. A maskout subset of whole tasks takes its
+    rows of it: each kept row's weight is its task's w_T / rows_per_task
+    either way."""
     counts = np.bincount(task_ids, minlength=len(weights))
-    per_task = np.where(included, weights / np.maximum(counts, 1), 0.0)
-    return per_task[task_ids].reshape(-1, 1)
+    return (weights / np.maximum(counts, 1))[task_ids].reshape(-1, 1)
 
 
 def _member_min_adjoint(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -234,13 +234,13 @@ ROUTING_FNS = ("samplek", "topk")
 # the fields of an evaluation row (``Trainer.run``), in metrics.csv's order
 EVAL_FIELDS = ("step", "task_id", "success_rate", "actor_loss", "critic_loss",
                "alpha", "tau", "w", "mean_effective_modules")
-# Trainer.run stops a run once this many train steps in a row have skipped
-# their update: its weights and temperatures have not moved since
+# Trainer.train_step stops a run once this many train steps in a row have
+# skipped their update: its weights and temperatures have not moved since
 MAX_SKIPPED_IN_A_ROW = 100
 
 
 class TrainingStalled(RuntimeError):
-    """``Trainer.run`` stopped a run whose updates all skip."""
+    """``Trainer.train_step`` stopped a run whose updates all skip."""
 
 
 @dataclass
@@ -396,8 +396,8 @@ class Trainer(Agent):
         self._cur_obs = np.stack([env.reset() for env in self.envs])
         self.env_steps = 0
         self.train_steps = 0
-        # train steps in a row that skipped their update (``run``), kept
-        # across a resume
+        # train steps in a row that skipped their update (``train_step``),
+        # kept across a resume
         self.skipped_in_a_row = 0
         self.success_ema = np.zeros(self.num_tasks)
         # the metrics of the last train step that returned any (evaluation rows)
@@ -571,17 +571,25 @@ class Trainer(Agent):
 
         The losses' gradients are taken with every task included. When
         ``loss_maskout`` drops a task, the losses and their gradients are
-        taken again on the included rows only (same targets and noise rows,
-        no new random draws), so a task with non-finite rows does not stall
-        the others. If every task is masked out, or a network's gradient is
-        still not finite, the whole update (every optimizer, Polyak) is
-        skipped, with a warning and ``skipped_updates`` 1 in the metrics.
+        taken again on the included rows only, with those rows' targets,
+        noise and loss coefficients (no new random draws), so a task with
+        non-finite rows does not stall the others. If every task is masked
+        out, or a network's gradient is still not finite, the whole update
+        (every optimizer, Polyak) is skipped, with a warning and
+        ``skipped_updates`` 1 in the metrics.
 
         The temperatures step first, on copies: a step that would leave any
         alpha, tau or w not finite or not positive skips the whole update in
         the same way.
 
-        Returns per-task metrics, or None when the buffer is too small."""
+        A train step owns the count of updates skipped in a row
+        (``skipped_in_a_row``): a skip adds one, an applied update resets it
+        to 0, and the ``MAX_SKIPPED_IN_A_ROW``-th skip in a row raises
+        ``TrainingStalled``, so every loop that trains stops a stalled run.
+        The count runs on from where a resumed trainer left it.
+
+        Returns per-task metrics, or None when the buffer is too small (no
+        batch is drawn, and the count stays as it is)."""
         if not self.buffer.can_sample(self.s.batch_per_task):
             log.info("buffer too small for a training step")
             return None
@@ -590,7 +598,7 @@ class Trainer(Agent):
         tasks = task_layout(ids)
         # taken before any optimizer step: the metrics report these
         alphas, taus, weights = self.task_coefficients()
-        coeff = _coefficients(ids, weights, np.ones(self.num_tasks, dtype=bool))
+        coeff = _coefficients(ids, weights)
 
         targets = self.bellman_targets(batch)
         critic_per_sample, critic_grad = self.critic_losses(batch, targets, coeff)
@@ -616,17 +624,13 @@ class Trainer(Agent):
         }
         self._last_metrics = metrics
         if not included.any():
-            metrics["skipped_updates"] = 1
-            log.warning("all tasks masked out; update skipped")
-            return metrics
+            return self._skipped(metrics, "all tasks masked out")
         if not included.all():
             rows = np.flatnonzero(included[ids])
             batch = {k: v[rows] for k, v in batch.items()}
-            ids = batch["task_id"]
             tasks = tasks[included[tasks]]  # whole tasks leave: still task-major
-            coeff = _coefficients(ids, weights, included)
-            _, critic_grad = self.critic_losses(batch, targets[rows], coeff)
-            _, actor_grad, logp = self.actor_losses(batch, noise[rows], coeff)
+            _, critic_grad = self.critic_losses(batch, targets[rows], coeff[rows])
+            _, actor_grad, logp = self.actor_losses(batch, noise[rows], coeff[rows])
 
         # both gradients were taken before any optimizer step: the actor's
         # runs through the critics' weights, which their step updates
@@ -634,23 +638,19 @@ class Trainer(Agent):
         grads = [critic_grad.flat, actor_grad.flat]
         finite = [bool(np.isfinite(g).all()) for g in grads]
         if not all(finite):
-            metrics["skipped_updates"] = 1
-            log.warning("non-finite gradients (critics, actor finite: %s); "
-                        "update skipped", finite)
-            return metrics
+            return self._skipped(metrics,
+                                 f"non-finite gradients (critics, actor finite: {finite})")
+        # a masked-out task has left ``tasks``: its temperature gradient is 0
         _, alpha_grad = alpha_loss(logp, tasks, alphas, self.target_entropy)
         opt_alpha, log_alpha = self.opt_alpha.copy(), self.log_alpha.copy()
-        # mirror the task weighting scheme: only included tasks update
-        opt_alpha.step(log_alpha, alpha_grad * included)
+        opt_alpha.step(log_alpha, alpha_grad)
         # alpha is checked before tau and w are taken from it:
         # route_balance_temperatures refuses an alpha that underflowed to 0
         with np.errstate(over="ignore", under="ignore"):
             valid = _positive(np.exp(log_alpha)) and _positive(*self.task_coefficients(log_alpha))
         if not valid:
-            metrics["skipped_updates"] = 1
-            log.warning("temperature step leaves alpha, tau or w not finite or not "
-                        "positive (log_alpha %s); update skipped", log_alpha.tolist())
-            return metrics
+            return self._skipped(metrics, "temperature step leaves alpha, tau or w not finite "
+                                          f"or not positive (log_alpha {log_alpha.tolist()})")
 
         for opt, net, grad in zip((self.opt_critics, self.opt_actor), nets, grads):
             opt.step(net.params.flat, grad)
@@ -662,6 +662,22 @@ class Trainer(Agent):
         target += np.multiply(self.critics.params.flat, 1 - rho, out=self._grads[0].flat)
 
         self.train_steps += 1
+        self.skipped_in_a_row = 0
+        return metrics
+
+    def _skipped(self, metrics: dict, reason: str) -> dict:
+        """The one exit of a train step that skips its update: it marks the
+        metrics, logs ``reason`` and counts the skip, and on the
+        ``MAX_SKIPPED_IN_A_ROW``-th in a row raises ``TrainingStalled``."""
+        metrics["skipped_updates"] = 1
+        log.warning("%s; update skipped", reason)
+        self.skipped_in_a_row += 1
+        if self.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
+            raise TrainingStalled(
+                f"training stalled at env step {self.env_steps}: the last "
+                f"{MAX_SKIPPED_IN_A_ROW} train steps each skipped their update, "
+                "as every task was masked out or a gradient or temperature was "
+                "not finite or not positive (the warnings name which)")
         return metrics
 
     # ------------------------------------------------------------------
@@ -674,10 +690,8 @@ class Trainer(Agent):
         run). Returns the recorded evaluation rows: none from a trainer that
         already stands at ``total_env_steps``. A replay buffer that cannot
         hold a batch per task raises ``ValueError``: it would never train.
-        ``MAX_SKIPPED_IN_A_ROW`` train steps in a row that skip their update
-        raise ``TrainingStalled``; the count (``skipped_in_a_row``) runs on
-        from where a resumed trainer left it, and a train step that draws
-        no batch leaves it as it is."""
+        It only schedules: a stalled run's ``TrainingStalled`` comes from
+        ``train_step``."""
         if eval_interval < 1:
             raise ValueError("eval_interval: must be >= 1")
         check_capacity(self.s.buffer_capacity, self.num_tasks, self.s.batch_per_task)
@@ -700,17 +714,7 @@ class Trainer(Agent):
             self.collect_rollouts(1)
             train_debt += self.s.train_ratio
             while train_debt >= 1.0:
-                metrics = self.train_step()
-                # None: the buffer cannot fill a batch yet, and nothing was tried
-                if metrics is not None:
-                    self.skipped_in_a_row = (self.skipped_in_a_row + 1
-                                             if metrics["skipped_updates"] else 0)
-                if self.skipped_in_a_row >= MAX_SKIPPED_IN_A_ROW:
-                    raise TrainingStalled(
-                        f"training stalled at env step {self.env_steps}: the last "
-                        f"{MAX_SKIPPED_IN_A_ROW} train steps each skipped their update, "
-                        "as every task was masked out or a gradient or temperature was "
-                        "not finite or not positive (the warnings name which)")
+                self.train_step()
                 train_debt -= 1.0
         if self.env_steps != last_eval_step:
             rows.extend(self._eval_rows(eval_episodes, on_eval))

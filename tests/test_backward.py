@@ -167,15 +167,14 @@ def test_train_step_gradients_match_the_tape(config, resrouting, chi_mode, float
     ids = batch["task_id"]
     targets = tr.bellman_targets(batch)
     noise = rng.normal(size=(len(ids), tr.cfg.act_dim))
-    weights = tr.task_coefficients()[2]
+    coeff = _coefficients(ids, tr.task_coefficients()[2])
     dropped = np.array([True, False, True, True])  # a maskout keeps the other rows
     for included in (np.ones(tr.num_tasks, dtype=bool), dropped):
         rows = np.flatnonzero(included[ids])
         sub = {k: v[rows] for k, v in batch.items()}
-        coeff = _coefficients(sub["task_id"], weights, included)
-        critic = tr.critic_losses(sub, targets[rows], coeff)
-        actor = tr.actor_losses(sub, noise[rows], coeff)
-        ref = _taped_losses(tr, sub, targets[rows], noise[rows], coeff, chi_mode)
+        critic = tr.critic_losses(sub, targets[rows], coeff[rows])
+        actor = tr.actor_losses(sub, noise[rows], coeff[rows])
+        ref = _taped_losses(tr, sub, targets[rows], noise[rows], coeff[rows], chi_mode)
         for (per_sample, grad), (want_loss, want_grad) in zip((critic, actor[:2]), ref):
             assert _same_bits(per_sample, want_loss)
             assert _same_bits(grad.flat, want_grad)

@@ -17,7 +17,7 @@ from modroute.analysis import (
 )
 from modroute.cli import METRICS_COLUMNS, main
 from modroute.config import RunConfig
-from modroute.sac import MAX_SKIPPED_IN_A_ROW, Trainer
+from modroute.sac import MAX_SKIPPED_IN_A_ROW, Trainer, TrainingStalled
 from routing_oracles import ROUTINGS, unpadded
 
 EDGE_RE = re.compile(r"m(\d+)\s*->\s*m(\d+)\s*\[weight=\"([0-9.]+)\"")
@@ -166,6 +166,22 @@ class TestTrainCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: training stalled at env step "), err
 
+    def test_a_loop_that_calls_train_step_itself_stops_on_a_stall(self, tmp_path):
+        # train_step counts the updates skipped in a row: a loop of its own,
+        # not Trainer.run, stops at the MAX_SKIPPED_IN_A_ROW-th as well
+        _, cfg = write_config(tmp_path, lr=1.0e10)
+        tr = make_trainer(cfg)
+        while not tr.buffer.can_sample(cfg.batch_per_task):
+            tr.collect_rollouts(1)
+        steps = 0
+        with pytest.raises(TrainingStalled, match="training stalled at env step "):
+            for _ in range(150):
+                tr.collect_rollouts(1)
+                steps += 1
+                tr.train_step()
+        assert steps == tr.skipped_in_a_row == MAX_SKIPPED_IN_A_ROW
+        assert tr.train_steps == 0
+
     @pytest.mark.parametrize("setting", [{"reward_scale": 100.0},
                                          {"maskout_threshold": 1e-9}],
                              ids=["reward_scale", "maskout_threshold"])
@@ -265,6 +281,24 @@ class TestTrainCommand:
         after = {name: open(os.path.join(cfg.out_dir, name), "rb").read()
                  for name in os.listdir(cfg.out_dir)}
         assert after == before and "metrics.csv" in after
+
+    def test_a_directory_as_the_config_is_a_user_error(self, tmp_path, capsys):
+        config_dir = tmp_path / "configs"
+        config_dir.mkdir()
+        assert main(["train", "--config", str(config_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(config_dir) in err and "internal error" not in err
+        assert os.listdir(tmp_path) == ["configs"] and os.listdir(config_dir) == []
+
+    def test_an_out_dir_under_a_regular_file_is_a_user_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        path, cfg = write_config(tmp_path, out_dir=str(blocker / "run"))
+        before = sorted(os.listdir(tmp_path))
+        assert main(["train", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert cfg.out_dir in err and "internal error" not in err
+        assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == ""
 
     def test_resume_refuses_incompatible_config(self, tmp_path, capsys):
         path, cfg = write_config(tmp_path, total_env_steps=0)

@@ -118,7 +118,7 @@ def test_float32_gradients_agree_with_float64(config, resrouting, monkeypatch):
     ids = batch["task_id"]
     targets = tr.bellman_targets(batch)
     noise = rng.normal(size=(len(ids), tr.cfg.act_dim))
-    coeff = _coefficients(ids, tr.task_coefficients()[2], np.ones(tr.num_tasks, dtype=bool))
+    coeff = _coefficients(ids, tr.task_coefficients()[2])
     for loss, args in (("critic_losses", (targets, coeff)), ("actor_losses", (noise, coeff))):
         got = getattr(tr, loss)(batch, *args)[1].flat
         want = getattr(ref, loss)(batch, *args)[1].flat

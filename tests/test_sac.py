@@ -276,11 +276,12 @@ class TestPerTaskReductions:
         buf = ReplayBuffer(4 * per_task, 4, OBS_DIM, ACT_DIM, 6)
         for _ in range(per_task):
             buf.add(random_rows(rng, [0, 1, 2, 3]))
-        ids = buf.sample_stratified(per_task, rng)["task_id"]
+        batch_ids = buf.sample_stratified(per_task, rng)["task_id"]
         included = np.ones(4, dtype=bool)
         if drop is not None:  # the maskout subset train_step takes
             included[drop] = False
-            ids = ids[np.flatnonzero(included[ids])]
+        rows = np.flatnonzero(included[batch_ids])
+        ids = batch_ids[rows]
         critic = rng.normal(size=(2, len(ids), 1)) ** 2 * 1e3
         actor = rng.normal(size=(len(ids), 1)) * 10
         logp = rng.normal(size=(len(ids), 1)) * 3
@@ -292,8 +293,11 @@ class TestPerTaskReductions:
                          _per_task_mean_loop(actor.ravel(), ids, 4))
         assert_same_bits(_per_task_mean(critic[..., 0], tasks, 4).sum(axis=0),
                          sum(_per_task_mean_loop(m.ravel(), ids, 4) for m in critic))
-        assert_same_bits(_coefficients(ids, weights, included),
-                         _coefficients_loop(ids, weights, included))
+        # the whole batch's coefficients, and the subset's rows of them
+        # against the loop's masked-out weights
+        coeff = _coefficients(batch_ids, weights)
+        assert_same_bits(coeff, _coefficients_loop(batch_ids, weights, np.ones(4, bool)))
+        assert_same_bits(coeff[rows], _coefficients_loop(ids, weights, included))
         assert_same_bits(alpha_loss(logp, tasks, alphas, -2.0)[1],
                          _alpha_grad_loop(logp, ids, alphas, -2.0))
 

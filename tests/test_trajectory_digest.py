@@ -46,13 +46,16 @@ def test_all_prints_one_labelled_line_per_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     labels = [line.rsplit(" ", 1)[0] for line in lines]
     assert labels[:2] == ["train-accept", "train-default"]
-    assert len(labels) == len(set(labels)) == 12
-    assert labels[-2:] == ["tiny route_balancing=false", "tiny loss_rescaling=false"]
+    assert len(labels) == len(set(labels)) == 13
+    assert labels[-3:] == ["tiny route_balancing=false", "tiny loss_rescaling=false",
+                           "tiny maskout"]
     # each line digests the lines its configuration prints alone
-    for label in ("tiny resrouting=off routing_fn=topk", "tiny route_balancing=false",
-                  "tiny loss_rescaling=false"):
-        config, *overrides = label.split()
-        assert main([config, "1", *overrides, "--episodes", "0"]) == 0
+    for label, argv in (("tiny resrouting=off routing_fn=topk",
+                         ["resrouting=off", "routing_fn=topk"]),
+                        ("tiny route_balancing=false", ["route_balancing=false"]),
+                        ("tiny loss_rescaling=false", ["loss_rescaling=false"]),
+                        ("tiny maskout", ["--nan-task", "1"])):
+        assert main(["tiny", "1", *argv, "--episodes", "0"]) == 0
         alone = capsys.readouterr().out
         line = lines[labels.index(label)]
         assert line.split()[-1] == hashlib.sha256(alone.encode()).hexdigest()
@@ -62,11 +65,10 @@ def test_every_tiny_run_trains_differently():
     # a setting whose run trains the same bits as another's is a second
     # spelling of it, or a knob that nothing reads. 200 steps: at 50, rsg,
     # sg-only and off still train alike under either routing_fn
-    tiny = [(label, overrides) for label, config, overrides in all_runs()
-            if config == "tiny"]
-    assert len(tiny) == 10
-    params = {label: trajectory_digests("tiny", 200, overrides=overrides)["params"]
-              for label, overrides in tiny}
+    tiny = [(label, kwargs) for label, config, kwargs in all_runs() if config == "tiny"]
+    assert len(tiny) == 11
+    params = {label: trajectory_digests("tiny", 200, **kwargs)["params"]
+              for label, kwargs in tiny}
     assert len(set(params.values())) == len(tiny), params
 
 

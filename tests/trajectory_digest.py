@@ -2,6 +2,7 @@
 trained bit.
 
     python3 tests/trajectory_digest.py CONFIG STEPS [KEY=VALUE ...] [--seed S] [--episodes E]
+                                       [--nan-task T]
 
 builds a ``Trainer`` for the named config (``CONFIGS``), with any
 ``RunConfig`` fields overridden by ``KEY=VALUE`` (``resrouting=off``,
@@ -9,7 +10,10 @@ builds a ``Trainer`` for the named config (``CONFIGS``), with any
 except for a string field), fills its replay
 buffer until a batch can be drawn, runs ``STEPS`` iterations of
 ``collect_rollouts(1)`` + ``train_step()`` and then ``evaluate(E)``, and
-prints one sha256 per line over:
+prints one sha256 per line over the digests below. ``--nan-task T`` sets
+task T's stored states to NaN before every train step, so that each step
+masks task T out and takes the losses again on the other tasks' rows
+(the partial-maskout re-run). The digests:
 
 * ``params``: every flat vector (actor, critics, target critics) and each
   optimizer's step count and Adam moments;
@@ -28,9 +32,10 @@ sits in) and compare the output.
 
 runs every configuration a change that keeps every bit compares
 (``all_runs``: the two train configs, tiny under each ``resrouting`` x
-``routing_fn`` pair, and tiny with ``route_balancing`` and with
-``loss_rescaling`` off) and prints one line per run: its label and one sha256
-over its five digests. One ``diff`` of two checkouts' outputs is the check;
+``routing_fn`` pair, tiny with ``route_balancing`` and with
+``loss_rescaling`` off, and ``tiny maskout``, tiny with ``--nan-task 1``)
+and prints one line per run: its label and one sha256 over its five
+digests. One ``diff`` of two checkouts' outputs is the check;
 run a differing configuration alone to see which digest moved.
 """
 
@@ -85,15 +90,19 @@ def build_trainer(config: str, seed: int = 0, overrides: dict | None = None,
 
 
 def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1,
-                       overrides: dict | None = None) -> dict[str, str]:
+                       overrides: dict | None = None,
+                       nan_task: int | None = None) -> dict[str, str]:
     """The digests named in the module docstring, by name; ``overrides``
-    maps ``RunConfig`` fields to values that replace the config's."""
+    maps ``RunConfig`` fields to values that replace the config's, and a
+    ``nan_task`` has its stored states set to NaN before every train step."""
     from modroute.network import unpack_masks
 
     trainer, cfg = build_trainer(config, seed, overrides)
     rows = []
     for _ in range(steps):
         trainer.collect_rollouts(1)
+        if nan_task is not None:
+            trainer.buffer.fields["state"][nan_task] = np.nan
         rows.append(trainer.train_step())
 
     params = hashlib.sha256()
@@ -128,15 +137,17 @@ def trajectory_digests(config: str, steps: int, seed: int = 0, episodes: int = 1
 
 
 def all_runs() -> list[tuple[str, str, dict]]:
-    """(label, config, overrides) of every run that ``all`` digests."""
+    """(label, config, keyword arguments of ``trajectory_digests``) of every
+    run that ``all`` digests."""
     from modroute.sac import CHI_BY_MODE, ROUTING_FNS
 
     runs = [(name, name, {}) for name in ("train-accept", "train-default")]
     runs += [(f"tiny resrouting={mode} routing_fn={fn}", "tiny",
-              {"resrouting": mode, "routing_fn": fn})
+              {"overrides": {"resrouting": mode, "routing_fn": fn}})
              for mode in CHI_BY_MODE for fn in ROUTING_FNS]
-    runs += [(f"tiny {flag}=false", "tiny", {flag: False})
+    runs += [(f"tiny {flag}=false", "tiny", {"overrides": {flag: False}})
              for flag in ("route_balancing", "loss_rescaling")]
+    runs.append(("tiny maskout", "tiny", {"nan_task": 1}))
     return runs
 
 
@@ -161,20 +172,23 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--episodes", type=int, default=1,
                     help="evaluation episodes per task after training")
+    ap.add_argument("--nan-task", type=int, default=None, metavar="T",
+                    help="set task T's stored states to NaN before every train step")
     args = ap.parse_args(argv)
     if args.steps < 0 or args.episodes < 0:
         ap.error("steps and episodes must be >= 0")
     if args.config == "all":
-        if args.overrides:
-            ap.error("all runs fixed configurations; it takes no KEY=VALUE")
-        for label, config, overrides in all_runs():
+        if args.overrides or args.nan_task is not None:
+            ap.error("all runs fixed configurations; it takes no KEY=VALUE or --nan-task")
+        for label, config, kwargs in all_runs():
             digests = trajectory_digests(config, args.steps, args.seed,
-                                         args.episodes, overrides)
+                                         args.episodes, **kwargs)
             text = "".join(f"{name} {d}\n" for name, d in digests.items())
             print(f"{label} {hashlib.sha256(text.encode()).hexdigest()}", flush=True)
         return 0
     for name, digest in trajectory_digests(args.config, args.steps, args.seed,
-                                           args.episodes, dict(args.overrides)).items():
+                                           args.episodes, dict(args.overrides),
+                                           args.nan_task).items():
         print(f"{name} {digest}")
     return 0
 
